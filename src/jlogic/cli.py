@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import jnl
@@ -22,6 +23,8 @@ from .decision import Bounds, automaton_accepts, jsl_to_automaton, \
     recursive_to_automaton, sat_bounded
 from .errors import JLogicError
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -30,33 +33,31 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _print_path(tree: jt.JsonTree, path) -> str:
-    if not path:
-        return "(root)"
-    node = ()
-    parts = []
-    for step in path:
-        node = node + (step,)
-        n = tree.node_at(node)
-        key = tree.edge_key(n)
-        parts.append(key if key is not None else str(tree.ordinal(n) + 1))
-    return "/".join(parts)
-
-
 def _parse_node_arg(text: str):
     if text in ("", "(root)"):
         return []
     return [int(seg) if seg.isdigit() else seg for seg in text.split("/")]
 
 
-def _path_segments(tree: jt.JsonTree, path):
-    node = ()
+def _labels(tree: jt.JsonTree, ids, render, sep: str) -> list:
+    """The path label of each node id: its steps (object keys, 1-based
+    array positions) rendered and joined by ``sep``; None for the root.
+
+    Each label is built once from its parent's, and labels of shared
+    ancestors are reused, so the cost is linear in the output."""
+    memo = {0: None}
     out = []
-    for step in path:
-        node = node + (step,)
-        n = tree.node_at(node)
-        key = tree.edge_key(n)
-        out.append(key if key is not None else tree.ordinal(n) + 1)
+    for n in ids:
+        chain = []
+        while n not in memo:
+            chain.append(n)
+            n = tree.parent(n)
+        label = memo[n]
+        for m in reversed(chain):
+            key = tree.edge_key(m)
+            step = render(key if key is not None else tree.ordinal(m) + 1)
+            label = memo[m] = step if label is None else label + sep + step
+        out.append(label)
     return out
 
 
@@ -80,12 +81,17 @@ def cmd_query(args) -> int:
         else:
             print("true" if member else "false")
         return 0 if member else 1
-    sat = sorted(jnl.eval_unary(doc, phi))
+    # ids are DFS pre-order, so sorting them sorts the paths
+    sat = sorted(jnl.eval_unary_ids(doc, phi))
     if args.format == "json":
-        print(json.dumps([_path_segments(doc, p) for p in sat]))
-    else:
-        for p in sat:
-            print(_print_path(doc, p))
+        labels = _labels(doc, sat, json.dumps, ", ")
+        print("[" + ", ".join("[]" if lab is None else f"[{lab}]" for lab in labels) + "]")
+    elif sat:
+        labels = _labels(doc, sat, str, "/")
+        text = "\n".join("(root)" if lab is None else lab for lab in labels)
+        # a lone surrogate in a key cannot be encoded: print it as the escape
+        # that the json format uses
+        print(_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text))
     return 0
 
 

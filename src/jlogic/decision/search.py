@@ -73,18 +73,18 @@ class SatVerdict:
 
 class _Cand:
     """A candidate tree kept in cheap parts: python value, canonical text,
-    fingerprint, and the truth mask of the compiled formula bits."""
+    subtree class id, and the truth mask of the compiled formula bits."""
 
-    __slots__ = ("kind", "value", "children", "py", "serial", "fp",
+    __slots__ = ("kind", "value", "children", "py", "serial", "cid",
                  "size", "depth", "mask")
 
-    def __init__(self, kind, value, children, py, serial, fp, size, depth):
+    def __init__(self, kind, value, children, py, serial, cid, size, depth):
         self.kind = kind
         self.value = value
         self.children = children  # ((key or None, _Cand), ...)
         self.py = py
         self.serial = serial
-        self.fp = fp
+        self.cid = cid
         self.size = size
         self.depth = depth
         self.mask = 0
@@ -93,36 +93,38 @@ class _Cand:
         return (_KIND_RANK[self.kind], self.serial)
 
 
-def _leaf(kind, value) -> _Cand:
+def _leaf(kind, value, table) -> _Cand:
     if kind == "int":
-        return _Cand("int", value, (), value, str(value), jt.fingerprint_int(value), 1, 0)
+        return _Cand("int", value, (), value, str(value), jt.intern_class(table, value), 1, 0)
     if kind == "str":
         text = json.dumps(value, ensure_ascii=False)
-        return _Cand("str", value, (), value, text, jt.fingerprint_str(value), 1, 0)
+        return _Cand("str", value, (), value, text, jt.intern_class(table, value), 1, 0)
     if kind == "obj":
-        return _Cand("obj", None, (), {}, "{}", jt.fingerprint_obj(()), 1, 0)
-    return _Cand("arr", None, (), [], "[]", jt.fingerprint_arr(()), 1, 0)
+        return _Cand("obj", None, (), {}, "{}", jt.intern_class(table, keys=()), 1, 0)
+    return _Cand("arr", None, (), [], "[]", jt.intern_class(table), 1, 0)
 
 
-def _make_obj(keys, reps) -> _Cand:
+def _make_obj(keys, reps, table) -> _Cand:
     children = tuple(zip(keys, reps))
     py = {k: r.py for k, r in children}
     serial = "{" + ",".join(f"{json.dumps(k, ensure_ascii=False)}:{r.serial}"
                             for k, r in children) + "}"
-    fp = jt.fingerprint_obj((k, r.fp) for k, r in children)
+    ordered = sorted((k, r.cid) for k, r in children)
+    cid = jt.intern_class(table, keys=tuple(k for k, _ in ordered),
+                          child_ids=tuple(c for _, c in ordered))
     size = 1 + sum(r.size for r in reps)
     depth = 1 + max(r.depth for r in reps)
-    return _Cand("obj", None, children, py, serial, fp, size, depth)
+    return _Cand("obj", None, children, py, serial, cid, size, depth)
 
 
-def _make_arr(reps) -> _Cand:
+def _make_arr(reps, table) -> _Cand:
     children = tuple((None, r) for r in reps)
     py = [r.py for r in reps]
     serial = "[" + ",".join(r.serial for r in reps) + "]"
-    fp = jt.fingerprint_arr(r.fp for r in reps)
+    cid = jt.intern_class(table, child_ids=tuple(r.cid for r in reps))
     size = 1 + sum(r.size for r in reps)
     depth = 1 + max(r.depth for r in reps)
-    return _Cand("arr", None, children, py, serial, fp, size, depth)
+    return _Cand("arr", None, children, py, serial, cid, size, depth)
 
 
 # -- the compiled formula program ----------------------------------------------------
@@ -136,7 +138,8 @@ class _Program:
     so interchangeability classes are read straight off the mask.
     """
 
-    def __init__(self):
+    def __init__(self, table):
+        self.table = table  # subtree intern table shared with the candidates
         self.instrs = []
         self.bit_of = {}
         self.eq_bits = {}
@@ -215,19 +218,22 @@ class _Program:
         self.bit_of[phi] = idx
         return idx
 
-    def _eq_bit(self, fp) -> int:
-        bit = self.eq_bits.get(fp)
+    def _eq_bit(self, cid) -> int:
+        bit = self.eq_bits.get(cid)
         if bit is None:
             bit = len(self.instrs)
-            self.instrs.append(("eqfp", fp))
-            self.eq_bits[fp] = bit
+            self.instrs.append(("eqid", cid))
+            self.eq_bits[cid] = bit
             self.proj.add(bit)
         return bit
 
-    def _register_const(self, const: JsonTree):
+    def _register_const(self, const: JsonTree) -> int:
+        """Equality bits for every subtree of the constant; its root's id."""
         self.has_equality = True
-        for n in const.nodes():
-            self._eq_bit(const.fingerprint(n))
+        ids = jt.label_subtrees(const, self.table)
+        for cid in ids:
+            self._eq_bit(cid)
+        return ids[0]
 
     def _bit(self, phi: jsl.JslFormula) -> int:
         hit = self.bit_of.get(phi)
@@ -279,8 +285,7 @@ class _Program:
             self.has_unique = True
             return ("uniq",)
         if isinstance(test, jsl.SameAsTest):
-            self._register_const(test.const)
-            return ("eqfp", test.const.fingerprint(0))
+            return ("eqid", self._register_const(test.const))
         raise TypeError(f"not a node test: {test!r}")
 
     # evaluation
@@ -341,9 +346,9 @@ class _Program:
                 v = int(len(children) <= ins[1])
             elif op == "uniq":
                 v = int(kind == "arr" and
-                        len({r.fp for _, r in children}) == len(children))
-            elif op == "eqfp":
-                v = int(cand.fp == ins[1])
+                        len({r.cid for _, r in children}) == len(children))
+            elif op == "eqid":
+                v = int(cand.cid == ins[1])
             elif op == "copy":
                 v = (bits >> ins[1]) & 1
             else:
@@ -510,24 +515,25 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
     before being returned; exceeding ``budget`` candidates raises
     BoundsTooLarge.
     """
+    table = {}  # one subtree intern table for the constants and every candidate
     if isinstance(formula, rec.RecursiveJslExpr):
         if not rec.is_well_formed(formula):
             raise IllFormedRecursion(f"cyclic definitions: {rec.find_cycle(formula)}")
-        program = _Program().compile_recursive(formula)
+        program = _Program(table).compile_recursive(formula)
         inventory = _collect_jsl([body for _, body in formula.definitions] + [formula.base],
                                  bounds.max_atoms)
         revalidate = lambda tree: rec.eval_recursive(formula, tree)
         return _class_search(program, inventory, bounds, budget, revalidate)
     if isinstance(formula, jsl.JslFormula):
-        program = _Program().compile_formula(formula)
+        program = _Program(table).compile_formula(formula)
         inventory = _collect_jsl([formula], bounds.max_atoms)
         revalidate = lambda tree: jsl.validate(tree, formula)
         return _class_search(program, inventory, bounds, budget, revalidate)
     if isinstance(formula, jnl.JnlUnary):
         if jnl.uses_eqpaths(formula) or jnl.uses_star(formula):
-            return _exhaustive_search(formula, bounds, budget)
+            return _exhaustive_search(formula, bounds, budget, table)
         translated = translate.jnl_to_jsl(formula)
-        program = _Program().compile_formula(translated)
+        program = _Program(table).compile_formula(translated)
         inventory = _collect_jsl([translated], bounds.max_atoms)
         revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
         return _class_search(program, inventory, bounds, budget, revalidate)
@@ -565,9 +571,9 @@ class _Level:
     def store(self, cand, key, multiplicity) -> bool:
         stored = self.classes.get(key)
         if stored is None:
-            self.classes[key] = [cand.fp]
-        elif len(stored) < multiplicity and cand.fp not in stored:
-            stored.append(cand.fp)
+            self.classes[key] = [cand.cid]
+        elif len(stored) < multiplicity and cand.cid not in stored:
+            stored.append(cand.cid)
         else:
             return False
         self.by_size.setdefault(cand.size, []).append(cand)
@@ -576,16 +582,16 @@ class _Level:
         return True
 
 
-def _leaf_batch(inventory, budget) -> list:
-    out = [_leaf("obj", None), _leaf("arr", None)]
-    out.extend(_leaf("str", s) for s in inventory.strings)
-    out.extend(_leaf("int", v) for v in inventory.ints)
+def _leaf_batch(inventory, budget, table) -> list:
+    out = [_leaf("obj", None, table), _leaf("arr", None, table)]
+    out.extend(_leaf("str", s, table) for s in inventory.strings)
+    out.extend(_leaf("int", v, table) for v in inventory.ints)
     for _ in out:
         budget.charge()
     return sorted(out, key=_Cand.order_key)
 
 
-def _parent_batch(n, child_level, obj_keys, arrays, width, budget) -> list:
+def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table) -> list:
     """All candidates with exactly n nodes over the stored child reps."""
     out = []
     sizes = sorted(child_level.by_size)
@@ -612,15 +618,15 @@ def _parent_batch(n, child_level, obj_keys, arrays, width, budget) -> list:
         for reps in assignments(k, n - 1):
             if arrays:
                 budget.charge()
-                out.append(_make_arr(reps))
+                out.append(_make_arr(reps, table))
             for keyset in keysets:
                 budget.charge()
-                out.append(_make_obj(keyset, reps))
+                out.append(_make_obj(keyset, reps, table))
     return sorted(out, key=_Cand.order_key)
 
 
 def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_key,
-                   multiplicity, keys_at) -> Optional[JsonTree]:
+                   multiplicity, keys_at, table) -> Optional[JsonTree]:
     """Bottom-up over distances from the root: the level at distance p is
     populated from the one at p+1, keeping one representative per
     interchangeability class (more under array uniqueness).  Returns a
@@ -634,7 +640,7 @@ def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_
     below = None
     for p in range(depth, -1, -1):
         level = _Level()
-        for cand in _leaf_batch(inventory, budget):
+        for cand in _leaf_batch(inventory, budget, table):
             evaluate(cand, p)
             if p == 0 and is_witness(cand):
                 return cand
@@ -644,7 +650,7 @@ def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_
             ceiling = _full_tree_size(depth - p, width)
             n = 2
             while n <= ceiling and n <= 1 + width * below.max_size:
-                for cand in _parent_batch(n, below, obj_keys, arrays, width, budget):
+                for cand in _parent_batch(n, below, obj_keys, arrays, width, budget, table):
                     evaluate(cand, p)
                     if p == 0 and is_witness(cand):
                         return cand
@@ -676,7 +682,7 @@ def _class_search(program, inventory, bounds, budget, revalidate) -> SatVerdict:
         return cand.mask & profiles[p][0]
 
     found = _staged_search(inventory, bounds, budget, evaluate, is_witness,
-                           class_key, multiplicity, lambda p: keys_by_depth[p])
+                           class_key, multiplicity, lambda p: keys_by_depth[p], program.table)
     if found is None:
         return SatVerdict(False, None, bounds)
     tree = jt.from_python(found.py)
@@ -685,7 +691,7 @@ def _class_search(program, inventory, bounds, budget, revalidate) -> SatVerdict:
     return SatVerdict(True, tree, bounds)
 
 
-def _exhaustive_search(formula, bounds, budget) -> SatVerdict:
+def _exhaustive_search(formula, bounds, budget, table) -> SatVerdict:
     """Every distinct tree, no collapsing; for the untranslatable fragment."""
     inventory = _collect_jnl(formula, bounds.max_atoms)
 
@@ -697,10 +703,10 @@ def _exhaustive_search(formula, bounds, budget) -> SatVerdict:
         return jnl.eval_membership(tree, formula, ())
 
     def class_key(cand, p):
-        return cand.fp
+        return cand.cid
 
     found = _staged_search(inventory, bounds, budget, evaluate, is_witness,
-                           class_key, 1, lambda p: (inventory.keys, True))
+                           class_key, 1, lambda p: (inventory.keys, True), table)
     if found is None:
         return SatVerdict(False, None, bounds)
     return SatVerdict(True, jt.from_python(found.py), bounds)

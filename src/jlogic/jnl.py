@@ -246,11 +246,15 @@ class _FormulaParser:
     def parse_number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            self.fail(f"number of {self.pos - start} digits is over the interpreter's "
+                      "int-string limit")
 
     def parse_string(self) -> str:
         self.skip_ws()
@@ -480,11 +484,8 @@ class _Eval:
         elif isinstance(u, Exists):
             out = frozenset(self.pre(u.path, self.all_nodes))
         elif isinstance(u, EqConst):
-            const = u.const
-            croot_fp = const.fingerprint(0)
-            targets = {n for n in self.all_nodes
-                       if tree.fingerprint(n) == croot_fp
-                       and jt.equal_across(tree, n, const, 0)}
+            cid = tree.const_id(u.const)
+            targets = {n for n, c in enumerate(tree.subtree_ids()) if c == cid}
             out = frozenset(self.pre(u.path, targets))
         elif isinstance(u, EqPaths):
             out = self._eq_paths(u)
@@ -494,22 +495,14 @@ class _Eval:
         return out
 
     def _eq_paths(self, u: EqPaths) -> frozenset:
-        tree = self.tree
+        ids = self.tree.subtree_ids()
         ma = self.pairs(u.left)
         mb = self.pairs(u.right)
         out = set()
-        for n in ma:
+        for n, ts in ma.items():
             bs = mb.get(n)
-            if not bs:
-                continue
-            by_fp = {}
-            for t in ma[n]:
-                by_fp.setdefault(tree.fingerprint(t), t)
-            for s in bs:
-                rep = by_fp.get(tree.fingerprint(s))
-                if rep is not None and tree.equal_subtrees(rep, s):
-                    out.add(n)
-                    break
+            if bs and not {ids[t] for t in ts}.isdisjoint([ids[s] for s in bs]):
+                out.add(n)
         return frozenset(out)
 
     # backward images: nodes with some alpha-successor inside `targets`
@@ -667,7 +660,7 @@ def _holds_det(tree, u, n, memo) -> bool:
         out = _walk_det(tree, u.path, n, memo) is not None
     elif isinstance(u, EqConst):
         t = _walk_det(tree, u.path, n, memo)
-        out = t is not None and jt.equal_across(tree, t, u.const, 0)
+        out = t is not None and tree.subtree_id(t) == tree.const_id(u.const)
     elif isinstance(u, EqPaths):
         t1 = _walk_det(tree, u.left, n, memo)
         t2 = _walk_det(tree, u.right, n, memo)

@@ -222,19 +222,14 @@ def eval_node_test(tree: JsonTree, n: int, test: NodeTest) -> bool:
     if isinstance(test, MaxChTest):
         return tree.child_count(n) <= test.count
     if isinstance(test, SameAsTest):
-        return jt.equal_across(tree, n, test.const, 0)
+        return tree.subtree_id(n) == tree.const_id(test.const)
     raise TypeError(f"not a node test: {test!r}")
 
 
 def _children_distinct(tree: JsonTree, n: int) -> bool:
-    groups = {}
-    for c in tree.children(n):
-        groups.setdefault(tree.fingerprint(c), []).append(c)
-    for members in groups.values():
-        for i in range(1, len(members)):
-            if tree.equal_subtrees(members[0], members[i]):
-                return False
-    return True
+    ids = tree.subtree_ids()
+    children = tree.children(n)
+    return len({ids[c] for c in children}) == len(children)
 
 
 def holds(tree: JsonTree, n: int, phi: JslFormula, memo=None, symtab=None) -> bool:

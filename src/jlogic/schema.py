@@ -456,7 +456,8 @@ def _vs_raw(tree, n, ast, defs, memo) -> bool:
     if isinstance(ast, NotSchema):
         return not _vs(tree, n, ast.body, defs, memo)
     if isinstance(ast, Enum):
-        return any(jt.equal_across(tree, n, const, 0) for const in ast.values)
+        cid = tree.subtree_id(n)
+        return any(tree.const_id(const) == cid for const in ast.values)
     raise TypeError(f"not a schema: {ast!r}")
 
 

@@ -9,19 +9,33 @@ excludes floats, booleans and null.
 Nodes have two representations: the public one is a *path*, a tuple of
 child ordinals from the root (``()`` is the root); internally every node
 is a dense integer id so that evaluators can work with sets of ints.
-Object children are stored sorted by key, which makes equal documents
-structurally identical and lets serialization, fingerprints and equality
-agree byte for byte.
+Object children are stored sorted by key, and ids are assigned in DFS
+pre-order, children in ordinal order.  So a node's id is below those of
+its descendants, sorting ids sorts their paths, and equal documents get
+identical arrays.
 
-All deep traversals here are iterative: documents nested thousands of
-levels deep are in scope.
+Subtree identity is interned, not hashed.  The first equality test on a
+tree labels every node bottom-up with a class id from a table keyed by
+the value for leaves, the child ids for arrays and the keys plus child ids
+for objects: the AHU tree-isomorphism labelling (Aho, Hopcroft and
+Ullman, 1974).  Two subtrees are equal exactly when their ids are.  A
+constant document is compared by looking its root up in the same table;
+a constant absent from the table equals no subtree.
+
+Text goes through the standard library's C scanner, with hooks that
+enforce the model.  Documents nested too deeply for it fall back to an
+iterative parser with the same grammar, hooks and error classes.  All
+deep traversals here are iterative: documents nested thousands of levels
+deep are in scope.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from enum import Enum
-from hashlib import sha256
+from json.decoder import JSONDecodeError
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -45,15 +59,26 @@ class NodeKind(Enum):
 
 
 _WS = " \t\n\r"
-_DIGITS = "0123456789"
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+_HEX = frozenset("0123456789abcdefABCDEF")
+# the C scanner's number grammar (ASCII digits only)
+_NUMBER = re.compile(r"(-?(?:0|[1-9][0-9]*))(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+_LITERALS = (("null", None), ("true", True), ("false", False))
+_CONSTANTS = ("NaN", "Infinity", "-Infinity")
+_MODEL_TYPES = frozenset((str, int, list, dict))
+_CLOSE = object()  # from_python's marker: all children of a container are numbered
 
 
 class JsonTree:
-    """One parsed document.  Immutable; safe to share between threads."""
+    """One parsed document.  Immutable; safe to share between threads.
+
+    Subtree class ids are built on first use into locals and published by
+    a single attribute assignment, so a concurrent reader sees either no
+    table (and builds an identical one) or a complete one.
+    """
 
     __slots__ = ("_kinds", "_vals", "_children", "_keys", "_parent", "_ordinal",
-                 "_edge_key", "_fps", "_height")
+                 "_edge_key", "_classes", "_height", "_hash")
 
     def __init__(self, kinds, vals, children, keys, parent, ordinal, edge_key):
         self._kinds = kinds          # list[NodeKind]
@@ -63,8 +88,9 @@ class JsonTree:
         self._parent = parent        # list[int], -1 for the root
         self._ordinal = ordinal      # list[int], position under the parent
         self._edge_key = edge_key    # list[str | None], key label from the parent
-        self._fps = _fingerprints(kinds, vals, children, keys)
-        self._height = max(_depths(parent)) if kinds else 0
+        self._classes = None         # (class id per node, intern table, constant ids)
+        self._height = None
+        self._hash = None
 
     # -- integer-id accessors (the fast interface used by evaluators) ------
 
@@ -120,9 +146,6 @@ class JsonTree:
     def edge_key(self, n: int) -> Optional[str]:
         return self._edge_key[n]
 
-    def fingerprint(self, n: int) -> bytes:
-        return self._fps[n]
-
     def path_of(self, n: int) -> NodeId:
         out = []
         while n != 0:
@@ -144,30 +167,52 @@ class JsonTree:
     def domain(self) -> frozenset:
         return frozenset(self.path_of(n) for n in self.nodes())
 
+    # -- subtree identity ---------------------------------------------------
+
+    def _interned(self):
+        classes = self._classes
+        if classes is None:
+            table = {}
+            ids = label_subtrees(self, table)
+            classes = self._classes = (ids, table, {})
+        return classes
+
+    def subtree_ids(self) -> list:
+        """Class id of every node: equal ids exactly for equal subtrees."""
+        return self._interned()[0]
+
+    def subtree_id(self, n: int) -> int:
+        return self._interned()[0][n]
+
+    def const_id(self, const: JsonTree) -> Optional[int]:
+        """Class id of the subtrees equal to the document ``const``; None
+        when no subtree of this tree equals it."""
+        _, table, consts = self._interned()
+        hit = consts.get(id(const))
+        if hit is None or hit[0] is not const:
+            ids = label_subtrees(const, table, insert=False)
+            hit = consts[id(const)] = (const, None if ids is None else ids[0])
+        return hit[1]
+
     def equal_subtrees(self, n1: int, n2: int) -> bool:
-        """Exact subtree equality; fingerprints first, full walk to confirm."""
+        """Exact subtree equality."""
         if n1 == n2:
             return True
-        if self._fps[n1] != self._fps[n2]:
-            return False
-        stack = [(n1, n2)]
-        while stack:
-            a, b = stack.pop()
-            if self._kinds[a] is not self._kinds[b] or self._vals[a] != self._vals[b]:
-                return False
-            ca, cb = self._children[a], self._children[b]
-            if len(ca) != len(cb) or self._keys[a] != self._keys[b]:
-                return False
-            stack.extend(zip(ca, cb))
-        return True
+        ids = self._interned()[0]
+        return ids[n1] == ids[n2]
 
     def __eq__(self, other):
         if not isinstance(other, JsonTree):
             return NotImplemented
-        return self._fps[0] == other._fps[0] and to_python(self) == to_python(other)
+        # canonical construction: equal documents have identical arrays
+        return self is other or (self._vals == other._vals and self._keys == other._keys
+                                 and self._children == other._children)
 
     def __hash__(self):
-        return hash(self._fps[0])
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple(self._vals))
+        return h
 
     def __repr__(self):
         text = serialize(self)
@@ -176,107 +221,122 @@ class JsonTree:
         return f"JsonTree({text})"
 
 
+# An intern table maps a class key to its dense id.  The key is the value
+# for a leaf, the tuple of child ids for an array, and (sorted keys, child
+# ids) for an object.
+
+
+def intern_class(table: dict, value: Optional[Atom] = None, keys: Optional[tuple] = None,
+                 child_ids: tuple = ()) -> int:
+    """Class id of one node: a leaf ``value``, or an array's ``child_ids``,
+    or an object's sorted ``keys`` and ``child_ids``.  Adds a new class."""
+    key = value if value is not None else child_ids if keys is None else (keys, child_ids)
+    cid = table.get(key)
+    if cid is None:
+        cid = table[key] = len(table)
+    return cid
+
+
+def label_subtrees(tree: JsonTree, table: dict, insert: bool = True) -> Optional[list]:
+    """Bottom-up class id of every node of ``tree`` through ``table``.
+
+    With ``insert`` new classes are added to the table.  Without it the
+    table is only read, and the result is None as soon as some subtree has
+    no class in it (then neither has the root).
+    """
+    vals, children, keys = tree._vals, tree._children, tree._keys
+    ids = [0] * len(vals)
+    get = table.get
+    for n in range(len(vals) - 1, -1, -1):  # pre-order ids: children after parents
+        # the key of intern_class, inlined: this loop runs once per node
+        key = vals[n]
+        if key is None:
+            cids = tuple([ids[c] for c in children[n]])
+            ks = keys[n]
+            key = cids if ks is None else (ks, cids)
+        cid = get(key)
+        if cid is None:
+            if not insert:
+                return None
+            cid = table[key] = len(table)
+        ids[n] = cid
+    return ids
+
+
 # -- construction ------------------------------------------------------------
 
 
-def fingerprint_int(value: int) -> bytes:
-    return sha256(b"I" + str(value).encode()).digest()
-
-
-def fingerprint_str(value: str) -> bytes:
-    return sha256(b"S" + value.encode("utf-8", "surrogatepass")).digest()
-
-
-def fingerprint_arr(child_fps) -> bytes:
-    h = sha256(b"A")
-    for fp in child_fps:
-        h.update(fp)
-    return h.digest()
-
-
-def fingerprint_obj(pairs) -> bytes:
-    """pairs: (key, child fingerprint) in sorted key order."""
-    h = sha256(b"O")
-    for key, fp in pairs:
-        kb = key.encode("utf-8", "surrogatepass")
-        h.update(len(kb).to_bytes(4, "big") + kb + fp)
-    return h.digest()
-
-
-def _fingerprints(kinds, vals, children, keys):
-    """Bottom-up Merkle fingerprint per node; children are already canonical."""
-    fps = [b""] * len(kinds)
-    for n in range(len(kinds) - 1, -1, -1):  # ids are DFS pre-order: children after parents
-        k = kinds[n]
-        if k is NodeKind.INT:
-            fps[n] = fingerprint_int(vals[n])
-        elif k is NodeKind.STR:
-            fps[n] = fingerprint_str(vals[n])
-        elif k is NodeKind.ARR:
-            fps[n] = fingerprint_arr(fps[c] for c in children[n])
-        else:
-            fps[n] = fingerprint_obj((key, fps[c]) for key, c in zip(keys[n], children[n]))
-    return fps
-
-
-def _depths(parent):
-    if not parent:
-        return [0]
-    depths = [0] * len(parent)
-    for n in range(1, len(parent)):
-        depths[n] = depths[parent[n]] + 1
-    return depths
+def _model_type(v):
+    """str, int, list or dict for a subclass instance; raises otherwise."""
+    if isinstance(v, bool) or v is None:
+        raise UnsupportedValue(f"value {v!r} is outside the model")
+    for t in (str, int, list, dict):
+        if isinstance(v, t):
+            return t
+    raise UnsupportedValue(f"value of type {type(v).__name__} is outside the model")
 
 
 def from_python(value) -> JsonTree:
     """Build a tree from nested dict/list/str/int values.
 
     Rejects booleans and None (outside the model) and negative integers.
-    Object key order is irrelevant; children are canonicalized by key.
+    Object key order is irrelevant; children are canonicalized by key and
+    numbered in DFS pre-order.
     """
     kinds, vals, children, keys, parent, ordinal, edge_key = [], [], [], [], [], [], []
-
-    def alloc(par, orde, ekey):
+    obj, arr, string, integer = NodeKind.OBJ, NodeKind.ARR, NodeKind.STR, NodeKind.INT
+    stack = [(value, -1, 0, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, par, orde, ekey = pop()
+        if v is _CLOSE:
+            # freeze the child list as soon as it is complete: fewer live
+            # containers make the garbage collector's passes cheaper
+            children[par] = tuple(children[par])
+            continue
         nid = len(kinds)
-        kinds.append(None)
-        vals.append(None)
-        children.append(())
-        keys.append(None)
+        if par >= 0:
+            children[par].append(nid)
         parent.append(par)
         ordinal.append(orde)
         edge_key.append(ekey)
-        return nid
-
-    stack = [(value, alloc(-1, 0, None))]
-    while stack:
-        v, nid = stack.pop()
-        if isinstance(v, bool) or v is None:
-            raise UnsupportedValue(f"value {v!r} is outside the model")
-        if isinstance(v, int):
+        t = type(v)
+        if t not in _MODEL_TYPES:
+            t = _model_type(v)
+        if t is str:
+            kinds.append(string)
+            vals.append(v)
+            children.append(())
+            keys.append(None)
+        elif t is int:
             if v < 0:
                 raise NonNaturalNumber(f"negative number {v}")
-            kinds[nid] = NodeKind.INT
-            vals[nid] = v
-        elif isinstance(v, str):
-            kinds[nid] = NodeKind.STR
-            vals[nid] = v
-        elif isinstance(v, list):
-            kinds[nid] = NodeKind.ARR
-            ids = [alloc(nid, i, None) for i in range(len(v))]
-            children[nid] = tuple(ids)
-            stack.extend(zip(v, ids))
-        elif isinstance(v, dict):
-            kinds[nid] = NodeKind.OBJ
-            items = sorted(v.items())
-            for key, _ in items:
+            kinds.append(integer)
+            vals.append(v)
+            children.append(())
+            keys.append(None)
+        elif t is dict:
+            ks = list(v)
+            for key in ks:
                 if not isinstance(key, str):
                     raise UnsupportedValue(f"object key {key!r} is not a string")
-            ids = [alloc(nid, i, items[i][0]) for i in range(len(items))]
-            children[nid] = tuple(ids)
-            keys[nid] = tuple(k for k, _ in items)
-            stack.extend((item[1], ids[i]) for i, item in enumerate(items))
+            ks.sort()
+            kinds.append(obj)
+            vals.append(None)
+            children.append([])
+            keys.append(tuple(ks))
+            push((_CLOSE, nid, 0, None))
+            for i in range(len(ks) - 1, -1, -1):
+                key = ks[i]
+                push((v[key], nid, i, key))
         else:
-            raise UnsupportedValue(f"value of type {type(v).__name__} is outside the model")
+            kinds.append(arr)
+            vals.append(None)
+            children.append([])
+            keys.append(None)
+            push((_CLOSE, nid, 0, None))
+            for i in range(len(v) - 1, -1, -1):
+                push((v[i], nid, i, None))
     return JsonTree(kinds, vals, children, keys, parent, ordinal, edge_key)
 
 
@@ -311,14 +371,49 @@ def to_python(tree: JsonTree, node: NodeId = ()):
 
 
 # -- text parsing -------------------------------------------------------------
+#
+# The hooks below are shared by the C scanner and the fallback parser, so
+# both accept the same texts and raise the same error classes.
+
+
+def _object_from_pairs(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateKey(key)
+            seen.add(key)
+    return obj
+
+
+def _natural(text: str) -> int:
+    if text[0] == "-":
+        raise NonNaturalNumber(f"negative number {text}")
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise MalformedSyntax(f"number of {len(text)} digits is over the interpreter's "
+                              f"int-string limit of {limit} digits") from None
+
+
+def _non_natural(text: str):
+    raise NonNaturalNumber(f"number {text} is not a natural number")
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_from_pairs, parse_int=_natural,
+                            parse_float=_non_natural, parse_constant=_non_natural)
+_skip_ws = json.decoder.WHITESPACE.match
 
 
 class _Parser:
-    """Iterative parser for the document fragment (no recursion limits)."""
+    """Iterative twin of the C scanner for documents nested too deeply for
+    it: same grammar, same hooks, no recursion limit."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def error(self, message):
         raise MalformedSyntax(message, self.pos)
@@ -360,14 +455,10 @@ class _Parser:
     def _unicode_escape(self) -> str:
         def hex4():
             chunk = self.text[self.pos + 1:self.pos + 5]
-            if len(chunk) != 4:
-                self.error("truncated \\u escape")
-            try:
-                cp = int(chunk, 16)
-            except ValueError:
+            if len(chunk) != 4 or not _HEX.issuperset(chunk):
                 self.error(f"bad \\u escape {chunk!r}")
             self.pos += 5
-            return cp
+            return int(chunk, 16)
 
         cp = hex4()
         if 0xD800 <= cp <= 0xDBFF and self.text[self.pos:self.pos + 2] == "\\u":
@@ -379,146 +470,99 @@ class _Parser:
                 self.pos -= 6  # lone surrogate; keep as-is
         return chr(cp)
 
-    def parse_number(self) -> int:
-        text = self.text
-        start = self.pos
-        if text[self.pos] == "-":
-            raise NonNaturalNumber(f"negative number at offset {start}")
-        while self.pos < len(text) and text[self.pos] in _DIGITS:
-            self.pos += 1
-        digits = text[start:self.pos]
-        if not digits:
-            self.error("expected a number")
-        if len(digits) > 1 and digits[0] == "0":
-            self.error("leading zero in number")
-        if self.pos < len(text) and text[self.pos] in ".eE":
-            raise NonNaturalNumber(f"non-integer number at offset {start}")
-        return int(digits)
+    def parse_scalar(self):
+        """A string, literal or number; literals become python values that
+        from_python rejects, exactly as after the C scanner."""
+        text, pos = self.text, self.pos
+        if text[pos] == '"':
+            return self.parse_string()
+        for word, value in _LITERALS:
+            if text.startswith(word, pos):
+                self.pos += len(word)
+                return value
+        m = _NUMBER.match(text, pos)
+        if m is not None:
+            self.pos = m.end()
+            integer, frac, exp = m.groups()
+            return _non_natural(m.group()) if frac or exp else _natural(integer)
+        for word in _CONSTANTS:
+            if text.startswith(word, pos):
+                return _non_natural(word)
+        self.error(f"unexpected character {text[pos]!r}")
 
     def parse_value(self):
         """One document value as nested python data, stack-based."""
-        result = []
-        # frames: ['arr', list] or ['obj', dict, pending_key or None]
+        # frames: [is object, items or (key, value) pairs, pending key]
         frames = []
-
-        def close_frame():
-            top = frames.pop()
-            done = top[1]
-            if frames:
-                self._attach(frames, done)
-            else:
-                result.append(done)
-
         while True:
             self.skip_ws()
             if self.pos >= len(self.text):
                 self.error("unexpected end of input")
             ch = self.text[self.pos]
-
-            if ch == "{":
+            if ch == "[" or ch == "{":
+                is_obj = ch == "{"
                 self.pos += 1
                 self.skip_ws()
-                if self.text[self.pos:self.pos + 1] == "}":
+                if self.text.startswith("}" if is_obj else "]", self.pos):
                     self.pos += 1
-                    if frames:
-                        self._attach(frames, {})
-                    else:
-                        result.append({})
+                    value = _object_from_pairs([]) if is_obj else []
                 else:
-                    frames.append(["obj", {}, None])
-                    self._read_key(frames[-1])
+                    frame = [is_obj, [], None]
+                    frames.append(frame)
+                    if is_obj:
+                        self._read_key(frame)
                     continue
-            elif ch == "[":
-                self.pos += 1
-                self.skip_ws()
-                if self.text[self.pos:self.pos + 1] == "]":
-                    self.pos += 1
-                    if frames:
-                        self._attach(frames, [])
-                    else:
-                        result.append([])
-                else:
-                    frames.append(["arr", []])
-                    continue
-            elif ch == '"':
-                value = self.parse_string()
-                if frames:
-                    self._attach(frames, value)
-                else:
-                    result.append(value)
-            elif ch in _DIGITS or ch == "-":
-                value = self.parse_number()
-                if frames:
-                    self._attach(frames, value)
-                else:
-                    result.append(value)
-            elif self.text.startswith(("true", "false", "null"), self.pos):
-                raise UnsupportedValue(
-                    f"literal at offset {self.pos} is outside the model (only objects, "
-                    "arrays, strings and natural numbers are supported)")
             else:
-                self.error(f"unexpected character {ch!r}")
+                value = self.parse_scalar()
 
-            # a value just completed; unwind commas/closers
+            # a value just completed: attach it, then unwind closers
             while frames:
+                frame = frames[-1]
+                is_obj = frame[0]
+                frame[1].append((frame[2], value) if is_obj else value)
                 self.skip_ws()
-                if self.pos >= len(self.text):
-                    self.error("unexpected end of input")
-                ch = self.text[self.pos]
-                top = frames[-1]
-                if top[0] == "arr":
-                    if ch == ",":
-                        self.pos += 1
-                        break
-                    if ch == "]":
-                        self.pos += 1
-                        close_frame()
-                        continue
-                    self.error(f"expected ',' or ']', found {ch!r}")
-                else:
-                    if ch == ",":
-                        self.pos += 1
-                        self.skip_ws()
-                        self._read_key(top)
-                        break
-                    if ch == "}":
-                        self.pos += 1
-                        close_frame()
-                        continue
-                    self.error(f"expected ',' or '}}', found {ch!r}")
-            if not frames:
-                return result[0]
+                ch = self.text[self.pos:self.pos + 1]
+                if ch == ",":
+                    self.pos += 1
+                    if is_obj:
+                        self._read_key(frame)
+                    break
+                if ch == ("}" if is_obj else "]"):
+                    self.pos += 1
+                    frames.pop()
+                    value = _object_from_pairs(frame[1]) if is_obj else frame[1]
+                    continue
+                self.error(f"expected ',' or {'}' if is_obj else ']'!r}, found {ch!r}")
+            else:
+                return value
+
+    def parse_document(self):
+        """The whole text as one value, surrounded by whitespace only."""
+        value = self.parse_value()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing characters after document")
+        return value
 
     def _read_key(self, frame):
         self.skip_ws()
         if self.text[self.pos:self.pos + 1] != '"':
             self.error("expected an object key")
-        keypos = self.pos
-        key = self.parse_string()
-        if key in frame[1]:
-            raise DuplicateKey(key, keypos)
-        frame[2] = key
+        frame[2] = self.parse_string()
         self.skip_ws()
         if self.text[self.pos:self.pos + 1] != ":":
             self.error("expected ':' after object key")
         self.pos += 1
 
-    def _attach(self, frames, value):
-        top = frames[-1]
-        if top[0] == "arr":
-            top[1].append(value)
-        else:
-            top[1][top[2]] = value
-            top[2] = None
-
 
 def parse_document(text: str) -> JsonTree:
     """Parse a complete document into a tree."""
-    p = _Parser(text)
-    value = p.parse_value()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing characters after document")
+    try:
+        value = _DECODER.decode(text)
+    except JSONDecodeError as exc:
+        raise MalformedSyntax(exc.msg, exc.pos) from None
+    except RecursionError:
+        value = _Parser(text).parse_document()
     return from_python(value)
 
 
@@ -527,10 +571,16 @@ def parse_embedded(text: str, pos: int):
 
     Returns (tree, end position).  Used by the formula parsers for literals.
     """
-    p = _Parser(text)
-    p.pos = pos
-    value = p.parse_value()
-    return from_python(value), p.pos
+    pos = _skip_ws(text, pos).end()
+    try:
+        value, end = _DECODER.raw_decode(text, pos)
+    except JSONDecodeError as exc:
+        raise MalformedSyntax(exc.msg, exc.pos) from None
+    except RecursionError:
+        p = _Parser(text, pos)
+        value = p.parse_value()
+        end = p.pos
+    return from_python(value), end
 
 
 def scan_string(text: str, pos: int):
@@ -538,29 +588,12 @@ def scan_string(text: str, pos: int):
 
     Returns (value, end position); shares escape handling with documents.
     """
-    p = _Parser(text)
-    p.pos = pos
     if text[pos:pos + 1] != '"':
-        p.error("expected a string literal")
-    return p.parse_string(), p.pos
-
-
-def equal_across(t1: JsonTree, n1: int, t2: JsonTree, n2: int) -> bool:
-    """Subtree equality across two trees (internal ids)."""
-    if t1 is t2:
-        return t1.equal_subtrees(n1, n2)
-    if t1.fingerprint(n1) != t2.fingerprint(n2):
-        return False
-    stack = [(n1, n2)]
-    while stack:
-        a, b = stack.pop()
-        if t1.kind(a) is not t2.kind(b) or t1.value(a) != t2.value(b):
-            return False
-        ca, cb = t1.children(a), t2.children(b)
-        if len(ca) != len(cb) or t1.keys_of(a) != t2.keys_of(b):
-            return False
-        stack.extend(zip(ca, cb))
-    return True
+        raise MalformedSyntax("expected a string literal", pos)
+    try:
+        return _DECODER.parse_string(text, pos + 1, _DECODER.strict)
+    except JSONDecodeError as exc:
+        raise MalformedSyntax(exc.msg, exc.pos) from None
 
 
 # -- serialization ------------------------------------------------------------
@@ -647,13 +680,14 @@ def navigate(tree: JsonTree, instrs: Iterable) -> Optional[NodeId]:
 
 def height(tree: JsonTree) -> int:
     """Length of the longest root-to-leaf path; a single node has height 0."""
-    return tree._height
-
-
-def node_height(tree: JsonTree, n: int) -> int:
-    """Height of the subtree rooted at internal node id ``n``."""
-    heights = tree_heights(tree)
-    return heights[n]
+    h = tree._height
+    if h is None:
+        parent = tree._parent
+        depth = [0] * len(parent)
+        for n in range(1, len(parent)):  # parents precede their children
+            depth[n] = depth[parent[n]] + 1
+        h = tree._height = max(depth)
+    return h
 
 
 def tree_heights(tree: JsonTree) -> list:
@@ -682,6 +716,8 @@ def verify_invariants(tree: JsonTree) -> None:
                 raise InvariantViolation("two roots")
             seen_root = True
         else:
+            if par >= n:
+                raise InvariantViolation(f"node {n} numbered before its parent")
             if tree.children(par)[tree.ordinal(n)] != n:
                 raise InvariantViolation(f"node {n} not indexed under its parent")
         ch = tree.children(n)
@@ -713,3 +749,14 @@ def verify_invariants(tree: JsonTree) -> None:
                     raise InvariantViolation(f"array child {c} has wrong position")
         # prefix closure: every child ordinal 0..len-1 is present by construction,
         # re-checked via the parent/ordinal cross-reference above
+    # ids are DFS pre-order: each child starts right after its elder
+    # sibling's subtree, the first one right after its parent
+    sizes = [1] * tree.size
+    for n in range(tree.size - 1, 0, -1):
+        sizes[tree.parent(n)] += sizes[n]
+    for n in tree.nodes():
+        expected = n + 1
+        for c in tree.children(n):
+            if c != expected:
+                raise InvariantViolation(f"node {c} is out of pre-order")
+            expected += sizes[c]

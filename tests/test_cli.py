@@ -1,9 +1,14 @@
+import io
 import json
+import random
+import sys
 
 import pytest
 
+import jlogic.jnl as jnl
 from jlogic.cli import main
-from jlogic.tree import parse_document
+from jlogic.tree import parse_document, serialize
+from helpers import random_tree
 
 PERSON_DOC = '{"name": {"first": "John", "last": "Doe"}, "age": 32, "hobbies": ["fishing","yoga"]}'
 NUMBER_SCHEMA = '{"type":"number","maximum":12,"multipleOf":4}'
@@ -179,3 +184,60 @@ def test_missing_file_exit_2(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["compile", "x", "--from", "schema"]) == 2
+
+
+def _reference_lines(tree, fmt, formula):
+    """Paths rendered the obvious way: every prefix navigated from the root."""
+    def segments(path):
+        out, node = [], ()
+        for step in path:
+            node += (step,)
+            n = tree.node_at(node)
+            key = tree.edge_key(n)
+            out.append(key if key is not None else tree.ordinal(n) + 1)
+        return out
+
+    paths = sorted(jnl.eval_unary(tree, jnl.parse_jnl(formula)))
+    if fmt == "json":
+        return json.dumps([segments(p) for p in paths]) + "\n"
+    return "".join(("/".join(map(str, segments(p))) or "(root)") + "\n" for p in paths)
+
+
+def test_query_rendering_matches_reference(files, capsys):
+    rng = random.Random(53)
+    formulas = ["true", "[#1]", '[@"a"] || [@/b|c/]', "!eq(eps, 0)"]
+    for i in range(25):
+        doc = random_tree(rng, 4, 3)
+        path = files(f"r{i}.json", serialize(doc))
+        for formula in formulas:
+            for fmt in ("text", "json"):
+                assert main(["query", path, "--formula", formula, "--format", fmt]) == 0
+                assert capsys.readouterr().out == _reference_lines(doc, fmt, formula)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string limit on this interpreter")
+def test_query_number_past_int_string_limit_exit_2(files, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    doc = files("big.json", '{"n":' + digits + "}")
+    assert main(["query", doc, "--formula", "true"]) == 2
+    assert "limit" in capsys.readouterr().err
+
+
+def test_query_lone_surrogate_key_prints_escape(files, monkeypatch):
+    doc = files("s.json", '{"\\ud800":1,"b\\ud800c":{"\\udc01":2}}')
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["query", doc, "--formula", "true"]) == 0
+    out.flush()
+    assert raw.getvalue().decode("utf-8").splitlines() == [
+        "(root)", "b\\ud800c", "b\\ud800c/\\udc01", "\\ud800"]
+
+
+def test_query_deep_document_node(files, capsys):
+    n = 5000
+    doc = files("deep.json", '{"a":' * n + "0" + "}" * n)
+    assert main(["query", doc, "--formula", "eq(eps, 0)", "--node", "/".join(["a"] * n)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["query", doc, "--formula", "eq(eps, 0)", "--node", "/".join(["a"] * 10)]) == 1

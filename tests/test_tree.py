@@ -1,11 +1,17 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jlogic.jnl as jnl
 import jlogic.tree as jt
 from jlogic.errors import (
     DuplicateKey,
+    JLogicError,
+    MalformedFormula,
     MalformedSyntax,
     NonNaturalNumber,
     UnknownNode,
@@ -25,6 +31,7 @@ from jlogic.tree import (
 )
 from helpers import naive_equal, random_tree, random_value
 
+DEEP = 3000  # nesting past the C scanner's recursion limit
 PERSON_DOC = '{"name": {"first": "John", "last": "Doe"}, "age": 32, "hobbies": ["fishing","yoga"]}'
 
 
@@ -62,7 +69,23 @@ def test_parse_empty_object():
     ("01", MalformedSyntax),
     ("", MalformedSyntax),
     ('"unterminated', MalformedSyntax),
-])
+    ("-abc", MalformedSyntax),
+    ("NaN", NonNaturalNumber),
+    ("-Infinity", NonNaturalNumber),
+    ('"\\u+0e9"', MalformedSyntax),
+    ('"\\u 0e9"', MalformedSyntax),
+    ('"\\u0_e9"', MalformedSyntax),
+    ('"\\u-0e9"', MalformedSyntax),
+    # past the C scanner's nesting limit: the fallback parser answers
+    ("[" * DEEP + '"\\u+0e9"' + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + '"\\u 0e9"' + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + '"\\u0_e9"' + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + '"\\u-0e9"' + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + "-abc" + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + "NaN" + "]" * DEEP, NonNaturalNumber),
+    ("[" * DEEP + '{"a":1,"a":2}' + "]" * DEEP, DuplicateKey),
+    ("[" * DEEP + "true" + "]" * DEEP, UnsupportedValue),
+], ids=lambda v: v if isinstance(v, type) or len(v) < 20 else f"{v[DEEP - 1:DEEP + 9]}-deep")
 def test_parse_errors(text, exc):
     with pytest.raises(exc):
         parse_document(text)
@@ -236,3 +259,133 @@ def test_roundtrip_property(value):
 @given(json_values)
 def test_to_python_inverts_from_python(value):
     assert from_python(to_python(from_python(value))) == from_python(value)
+
+
+# -- ingestion paths, subtree identity ---------------------------------------------
+
+# single characters that break the grammar, and whole tokens that keep it
+# or hit a model rule (negative, fractional, literal, duplicate key, escape)
+_MUTATIONS = list('{}[]",:\\-.eE0 \n\x01é١') + [
+    "-1", "-abc", "1.5", "1e5", "1.", "01", "NaN", "Infinity", "-Infinity", "true", "null",
+    '"a":1,', '{"a":1,"a":2}', '"\\u00e9"', '"\\ud800"', '"\\ud800\\udc00"', '"\\u+0e9"',
+    "\\u", "[[[", "]]]"]
+
+
+def _fallback(text):
+    """The iterative parser alone, as used past the C scanner's depth."""
+    return from_python(jt._Parser(text).parse_document())
+
+
+def _outcome(parse, text):
+    try:
+        return serialize(parse(text))
+    except JLogicError as exc:
+        return type(exc)
+
+
+def test_stdlib_and_fallback_parsers_agree_on_mutants():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        chars = list(serialize(random_tree(rng, 3, 3)))
+        for _ in range(rng.randint(1, 3)):
+            roll, pos = rng.random(), rng.randint(0, len(chars))
+            if roll < 0.4:
+                chars.insert(pos, rng.choice(_MUTATIONS))
+            elif roll < 0.7 and pos < len(chars):
+                del chars[pos]
+            elif pos < len(chars):
+                chars[pos] = rng.choice(_MUTATIONS)
+        text = "".join(chars)
+        assert _outcome(parse_document, text) == _outcome(_fallback, text), text
+
+
+def test_deep_document_every_path():
+    n = 5000
+    text = '{"a":' * n + "0" + "}" * n
+    t = parse_document(text)
+    assert t.size == n + 1 and height(t) == n
+    assert serialize(parse_document(serialize(t))) == text
+    verify_invariants(t)
+    assert t.equal_subtrees(n, t.node_at((0,) * n))
+    assert not t.equal_subtrees(0, 1)
+
+
+def _int_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+@pytest.mark.skipif(not _int_limit(), reason="no int-string limit on this interpreter")
+@pytest.mark.parametrize("wrap", [0, DEEP])
+def test_number_past_int_string_limit(wrap):
+    digits = "7" * (_int_limit() + 700)
+    with pytest.raises(MalformedSyntax, match="limit"):
+        parse_document("[" * wrap + digits + "]" * wrap)
+    with pytest.raises(MalformedFormula, match="limit"):
+        jnl.parse_jnl(f'eq(@"a", {"[" * wrap}{digits}{"]" * wrap})')
+    with pytest.raises(MalformedFormula, match="limit"):
+        jnl.parse_jnl(f"[#{digits}]")
+
+
+def test_ids_are_preorder_and_sort_paths():
+    rng = random.Random(41)
+    for _ in range(30):
+        t = random_tree(rng)
+        paths = [t.path_of(n) for n in t.nodes()]
+        assert paths == sorted(paths)
+        verify_invariants(t)
+
+
+def test_const_lookup_absent_is_unequal():
+    t = parse_document('[{"a":[1,"x"]},{"a":[1,"x"]},[1,"x"]]')
+    ids = t.subtree_ids()
+    const = parse_document('{"a":[1,"x"]}')
+    assert t.const_id(const) == ids[1] == ids[t.node_at((1,))]
+    assert t.const_id(parse_document('[1,"x"]')) == ids[t.node_at((2,))]
+    assert t.const_id(parse_document('{"a":[1,"y"]}')) is None
+    assert t.const_id(parse_document('"y"')) is None
+
+
+def test_equal_and_hash_are_exact():
+    rng = random.Random(43)
+    trees = [random_tree(rng, 2, 2) for _ in range(60)]
+    for t1 in trees:
+        for t2 in trees:
+            same = serialize(t1) == serialize(t2)
+            assert (t1 == t2) == same
+            if same:
+                assert hash(t1) == hash(t2)
+
+
+def test_shared_tree_lazy_ids_under_threads():
+    rng = random.Random(47)
+    values = [random_value(rng, 3, 3) for _ in range(40)]
+    oracle = from_python(values * 3)
+    nodes = list(oracle.nodes())
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(300)]
+    expected = [serialize(oracle, oracle.path_of(a)) == serialize(oracle, oracle.path_of(b))
+                for a, b in pairs]
+    deadline = time.monotonic() + 0.6
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        while time.monotonic() < deadline:
+            shared = from_python(values * 3)  # fresh: no ids built yet
+            answers, errors = {}, []
+
+            def worker(i, shared=shared, answers=answers, errors=errors):
+                try:
+                    answers[i] = [shared.equal_subtrees(a, b) for a, b in pairs]
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            assert all(answers[i] == expected for i in range(8))
+    finally:
+        sys.setswitchinterval(previous)
