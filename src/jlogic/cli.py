@@ -21,7 +21,7 @@ from . import translate
 from . import tree as jt
 from .decision import Bounds, automaton_accepts, jsl_to_automaton, \
     recursive_to_automaton, sat_bounded
-from .errors import JLogicError
+from .errors import JLogicError, UnknownNode
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -36,7 +36,17 @@ def _read(path: str) -> str:
 def _parse_node_arg(text: str):
     if text in ("", "(root)"):
         return []
-    return [int(seg) if seg.isdigit() else seg for seg in text.split("/")]
+    return [_position(seg) if seg.isascii() and seg.isdigit() else seg
+            for seg in text.split("/")]
+
+
+def _position(seg: str) -> int:
+    try:
+        return int(seg)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise UnknownNode(f"array position of {len(seg)} digits is over the interpreter's "
+                          f"int-string limit of {limit} digits") from None
 
 
 def _labels(tree: jt.JsonTree, ids, render, sep: str) -> list:

@@ -5,10 +5,11 @@ rule.  Tree-state rules are positive combinations of quantified atoms
 (some/every child along a key regex or index interval carries a state);
 node-state rules are positive combinations of already-derived states and
 possibly negated node tests.  A run decorates every tree node with the
-set of derivable states, built bottom-up: the tree layer first from the
-children's sets, then node states in dependency order (the dependency
-graph among node states must be acyclic).  The automaton accepts when the
-root derives a final state.
+set of derivable states, built bottom-up in reverse pre-order id: the
+tree layer first from the children's sets, then node states in dependency
+order (the dependency graph among node states must be acyclic).  The
+automaton accepts when the root derives a final state.  Rule bodies run
+as closures built from ``jsl``'s compiled node tests and quantifiers.
 
 Formulas compile in negation normal form, so complementation is a pure
 dualization: swap and/or, toggle test negations, swap the quantifiers.
@@ -25,7 +26,7 @@ from .. import jsl
 from .. import recursive as rec
 from .. import regex as rx
 from ..errors import AutomatonError, IllFormedRecursion
-from ..tree import JsonTree, NodeKind
+from ..tree import JsonTree
 
 
 class RuleExpr:
@@ -178,65 +179,101 @@ def node_rule_order(auto: JAutomaton) -> list:
 
 
 def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
-    """Deterministic bottom-up run; True when the root derives a final state."""
+    """Deterministic bottom-up run; True when the root derives a final state.
+
+    Each state is one bit and a node's derived states are one int.  Only
+    the states the final ones depend on are run.  Their rule bodies compile
+    to closures once per call; node ids are pre-order, so visiting them in
+    reverse derives every child before its parent.
+    """
     order = node_rule_order(auto)
+    live = _live_states(auto)
+    bits = {q: 1 << i for i, q in enumerate(sorted(live))}
+    masks = [0] * tree.size
     node_rules = auto.node_rule_map()
-    states = [None] * tree.size
-    for n in range(tree.size - 1, -1, -1):  # ids are preorder: children first
-        derived = set()
-        for q, body in auto.tree_rules:
-            if _eval_tree_body(body, tree, n, states):
-                derived.add(q)
-        for q in order:
-            if _eval_node_body(node_rules[q], tree, n, derived):
-                derived.add(q)
-        states[n] = derived
-    return bool(states[0] & auto.final)
+    tree_steps = [(bits[q], _tree_rule(body, tree, bits, masks))
+                  for q, body in auto.tree_rules if q in live]
+    node_steps = [(bits[q], _node_rule(node_rules[q], tree, bits))
+                  for q in order if q in live]
+    for n in range(tree.size - 1, -1, -1):
+        derived = 0
+        for bit, rule in tree_steps:
+            if rule(n):
+                derived |= bit
+        for bit, rule in node_steps:
+            if rule(n, derived):
+                derived |= bit
+        masks[n] = derived
+    return masks[0] & _mask(auto.final, bits) != 0
 
 
-def _eval_node_body(expr, tree, n, derived) -> bool:
-    if isinstance(expr, RAnd):
-        return all(_eval_node_body(p, tree, n, derived) for p in expr.parts)
-    if isinstance(expr, ROr):
-        return any(_eval_node_body(p, tree, n, derived) for p in expr.parts)
+def _live_states(auto: JAutomaton) -> set:
+    """The final states and every state their rules reach."""
+    rules = dict(auto.node_rules + auto.tree_rules)
+    live, stack = set(), list(auto.final)
+    while stack:
+        q = stack.pop()
+        if q not in live and q in rules:
+            live.add(q)
+            stack.extend(a.state for a in _atoms(rules[q])
+                         if isinstance(a, (StateAtom, QuantAtom)))
+    return live
+
+
+def _mask(states, bits) -> int:
+    mask = 0
+    for q in states:
+        bit = bits.get(q)
+        if bit is None:
+            raise AutomatonError(f"a rule refers to state {q}, which has no rule")
+        mask |= bit
+    return mask
+
+
+def _node_rule(expr, tree, bits):
+    """Closure ``(n, derived) -> bool`` for a node-state rule body."""
+    if isinstance(expr, (RAnd, ROr)):
+        conj = isinstance(expr, RAnd)
+        if all(isinstance(p, StateAtom) for p in expr.parts):
+            mask = _mask([p.state for p in expr.parts], bits)
+            if conj:
+                return lambda n, derived: derived & mask == mask
+            return lambda n, derived: derived & mask != 0
+        parts = [_node_rule(p, tree, bits) for p in expr.parts]
+        if conj:
+            return lambda n, derived: all(p(n, derived) for p in parts)
+        return lambda n, derived: any(p(n, derived) for p in parts)
     if isinstance(expr, TrueAtom):
-        return True
+        return lambda n, derived: True
     if isinstance(expr, FalseAtom):
-        return False
+        return lambda n, derived: False
     if isinstance(expr, TestAtom):
-        value = jsl.eval_node_test(tree, n, expr.test)
-        return value != expr.negated
+        test = jsl.compile_test(tree, expr.test)
+        if expr.negated:
+            return lambda n, derived: not test(n)
+        return lambda n, derived: test(n)
     if isinstance(expr, StateAtom):
-        return expr.state in derived
+        mask = _mask([expr.state], bits)
+        return lambda n, derived: derived & mask != 0
     if isinstance(expr, SymbolAtom):
         raise AutomatonError("unresolved definition symbol in a rule")
     raise AutomatonError(f"quantified atom in a node rule: {expr!r}")
 
 
-def _eval_tree_body(expr, tree, n, states) -> bool:
-    if isinstance(expr, RAnd):
-        return all(_eval_tree_body(p, tree, n, states) for p in expr.parts)
-    if isinstance(expr, ROr):
-        return any(_eval_tree_body(p, tree, n, states) for p in expr.parts)
+def _tree_rule(expr, tree, bits, masks):
+    """Closure ``n -> bool`` for a tree-state rule body over the children's
+    derived states in ``masks``."""
+    if isinstance(expr, (RAnd, ROr)):
+        parts = [_tree_rule(p, tree, bits, masks) for p in expr.parts]
+        if isinstance(expr, RAnd):
+            return lambda n: all(p(n) for p in parts)
+        return lambda n: any(p(n) for p in parts)
     if isinstance(expr, QuantAtom):
-        children = _matching_children(tree, n, expr.label)
-        if expr.universal:
-            return all(expr.state in states[c] for c in children)
-        return any(expr.state in states[c] for c in children)
+        mask = _mask([expr.state], bits)
+        label = expr.label
+        label = label.pattern if isinstance(label, KeyLabel) else (label.lo, label.hi)
+        return jsl.compile_modal(tree, label, expr.universal, lambda c: masks[c] & mask)
     raise AutomatonError(f"node atom in a tree rule: {expr!r}")
-
-
-def _matching_children(tree, n, label):
-    if isinstance(label, KeyLabel):
-        if tree.kind(n) is not NodeKind.OBJ:
-            return ()
-        return tuple(c for key, c in zip(tree.keys_of(n), tree.children(n))
-                     if rx.matches(label.pattern, key))
-    if tree.kind(n) is not NodeKind.ARR:
-        return ()
-    ch = tree.children(n)
-    last = len(ch) if label.hi is None else min(label.hi, len(ch))
-    return ch[label.lo - 1:last]
 
 
 # -- complementation ---------------------------------------------------------------

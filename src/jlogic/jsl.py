@@ -22,7 +22,7 @@ symbols and only admitted inside recursive expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import regex as rx
 from . import tree as jt
@@ -299,6 +299,117 @@ def check_unique(tree: JsonTree, node: jt.NodeId) -> bool:
     """Array whose elements are pairwise distinct documents."""
     n = tree.node_at(node)
     return tree.kind(n) is NodeKind.ARR and _children_distinct(tree, n)
+
+
+# -- compiled form -------------------------------------------------------------
+#
+# Closures over one tree's per-node lists, built once per evaluation call
+# and shared by the bottom-up evaluators (recursive expressions and
+# automaton runs).  ``eval_node_test`` and ``holds`` stay the reference.
+
+_ARR, _STR, _INT = NodeKind.ARR, NodeKind.STR, NodeKind.INT
+
+
+def compile_test(tree: JsonTree, test: NodeTest) -> Callable[[int], bool]:
+    """``eval_node_test(tree, ·, test)`` as a closure specialised to the
+    test type."""
+    kinds, vals, children, _ = tree.columns()
+    if isinstance(test, KindTest):
+        kind = test.kind
+        return lambda n: kinds[n] is kind
+    if isinstance(test, UniqueTest):
+        return lambda n: kinds[n] is _ARR and _children_distinct(tree, n)
+    if isinstance(test, PatternTest):
+        accept = rx.word_filter(test.pattern)
+        return lambda n: kinds[n] is _STR and accept(vals[n])
+    if isinstance(test, MinTest):
+        bound = test.bound
+        return lambda n: kinds[n] is _INT and vals[n] >= bound
+    if isinstance(test, MaxTest):
+        bound = test.bound
+        return lambda n: kinds[n] is _INT and vals[n] <= bound
+    if isinstance(test, MultOfTest):
+        divisor = test.divisor
+        if divisor == 0:
+            return lambda n: kinds[n] is _INT and vals[n] == 0
+        return lambda n: kinds[n] is _INT and vals[n] % divisor == 0
+    if isinstance(test, MinChTest):
+        count = test.count
+        return lambda n: len(children[n]) >= count
+    if isinstance(test, MaxChTest):
+        count = test.count
+        return lambda n: len(children[n]) <= count
+    if isinstance(test, SameAsTest):
+        const = test.const
+        return lambda n: tree.subtree_id(n) == tree.const_id(const)
+    raise TypeError(f"not a node test: {test!r}")
+
+
+def compile_modal(tree: JsonTree, label, universal: bool,
+                  body: Callable[[int], bool]) -> Callable[[int], bool]:
+    """Closure: some child of a node along ``label`` satisfies ``body`` (a
+    closure over child ids), or with ``universal``, every such child does.
+
+    ``label`` is a key regex, matched through a filter with its own memo, or
+    a 1-based index interval ``(lo, hi)`` with ``hi`` None for unbounded,
+    taken as a slice of an array's children."""
+    kinds, _, children, keys = tree.columns()
+    if isinstance(label, rx.Regex):
+        accept = rx.word_filter(label)
+        if universal:
+            def modal(n):
+                ks = keys[n]
+                if ks:
+                    for key, c in zip(ks, children[n]):
+                        if accept(key) and not body(c):
+                            return False
+                return True
+        else:
+            def modal(n):
+                ks = keys[n]
+                if ks:
+                    for key, c in zip(ks, children[n]):
+                        if accept(key) and body(c):
+                            return True
+                return False
+        return modal
+    lo, hi = label
+    lo -= 1
+    if universal:
+        return lambda n: kinds[n] is not _ARR or all(map(body, children[n][lo:hi]))
+    return lambda n: kinds[n] is _ARR and any(map(body, children[n][lo:hi]))
+
+
+def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[int], bool]:
+    """``holds(tree, ·, phi)`` as a closure.  A symbol reads ``tables[name]``
+    (indexed by node id, as filled by the recursive evaluator) and never
+    calls its definition, so evaluation recurses only as deep as ``phi``."""
+    if isinstance(phi, Top):
+        return lambda n: True
+    if isinstance(phi, Not):
+        body = compile_formula(tree, phi.body, tables)
+        return lambda n: not body(n)
+    if isinstance(phi, And):
+        lhs = compile_formula(tree, phi.lhs, tables)
+        rhs = compile_formula(tree, phi.rhs, tables)
+        return lambda n: lhs(n) and rhs(n)
+    if isinstance(phi, Or):
+        lhs = compile_formula(tree, phi.lhs, tables)
+        rhs = compile_formula(tree, phi.rhs, tables)
+        return lambda n: lhs(n) or rhs(n)
+    if isinstance(phi, Atom):
+        return compile_test(tree, phi.test)
+    if isinstance(phi, (BoxKey, DiaKey)):
+        return compile_modal(tree, phi.pattern, isinstance(phi, BoxKey),
+                             compile_formula(tree, phi.body, tables))
+    if isinstance(phi, (BoxIdx, DiaIdx)):
+        return compile_modal(tree, (phi.lo, phi.hi), isinstance(phi, BoxIdx),
+                             compile_formula(tree, phi.body, tables))
+    if isinstance(phi, SymbolRef):
+        if phi.name not in tables:
+            raise MalformedFormula(f"free definition symbol {phi.name!r}")
+        return tables[phi.name].__getitem__
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 # -- parsing ------------------------------------------------------------------

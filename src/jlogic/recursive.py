@@ -7,10 +7,13 @@ name appearing in its body outside the scope of any modal operator.
 
 Two semantics are provided and kept equivalent: ``unfold`` rewrites the
 base until every remaining name sits under more modalities than the
-tree's height (then turns into falsity), and ``eval_recursive`` computes
-satisfied-node strata bottom-up by node height, one definition at a time
-in dependency order.  The second is the production path; the first is the
-reference the tests compare against.
+tree's height (then turns into falsity), and ``eval_recursive`` compiles
+each definition once into a closure (``jsl.compile_formula``) and fills
+one table of satisfied nodes per definition, bottom-up in reverse
+pre-order id, the definitions in dependency order at each node.  A symbol
+reads its table and never calls its body, so evaluation recurses as deep
+as the formula, never as deep as the document.  The second is the
+production path; the first is the reference the tests compare against.
 
 Concrete syntax: ``let g1 = <jsl>; let g2 = <jsl>; in <jsl>``.
 """
@@ -23,7 +26,7 @@ from typing import Optional
 from . import jsl
 from .errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from .jsl import BOTTOM, BoxIdx, BoxKey, DiaIdx, DiaKey, JslFormula, SymbolRef
-from .tree import JsonTree, tree_heights
+from .tree import JsonTree
 
 DEFAULT_UNFOLD_CAP = 500_000
 
@@ -220,34 +223,33 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
 # -- bottom-up evaluation ----------------------------------------------------------
 
 
-def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
-    """Satisfied internal node ids per definition symbol.
+def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
+    """Per definition, a bytearray with 1 at each node id where it holds.
 
-    Nodes are processed by increasing subtree height; within one height
-    level, definitions run in dependency order, so a body's unshielded
-    symbols are already settled at this height and its shielded symbols
-    read strictly lower strata at the children.
+    Node ids are pre-order, so visiting them in reverse settles every child
+    before its parent.  At one node the definitions run in dependency order:
+    a body's unshielded symbols are already settled at this node and its
+    shielded ones at the children.
     """
     if not is_well_formed(expr):
         raise IllFormedRecursion(f"cyclic definitions: {find_cycle(expr)}")
-    heights = tree_heights(tree)
-    by_height = {}
-    for n, hgt in enumerate(heights):
-        by_height.setdefault(hgt, []).append(n)
+    tables = {name: bytearray(tree.size) for name, _ in expr.definitions}
     bodies = dict(expr.definitions)
-    order = _topo_order(expr)
-    sat = {name: set() for name, _ in expr.definitions}
-    memo = {}
-    for level in range(max(heights) + 1 if heights else 1):
-        nodes = by_height.get(level, ())
-        for name in order:
-            body = bodies[name]
-            won = {n for n in nodes if jsl.holds(tree, n, body, memo, sat)}
-            sat[name] |= won
-    return sat
+    steps = [(tables[name], jsl.compile_formula(tree, bodies[name], tables))
+             for name in _topo_order(expr)]
+    for n in range(tree.size - 1, -1, -1):
+        for table, body in steps:
+            table[n] = body(n)
+    return tables
+
+
+def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
+    """Satisfied internal node ids per definition symbol."""
+    return {name: {n for n, hit in enumerate(table) if hit}
+            for name, table in _sat_tables(expr, tree).items()}
 
 
 def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
     """Whole-document satisfaction, equal to unfold-then-validate."""
-    sat = recursive_sat_sets(expr, tree)
-    return jsl.holds(tree, 0, expr.base, {}, sat)
+    tables = _sat_tables(expr, tree)
+    return bool(jsl.compile_formula(tree, expr.base, tables)(0))

@@ -14,6 +14,7 @@ with slashes.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -422,7 +423,13 @@ def _boundaries(rs: Iterable[Regex]) -> list:
 
 
 class _Matcher:
-    """Lazily determinized matcher for one expression."""
+    """Lazily determinized matcher for one expression.
+
+    Safe to share between threads: new states are built under a lock, and
+    a transition is published (``row[interval] = nxt``) only after the
+    state it leads to is complete, so the lock-free hit path never reads a
+    half-built state.
+    """
 
     def __init__(self, r: Regex, state_cap: int = DEFAULT_STATE_CAP):
         self.starts = _boundaries([r])
@@ -431,6 +438,7 @@ class _Matcher:
         self.regexes = [r]
         self.accepting = [nullable(r)]
         self.trans = [{}]
+        self.lock = threading.Lock()
 
     def _interval(self, ch: str) -> int:
         return bisect_right(self.starts, ord(ch)) - 1
@@ -439,17 +447,24 @@ class _Matcher:
         row = self.trans[state]
         nxt = row.get(interval)
         if nxt is None:
-            d = deriv(self.regexes[state], chr(self.starts[interval]))
-            nxt = self.states.get(d)
-            if nxt is None:
-                nxt = len(self.regexes)
-                if nxt >= self.state_cap:
-                    raise StateBlowup(f"matcher exceeded {self.state_cap} states")
-                self.states[d] = nxt
-                self.regexes.append(d)
-                self.accepting.append(nullable(d))
-                self.trans.append({})
-            row[interval] = nxt
+            with self.lock:
+                nxt = row.get(interval)
+                if nxt is None:
+                    nxt = self._build(state, interval)
+                    row[interval] = nxt
+        return nxt
+
+    def _build(self, state: int, interval: int) -> int:
+        d = deriv(self.regexes[state], chr(self.starts[interval]))
+        nxt = self.states.get(d)
+        if nxt is None:
+            nxt = len(self.regexes)
+            if nxt >= self.state_cap:
+                raise StateBlowup(f"matcher exceeded {self.state_cap} states")
+            self.regexes.append(d)
+            self.accepting.append(nullable(d))
+            self.trans.append({})
+            self.states[d] = nxt
         return nxt
 
     def matches(self, word: str) -> bool:
@@ -467,6 +482,22 @@ def _matcher(r: Regex) -> _Matcher:
 def matches(r: Regex, word: str) -> bool:
     """Whole-word membership of ``word`` in the language of ``r``."""
     return _matcher(r).matches(word)
+
+
+def word_filter(r: Regex):
+    """``matches(r, ·)`` as a closure over the pattern's matcher, with its
+    own word -> bool memo.  For evaluators that test many words against one
+    pattern within one call; the memo lives as long as the closure."""
+    match = _matcher(r).matches
+    memo = {}
+
+    def accept(word: str) -> bool:
+        hit = memo.get(word)
+        if hit is None:
+            hit = memo[word] = match(word)
+        return hit
+
+    return accept
 
 
 # -- explicit DFAs -------------------------------------------------------------

@@ -137,6 +137,12 @@ class JsonTree:
             return self._children[n][lo]
         return None
 
+    def columns(self) -> tuple:
+        """``(kinds, values, children, keys)``: the per-node lists behind the
+        accessors above, indexed by node id, for compiled evaluators that
+        bind them into closures.  Read only."""
+        return self._kinds, self._vals, self._children, self._keys
+
     def parent(self, n: int) -> int:
         return self._parent[n]
 

@@ -424,6 +424,27 @@ def random_key_pattern(rng) -> rx.Regex:
     return rx.alt([rx.word_regex(rng.choice(KEYS)), rx.word_regex(rng.choice(KEYS))])
 
 
+JSL_FEATURES = frozenset({cls.__name__ for cls in jsl.NodeTest.__subclasses__()}
+                         | {"negation", "key regex", "open interval"})
+
+
+def jsl_features(phi) -> set:
+    """Which of JSL_FEATURES occur in phi: node-test class names, negation,
+    key modalities over a regex that is not a single word, and index
+    modalities with no upper bound."""
+    out = set()
+    for f in jsl.subformulas(phi):
+        if isinstance(f, jsl.Atom):
+            out.add(type(f.test).__name__)
+        elif isinstance(f, jsl.Not):
+            out.add("negation")
+        elif isinstance(f, (jsl.BoxKey, jsl.DiaKey)) and rx.literal_word(f.pattern) is None:
+            out.add("key regex")
+        elif isinstance(f, (jsl.BoxIdx, jsl.DiaIdx)) and f.hi is None:
+            out.add("open interval")
+    return out
+
+
 # -- brute QBF evaluation ---------------------------------------------------------------
 
 

@@ -13,8 +13,8 @@ from jlogic.decision import (
     recursive_to_automaton,
 )
 from jlogic.errors import AutomatonError, IllFormedRecursion
-from jlogic.tree import NodeKind, parse_document
-from helpers import random_jsl, random_tree
+from jlogic.tree import NodeKind, height, parse_document
+from helpers import JSL_FEATURES, jsl_features, random_jsl, random_tree
 
 
 def str_automaton():
@@ -43,13 +43,40 @@ def test_compiled_size_linear():
         assert auto.size <= 2 * size + 2
 
 
+# one formula per node test at its boundary, and modalities over key
+# regexes and open index intervals; each runs on every document below
+EDGE_FORMULAS = ("int", "unique", "pattern(/a+b/)", "min(2)", "max(2)", "multOf(0)",
+                 "multOf(3)", "minCh(2)", "maxCh(1)", "same([1,2])", "box(2:*) min(1)",
+                 "dia(2:*) max(1)", "box(/a.*/) min(1)", "dia(/[ab]/) !int")
+EDGE_DOCS = ("0", "1", "2", "3", "6", '"aab"', '"ab "', "[]", "[1,1]", "[1,2]", "[1,2,0]",
+             "[2,1,0]", "{}", '{"a":1,"ab":0,"c":5}', '{"b":"x"}')
+
+
+def _edge_instances():
+    docs = [parse_document(d) for d in EDGE_DOCS]
+    for text in EDGE_FORMULAS:
+        phi = jsl.parse_jsl(text)
+        for t in docs:
+            yield phi, t
+
+
 def test_formula_automaton_differential():
+    for phi, t in _edge_instances():
+        expected = jsl.validate(t, phi)
+        auto = jsl_to_automaton(phi)
+        assert automaton_accepts(auto, t) == expected, (jsl.to_text(phi), t)
+        assert automaton_accepts(complement(auto), t) == (not expected), (jsl.to_text(phi), t)
     rng = random.Random(3)
+    seen = set()
     for _ in range(500):
         phi = random_jsl(rng, rng.randint(0, 3))
+        seen |= jsl_features(phi)
         auto = jsl_to_automaton(phi)
         t = random_tree(rng, 3, 3)
-        assert automaton_accepts(auto, t) == jsl.validate(t, phi), jsl.to_text(phi)
+        expected = jsl.validate(t, phi)
+        assert automaton_accepts(auto, t) == expected, jsl.to_text(phi)
+        assert automaton_accepts(complement(auto), t) == (not expected), jsl.to_text(phi)
+    assert seen >= JSL_FEATURES, JSL_FEATURES - seen
 
 
 def test_recursive_degenerate_union():
@@ -89,8 +116,16 @@ def test_complete_binary_automaton_random_arrays():
 
 
 def test_recursive_automaton_differential_random():
+    for phi, t in _edge_instances():
+        expected = jsl.validate(t, phi)
+        expr = rec.make_recursive([("g", phi)], jsl.SymbolRef("g"))
+        auto = recursive_to_automaton(expr)
+        assert rec.eval_recursive(expr, t) == expected, (jsl.to_text(phi), t)
+        assert automaton_accepts(auto, t) == expected, (jsl.to_text(phi), t)
+        assert automaton_accepts(complement(auto), t) == (not expected), (jsl.to_text(phi), t)
     rng = random.Random(6)
     built = 0
+    seen = set()
     while built < 60:
         names = tuple(f"g{i}" for i in range(rng.randint(1, 2)))
         try:
@@ -102,10 +137,17 @@ def test_recursive_automaton_differential_random():
         if not rec.is_well_formed(expr):
             continue
         built += 1
+        for _, body in expr.definitions + (("", expr.base),):
+            seen |= jsl_features(body)
         auto = recursive_to_automaton(expr)
+        comp = complement(auto)
         for _ in range(5):
             t = random_tree(rng, 3, 3)
-            assert automaton_accepts(auto, t) == rec.eval_recursive(expr, t), rec.to_text(expr)
+            expected = jsl.validate(t, rec.unfold(expr, height(t)))
+            assert rec.eval_recursive(expr, t) == expected, rec.to_text(expr)
+            assert automaton_accepts(auto, t) == expected, rec.to_text(expr)
+            assert automaton_accepts(comp, t) == (not expected), rec.to_text(expr)
+    assert seen >= JSL_FEATURES, JSL_FEATURES - seen
 
 
 def test_ill_formed_recursive_rejected():
@@ -157,6 +199,18 @@ def test_node_rule_cycles_rejected():
             final={0})
 
 
+@pytest.mark.parametrize("node_rules, tree_rules", [
+    ([(0, am.QuantAtom(0, am.IdxLabel(1, None)))], []),
+    ([(0, am.SymbolAtom("g"))], []),
+    ([(0, am.StateAtom(1))], [(1, am.TestAtom(jsl.UniqueTest()))]),
+    ([(0, am.StateAtom(7))], []),
+])
+def test_misplaced_atoms_rejected_at_run(node_rules, tree_rules):
+    auto = am.make_automaton(node_rules, tree_rules, {0})
+    with pytest.raises(AutomatonError):
+        automaton_accepts(auto, parse_document("[1]"))
+
+
 def test_one_rule_per_state_enforced():
     with pytest.raises(AutomatonError):
         am.make_automaton(
@@ -172,3 +226,4 @@ def test_acyclicity_checked_on_every_construction():
         auto = jsl_to_automaton(phi)
         am.node_rule_order(auto)  # raises on a cycle
         am.node_rule_order(complement(auto))
+

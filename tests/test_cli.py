@@ -222,6 +222,9 @@ def test_query_number_past_int_string_limit_exit_2(files, capsys):
     doc = files("big.json", '{"n":' + digits + "}")
     assert main(["query", doc, "--formula", "true"]) == 2
     assert "limit" in capsys.readouterr().err
+    small = files("small.json", "[1]")
+    assert main(["query", small, "--formula", "true", "--node", digits]) == 2
+    assert "limit" in capsys.readouterr().err
 
 
 def test_query_lone_surrogate_key_prints_escape(files, monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.tree as jt
+from jlogic.cli import main
+from jlogic.decision import automaton_accepts, complement, recursive_to_automaton
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
 from helpers import random_jsl, random_tree, random_value
@@ -160,6 +162,12 @@ def test_eval_equals_unfold_oracle_on_random_instances():
             t = random_tree(rng, rng.randint(0, 4), 3)
             expected = jsl.validate(t, rec.unfold(e, height(t)))
             assert rec.eval_recursive(e, t) == expected, rec.to_text(e)
+            sets = rec.recursive_sat_sets(e, t)
+            for name, _ in e.definitions:
+                unfolded = rec.unfold(rec.make_recursive(e.definitions, jsl.SymbolRef(name)),
+                                      height(t))
+                assert sets[name] == {n for n in t.nodes() if jsl.holds(t, n, unfolded)}, \
+                    (rec.to_text(e), name)
 
 
 def _chains(max_height):
@@ -291,3 +299,30 @@ def test_strata_restricted_to_exact_heights():
     heights = jt.tree_heights(t)
     for name, nodes in sets.items():
         assert all(0 <= heights[n] <= height(t) for n in nodes)
+
+
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_deep_document_bottom_up_paths(depth, tmp_path):
+    # every bottom-up path runs with no recursion on document depth; g1
+    # holds where the rest of the chain has even length
+    text = '{"a":' * depth + "0" + "}" * depth
+    expr = rec.parse_recursive(EVEN_PATHS)
+    doc = parse_document(text)
+    rjsl = tmp_path / "even.rjsl"
+    rjsl.write_text(EVEN_PATHS)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    auto = recursive_to_automaton(expr)
+    sets = rec.recursive_sat_sets(expr, doc)
+    verdicts = {
+        "eval_recursive": rec.eval_recursive(expr, doc),
+        "recursive_sat_sets": 0 in sets["g1"],
+        "automaton": automaton_accepts(auto, doc),
+        "complement": not automaton_accepts(complement(auto), doc),
+        "cli validate": main(["validate", str(path), str(rjsl), "--logic", "rjsl"]) == 0,
+        "cli automaton": main(["automaton", str(path), "--formula-file", str(rjsl),
+                               "--logic", "rjsl"]) == 0,
+    }
+    assert verdicts == dict.fromkeys(verdicts, depth % 2 == 0)
+    assert sets["g1"] == {n for n in doc.nodes() if (depth - n) % 2 == 0}
+    assert sets["g2"] == {n for n in doc.nodes() if (depth - n) % 2 == 1}

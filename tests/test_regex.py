@@ -1,4 +1,8 @@
 import random
+import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -166,3 +170,38 @@ def test_literal_word():
     assert rx.literal_word(rx.word_regex("abc")) == "abc"
     assert rx.literal_word(rx.EPSILON) == ""
     assert rx.literal_word(rx.parse_regex("ab*")) is None
+
+
+def test_shared_matcher_under_threads():
+    # each round shares one fresh matcher, so the threads race to build
+    # its states; every answer must still be re.fullmatch's
+    patterns = ["(a|b)*a(a|b)(a|b)(a|b)(a|b)", "[a-c]*b[a-c][a-c]c*", "(ab|ba|c)+a*"]
+    rng = random.Random(48)
+    words = ["".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
+             for _ in range(300)]
+    expected = {p: [re.fullmatch(p, w) is not None for w in words] for p in patterns}
+    deadline = time.monotonic() + 0.6
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        while time.monotonic() < deadline:
+            for p in patterns:
+                shared = rx._Matcher(rx.parse_regex(p))
+                answers, errors = {}, []
+
+                def worker(i, shared=shared, answers=answers, errors=errors):
+                    try:
+                        answers[i] = [shared.matches(w) for w in words]
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=10)
+                assert not any(th.is_alive() for th in threads)
+                assert not errors, errors
+                assert all(answers[i] == expected[p] for i in range(8)), p
+    finally:
+        sys.setswitchinterval(previous)
