@@ -1,7 +1,8 @@
 """Bounded-model satisfiability search.
 
 Candidate trees are assembled from an atom inventory read off the
-formula (its keys and strings plus one fresh one of each; its integer
+formula (its keys and strings plus one fresh one of each, and fresh keys
+up to the width bound when the formula counts children; its integer
 constants, their neighbours and zero) within explicit depth and width
 bounds.  A found witness is certain: it is re-checked by the ordinary
 evaluator before being returned.  A negative answer only says no tree
@@ -76,9 +77,9 @@ class _Cand:
     subtree class id, and the truth mask of the compiled formula bits."""
 
     __slots__ = ("kind", "value", "children", "py", "serial", "cid",
-                 "size", "depth", "mask")
+                 "size", "mask")
 
-    def __init__(self, kind, value, children, py, serial, cid, size, depth):
+    def __init__(self, kind, value, children, py, serial, cid, size):
         self.kind = kind
         self.value = value
         self.children = children  # ((key or None, _Cand), ...)
@@ -86,7 +87,6 @@ class _Cand:
         self.serial = serial
         self.cid = cid
         self.size = size
-        self.depth = depth
         self.mask = 0
 
     def order_key(self):
@@ -95,26 +95,29 @@ class _Cand:
 
 def _leaf(kind, value, table) -> _Cand:
     if kind == "int":
-        return _Cand("int", value, (), value, str(value), jt.intern_class(table, value), 1, 0)
+        return _Cand("int", value, (), value, str(value), jt.intern_class(table, value), 1)
     if kind == "str":
         text = json.dumps(value, ensure_ascii=False)
-        return _Cand("str", value, (), value, text, jt.intern_class(table, value), 1, 0)
+        return _Cand("str", value, (), value, text, jt.intern_class(table, value), 1)
     if kind == "obj":
-        return _Cand("obj", None, (), {}, "{}", jt.intern_class(table, keys=()), 1, 0)
-    return _Cand("arr", None, (), [], "[]", jt.intern_class(table), 1, 0)
+        return _Cand("obj", None, (), {}, "{}", jt.intern_class(table, keys=()), 1)
+    return _Cand("arr", None, (), [], "[]", jt.intern_class(table), 1)
 
 
-def _make_obj(keys, reps, table) -> _Cand:
+def _key_texts(keys) -> dict:
+    """Each key's canonical ``"key":`` prefix, rendered once per search."""
+    return {k: json.dumps(k, ensure_ascii=False) + ":" for k in keys}
+
+
+def _make_obj(keys, reps, table, key_text) -> _Cand:
     children = tuple(zip(keys, reps))
     py = {k: r.py for k, r in children}
-    serial = "{" + ",".join(f"{json.dumps(k, ensure_ascii=False)}:{r.serial}"
-                            for k, r in children) + "}"
+    serial = "{" + ",".join(key_text[k] + r.serial for k, r in children) + "}"
     ordered = sorted((k, r.cid) for k, r in children)
     cid = jt.intern_class(table, keys=tuple(k for k, _ in ordered),
                           child_ids=tuple(c for _, c in ordered))
     size = 1 + sum(r.size for r in reps)
-    depth = 1 + max(r.depth for r in reps)
-    return _Cand("obj", None, children, py, serial, cid, size, depth)
+    return _Cand("obj", None, children, py, serial, cid, size)
 
 
 def _make_arr(reps, table) -> _Cand:
@@ -123,8 +126,7 @@ def _make_arr(reps, table) -> _Cand:
     serial = "[" + ",".join(r.serial for r in reps) + "]"
     cid = jt.intern_class(table, child_ids=tuple(r.cid for r in reps))
     size = 1 + sum(r.size for r in reps)
-    depth = 1 + max(r.depth for r in reps)
-    return _Cand("arr", None, children, py, serial, cid, size, depth)
+    return _Cand("arr", None, children, py, serial, cid, size)
 
 
 # -- the compiled formula program ----------------------------------------------------
@@ -135,7 +137,9 @@ class _Program:
 
     Each distinct subformula owns one bit; a candidate's bit is computed
     from its own shape plus the already-final bit masks of its children,
-    so interchangeability classes are read straight off the mask.
+    so interchangeability classes are read straight off the mask.  The
+    instruction list is the same-node dependency graph; ``compile_steps``
+    turns it into closures once per search.
     """
 
     def __init__(self, table):
@@ -143,13 +147,11 @@ class _Program:
         self.instrs = []
         self.bit_of = {}
         self.eq_bits = {}
-        self.proj = set()
         self.phi_bit = None
-        self.key_regexes = []
         self.has_counts = False
         self.has_unique = False
         self.has_equality = False
-        self._match_memo = {}
+        self._filters = {}  # pattern -> rx.word_filter, for this search
         self._eval_order = None
 
     # compilation
@@ -224,7 +226,6 @@ class _Program:
             bit = len(self.instrs)
             self.instrs.append(("eqid", cid))
             self.eq_bits[cid] = bit
-            self.proj.add(bit)
         return bit
 
     def _register_const(self, const: JsonTree) -> int:
@@ -251,13 +252,10 @@ class _Program:
             return self._emit(phi, self._test_ins(phi.test))
         if isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):
             body = self._bit(phi.body)
-            self.proj.add(body)
-            self.key_regexes.append(phi.pattern)
             op = "boxkey" if isinstance(phi, jsl.BoxKey) else "diakey"
             return self._emit(phi, (op, phi.pattern, body))
         if isinstance(phi, (jsl.BoxIdx, jsl.DiaIdx)):
             body = self._bit(phi.body)
-            self.proj.add(body)
             op = "boxidx" if isinstance(phi, jsl.BoxIdx) else "diaidx"
             return self._emit(phi, (op, phi.lo, phi.hi, body))
         if isinstance(phi, jsl.SymbolRef):
@@ -290,71 +288,103 @@ class _Program:
 
     # evaluation
 
-    def _match(self, pattern, key) -> bool:
-        memo_key = (pattern, key)
-        hit = self._match_memo.get(memo_key)
-        if hit is None:
-            hit = self._match_memo[memo_key] = rx.matches(pattern, key)
-        return hit
+    def _filter(self, pattern):
+        accept = self._filters.get(pattern)
+        if accept is None:
+            accept = self._filters[pattern] = rx.word_filter(pattern)
+        return accept
 
-    def run(self, cand: _Cand) -> int:
-        bits = 0
-        kind = cand.kind
-        children = cand.children
-        instrs = self.instrs
-        for i in self._eval_sequence():
-            ins = instrs[i]
-            op = ins[0]
-            if op == "and":
-                v = (bits >> ins[1]) & (bits >> ins[2]) & 1
-            elif op == "or":
-                v = ((bits >> ins[1]) | (bits >> ins[2])) & 1
-            elif op == "not":
-                v = 1 ^ ((bits >> ins[1]) & 1)
-            elif op == "true":
-                v = 1
-            elif op == "diakey":
-                v = int(kind == "obj" and any(
-                    (r.mask >> ins[2]) & 1 and self._match(ins[1], k)
-                    for k, r in children))
-            elif op == "boxkey":
-                v = int(kind != "obj" or all(
-                    (r.mask >> ins[2]) & 1 or not self._match(ins[1], k)
-                    for k, r in children))
-            elif op == "diaidx":
-                v = int(kind == "arr" and any(
-                    (r.mask >> ins[3]) & 1
-                    for _, r in children[ins[1] - 1:len(children) if ins[2] is None else ins[2]]))
-            elif op == "boxidx":
-                v = int(kind != "arr" or all(
-                    (r.mask >> ins[3]) & 1
-                    for _, r in children[ins[1] - 1:len(children) if ins[2] is None else ins[2]]))
-            elif op == "kind":
-                v = int(kind == ins[1])
-            elif op == "patt":
-                v = int(kind == "str" and self._match(ins[1], cand.value))
-            elif op == "min":
-                v = int(kind == "int" and cand.value >= ins[1])
-            elif op == "max":
-                v = int(kind == "int" and cand.value <= ins[1])
-            elif op == "mult":
-                v = int(kind == "int" and
-                        (cand.value == 0 if ins[1] == 0 else cand.value % ins[1] == 0))
-            elif op == "minch":
-                v = int(len(children) >= ins[1])
-            elif op == "maxch":
-                v = int(len(children) <= ins[1])
-            elif op == "uniq":
-                v = int(kind == "arr" and
-                        len({r.cid for _, r in children}) == len(children))
-            elif op == "eqid":
-                v = int(cand.cid == ins[1])
-            elif op == "copy":
-                v = (bits >> ins[1]) & 1
+    def compile_steps(self) -> list:
+        """One closure ``step(cand, bits)`` per instruction, giving the
+        instruction's truth on the candidate (0/1 or a bool).  ``bits`` holds
+        the candidate's same-node bits computed so far; children are read
+        through their finished masks."""
+        return [self._compile_step(ins) for ins in self.instrs]
+
+    def _compile_step(self, ins):
+        op = ins[0]
+        if op == "true":
+            return lambda cand, bits: 1
+        if op == "not":
+            m = 1 << ins[1]
+            return lambda cand, bits: not bits & m
+        if op == "copy":
+            m = 1 << ins[1]
+            return lambda cand, bits: bits & m != 0
+        if op == "and":
+            m = (1 << ins[1]) | (1 << ins[2])
+            return lambda cand, bits: bits & m == m
+        if op == "or":
+            m = (1 << ins[1]) | (1 << ins[2])
+            return lambda cand, bits: bits & m != 0
+        if op in ("diakey", "boxkey"):
+            accept, body = self._filter(ins[1]), 1 << ins[2]
+            if op == "diakey":
+                def step(cand, bits):
+                    if cand.kind != "obj":
+                        return 0
+                    for k, r in cand.children:
+                        if r.mask & body and accept(k):
+                            return 1
+                    return 0
             else:
-                raise AssertionError(op)
-            bits |= v << i
-        return bits
+                def step(cand, bits):
+                    if cand.kind != "obj":
+                        return 1
+                    for k, r in cand.children:
+                        if not r.mask & body and accept(k):
+                            return 0
+                    return 1
+            return step
+        if op in ("diaidx", "boxidx"):
+            lo, hi, body = ins[1] - 1, ins[2], 1 << ins[3]
+            if op == "diaidx":
+                def step(cand, bits):
+                    if cand.kind != "arr":
+                        return 0
+                    for _, r in cand.children[lo:hi]:
+                        if r.mask & body:
+                            return 1
+                    return 0
+            else:
+                def step(cand, bits):
+                    if cand.kind != "arr":
+                        return 1
+                    for _, r in cand.children[lo:hi]:
+                        if not r.mask & body:
+                            return 0
+                    return 1
+            return step
+        if op == "kind":
+            kind = ins[1]
+            return lambda cand, bits: cand.kind == kind
+        if op == "patt":
+            accept = self._filter(ins[1])
+            return lambda cand, bits: cand.kind == "str" and accept(cand.value)
+        if op == "min":
+            bound = ins[1]
+            return lambda cand, bits: cand.kind == "int" and cand.value >= bound
+        if op == "max":
+            bound = ins[1]
+            return lambda cand, bits: cand.kind == "int" and cand.value <= bound
+        if op == "mult":
+            d = ins[1]
+            if d == 0:
+                return lambda cand, bits: cand.kind == "int" and cand.value == 0
+            return lambda cand, bits: cand.kind == "int" and cand.value % d == 0
+        if op == "minch":
+            count = ins[1]
+            return lambda cand, bits: len(cand.children) >= count
+        if op == "maxch":
+            count = ins[1]
+            return lambda cand, bits: len(cand.children) <= count
+        if op == "uniq":
+            return lambda cand, bits: cand.kind == "arr" and \
+                len({r.cid for _, r in cand.children}) == len(cand.children)
+        if op == "eqid":
+            cid = ins[1]
+            return lambda cand, bits: cand.cid == cid
+        raise AssertionError(op)
 
     def allow_key_pruning(self) -> bool:
         return not (self.has_counts or self.has_unique or self.has_equality)
@@ -408,7 +438,8 @@ class _Program:
     def visible_keys(self, regs, keys):
         if not self.allow_key_pruning():
             return tuple(keys)
-        return tuple(k for k in keys if any(self._match(r, k) for r in regs))
+        filters = [self._filter(r) for r in regs]
+        return tuple(k for k in keys if any(accept(k) for accept in filters))
 
 
 # -- atom inventory ----------------------------------------------------------------
@@ -457,9 +488,10 @@ def _pattern_words(pattern, extras, max_atoms):
     return []
 
 
-def _collect_jsl(formulas, max_atoms) -> Inventory:
+def _collect_jsl(formulas, max_atoms, max_width) -> Inventory:
     keys, strings, ints = set(), set(), set()
     key_extras, str_extras = set(), set()
+    min_keys = 1
     for phi in formulas:
         for f in jsl.subformulas(phi):
             if isinstance(f, (jsl.BoxKey, jsl.DiaKey)):
@@ -474,7 +506,11 @@ def _collect_jsl(formulas, max_atoms) -> Inventory:
                     ints.add(t.divisor)
                 elif isinstance(t, jsl.SameAsTest):
                     _const_atoms(t.const, keys, strings, ints)
-    return _finalize_inventory(keys, key_extras, strings, str_extras, ints, max_atoms)
+                elif isinstance(t, (jsl.MinChTest, jsl.MaxChTest)):
+                    # child counts can ask for more keys than the formula names
+                    min_keys = max(min_keys, min(max_width, max_atoms))
+    return _finalize_inventory(keys, key_extras, strings, str_extras, ints, max_atoms,
+                               min_keys)
 
 
 def _collect_jnl(phi, max_atoms) -> Inventory:
@@ -490,11 +526,16 @@ def _collect_jnl(phi, max_atoms) -> Inventory:
     return _finalize_inventory(keys, key_extras, strings, set(), ints, max_atoms)
 
 
-def _finalize_inventory(keys, key_extras, strings, str_extras, ints, max_atoms) -> Inventory:
-    """Formula atoms first, then pattern-enumerated words, then one fresh."""
-    fresh_key = _fresh("k", keys | key_extras)
+def _finalize_inventory(keys, key_extras, strings, str_extras, ints, max_atoms,
+                        min_keys=1) -> Inventory:
+    """Formula atoms first, then pattern-enumerated words, then one fresh
+    (fresh keys up to ``min_keys`` keys in all)."""
     fresh_str = _fresh("s", strings | str_extras)
-    key_list = (sorted(keys) + sorted(key_extras - keys))[:max_atoms - 1] + [fresh_key]
+    key_list = (sorted(keys) + sorted(key_extras - keys))[:max_atoms - 1]
+    taken = keys | key_extras
+    for _ in range(max(1, min_keys - len(key_list))):
+        key_list.append(_fresh("k", taken))
+        taken.add(key_list[-1])
     str_list = (sorted(strings) + sorted(str_extras - strings))[:max_atoms - 1] + [fresh_str]
     int_set = {0}
     for c in ints:
@@ -521,12 +562,12 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
             raise IllFormedRecursion(f"cyclic definitions: {rec.find_cycle(formula)}")
         program = _Program(table).compile_recursive(formula)
         inventory = _collect_jsl([body for _, body in formula.definitions] + [formula.base],
-                                 bounds.max_atoms)
+                                 bounds.max_atoms, bounds.max_width)
         revalidate = lambda tree: rec.eval_recursive(formula, tree)
         return _class_search(program, inventory, bounds, budget, revalidate)
     if isinstance(formula, jsl.JslFormula):
         program = _Program(table).compile_formula(formula)
-        inventory = _collect_jsl([formula], bounds.max_atoms)
+        inventory = _collect_jsl([formula], bounds.max_atoms, bounds.max_width)
         revalidate = lambda tree: jsl.validate(tree, formula)
         return _class_search(program, inventory, bounds, budget, revalidate)
     if isinstance(formula, jnl.JnlUnary):
@@ -534,7 +575,7 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
             return _exhaustive_search(formula, bounds, budget, table)
         translated = translate.jnl_to_jsl(formula)
         program = _Program(table).compile_formula(translated)
-        inventory = _collect_jsl([translated], bounds.max_atoms)
+        inventory = _collect_jsl([translated], bounds.max_atoms, bounds.max_width)
         revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
         return _class_search(program, inventory, bounds, budget, revalidate)
     raise TypeError(f"not a supported formula: {formula!r}")
@@ -591,7 +632,7 @@ def _leaf_batch(inventory, budget, table) -> list:
     return sorted(out, key=_Cand.order_key)
 
 
-def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table) -> list:
+def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table, key_text) -> list:
     """All candidates with exactly n nodes over the stored child reps."""
     out = []
     sizes = sorted(child_level.by_size)
@@ -621,7 +662,7 @@ def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table) -> lis
                 out.append(_make_arr(reps, table))
             for keyset in keysets:
                 budget.charge()
-                out.append(_make_obj(keyset, reps, table))
+                out.append(_make_obj(keyset, reps, table, key_text))
     return sorted(out, key=_Cand.order_key)
 
 
@@ -637,6 +678,7 @@ def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_
     """
     budget = _Budget(budget_limit)
     depth, width = bounds.max_depth, bounds.max_width
+    key_text = _key_texts(inventory.keys)
     below = None
     for p in range(depth, -1, -1):
         level = _Level()
@@ -650,7 +692,8 @@ def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_
             ceiling = _full_tree_size(depth - p, width)
             n = 2
             while n <= ceiling and n <= 1 + width * below.max_size:
-                for cand in _parent_batch(n, below, obj_keys, arrays, width, budget, table):
+                for cand in _parent_batch(n, below, obj_keys, arrays, width, budget, table,
+                                          key_text):
                     evaluate(cand, p)
                     if p == 0 and is_witness(cand):
                         return cand
@@ -665,15 +708,24 @@ def _class_search(program, inventory, bounds, budget, revalidate) -> SatVerdict:
     phi_bit = program.phi_bit
     multiplicity = max(1, bounds.max_width) if program.has_unique else 1
     prune = program.allow_key_pruning()
-    keys_by_depth = []
+    steps = program.compile_steps()
+    order = program._eval_sequence()
+    keys_by_depth, plans = [], []
     for mask, closure, regs in profiles:
         obj_keys = program.visible_keys(regs, inventory.keys)
         arrays = (not prune) or any(program.instrs[b][0] in ("boxidx", "diaidx")
                                     for b in closure)
         keys_by_depth.append((obj_keys, arrays))
+        # a node at distance p only needs the bits its parent, its class key
+        # and (at the root) the witness test read, plus their same-node closure
+        plans.append(tuple((1 << i, steps[i]) for i in order if i in closure))
 
     def evaluate(cand, p):
-        cand.mask = program.run(cand)
+        bits = 0
+        for bit, step in plans[p]:
+            if step(cand, bits):
+                bits |= bit
+        cand.mask = bits
 
     def is_witness(cand):
         return (cand.mask >> phi_bit) & 1

@@ -12,8 +12,10 @@ import itertools
 
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
+import jlogic.recursive as rec
 import jlogic.regex as rx
 import jlogic.tree as jt
+from jlogic.errors import MalformedFormula
 from jlogic.tree import JsonTree, NodeKind
 
 KEYS = ["a", "b", "c", "name", "w"]
@@ -413,6 +415,23 @@ def random_jsl(rng, depth, symbols=()) -> jsl.JslFormula:
     lo = rng.randint(1, 3)
     hi = rng.choice([lo, lo + 1, None])
     return (jsl.BoxIdx if kind == 2 else jsl.DiaIdx)(lo, hi, body)
+
+
+def random_well_formed(rng, count) -> list:
+    """Seeded well-formed recursive expressions over one to three symbols."""
+    out = []
+    while len(out) < count:
+        names = [f"g{i}" for i in range(rng.randint(1, 3))]
+        defs = [(n, random_jsl(rng, rng.randint(1, 3), symbols=tuple(names)))
+                for n in names]
+        base = random_jsl(rng, rng.randint(0, 2), symbols=tuple(names))
+        try:
+            e = rec.make_recursive(defs, base)
+        except MalformedFormula:
+            continue
+        if rec.is_well_formed(e):
+            out.append(e)
+    return out
 
 
 def random_key_pattern(rng) -> rx.Regex:

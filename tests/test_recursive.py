@@ -9,7 +9,7 @@ from jlogic.cli import main
 from jlogic.decision import automaton_accepts, complement, recursive_to_automaton
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
-from helpers import random_jsl, random_tree, random_value
+from helpers import random_jsl, random_tree, random_value, random_well_formed
 
 EVEN_PATHS = ("let g1 = box(/.*/) g2; "
               "let g2 = dia(/.*/) true && box(/.*/) g1; in g1")
@@ -99,7 +99,7 @@ def test_unfold_symbol_free_base_unchanged():
 
 def test_unfold_output_is_symbol_free():
     rng = random.Random(15)
-    for e in _random_well_formed(rng, 40):
+    for e in random_well_formed(rng, 40):
         u = rec.unfold(e, rng.randint(0, 3))
         assert not jsl.symbols_used(u)
 
@@ -139,25 +139,9 @@ def test_base_top_accepts_everything():
         assert rec.eval_recursive(e, random_tree(rng))
 
 
-def _random_well_formed(rng, count):
-    out = []
-    while len(out) < count:
-        names = [f"g{i}" for i in range(rng.randint(1, 3))]
-        defs = [(n, random_jsl(rng, rng.randint(1, 3), symbols=tuple(names)))
-                for n in names]
-        base = random_jsl(rng, rng.randint(0, 2), symbols=tuple(names))
-        try:
-            e = rec.make_recursive(defs, base)
-        except MalformedFormula:
-            continue
-        if rec.is_well_formed(e):
-            out.append(e)
-    return out
-
-
 def test_eval_equals_unfold_oracle_on_random_instances():
     rng = random.Random(17)
-    for e in _random_well_formed(rng, 100):
+    for e in random_well_formed(rng, 100):
         for _ in range(3):
             t = random_tree(rng, rng.randint(0, 4), 3)
             expected = jsl.validate(t, rec.unfold(e, height(t)))

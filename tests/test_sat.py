@@ -10,7 +10,8 @@ from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision.encode import qbf_truth
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
-from helpers import oracle_qbf, random_jsl, truth_table_sat
+from helpers import (JSL_FEATURES, jsl_features, oracle_qbf, random_jsl, random_well_formed,
+                     truth_table_sat)
 
 UNSAT_PAIR = '[@"a" / test([#1])] && [@"a" / test([@"b"])]'
 
@@ -48,36 +49,92 @@ def test_witnesses_revalidate():
             assert jsl.validate(verdict.witness, phi)
 
 
+def _tiny_universe():
+    """Every document of depth <= 2 and width <= 1 over a few atoms, all
+    inside Bounds(2, 2, 4)."""
+    leaves = [0, 1, "x", {}, []]
+    level1 = list(leaves)
+    for a in leaves:
+        level1.append([a])
+        level1.append({"a": a})
+        level1.append({"b": a})
+    out = list(level1)
+    for a in level1:
+        out.append({"a": a})
+        out.append([a])
+    return [jt.from_python(v) for v in out]
+
+
+# boundaries the random formulas reach too rarely: a box that must skip
+# keys or positions it does not name (also under negation), and multOf(0)
+TINY_SPACE_FIXED = [
+    "obj && box(/a/) int && dia(/b/) str",
+    "obj && !box(/a|b/) int && box(/b/) int",
+    "obj && box(/.*/) !dia(/a/) true && dia(/b/) obj",
+    "arr && box(2:*) str && dia(1) int",
+    "arr && !box(1:1) int && dia(1:*) dia(1:*) int",
+    "int && multOf(0) && min(1)",
+    "int && !multOf(0) && max(1)",
+]
+
+
 def test_verdict_matches_exhaustive_check_on_tiny_space():
     # every (plain jsl) verdict is cross-checked by brute enumeration of
-    # all documents over a fixed tiny universe
+    # all documents over a fixed tiny universe; witnesses are node-count
+    # minimal, so none is larger than the smallest satisfier found there
     rng = random.Random(2)
-
-    def universe():
-        leaves = [0, 1, "x", {}, []]
-        level1 = list(leaves)
-        for a in leaves:
-            level1.append([a])
-            level1.append({"a": a})
-            level1.append({"b": a})
-        out = list(level1)
-        for a in level1:
-            out.append({"a": a})
-            out.append([a])
-        return out
-
-    docs = [jt.from_python(v) for v in universe()]
-    for _ in range(120):
-        phi = random_jsl(rng, rng.randint(0, 2))
-        brute = any(jsl.validate(d, phi) for d in docs)
+    docs = _tiny_universe()
+    randoms = [random_jsl(rng, rng.randint(0, 2)) for _ in range(120)]
+    features = set().union(*map(jsl_features, randoms))
+    for phi in [jsl.parse_jsl(text) for text in TINY_SPACE_FIXED] + randoms:
+        sizes = [d.size for d in docs if jsl.validate(d, phi)]
         try:
             verdict = sat_bounded(phi, Bounds(2, 2, 4), budget=150_000)
         except BoundsTooLarge:
             continue
-        if brute:
+        if sizes:
             assert verdict.satisfiable, jsl.to_text(phi)
+            assert verdict.witness.size <= min(sizes), jsl.to_text(phi)
         if not verdict.satisfiable:
-            assert not brute, jsl.to_text(phi)
+            assert not sizes, jsl.to_text(phi)
+    assert features == JSL_FEATURES, JSL_FEATURES - features
+
+
+def test_recursive_verdict_matches_exhaustive_check_on_tiny_space():
+    # shielded self- and forward references compile to copy placeholders;
+    # the verdict must still agree with eval_recursive over the universe
+    docs = _tiny_universe()
+    checked = sat = 0
+    for expr in random_well_formed(random.Random(5), 80):
+        sizes = [d.size for d in docs if rec.eval_recursive(expr, d)]
+        try:
+            verdict = sat_bounded(expr, Bounds(2, 2, 4), budget=150_000)
+        except BoundsTooLarge:
+            continue
+        checked += 1
+        sat += verdict.satisfiable
+        if sizes:
+            assert verdict.satisfiable, rec.to_text(expr)
+            assert verdict.witness.size <= min(sizes), rec.to_text(expr)
+        if not verdict.satisfiable:
+            assert not sizes, rec.to_text(expr)
+    assert checked > 60 and 0 < sat < checked
+
+
+@pytest.mark.parametrize("text,bounds,expected", [
+    # child counts need more keys than the formula names
+    ("obj && minCh(2)", Bounds(3, 3, 6), '{"k":{},"k0":{}}'),
+    ("obj && minCh(3) && box(/.*/) int", Bounds(2, 3, 4), '{"k":0,"k0":0,"k1":0}'),
+    ("obj && !maxCh(2)", Bounds(2, 3, 3), '{"k":{},"k0":{},"k1":{}}'),
+    ("obj && minCh(4)", Bounds(3, 3, 6), None),
+    ("obj && minCh(3)", Bounds(3, 3, 2), None),  # the atom bound caps the keys
+])
+def test_child_counts_get_fresh_keys(text, bounds, expected):
+    verdict = sat_bounded(jsl.parse_jsl(text), bounds)
+    if expected is None:
+        assert not verdict.satisfiable
+    else:
+        assert serialize(verdict.witness) == expected
 
 
 def test_unique_multiplicity_needed():
