@@ -2,8 +2,9 @@
 
 Subcommands: query, validate, compile, sat, check-wf, automaton.  Exit
 codes are stable for scripting: 0 for success/VALID/SAT/ACCEPT, 1 for the
-negative verdicts, 2 for usage and parse errors.  Results go to stdout,
-diagnostics to stderr.  File arguments accept ``-`` for standard input.
+negative verdicts, 2 for usage and parse errors and for internal errors
+(``error: internal: …``).  Results go to stdout, diagnostics to stderr.
+File arguments accept ``-`` for standard input.
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  Any exception other than an
+    engine error or a missing file is reported as ``error: internal: …``
+    with exit code 2, never as a negative verdict."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -280,11 +284,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except JLogicError as exc:
+    except (JLogicError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # the boundary: a crash must not read as a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,9 +6,11 @@ Supported keywords: the four ``type`` forms with their shaping keywords
 ``additionalProperties``; ``items``/``uniqueItems``/``additionalItems``),
 the combinators ``allOf``/``anyOf``/``not``/``enum``, plus a root-level
 ``definitions`` section referenced through ``{"$ref": "#/definitions/x"}``.
-Anything else is rejected.  ``validate_schema`` interprets keywords
-directly and independently of the logic compiler, so the two sides can be
-tested against each other.
+Anything else is rejected.  ``validate_schema`` compiles the keywords
+into closures and runs them bottom-up; it does not go through the logic
+compiler (``schema_to_jsl``), so the two sides can be tested against each
+other, and the tests also hold it to the keyword interpreter kept as an
+oracle in ``tests/helpers.py``.
 
 Semantics notes that matter: ``items`` entries are required positions (an
 array must be at least that long), and without ``additionalItems`` no
@@ -331,12 +333,17 @@ def is_recursive(doc: SchemaDocument) -> bool:
     return bool(doc.definitions)
 
 
-def check_well_formed(doc: SchemaDocument):
-    """Reject definition cycles not broken by a document descent."""
+def check_well_formed(doc: SchemaDocument) -> list:
+    """Reject definition cycles not broken by a document descent.
+
+    Returns the definition names with every unshielded dependency before
+    its user (the post-order of the same search), the order in which the
+    validator settles definitions at one node."""
     names = [name for name, _ in doc.definitions]
     defs = doc.definition_map()
     color = {n: 0 for n in names}
     trail = []
+    order = []
 
     def visit(n):
         color[n] = 1
@@ -349,116 +356,185 @@ def check_well_formed(doc: SchemaDocument):
                 visit(m)
         trail.pop()
         color[n] = 2
+        order.append(n)
 
     for n in names:
         if color[n] == 0:
             visit(n)
+    return order
 
 
-# -- direct validation ------------------------------------------------------------
+# -- validation ----------------------------------------------------------------------
 
 
 def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
-    """Interpret the keywords directly (the reference the compiler is
-    differentially tested against)."""
-    if doc.definitions:
-        check_well_formed(doc)
+    """Whether the document satisfies the schema.
+
+    Each schema node compiles once per call into a closure over the tree's
+    per-node lists (``JsonTree.columns()``); leaf keywords are the logic's
+    compiled node tests and key patterns go through ``regex.word_filter``.
+    A ``$ref`` reads a per-definition table and never calls its
+    definition: the tables of the definitions the root reaches fill in one
+    pass over node ids in reverse pre-order (children first), the
+    definitions at one node in the order ``check_well_formed`` returns.
+    The root schema then runs once, at the root node.  So evaluation
+    recurses as deep as the schema, never as deep as the document.
+
+    Trade-off: when the root reaches a definition, the pass visits every
+    node, even when the root fails at once; otherwise only the nodes the
+    keywords reach are visited.
+    """
     defs = doc.definition_map()
-    memo = {}
-    return _vs(tree, 0, doc.root, defs, memo)
+    order = check_well_formed(doc)
+    live, todo = set(), list(_refs(doc.root))
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(_refs(defs[name]))
+    tables = {name: bytearray(tree.size) for name in live}
+    steps = [(tables[name], _compile(tree, defs[name], tables))
+             for name in order if name in live]
+    if steps:
+        for n in range(tree.size - 1, -1, -1):
+            for table, body in steps:
+                table[n] = body(n)
+    return bool(_compile(tree, doc.root, tables)(0))
 
 
-def _vs(tree, n, ast, defs, memo) -> bool:
-    key = (id(ast), n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    memo[key] = out = _vs_raw(tree, n, ast, defs, memo)
-    return out
+_OBJ, _ARR = NodeKind.OBJ, NodeKind.ARR
 
 
-def _vs_raw(tree, n, ast, defs, memo) -> bool:
-    kind = tree.kind(n)
+def _all_of(checks):
+    checks = tuple(checks)
+    if len(checks) == 1:
+        return checks[0]
+
+    def all_of(n):
+        for check in checks:
+            if not check(n):
+                return False
+        return True
+    return all_of
+
+
+def _any_of(checks):
+    checks = tuple(checks)
+    if len(checks) == 1:
+        return checks[0]
+
+    def any_of(n):
+        for check in checks:
+            if check(n):
+                return True
+        return False
+    return any_of
+
+
+def _compile(tree: JsonTree, ast: SchemaAst, tables: dict):
+    """The schema as a closure over node ids; recursion here and in the
+    closure is bounded by the schema's nesting."""
     if isinstance(ast, EmptySchema):
-        return True
+        return lambda n: True
     if isinstance(ast, Ref):
-        return _vs(tree, n, defs[ast.name], defs, memo)
+        return tables[ast.name].__getitem__
     if isinstance(ast, StringSchema):
-        if kind is not NodeKind.STR:
-            return False
-        return ast.pattern is None or rx.matches(ast.pattern, tree.value(n))
+        if ast.pattern is None:
+            return jsl.compile_test(tree, jsl.KindTest(NodeKind.STR))
+        return jsl.compile_test(tree, jsl.PatternTest(ast.pattern))
     if isinstance(ast, NumberSchema):
-        if kind is not NodeKind.INT:
-            return False
-        v = tree.value(n)
-        if ast.minimum is not None and v < ast.minimum:
-            return False
-        if ast.maximum is not None and v > ast.maximum:
-            return False
+        # each bound test also checks the kind
+        tests = []
+        if ast.minimum is not None:
+            tests.append(jsl.MinTest(ast.minimum))
+        if ast.maximum is not None:
+            tests.append(jsl.MaxTest(ast.maximum))
         if ast.multiple_of is not None:
-            if ast.multiple_of == 0:
-                return v == 0
-            return v % ast.multiple_of == 0
-        return True
+            tests.append(jsl.MultOfTest(ast.multiple_of))
+        return _all_of(jsl.compile_test(tree, t) for t in tests or [jsl.KindTest(NodeKind.INT)])
     if isinstance(ast, ObjectSchema):
-        if kind is not NodeKind.OBJ:
-            return False
-        count = tree.child_count(n)
-        if ast.min_properties is not None and count < ast.min_properties:
-            return False
-        if ast.max_properties is not None and count > ast.max_properties:
-            return False
-        keys = tree.keys_of(n)
-        for req in ast.required:
-            if tree.obj_child(n, req) is None:
-                return False
-        prop_map = dict(ast.properties)
-        for key_, child in zip(keys, tree.children(n)):
-            named = prop_map.get(key_)
-            if named is not None and not _vs(tree, child, named, defs, memo):
-                return False
-            matched = key_ in prop_map
-            for pattern, sub in ast.pattern_properties:
-                if rx.matches(pattern, key_):
-                    matched = True
-                    if not _vs(tree, child, sub, defs, memo):
-                        return False
-            if not matched and ast.additional_properties is not None:
-                if not _vs(tree, child, ast.additional_properties, defs, memo):
-                    return False
-        return True
+        return _compile_object(tree, ast, tables)
     if isinstance(ast, ArraySchema):
-        if kind is not NodeKind.ARR:
-            return False
-        if ast.unique_items and not jsl.check_unique(tree, tree.path_of(n)):
-            return False
-        children = tree.children(n)
-        if ast.items is not None:
-            if len(children) < len(ast.items):
-                return False
-            for sub, child in zip(ast.items, children):
-                if not _vs(tree, child, sub, defs, memo):
-                    return False
-            extras = children[len(ast.items):]
-        else:
-            extras = children if ast.additional_items is not None else ()
-        if ast.additional_items is not None:
-            for child in extras:
-                if not _vs(tree, child, ast.additional_items, defs, memo):
-                    return False
-        elif ast.items is not None and len(children) > len(ast.items):
-            return False
-        return True
+        return _compile_array(tree, ast, tables)
     if isinstance(ast, AllOf):
-        return all(_vs(tree, n, sub, defs, memo) for sub in ast.parts)
+        return _all_of(_compile(tree, sub, tables) for sub in ast.parts)
     if isinstance(ast, AnyOf):
-        return any(_vs(tree, n, sub, defs, memo) for sub in ast.parts)
+        return _any_of(_compile(tree, sub, tables) for sub in ast.parts)
     if isinstance(ast, NotSchema):
-        return not _vs(tree, n, ast.body, defs, memo)
+        body = _compile(tree, ast.body, tables)
+        return lambda n: not body(n)
     if isinstance(ast, Enum):
-        cid = tree.subtree_id(n)
-        return any(tree.const_id(const) == cid for const in ast.values)
+        return _any_of(jsl.compile_test(tree, jsl.SameAsTest(v)) for v in ast.values)
     raise TypeError(f"not a schema: {ast!r}")
+
+
+def _compile_object(tree: JsonTree, ast: ObjectSchema, tables: dict):
+    kinds, _, children, keys = tree.columns()
+    counts = []
+    if ast.min_properties is not None:
+        counts.append(jsl.compile_test(tree, jsl.MinChTest(ast.min_properties)))
+    if ast.max_properties is not None:
+        counts.append(jsl.compile_test(tree, jsl.MaxChTest(ast.max_properties)))
+    if ast.required:
+        required, obj_child = ast.required, tree.obj_child
+        counts.append(lambda n: all(obj_child(n, k) is not None for k in required))
+    counts = tuple(counts)
+    props = {key: _compile(tree, sub, tables) for key, sub in ast.properties}
+    patterns = tuple((rx.word_filter(p), _compile(tree, sub, tables))
+                     for p, sub in ast.pattern_properties)
+    additional = (None if ast.additional_properties is None
+                  else _compile(tree, ast.additional_properties, tables))
+    members = bool(props or patterns or additional is not None)
+
+    def obj(n):
+        if kinds[n] is not _OBJ:
+            return False
+        for check in counts:
+            if not check(n):
+                return False
+        if members:
+            for key, c in zip(keys[n], children[n]):
+                named = props.get(key)
+                if named is not None and not named(c):
+                    return False
+                matched = named is not None
+                for accept, sub in patterns:
+                    if accept(key):
+                        if not sub(c):
+                            return False
+                        matched = True
+                if not matched and additional is not None and not additional(c):
+                    return False
+        return True
+    return obj
+
+
+def _compile_array(tree: JsonTree, ast: ArraySchema, tables: dict):
+    kinds, _, children, _ = tree.columns()
+    unique = jsl.compile_test(tree, jsl.UniqueTest()) if ast.unique_items else None
+    items = tuple(_compile(tree, sub, tables) for sub in ast.items or ())
+    count = len(items)
+    closed = ast.items is not None and ast.additional_items is None
+    extra = (None if ast.additional_items is None
+             else _compile(tree, ast.additional_items, tables))
+
+    def array(n):
+        if kinds[n] is not _ARR:
+            return False
+        ch = children[n]
+        if len(ch) < count or (closed and len(ch) > count):
+            return False
+        if unique is not None and not unique(n):
+            return False
+        for sub, c in zip(items, ch):
+            if not sub(c):
+                return False
+        if extra is not None:
+            for c in ch[count:]:
+                if not extra(c):
+                    return False
+        return True
+    return array
 
 
 # -- schema to logic ----------------------------------------------------------------

@@ -14,6 +14,7 @@ import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.regex as rx
+import jlogic.schema as sch
 import jlogic.tree as jt
 from jlogic.errors import MalformedFormula
 from jlogic.tree import JsonTree, NodeKind
@@ -462,6 +463,223 @@ def jsl_features(phi) -> set:
         elif isinstance(f, (jsl.BoxIdx, jsl.DiaIdx)) and f.hi is None:
             out.add("open interval")
     return out
+
+
+# -- JSON Schema keyword interpreter --------------------------------------------------
+
+
+def oracle_schema(tree: JsonTree, doc) -> bool:
+    """Interpret the keywords directly, top-down, with one memo entry per
+    (schema node, document node).  It recurses once per document level, so
+    it only suits documents a few hundred levels deep."""
+    if doc.definitions:
+        sch.check_well_formed(doc)
+    defs = doc.definition_map()
+    memo = {}
+    return _vs(tree, 0, doc.root, defs, memo)
+
+
+def _vs(tree, n, ast, defs, memo) -> bool:
+    key = (id(ast), n)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    memo[key] = out = _vs_raw(tree, n, ast, defs, memo)
+    return out
+
+
+def _vs_raw(tree, n, ast, defs, memo) -> bool:
+    kind = tree.kind(n)
+    if isinstance(ast, sch.EmptySchema):
+        return True
+    if isinstance(ast, sch.Ref):
+        return _vs(tree, n, defs[ast.name], defs, memo)
+    if isinstance(ast, sch.StringSchema):
+        if kind is not NodeKind.STR:
+            return False
+        return ast.pattern is None or rx.matches(ast.pattern, tree.value(n))
+    if isinstance(ast, sch.NumberSchema):
+        if kind is not NodeKind.INT:
+            return False
+        v = tree.value(n)
+        if ast.minimum is not None and v < ast.minimum:
+            return False
+        if ast.maximum is not None and v > ast.maximum:
+            return False
+        if ast.multiple_of is not None:
+            if ast.multiple_of == 0:
+                return v == 0
+            return v % ast.multiple_of == 0
+        return True
+    if isinstance(ast, sch.ObjectSchema):
+        if kind is not NodeKind.OBJ:
+            return False
+        count = tree.child_count(n)
+        if ast.min_properties is not None and count < ast.min_properties:
+            return False
+        if ast.max_properties is not None and count > ast.max_properties:
+            return False
+        keys = tree.keys_of(n)
+        for req in ast.required:
+            if tree.obj_child(n, req) is None:
+                return False
+        prop_map = dict(ast.properties)
+        for key_, child in zip(keys, tree.children(n)):
+            named = prop_map.get(key_)
+            if named is not None and not _vs(tree, child, named, defs, memo):
+                return False
+            matched = key_ in prop_map
+            for pattern, sub in ast.pattern_properties:
+                if rx.matches(pattern, key_):
+                    matched = True
+                    if not _vs(tree, child, sub, defs, memo):
+                        return False
+            if not matched and ast.additional_properties is not None:
+                if not _vs(tree, child, ast.additional_properties, defs, memo):
+                    return False
+        return True
+    if isinstance(ast, sch.ArraySchema):
+        if kind is not NodeKind.ARR:
+            return False
+        if ast.unique_items and not jsl.check_unique(tree, tree.path_of(n)):
+            return False
+        children = tree.children(n)
+        if ast.items is not None:
+            if len(children) < len(ast.items):
+                return False
+            for sub, child in zip(ast.items, children):
+                if not _vs(tree, child, sub, defs, memo):
+                    return False
+            extras = children[len(ast.items):]
+        else:
+            extras = children if ast.additional_items is not None else ()
+        if ast.additional_items is not None:
+            for child in extras:
+                if not _vs(tree, child, ast.additional_items, defs, memo):
+                    return False
+        elif ast.items is not None and len(children) > len(ast.items):
+            return False
+        return True
+    if isinstance(ast, sch.AllOf):
+        return all(_vs(tree, n, sub, defs, memo) for sub in ast.parts)
+    if isinstance(ast, sch.AnyOf):
+        return any(_vs(tree, n, sub, defs, memo) for sub in ast.parts)
+    if isinstance(ast, sch.NotSchema):
+        return not _vs(tree, n, ast.body, defs, memo)
+    if isinstance(ast, sch.Enum):
+        cid = tree.subtree_id(n)
+        return any(tree.const_id(const) == cid for const in ast.values)
+    raise TypeError(f"not a schema: {ast!r}")
+
+
+# -- random JSON Schemas -----------------------------------------------------------------
+
+KEY_PATTERNS = ["a|b", "n.*", ".*", "[a-c]", "w"]
+STRING_PATTERNS = ["x", "f.*h", "[a-z]+", "x*"]
+SCHEMA_KEYWORDS = frozenset({
+    "type", "pattern", "minimum", "maximum", "multipleOf", "minProperties",
+    "maxProperties", "required", "properties", "patternProperties",
+    "additionalProperties", "items", "uniqueItems", "additionalItems", "allOf",
+    "anyOf", "not", "enum", "$ref", "definitions"})
+
+
+def _ref(name):
+    return {"$ref": f"#/definitions/{name}"}
+
+
+def random_schema_value(rng, depth, free=(), names=()):
+    """A raw schema (a Python dict).  ``free`` are the definitions a
+    ``$ref`` may name at this node, ``names`` those it may name below a
+    keyword that descends into the document, so the references to ``free``
+    are the only unshielded ones."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.15:
+        leaf = rng.randint(0, 5)
+        if leaf == 0 and free:
+            return _ref(rng.choice(free))
+        if leaf == 1:
+            return {}
+        if leaf == 2:
+            return {"enum": [random_value(rng, 1, 2) for _ in range(rng.randint(1, 3))]}
+        if leaf == 3:
+            out = {"type": "string"}
+            if rng.random() < 0.7:
+                out["pattern"] = rng.choice(STRING_PATTERNS)
+            return out
+        out = {"type": "number"}
+        for key, hi in (("minimum", 7), ("maximum", 7), ("multipleOf", 3)):
+            if rng.random() < 0.4:
+                out[key] = rng.randint(0, hi)
+        return out
+
+    def sub(d=depth - 1):
+        return random_schema_value(rng, d, names, names)
+
+    def same(d=depth - 1):
+        return random_schema_value(rng, d, free, names)
+
+    if roll < 0.25 and len(free) >= 1:
+        return {"allOf": [_ref(rng.choice(free)) for _ in range(rng.randint(1, 2))]
+                + [same(0) for _ in range(rng.randint(0, 1))]}
+    if roll < 0.35:
+        return {rng.choice(["allOf", "anyOf"]): [same() for _ in range(rng.randint(1, 3))]}
+    if roll < 0.42:
+        return {"not": same()}
+    if roll < 0.72:
+        out = {"type": "object"}
+        if rng.random() < 0.2:
+            out["minProperties"] = rng.randint(0, 3)
+        if rng.random() < 0.2:
+            out["maxProperties"] = rng.randint(0, 3)
+        if rng.random() < 0.25:
+            out["required"] = rng.sample(KEYS, rng.randint(1, 2))
+        if rng.random() < 0.6:
+            out["properties"] = {k: sub() for k in rng.sample(KEYS, rng.randint(1, 3))}
+        if rng.random() < 0.5:
+            out["patternProperties"] = {p: sub()
+                                        for p in rng.sample(KEY_PATTERNS, rng.randint(1, 2))}
+        if rng.random() < 0.5:
+            out["additionalProperties"] = sub()
+        return out
+    out = {"type": "array"}
+    if rng.random() < 0.6:
+        out["items"] = [sub() for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        out["uniqueItems"] = rng.random() < 0.8
+    if rng.random() < 0.5:
+        out["additionalItems"] = sub()
+    return out
+
+
+def random_schema(rng, depth=3) -> dict:
+    """A raw schema with zero to three definitions.  Each definition may
+    name the ones after it in a shuffled order without descending (so
+    their unshielded references are acyclic), and any definition,
+    itself included, below a descent."""
+    names = rng.sample(["d0", "d1", "d2"], rng.randint(0, 3))
+    defs = {name: random_schema_value(rng, depth, tuple(names[i + 1:]), tuple(names))
+            for i, name in enumerate(names)}
+    root = random_schema_value(rng, depth, tuple(names), tuple(names))
+    if names and rng.random() < 0.5:
+        root = {"allOf": [root, _ref(rng.choice(names))]}
+    return {"definitions": defs, **root} if defs else root
+
+
+def schema_keywords(raw) -> set:
+    """Every keyword used anywhere in a raw schema."""
+    out, todo = set(), [raw]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            out |= set(node)
+            for key in ("definitions", "properties", "patternProperties"):
+                todo.extend(node.get(key, {}).values())
+            for key in ("not", "additionalProperties", "additionalItems"):
+                if key in node:
+                    todo.append(node[key])
+            for key in ("allOf", "anyOf", "items"):
+                todo.extend(node.get(key, []))
+    return out & SCHEMA_KEYWORDS
 
 
 # -- brute QBF evaluation ---------------------------------------------------------------

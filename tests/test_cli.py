@@ -244,3 +244,13 @@ def test_query_deep_document_node(files, capsys):
     assert main(["query", doc, "--formula", "eq(eps, 0)", "--node", "/".join(["a"] * n)]) == 0
     assert capsys.readouterr().out.strip() == "true"
     assert main(["query", doc, "--formula", "eq(eps, 0)", "--node", "/".join(["a"] * 10)]) == 1
+
+
+def test_internal_error_exit_2(files, capsys):
+    doc = files("e.json", "{}")
+    # the formula parser recurses once per `!`
+    formula = files("f.jsl", "!" * 3000 + "true")
+    assert main(["validate", doc, formula, "--logic", "jsl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: RecursionError: ")

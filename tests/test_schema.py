@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,8 +13,16 @@ from jlogic.errors import (
     UnknownKeyword,
     UnresolvableRef,
 )
+from jlogic.cli import main
 from jlogic.tree import parse_document
-from helpers import random_value
+from helpers import (
+    SCHEMA_KEYWORDS,
+    oracle_schema,
+    random_schema,
+    random_tree,
+    random_value,
+    schema_keywords,
+)
 
 # one schema per row, covering every supported keyword at least once
 CORPUS = [
@@ -181,7 +190,8 @@ def test_differential_corpus():
             direct = sch.validate_schema(doc, schema)
             via_logic = jsl.validate(doc, compiled)
             round_trip = sch.validate_schema(doc, back)
-            assert direct == via_logic == round_trip, (text, jt.serialize(doc))
+            oracle = oracle_schema(doc, schema)
+            assert direct == via_logic == round_trip == oracle, (text, jt.serialize(doc))
 
 
 def test_recursive_schema_matches_recursive_logic():
@@ -264,3 +274,77 @@ def test_blowup_cap():
     phi = jsl.parse_jsl("maxCh(500) || box(1:400) int")
     with pytest.raises(sch.BlowupLimitExceeded):
         sch.jsl_to_schema(phi, size_cap=100)
+
+
+def _logic_verdict(tree, doc):
+    """The root verdict of the schema's formula: ``jsl.holds`` on it, or on
+    its unfolding to the document's height when the schema is recursive."""
+    compiled = sch.schema_to_jsl(doc)
+    if isinstance(compiled, rec.RecursiveJslExpr):
+        compiled = rec.unfold(compiled, jt.height(tree))
+    return jsl.holds(tree, 0, compiled)
+
+
+def test_random_schemas_match_both_oracles():
+    rng = random.Random(61)
+    keywords, features, verdicts = set(), set(), set()
+    for _ in range(200):
+        raw = random_schema(rng)
+        keywords |= schema_keywords(raw)
+        doc = sch.parse_schema(json.dumps(raw))
+        for name, ast in doc.definitions:
+            if name in sch._refs(ast) - sch._refs(ast, only_unshielded=True):
+                features.add("shielded self-reference")
+            if sch._refs(ast, only_unshielded=True):
+                features.add("unshielded reference between definitions")
+        for _ in range(12):
+            tree = random_tree(rng, 3, 3)
+            got = sch.validate_schema(tree, doc)
+            assert got == oracle_schema(tree, doc) == _logic_verdict(tree, doc), (
+                json.dumps(raw), jt.serialize(tree))
+            verdicts.add(got)
+    assert keywords == SCHEMA_KEYWORDS
+    assert features == {"shielded self-reference", "unshielded reference between definitions"}
+    assert verdicts == {True, False}
+
+
+# the recursive schema that used to recurse once per document level
+DEEP_SCHEMA = ('{"definitions": {"g": {"anyOf": [{"type": "number"},'
+               ' {"type": "object", "additionalProperties": {"$ref": "#/definitions/g"}}]}},'
+               ' "$ref": "#/definitions/g"}')
+
+
+@pytest.mark.parametrize("depth", [5000, 5001])
+@pytest.mark.parametrize("leaf,valid", [("0", True), ('"x"', False)])
+def test_deep_document_recursive_schema(tmp_path, capsys, depth, leaf, valid):
+    text = '{"a":' * depth + leaf + "}" * depth
+    assert sch.validate_schema(parse_document(text), sch.parse_schema(DEEP_SCHEMA)) is valid
+    doc, schema = tmp_path / "deep.json", tmp_path / "g.schema.json"
+    doc.write_text(text, encoding="utf-8")
+    schema.write_text(DEEP_SCHEMA, encoding="utf-8")
+    assert main(["validate", str(doc), str(schema)]) == (0 if valid else 1)
+    assert capsys.readouterr().out == ("VALID\n" if valid else "INVALID\n")
+
+
+def test_hundred_properties_with_additional():
+    types = [({"type": "number", "maximum": 5}, [0, 3]),
+             ({"type": "string", "pattern": "[a-z]+"}, ["x", "abc"]),
+             ({"type": "object"}, [{}]), ({"enum": [1, "x"]}, [1, "x"])]
+    raw = {"type": "object",
+           "properties": {f"p{i}": types[i % len(types)][0] for i in range(100)},
+           "patternProperties": {"q[0-9]": {"type": "number"}},
+           "additionalProperties": {"type": "array"}}
+    doc = sch.parse_schema(json.dumps(raw))
+    fits = {f"p{i}": types[i % len(types)][1] for i in range(100)}
+    fits.update({"q1": [0, 9], "q23": [[]], "r": [[], [1]], "p100": [[1]]})
+    rng = random.Random(67)
+    verdicts = set()
+    for _ in range(300):
+        # mostly values that fit the key, so that one misfit decides
+        value = {k: rng.choice(fits[k] if rng.random() < 0.9 else [9, "X", [], {}, 1])
+                 for k in rng.sample(sorted(fits), rng.randint(0, 12))}
+        tree = jt.from_python(value)
+        got = sch.validate_schema(tree, doc)
+        assert got == oracle_schema(tree, doc), json.dumps(value)
+        verdicts.add(got)
+    assert verdicts == {True, False}
