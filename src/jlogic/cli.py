@@ -28,10 +28,18 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of a file argument (``-`` for standard input).  A file that
+    cannot be read or is not UTF-8 is an input error that names it."""
+    name = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise JLogicError(f"cannot read {name}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise JLogicError(f"cannot read {name}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_node_arg(text: str):
@@ -274,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; returns its exit code.  Any exception other than an
-    engine error or a missing file is reported as ``error: internal: …``
-    with exit code 2, never as a negative verdict."""
+    """Run one command; returns its exit code.  Engine errors, unreadable
+    input files among them, print ``error: …``; any other exception is
+    reported as ``error: internal: …``.  Both exit 2, never a negative
+    verdict."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -284,7 +293,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (JLogicError, FileNotFoundError) as exc:
+    except JLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # the boundary: a crash must not read as a verdict

@@ -20,11 +20,20 @@ keeps returned witnesses node-count minimal.  Navigational formulas
 translate into the schema logic first; those outside the translatable
 fragment (two-path equality, closure) fall back to enumerating every
 distinct tree, where only the candidate budget keeps things finite.
+
+A candidate's bit mask comes before anything else of it: its modal bits
+are read off per-level contribution tables keyed by (key or position,
+child mask), its node tests run as closures, and the connectives follow
+through a per-level memo.  Only stored representatives and root witnesses
+get an identity (canonical text and subtree class id, and python values
+for the returned witness), so a candidate that falls into an already full
+class costs a few table lookups.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -73,63 +82,87 @@ class SatVerdict:
 
 
 class _Cand:
-    """A candidate tree kept in cheap parts: python value, canonical text,
-    subtree class id, and the truth mask of the compiled formula bits."""
+    """A candidate tree: its shape and the truth mask of the compiled
+    formula bits.  Its identity (canonical text, subtree class id) is filled
+    in only once it is kept: as a stored representative or a root witness."""
 
-    __slots__ = ("kind", "value", "children", "py", "serial", "cid",
-                 "size", "mask")
+    __slots__ = ("kind", "value", "children", "size", "mask", "serial", "cid")
 
-    def __init__(self, kind, value, children, py, serial, cid, size):
+    def __init__(self, kind, value, children, size, serial=None):
         self.kind = kind
         self.value = value
-        self.children = children  # ((key or None, _Cand), ...)
-        self.py = py
-        self.serial = serial
-        self.cid = cid
+        self.children = children  # ((key or 0-based position, _Cand), ...)
         self.size = size
+        self.serial = serial
         self.mask = 0
+        self.cid = None
 
     def order_key(self):
         return (_KIND_RANK[self.kind], self.serial)
 
 
-def _leaf(kind, value, table) -> _Cand:
+def _leaf(kind, value) -> _Cand:
     if kind == "int":
-        return _Cand("int", value, (), value, str(value), jt.intern_class(table, value), 1)
+        return _Cand("int", value, (), 1, str(value))
     if kind == "str":
-        text = json.dumps(value, ensure_ascii=False)
-        return _Cand("str", value, (), value, text, jt.intern_class(table, value), 1)
-    if kind == "obj":
-        return _Cand("obj", None, (), {}, "{}", jt.intern_class(table, keys=()), 1)
-    return _Cand("arr", None, (), [], "[]", jt.intern_class(table), 1)
+        return _Cand("str", value, (), 1, json.dumps(value, ensure_ascii=False))
+    return _Cand(kind, None, (), 1, "{}" if kind == "obj" else "[]")
 
 
-def _key_texts(keys) -> dict:
-    """Each key's canonical ``"key":`` prefix, rendered once per search."""
-    return {k: json.dumps(k, ensure_ascii=False) + ":" for k in keys}
+def _serial(cand, key_text) -> str:
+    """Canonical text of a composite; its children are stored representatives,
+    whose texts are known."""
+    if cand.kind == "obj":
+        return "{" + ",".join(key_text[k] + r.serial for k, r in cand.children) + "}"
+    return "[" + ",".join(r.serial for _, r in cand.children) + "]"
 
 
-def _make_obj(keys, reps, table, key_text) -> _Cand:
-    children = tuple(zip(keys, reps))
-    py = {k: r.py for k, r in children}
-    serial = "{" + ",".join(key_text[k] + r.serial for k, r in children) + "}"
-    ordered = sorted((k, r.cid) for k, r in children)
-    cid = jt.intern_class(table, keys=tuple(k for k, _ in ordered),
-                          child_ids=tuple(c for _, c in ordered))
-    size = 1 + sum(r.size for r in reps)
-    return _Cand("obj", None, children, py, serial, cid, size)
+def _cid(cand, table) -> int:
+    """Subtree class id, interned on first use; children, being stored
+    representatives, already have theirs."""
+    cid = cand.cid
+    if cid is None:
+        if cand.kind == "obj":
+            ordered = sorted((k, r.cid) for k, r in cand.children)
+            cid = jt.intern_class(table, keys=tuple(k for k, _ in ordered),
+                                  child_ids=tuple(c for _, c in ordered))
+        elif cand.kind == "arr":
+            cid = jt.intern_class(table, child_ids=tuple(r.cid for _, r in cand.children))
+        else:
+            cid = jt.intern_class(table, cand.value)
+        cand.cid = cid
+    return cid
 
 
-def _make_arr(reps, table) -> _Cand:
-    children = tuple((None, r) for r in reps)
-    py = [r.py for r in reps]
-    serial = "[" + ",".join(r.serial for r in reps) + "]"
-    cid = jt.intern_class(table, child_ids=tuple(r.cid for r in reps))
-    size = 1 + sum(r.size for r in reps)
-    return _Cand("arr", None, children, py, serial, cid, size)
+def _to_py(cand):
+    """The candidate as python values; only a witness needs them."""
+    if cand.kind == "obj":
+        return {k: _to_py(r) for k, r in cand.children}
+    if cand.kind == "arr":
+        return [_to_py(r) for _, r in cand.children]
+    return cand.value
 
 
 # -- the compiled formula program ----------------------------------------------------
+
+_CONNECTIVES = ("true", "not", "copy", "and", "or")
+
+
+def _connective_step(ins):
+    """Closure ``step(bits)`` giving a connective's truth from the same-node
+    bits computed before it."""
+    op = ins[0]
+    if op == "true":
+        return lambda bits: True
+    m = 1 << ins[1]
+    if op == "not":
+        return lambda bits: not bits & m
+    if op == "copy":
+        return lambda bits: bits & m != 0
+    m |= 1 << ins[2]
+    if op == "and":
+        return lambda bits: bits & m == m
+    return lambda bits: bits & m != 0
 
 
 class _Program:
@@ -138,14 +171,14 @@ class _Program:
     Each distinct subformula owns one bit; a candidate's bit is computed
     from its own shape plus the already-final bit masks of its children,
     so interchangeability classes are read straight off the mask.  The
-    instruction list is the same-node dependency graph; ``compile_steps``
-    turns it into closures once per search.
+    instruction list is the same-node dependency graph; ``_LevelTables``
+    turns it into tables and closures once per search.
     """
 
     def __init__(self, table):
         self.table = table  # subtree intern table shared with the candidates
         self.instrs = []
-        self.bit_of = {}
+        self.bit_of = {}  # instruction (or SymbolRef placeholder) -> bit
         self.eq_bits = {}
         self.phi_bit = None
         self.has_counts = False
@@ -214,53 +247,52 @@ class _Program:
         self._eval_order = order
         return order
 
-    def _emit(self, phi, ins) -> int:
+    def _emit(self, key, ins) -> int:
         idx = len(self.instrs)
         self.instrs.append(ins)
-        self.bit_of[phi] = idx
+        self.bit_of[key] = idx
         return idx
 
-    def _eq_bit(self, cid) -> int:
-        bit = self.eq_bits.get(cid)
-        if bit is None:
-            bit = len(self.instrs)
-            self.instrs.append(("eqid", cid))
-            self.eq_bits[cid] = bit
-        return bit
+    def _ins_bit(self, ins) -> int:
+        """The bit of an instruction; equal instructions share one."""
+        hit = self.bit_of.get(ins)
+        return hit if hit is not None else self._emit(ins, ins)
 
     def _register_const(self, const: JsonTree) -> int:
         """Equality bits for every subtree of the constant; its root's id."""
         self.has_equality = True
         ids = jt.label_subtrees(const, self.table)
         for cid in ids:
-            self._eq_bit(cid)
+            self.eq_bits[cid] = self._ins_bit(("eqid", cid))
         return ids[0]
 
     def _bit(self, phi: jsl.JslFormula) -> int:
-        hit = self.bit_of.get(phi)
-        if hit is not None:
-            return hit
-        if isinstance(phi, jsl.Top):
-            return self._emit(phi, ("true",))
-        if isinstance(phi, jsl.Not):
-            return self._emit(phi, ("not", self._bit(phi.body)))
-        if isinstance(phi, jsl.And):
-            return self._emit(phi, ("and", self._bit(phi.lhs), self._bit(phi.rhs)))
-        if isinstance(phi, jsl.Or):
-            return self._emit(phi, ("or", self._bit(phi.lhs), self._bit(phi.rhs)))
-        if isinstance(phi, jsl.Atom):
-            return self._emit(phi, self._test_ins(phi.test))
-        if isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):
-            body = self._bit(phi.body)
-            op = "boxkey" if isinstance(phi, jsl.BoxKey) else "diakey"
-            return self._emit(phi, (op, phi.pattern, body))
-        if isinstance(phi, (jsl.BoxIdx, jsl.DiaIdx)):
-            body = self._bit(phi.body)
-            op = "boxidx" if isinstance(phi, jsl.BoxIdx) else "diaidx"
-            return self._emit(phi, (op, phi.lo, phi.hi, body))
+        """The subformula's bit.  Bits are found by instruction (operator,
+        operand bits, atom), so equal subformulas share one without the
+        formula itself being hashed; a definition's placeholder is found by
+        its SymbolRef."""
         if isinstance(phi, jsl.SymbolRef):
-            return self._emit(phi, ("copy", None))  # patched after the body
-        raise TypeError(f"not a formula: {phi!r}")
+            hit = self.bit_of.get(phi)
+            return hit if hit is not None else self._emit(phi, ("copy", None))
+        if isinstance(phi, jsl.Top):
+            ins = ("true",)
+        elif isinstance(phi, jsl.Not):
+            ins = ("not", self._bit(phi.body))
+        elif isinstance(phi, jsl.And):
+            ins = ("and", self._bit(phi.lhs), self._bit(phi.rhs))
+        elif isinstance(phi, jsl.Or):
+            ins = ("or", self._bit(phi.lhs), self._bit(phi.rhs))
+        elif isinstance(phi, jsl.Atom):
+            ins = self._test_ins(phi.test)
+        elif isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):
+            op = "boxkey" if isinstance(phi, jsl.BoxKey) else "diakey"
+            ins = (op, phi.pattern, self._bit(phi.body))
+        elif isinstance(phi, (jsl.BoxIdx, jsl.DiaIdx)):
+            op = "boxidx" if isinstance(phi, jsl.BoxIdx) else "diaidx"
+            ins = (op, phi.lo, phi.hi, self._bit(phi.body))
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        return self._ins_bit(ins)
 
     def _test_ins(self, test: jsl.NodeTest):
         if isinstance(test, jsl.KindTest):
@@ -294,96 +326,38 @@ class _Program:
             accept = self._filters[pattern] = rx.word_filter(pattern)
         return accept
 
-    def compile_steps(self) -> list:
-        """One closure ``step(cand, bits)`` per instruction, giving the
-        instruction's truth on the candidate (0/1 or a bool).  ``bits`` holds
-        the candidate's same-node bits computed so far; children are read
-        through their finished masks."""
-        return [self._compile_step(ins) for ins in self.instrs]
-
-    def _compile_step(self, ins):
+    def test_step(self, ins):
+        """Closure ``test(cand)`` giving a node test's truth on a candidate."""
         op = ins[0]
-        if op == "true":
-            return lambda cand, bits: 1
-        if op == "not":
-            m = 1 << ins[1]
-            return lambda cand, bits: not bits & m
-        if op == "copy":
-            m = 1 << ins[1]
-            return lambda cand, bits: bits & m != 0
-        if op == "and":
-            m = (1 << ins[1]) | (1 << ins[2])
-            return lambda cand, bits: bits & m == m
-        if op == "or":
-            m = (1 << ins[1]) | (1 << ins[2])
-            return lambda cand, bits: bits & m != 0
-        if op in ("diakey", "boxkey"):
-            accept, body = self._filter(ins[1]), 1 << ins[2]
-            if op == "diakey":
-                def step(cand, bits):
-                    if cand.kind != "obj":
-                        return 0
-                    for k, r in cand.children:
-                        if r.mask & body and accept(k):
-                            return 1
-                    return 0
-            else:
-                def step(cand, bits):
-                    if cand.kind != "obj":
-                        return 1
-                    for k, r in cand.children:
-                        if not r.mask & body and accept(k):
-                            return 0
-                    return 1
-            return step
-        if op in ("diaidx", "boxidx"):
-            lo, hi, body = ins[1] - 1, ins[2], 1 << ins[3]
-            if op == "diaidx":
-                def step(cand, bits):
-                    if cand.kind != "arr":
-                        return 0
-                    for _, r in cand.children[lo:hi]:
-                        if r.mask & body:
-                            return 1
-                    return 0
-            else:
-                def step(cand, bits):
-                    if cand.kind != "arr":
-                        return 1
-                    for _, r in cand.children[lo:hi]:
-                        if not r.mask & body:
-                            return 0
-                    return 1
-            return step
         if op == "kind":
             kind = ins[1]
-            return lambda cand, bits: cand.kind == kind
+            return lambda cand: cand.kind == kind
         if op == "patt":
             accept = self._filter(ins[1])
-            return lambda cand, bits: cand.kind == "str" and accept(cand.value)
+            return lambda cand: cand.kind == "str" and accept(cand.value)
         if op == "min":
             bound = ins[1]
-            return lambda cand, bits: cand.kind == "int" and cand.value >= bound
+            return lambda cand: cand.kind == "int" and cand.value >= bound
         if op == "max":
             bound = ins[1]
-            return lambda cand, bits: cand.kind == "int" and cand.value <= bound
+            return lambda cand: cand.kind == "int" and cand.value <= bound
         if op == "mult":
             d = ins[1]
             if d == 0:
-                return lambda cand, bits: cand.kind == "int" and cand.value == 0
-            return lambda cand, bits: cand.kind == "int" and cand.value % d == 0
+                return lambda cand: cand.kind == "int" and cand.value == 0
+            return lambda cand: cand.kind == "int" and cand.value % d == 0
         if op == "minch":
             count = ins[1]
-            return lambda cand, bits: len(cand.children) >= count
+            return lambda cand: len(cand.children) >= count
         if op == "maxch":
             count = ins[1]
-            return lambda cand, bits: len(cand.children) <= count
+            return lambda cand: len(cand.children) <= count
         if op == "uniq":
-            return lambda cand, bits: cand.kind == "arr" and \
+            return lambda cand: cand.kind == "arr" and \
                 len({r.cid for _, r in cand.children}) == len(cand.children)
         if op == "eqid":
-            cid = ins[1]
-            return lambda cand, bits: cand.cid == cid
+            cid, table = ins[1], self.table
+            return lambda cand: _cid(cand, table) == cid
         raise AssertionError(op)
 
     def allow_key_pruning(self) -> bool:
@@ -594,47 +568,124 @@ class _Budget:
         self.limit = limit
         self.spent = 0
 
-    def charge(self):
-        self.spent += 1
+    def charge(self, count):
+        self.spent += count
         if self.spent > self.limit:
             raise BoundsTooLarge(
                 f"search exceeded the candidate budget ({self.limit})")
 
 
-class _Level:
-    """Stored representatives for one distance from the root."""
+def _interval(lo, hi):
+    """Whether a 0-based position lies in the 1-based interval lo..hi."""
+    return lambda pos: lo <= pos + 1 and (hi is None or pos < hi)
 
-    def __init__(self):
+
+class _LevelTables:
+    """How a candidate at one distance from the root gets its bit mask.
+
+    Modal bits come from two contribution tables, one for keys and one for
+    0-based positions.  Each maps (key or position, child mask) to the dia
+    bits that child sets plus the box bits it violates, so a candidate's
+    modal bits are ``box_bits ^ (OR of its children's entries)``.  Node
+    tests run as closures.  The connectives depend on those two parts only,
+    so a memo from them to the full mask runs each connective once per
+    distinct mask, not once per candidate.
+    """
+
+    def __init__(self, program, read, closure, obj_keys, arrays):
+        self.read = read  # the class key: the bits a parent reads
+        self.obj_keys, self.arrays = obj_keys, arrays
+        self.box_bits = 0
+        # per kind: the modalities over its edge labels, and their table
+        self.modals = {"obj": [], "arr": []}
+        self.tables = {"obj": {}, "arr": {}}
+        self.tests, self.steps, self.memo = [], [], {}
+        for b in program._eval_sequence():
+            if b not in closure:
+                continue
+            ins, bit = program.instrs[b], 1 << b
+            op = ins[0]
+            if op in ("diakey", "boxkey"):
+                self.modals["obj"].append((bit, op == "boxkey", program._filter(ins[1]),
+                                           1 << ins[2]))
+            elif op in ("diaidx", "boxidx"):
+                self.modals["arr"].append((bit, op == "boxidx", _interval(ins[1], ins[2]),
+                                           1 << ins[3]))
+            elif op in _CONNECTIVES:
+                self.steps.append((bit, _connective_step(ins)))
+            else:
+                self.tests.append((bit, program.test_step(ins)))
+            if op in ("boxkey", "boxidx"):
+                self.box_bits |= bit
+
+    def evaluate(self, cand) -> None:
+        """Set the candidate's mask; its children's masks are final."""
+        acc = 0  # the OR of the children's table entries
+        modals = self.modals.get(cand.kind)
+        if modals:
+            table = self.tables[cand.kind]
+            for label, r in cand.children:
+                entry = table.get((label, r.mask))
+                if entry is None:
+                    entry = 0
+                    for bit, box, match, body in modals:
+                        if match(label) and (not r.mask & body) == box:
+                            entry |= bit
+                    table[label, r.mask] = entry
+                acc |= entry
+        base = self.box_bits ^ acc
+        for bit, test in self.tests:
+            if test(cand):
+                base |= bit
+        full = self.memo.get(base)
+        if full is None:
+            full = base
+            for bit, step in self.steps:
+                if step(full):
+                    full |= bit
+            self.memo[base] = full
+        cand.mask = full
+
+
+class _Level:
+    """Stored representatives for one distance from the root: per class,
+    up to ``multiplicity`` distinct subtrees."""
+
+    def __init__(self, multiplicity, table):
+        self.multiplicity = multiplicity
+        self.table = table
         self.by_size = {}
-        self.classes = {}
+        self.classes = {}  # class key -> class ids of the stored members
         self.max_size = 0
 
-    def store(self, cand, key, multiplicity) -> bool:
+    def is_full(self, key) -> bool:
         stored = self.classes.get(key)
-        if stored is None:
-            self.classes[key] = [cand.cid]
-        elif len(stored) < multiplicity and cand.cid not in stored:
-            stored.append(cand.cid)
-        else:
-            return False
+        return stored is not None and len(stored) >= self.multiplicity
+
+    def store(self, cand, key) -> None:
+        stored = self.classes.setdefault(key, set())
+        cid = _cid(cand, self.table)
+        if len(stored) >= self.multiplicity or cid in stored:
+            return
+        stored.add(cid)
         self.by_size.setdefault(cand.size, []).append(cand)
         if cand.size > self.max_size:
             self.max_size = cand.size
-        return True
 
 
-def _leaf_batch(inventory, budget, table) -> list:
-    out = [_leaf("obj", None, table), _leaf("arr", None, table)]
-    out.extend(_leaf("str", s, table) for s in inventory.strings)
-    out.extend(_leaf("int", v, table) for v in inventory.ints)
-    for _ in out:
-        budget.charge()
-    return sorted(out, key=_Cand.order_key)
+def _leaf_batch(inventory, budget, tables) -> list:
+    out = [_leaf("obj", None), _leaf("arr", None)]
+    out.extend(_leaf("str", s) for s in inventory.strings)
+    out.extend(_leaf("int", v) for v in inventory.ints)
+    budget.charge(len(out))
+    for cand in out:
+        tables.evaluate(cand)
+    return out
 
 
-def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table, key_text) -> list:
-    """All candidates with exactly n nodes over the stored child reps."""
-    out = []
+def _parent_batch(n, child_level, tables, width, budget):
+    """All candidates with exactly n nodes over the stored child reps, each
+    with its bit mask and nothing more."""
     sizes = sorted(child_level.by_size)
 
     def assignments(slots, total):
@@ -652,113 +703,109 @@ def _parent_batch(n, child_level, obj_keys, arrays, width, budget, table, key_te
                     acc.pop()
         yield from go(slots, total, [])
 
+    obj_keys, arrays, evaluate = tables.obj_keys, tables.arrays, tables.evaluate
     for k in range(1, min(width, n - 1) + 1):
         keysets = list(combinations(obj_keys, k)) if k <= len(obj_keys) else []
         if not keysets and not arrays:
             continue
         for reps in assignments(k, n - 1):
+            budget.charge(len(keysets) + (1 if arrays else 0))
             if arrays:
-                budget.charge()
-                out.append(_make_arr(reps, table))
+                cand = _Cand("arr", None, tuple(enumerate(reps)), n)
+                evaluate(cand)
+                yield cand
             for keyset in keysets:
-                budget.charge()
-                out.append(_make_obj(keyset, reps, table, key_text))
-    return sorted(out, key=_Cand.order_key)
+                cand = _Cand("obj", None, tuple(zip(keyset, reps)), n)
+                evaluate(cand)
+                yield cand
 
 
-def _staged_search(inventory, bounds, budget_limit, evaluate, is_witness, class_key,
-                   multiplicity, keys_at, table) -> Optional[JsonTree]:
+def _in_order(cands, key_text) -> list:
+    """The candidates with their canonical texts, smallest first."""
+    for cand in cands:
+        if cand.serial is None:
+            cand.serial = _serial(cand, key_text)
+    return sorted(cands, key=_Cand.order_key)
+
+
+def _staged_search(inventory, bounds, budget_limit, levels, phi_mask, multiplicity,
+                   confirm, table) -> Optional[_Cand]:
     """Bottom-up over distances from the root: the level at distance p is
     populated from the one at p+1, keeping one representative per
-    interchangeability class (more under array uniqueness).  Returns a
-    witness tree or None after exhausting the bounded space.
+    interchangeability class (up to ``multiplicity`` distinct subtrees per
+    class under array uniqueness).  Returns a witness or None after
+    exhausting the bounded space.
 
-    ``evaluate`` fills a candidate's bit mask; ``is_witness`` is only
-    consulted at distance 0; ``class_key(cand, p)`` defines the collapse.
+    Each candidate's bit mask comes first, from ``levels[p]``; its class
+    key is the mask's read bits.  Below the root a candidate whose class is
+    already full is dropped there.  The rest of a size batch get their
+    canonical texts and are stored smallest first, so each class keeps its
+    smallest members.  At the root nothing is stored: the candidates of a
+    batch whose mask holds ``phi_mask`` get their texts, and the smallest by
+    ``_Cand.order_key`` that ``confirm`` (when given) accepts is returned.
     """
     budget = _Budget(budget_limit)
     depth, width = bounds.max_depth, bounds.max_width
-    key_text = _key_texts(inventory.keys)
+    key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
     below = None
     for p in range(depth, -1, -1):
-        level = _Level()
-        for cand in _leaf_batch(inventory, budget, table):
-            evaluate(cand, p)
-            if p == 0 and is_witness(cand):
-                return cand
-            level.store(cand, class_key(cand, p), multiplicity)
+        tables = levels[p]
+        level = _Level(multiplicity, table)
+        batches = [_leaf_batch(inventory, budget, tables)]
         if below is not None and width > 0 and below.by_size:
-            obj_keys, arrays = keys_at(p)
-            ceiling = _full_tree_size(depth - p, width)
-            n = 2
-            while n <= ceiling and n <= 1 + width * below.max_size:
-                for cand in _parent_batch(n, below, obj_keys, arrays, width, budget, table,
-                                          key_text):
-                    evaluate(cand, p)
-                    if p == 0 and is_witness(cand):
+            ceiling = min(_full_tree_size(depth - p, width), 1 + width * below.max_size)
+            batches += (_parent_batch(n, below, tables, width, budget)
+                        for n in range(2, ceiling + 1))
+        read = tables.read
+        for batch in batches:
+            if p:
+                fresh = [c for c in batch if not level.is_full(c.mask & read)]
+                for cand in _in_order(fresh, key_text):
+                    level.store(cand, cand.mask & read)
+            else:
+                hits = [c for c in batch if c.mask & phi_mask]
+                for cand in _in_order(hits, key_text):
+                    if confirm is None or confirm(cand):
                         return cand
-                    level.store(cand, class_key(cand, p), multiplicity)
-                n += 1
         below = level
     return None
 
 
 def _class_search(program, inventory, bounds, budget, revalidate) -> SatVerdict:
-    profiles = program.depth_profiles(bounds.max_depth)
-    phi_bit = program.phi_bit
     multiplicity = max(1, bounds.max_width) if program.has_unique else 1
     prune = program.allow_key_pruning()
-    steps = program.compile_steps()
-    order = program._eval_sequence()
-    keys_by_depth, plans = [], []
-    for mask, closure, regs in profiles:
-        obj_keys = program.visible_keys(regs, inventory.keys)
+    levels = []
+    for read, closure, regs in program.depth_profiles(bounds.max_depth):
         arrays = (not prune) or any(program.instrs[b][0] in ("boxidx", "diaidx")
                                     for b in closure)
-        keys_by_depth.append((obj_keys, arrays))
-        # a node at distance p only needs the bits its parent, its class key
-        # and (at the root) the witness test read, plus their same-node closure
-        plans.append(tuple((1 << i, steps[i]) for i in order if i in closure))
-
-    def evaluate(cand, p):
-        bits = 0
-        for bit, step in plans[p]:
-            if step(cand, bits):
-                bits |= bit
-        cand.mask = bits
-
-    def is_witness(cand):
-        return (cand.mask >> phi_bit) & 1
-
-    def class_key(cand, p):
-        return cand.mask & profiles[p][0]
-
-    found = _staged_search(inventory, bounds, budget, evaluate, is_witness,
-                           class_key, multiplicity, lambda p: keys_by_depth[p], program.table)
+        levels.append(_LevelTables(program, read, closure,
+                                   program.visible_keys(regs, inventory.keys), arrays))
+    found = _staged_search(inventory, bounds, budget, levels, 1 << program.phi_bit,
+                           multiplicity, None, program.table)
     if found is None:
         return SatVerdict(False, None, bounds)
-    tree = jt.from_python(found.py)
+    tree = jt.from_python(_to_py(found))
     if not revalidate(tree):
         raise RuntimeError(f"search/evaluator disagreement on {found.serial}")
     return SatVerdict(True, tree, bounds)
 
 
 def _exhaustive_search(formula, bounds, budget, table) -> SatVerdict:
-    """Every distinct tree, no collapsing; for the untranslatable fragment."""
+    """Every distinct tree, no collapsing; for the untranslatable fragment.
+
+    The program is just ``true``: every candidate of a level falls in one
+    class with no bound on its distinct members, and the root candidates go
+    to the evaluator in order until one satisfies the formula."""
     inventory = _collect_jnl(formula, bounds.max_atoms)
+    program = _Program(table).compile_formula(jsl.TOP)
+    levels = [_LevelTables(program, read, closure, inventory.keys, True)
+              for read, closure, _ in program.depth_profiles(bounds.max_depth)]
 
-    def evaluate(cand, p):
-        pass
+    def confirm(cand):
+        return jnl.eval_membership(jt.from_python(_to_py(cand)), formula, ())
 
-    def is_witness(cand):
-        tree = jt.from_python(cand.py)
-        return jnl.eval_membership(tree, formula, ())
-
-    def class_key(cand, p):
-        return cand.cid
-
-    found = _staged_search(inventory, bounds, budget, evaluate, is_witness,
-                           class_key, 1, lambda p: (inventory.keys, True), table)
+    found = _staged_search(inventory, bounds, budget, levels, 1 << program.phi_bit,
+                           math.inf, confirm, table)
     if found is None:
         return SatVerdict(False, None, bounds)
-    return SatVerdict(True, jt.from_python(found.py), bounds)
+    return SatVerdict(True, jt.from_python(_to_py(found)), bounds)

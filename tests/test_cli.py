@@ -182,6 +182,26 @@ def test_missing_file_exit_2(capsys):
     assert main(["query", "/nonexistent/file.json", "--formula", "true"]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "query"])
+@pytest.mark.parametrize("bad", ["not_utf8", "directory"])
+def test_unreadable_document_exit_2(files, tmp_path, capsys, command, bad):
+    if bad == "directory":
+        doc = str(tmp_path)
+    else:
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+        doc = str(tmp_path / "bad.json")
+    if command == "validate":
+        argv = ["validate", doc, files("s.json", "{}")]
+    else:
+        argv = ["query", doc, "--formula", "true"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert doc in captured.err
+    assert "internal" not in captured.err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["compile", "x", "--from", "schema"]) == 2
 

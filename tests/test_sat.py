@@ -6,8 +6,10 @@ import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.tree as jt
+from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision.encode import qbf_truth
+from jlogic.decision.search import _Program
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
 from helpers import (JSL_FEATURES, jsl_features, oracle_qbf, random_jsl, random_well_formed,
@@ -266,3 +268,68 @@ def test_qbf_validation():
         Qbf((("exists", "x1"),), ((("x2", True),),))
     with pytest.raises(ValueError):
         Qbf((("some", "x1"),), ())
+
+
+def test_repeated_subformulas_share_one_instruction():
+    # equal subformulas built as distinct objects still get one bit each
+    def part():
+        return jsl.parse_jsl('(dia("a") int || box(1:2) !str) && obj')
+    phi = jsl.And(jsl.Or(part(), jsl.Not(part())), jsl.And(part(), jsl.TOP))
+    program = _Program({}).compile_formula(phi)
+    assert len(program.instrs) == len(set(jsl.subformulas(phi)))
+    assert program.phi_bit == len(program.instrs) - 1
+
+
+PINNED_CNF = [[("x1", True), ("x2", False), ("x3", True)],
+              [("x1", False), ("x2", True), ("x4", False)],
+              [("x2", False), ("x3", False), ("x4", True)],
+              [("x1", True), ("x3", True), ("x4", True)]]
+PINNED_CONTRADICTION = [[("x1", True)], [("x1", False)], [("x2", True), ("x1", True)]]
+PINNED_QBF_TRUE = Qbf((("forall", "x1"), ("exists", "x2")),
+                      ((("x1", True), ("x2", True)), (("x1", False), ("x2", False))))
+PINNED_QBF_FALSE = Qbf((("forall", "x1"), ("exists", "x2")),
+                       ((("x1", True), ("x2", True)), (("x1", True), ("x2", False))))
+
+
+@pytest.mark.parametrize("logic,formula,bounds,expected", [
+    pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CNF)), (2, 5, 8),
+                 '{"x1":[{}],"x2":[{}],"x3":[{}],"x4":[{}]}', id="3cnf"),
+    pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CONTRADICTION)), (2, 3, 5), None,
+                 id="3cnf-unsat"),
+    pytest.param("jsl", jsl.to_text(encode_qbf(PINNED_QBF_TRUE)), (4, 2, 5),
+                 '{"X":{"F":{"X":{"T":{}}},"T":{"X":{"F":{}}}}}', id="qbf"),
+    pytest.param("jsl", jsl.to_text(encode_qbf(PINNED_QBF_FALSE)), (4, 2, 5), None,
+                 id="qbf-unsat"),
+    pytest.param("jsl", "arr && unique && minCh(3)", (2, 3, 3), '["s",[],{}]', id="unique"),
+    pytest.param("jsl", "arr && !unique && minCh(2) && dia(1) arr", (2, 3, 3), "[[],[]]",
+                 id="not-unique"),
+    pytest.param("jsl", 'obj && dia("a") same({"b": [1, "x"]})', (3, 2, 4),
+                 '{"a":{"b":[1,"x"]}}', id="same-below"),
+    pytest.param("jsl", 'arr && dia(2) same([1, "a"]) && !same([[1, "a"], [1, "a"]])',
+                 (3, 2, 4), '["a",[1,"a"]]', id="same-root"),
+    pytest.param("rjsl", "let g = !(dia(1) true) || (minCh(2) && maxCh(2) && !unique "
+                         "&& box(1:2) g); in g && arr && minCh(1)", (3, 3, 3), '["s","s"]',
+                 id="recursive-pairs"),
+    pytest.param("rjsl", 'let g = int || (obj && dia(/a|b/) g && box(/.*/) g); '
+                         'in g && obj && dia("b") obj', (3, 2, 4), '{"b":{"a":0}}',
+                 id="recursive-keys"),
+    pytest.param("jsl", "arr && dia(2:3) (int && min(4)) && box(1:1) str && !box(3:*) int",
+                 (2, 4, 4), '["s",4,"s"]', id="index-intervals"),
+    pytest.param("jsl", 'obj && box(/a|b/) (arr && minCh(1)) && dia(/b/) true '
+                        '&& dia("c") (int && multOf(3) && min(1))', (3, 3, 5),
+                 '{"b":[{}],"c":3}', id="box-keys"),
+    pytest.param("jsl", 'obj && box(/a|b/) int && dia("a") true && !dia("b") true '
+                        '&& dia(/c/) str', (2, 3, 4), '{"a":0,"c":"s"}', id="box-dia-keys"),
+    pytest.param("jnl", 'eq(@"a", @"b") && [@"a" / #1]', (2, 2, 3), '{"a":["s"],"b":["s"]}',
+                 id="eqpaths"),
+    pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", id="star"),
+])
+def test_pinned_witness(capsys, logic, formula, bounds, expected):
+    # the exact minimal witness (or bound) the search reports, through the CLI
+    rc = main(["sat", "--logic", logic, "--formula", formula, "--max-depth", str(bounds[0]),
+               "--max-width", str(bounds[1]), "--max-atoms", str(bounds[2])])
+    out = capsys.readouterr().out
+    if expected is None:
+        assert (rc, out) == (1, "UNSAT up to ({},{},{})\n".format(*bounds))
+    else:
+        assert (rc, out) == (0, f"SAT\n{expected}\n")
