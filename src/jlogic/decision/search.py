@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from typing import Optional
 
 from .. import jnl
@@ -686,29 +686,15 @@ def _leaf_batch(inventory, budget, tables) -> list:
 def _parent_batch(n, child_level, tables, width, budget):
     """All candidates with exactly n nodes over the stored child reps, each
     with its bit mask and nothing more."""
-    sizes = sorted(child_level.by_size)
-
-    def assignments(slots, total):
-        def go(remaining_slots, remaining_total, acc):
-            if remaining_slots == 0:
-                if remaining_total == 0:
-                    yield tuple(acc)
-                return
-            for size in sizes:
-                if size > remaining_total - (remaining_slots - 1):
-                    break
-                for rep in child_level.by_size[size]:
-                    acc.append(rep)
-                    yield from go(remaining_slots - 1, remaining_total - size, acc)
-                    acc.pop()
-        yield from go(slots, total, [])
-
+    sizes, by_size = sorted(child_level.by_size), child_level.by_size
     obj_keys, arrays, evaluate = tables.obj_keys, tables.arrays, tables.evaluate
     for k in range(1, min(width, n - 1) + 1):
         keysets = list(combinations(obj_keys, k)) if k <= len(obj_keys) else []
         if not keysets and not arrays:
             continue
-        for reps in assignments(k, n - 1):
+        tuples = (product(*(by_size[size] for size in comp))
+                  for comp in _compositions(sizes, k, n - 1))
+        for reps in chain.from_iterable(tuples):
             budget.charge(len(keysets) + (1 if arrays else 0))
             if arrays:
                 cand = _Cand("arr", None, tuple(enumerate(reps)), n)
@@ -718,6 +704,16 @@ def _parent_batch(n, child_level, tables, width, budget):
                 cand = _Cand("obj", None, tuple(zip(keyset, reps)), n)
                 evaluate(cand)
                 yield cand
+
+
+def _compositions(sizes, slots, total) -> list:
+    """Every tuple of ``slots`` entries of ``sizes`` (all at least 1) that
+    sums to ``total``, built one slot at a time."""
+    found = [()]
+    for left in range(slots - 1, -1, -1):  # slots still open after this one
+        found = [comp + (size,) for comp in found for size in sizes
+                 if size <= total - sum(comp) - left]
+    return [comp for comp in found if sum(comp) == total]
 
 
 def _in_order(cands, key_text) -> list:

@@ -15,10 +15,24 @@ Concrete syntax (whitespace-insensitive)::
              alpha / beta  (alpha)*  test(phi)
 
 Array positions are 1-based on this surface.
+
+Evaluation compiles a unary formula once per call into closures over the
+tree's columns and runs them bottom-up in reverse pre-order: ids are
+pre-order and paths only move down, so a node's successors are settled
+before it.  All but eq(alpha, beta) is translated into the recursive schema
+logic, a closure ``alpha*`` followed by K becoming the shielded definition
+``g = K || <alpha> g`` (``translate._jnl_to_recursive``), and run by
+``jsl.compile_formula`` and ``recursive._sat_tables``.  An eq(alpha, beta)
+walks each node once when both paths are functional and otherwise fills
+sets of reachable subtree class ids.  Membership evaluates only the node's
+subtree.  Only ``eval_binary`` materializes the relation of a path
+formula: up to n² pairs under a closure.
 """
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,27 +171,14 @@ def _walk(u):
     while stack:
         f = stack.pop()
         yield f
-        if isinstance(f, Not):
+        if isinstance(f, (Not, Test, Star)):
             stack.append(f.body)
-        elif isinstance(f, (And, Or)):
+        elif isinstance(f, (And, Or, Compose)):
             stack.extend((f.lhs, f.rhs))
-        elif isinstance(f, Exists):
-            stack.append(f.path)
-        elif isinstance(f, EqConst):
+        elif isinstance(f, (Exists, EqConst)):
             stack.append(f.path)
         elif isinstance(f, EqPaths):
             stack.extend((f.left, f.right))
-        elif isinstance(f, Test):
-            stack.append(f.body)
-        elif isinstance(f, Compose):
-            stack.extend((f.lhs, f.rhs))
-        elif isinstance(f, Star):
-            stack.append(f.body)
-
-
-def is_deterministic(u: JnlUnary) -> bool:
-    """No regex axes, no interval axes, no closure."""
-    return not any(isinstance(f, (KeyRegexAxis, IdxRangeAxis, Star)) for f in _walk(u))
 
 
 def uses_eqpaths(u: JnlUnary) -> bool:
@@ -458,235 +459,219 @@ def _pb(b) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
+_EMPTY = frozenset()
 
-class _Eval:
-    """Bottom-up evaluator; one instance per (tree, top-level call)."""
 
-    def __init__(self, tree: JsonTree):
-        self.tree = tree
-        self.all_nodes = frozenset(range(tree.size))
-        self._sat = {}
-        self._pairs = {}
+def stays(b: JnlBinary) -> Optional[JnlUnary]:
+    """Where the path formula relates a node to itself: a unary formula
+    (TOP for everywhere) or None for nowhere."""
+    if isinstance(b, (Eps, Star)):
+        return TOP
+    if isinstance(b, Test):
+        return b.body
+    if isinstance(b, Compose):
+        lhs, rhs = stays(b.lhs), stays(b.rhs)
+        if lhs is None or rhs is None:
+            return None
+        return rhs if lhs is TOP else lhs if rhs is TOP else And(lhs, rhs)
+    return None
 
-    def sat(self, u: JnlUnary) -> frozenset:
-        hit = self._sat.get(id(u))
-        if hit is not None:
-            return hit
-        tree = self.tree
-        if isinstance(u, Top):
-            out = self.all_nodes
-        elif isinstance(u, Not):
-            out = self.all_nodes - self.sat(u.body)
-        elif isinstance(u, And):
-            out = self.sat(u.lhs) & self.sat(u.rhs)
-        elif isinstance(u, Or):
-            out = self.sat(u.lhs) | self.sat(u.rhs)
-        elif isinstance(u, Exists):
-            out = frozenset(self.pre(u.path, self.all_nodes))
-        elif isinstance(u, EqConst):
-            cid = tree.const_id(u.const)
-            targets = {n for n, c in enumerate(tree.subtree_ids()) if c == cid}
-            out = frozenset(self.pre(u.path, targets))
-        elif isinstance(u, EqPaths):
-            out = self._eq_paths(u)
-        else:
-            raise TypeError(f"not a unary formula: {u!r}")
-        self._sat[id(u)] = out
+
+def strict_paths(b: JnlBinary) -> list:
+    """Path formulas that each start with a move, whose union relates a
+    node to its b-successors strictly below it; empty when b never moves."""
+    if isinstance(b, (Eps, Test)):
+        return []
+    if isinstance(b, Compose):
+        out = [Compose(p, b.rhs) for p in strict_paths(b.lhs)]
+        stay = stays(b.lhs)
+        if stay is not None:
+            out += [p if stay is TOP else Compose(Test(stay), p) for p in strict_paths(b.rhs)]
         return out
-
-    def _eq_paths(self, u: EqPaths) -> frozenset:
-        ids = self.tree.subtree_ids()
-        ma = self.pairs(u.left)
-        mb = self.pairs(u.right)
-        out = set()
-        for n, ts in ma.items():
-            bs = mb.get(n)
-            if bs and not {ids[t] for t in ts}.isdisjoint([ids[s] for s in bs]):
-                out.add(n)
-        return frozenset(out)
-
-    # backward images: nodes with some alpha-successor inside `targets`
-
-    def pre(self, b: JnlBinary, targets) -> set:
-        tree = self.tree
-        if isinstance(b, Eps):
-            return set(targets)
-        if isinstance(b, Test):
-            return self.sat(b.body) & set(targets)
-        if isinstance(b, KeyAxis):
-            return {tree.parent(t) for t in targets
-                    if t != 0 and tree.edge_key(t) == b.key}
-        if isinstance(b, KeyRegexAxis):
-            pat = b.pattern
-            return {tree.parent(t) for t in targets
-                    if t != 0 and tree.edge_key(t) is not None
-                    and rx.matches(pat, tree.edge_key(t))}
-        if isinstance(b, IdxAxis):
-            want = b.pos - 1
-            return {tree.parent(t) for t in targets
-                    if t != 0 and tree.kind(tree.parent(t)) is NodeKind.ARR
-                    and tree.ordinal(t) == want}
-        if isinstance(b, IdxRangeAxis):
-            lo = b.lo - 1
-            hi = None if b.hi is None else b.hi - 1
-            return {tree.parent(t) for t in targets
-                    if t != 0 and tree.kind(tree.parent(t)) is NodeKind.ARR
-                    and lo <= tree.ordinal(t) and (hi is None or tree.ordinal(t) <= hi)}
-        if isinstance(b, Compose):
-            return self.pre(b.lhs, self.pre(b.rhs, targets))
-        if isinstance(b, Star):
-            reached = set(targets)
-            frontier = reached
-            while frontier:
-                frontier = self.pre(b.body, frontier) - reached
-                reached |= frontier
-            return reached
-        raise TypeError(f"not a path formula: {b!r}")
-
-    # forward pair maps (full materialization; EqPaths and the public API)
-
-    def pairs(self, b: JnlBinary) -> dict:
-        hit = self._pairs.get(id(b))
-        if hit is not None:
-            return hit
-        tree = self.tree
-        if isinstance(b, Eps):
-            out = {n: (n,) for n in self.all_nodes}
-        elif isinstance(b, Test):
-            out = {n: (n,) for n in self.sat(b.body)}
-        elif isinstance(b, KeyAxis):
-            out = {}
-            for t in self.all_nodes:
-                if t != 0 and tree.edge_key(t) == b.key:
-                    out[tree.parent(t)] = (t,)
-        elif isinstance(b, KeyRegexAxis):
-            out = {}
-            for t in self.all_nodes:
-                key = tree.edge_key(t) if t != 0 else None
-                if key is not None and rx.matches(b.pattern, key):
-                    out.setdefault(tree.parent(t), []).append(t)
-            out = {n: tuple(ts) for n, ts in out.items()}
-        elif isinstance(b, IdxAxis):
-            want = b.pos - 1
-            out = {}
-            for t in self.all_nodes:
-                if t != 0 and tree.kind(tree.parent(t)) is NodeKind.ARR and tree.ordinal(t) == want:
-                    out[tree.parent(t)] = (t,)
-        elif isinstance(b, IdxRangeAxis):
-            lo = b.lo - 1
-            hi = None if b.hi is None else b.hi - 1
-            out = {}
-            for t in self.all_nodes:
-                if t != 0 and tree.kind(tree.parent(t)) is NodeKind.ARR:
-                    o = tree.ordinal(t)
-                    if lo <= o and (hi is None or o <= hi):
-                        out.setdefault(tree.parent(t), []).append(t)
-            out = {n: tuple(ts) for n, ts in out.items()}
-        elif isinstance(b, Compose):
-            left = self.pairs(b.lhs)
-            right = self.pairs(b.rhs)
-            out = {}
-            for n, mids in left.items():
-                acc = set()
-                for m in mids:
-                    acc.update(right.get(m, ()))
-                if acc:
-                    out[n] = tuple(sorted(acc))
-        elif isinstance(b, Star):
-            step = self.pairs(b.body)
-            out = {}
-            for n in self.all_nodes:
-                seen = {n}
-                frontier = [n]
-                while frontier:
-                    nxt = []
-                    for m in frontier:
-                        for t in step.get(m, ()):
-                            if t not in seen:
-                                seen.add(t)
-                                nxt.append(t)
-                    frontier = nxt
-                out[n] = tuple(sorted(seen))
-        else:
-            raise TypeError(f"not a path formula: {b!r}")
-        self._pairs[id(b)] = out
-        return out
+    if isinstance(b, Star):
+        return [Compose(p, b) for p in strict_paths(b.body)]
+    return [b]
 
 
 def eval_unary(tree: JsonTree, u: JnlUnary) -> frozenset:
     """All node paths satisfying the formula."""
-    sat = _Eval(tree).sat(u)
-    return frozenset(tree.path_of(n) for n in sat)
+    return frozenset(tree.path_of(n) for n in eval_unary_ids(tree, u))
 
 
 def eval_unary_ids(tree: JsonTree, u: JnlUnary) -> frozenset:
     """Same as eval_unary but over internal integer ids (fast interface)."""
-    return _Eval(tree).sat(u)
-
-
-def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
-    """All (source path, target path) pairs the path formula selects."""
-    pairs = _Eval(tree).pairs(b)
-    return frozenset((tree.path_of(n), tree.path_of(t))
-                     for n, ts in pairs.items() for t in ts)
+    return frozenset(filter(_compile(tree, u, range(tree.size - 1, -1, -1)), tree.nodes()))
 
 
 def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
-    """Whether the node satisfies the formula.
-
-    Deterministic formulas (single-key/single-position axes, no closure)
-    take a pointwise path that never materializes node sets.
-    """
+    """Whether the node satisfies the formula.  Only the node's subtree is
+    evaluated: tables over it, and the formula's closures at the node."""
     n = tree.node_at(node)
-    if is_deterministic(u):
-        return _holds_det(tree, u, n, {})
-    return n in _Eval(tree).sat(u)
+    children = tree.columns()[2]
+    last = n  # pre-order: the subtree is the ids from n to its last leaf
+    while children[last]:
+        last = children[last][-1]
+    return bool(_compile(tree, u, range(last, n - 1, -1))(n))
 
 
-def _holds_det(tree, u, n, memo) -> bool:
-    key = (id(u), n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(u, Top):
-        out = True
-    elif isinstance(u, Not):
-        out = not _holds_det(tree, u.body, n, memo)
-    elif isinstance(u, And):
-        out = _holds_det(tree, u.lhs, n, memo) and _holds_det(tree, u.rhs, n, memo)
-    elif isinstance(u, Or):
-        out = _holds_det(tree, u.lhs, n, memo) or _holds_det(tree, u.rhs, n, memo)
-    elif isinstance(u, Exists):
-        out = _walk_det(tree, u.path, n, memo) is not None
-    elif isinstance(u, EqConst):
-        t = _walk_det(tree, u.path, n, memo)
-        out = t is not None and tree.subtree_id(t) == tree.const_id(u.const)
-    elif isinstance(u, EqPaths):
-        t1 = _walk_det(tree, u.left, n, memo)
-        t2 = _walk_det(tree, u.right, n, memo)
-        out = t1 is not None and t2 is not None and tree.equal_subtrees(t1, t2)
-    else:
-        raise TypeError(f"not a unary formula: {u!r}")
-    memo[key] = out
-    return out
+def _compile(tree: JsonTree, u: JnlUnary, nodes: range):
+    """``u`` as a closure over node ids, exact on ``nodes`` (decreasing ids,
+    closed under descendants).  The tables it reads are filled first."""
+    from . import jsl, recursive, translate  # they import this module
+    tables = {}
+
+    def eq_symbol(f):
+        name = f"={len(tables)}"
+        tables[name] = _eq_paths(tree, f, nodes)
+        return name
+
+    expr = translate._jnl_to_recursive(u, eq_symbol)
+    if expr.definitions:
+        recursive._sat_tables(expr, tree, tables, nodes)
+    return jsl.compile_formula(tree, expr.base, tables)
 
 
-def _walk_det(tree, b, n, memo):
-    """Deterministic one-successor walk; None when navigation fails."""
-    if isinstance(b, Eps):
-        return n
-    if isinstance(b, Test):
-        return n if _holds_det(tree, b.body, n, memo) else None
-    if isinstance(b, KeyAxis):
-        return tree.obj_child(n, b.key) if tree.kind(n) is NodeKind.OBJ else None
-    if isinstance(b, IdxAxis):
-        if tree.kind(n) is NodeKind.ARR and b.pos <= tree.child_count(n):
-            return tree.children(n)[b.pos - 1]
-        return None
+def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
+    """eq(alpha, beta) as a closure over node ids, or as a table filled on
+    ``nodes`` when a path has more than one successor."""
+    if _functional(f.left) and _functional(f.right):
+        return _eq_walk(tree, f, nodes)
+    # A subtree strictly below n never equals n's: so either both paths
+    # stay at n, or their strict successors share a class.
+    stay = stays(f.left), stays(f.right)
+    if stay[0] is TOP and stay[1] is TOP:
+        return lambda n: True
+    both = None if None in stay else _compile(tree, And(*stay), nodes)
+    ids = tree.subtree_ids()
+    cont = lambda n: frozenset((ids[n],))
+    steps, table = [], bytearray(tree.size)
+    left, right = ([_reach(tree, p, cont, steps, nodes) for p in strict_paths(b)]
+                   for b in (f.left, f.right))
+    for n in nodes:
+        for step in steps:
+            step(n)
+        if both is not None and both(n):
+            table[n] = 1
+        elif left and right:
+            table[n] = not _EMPTY.union(*(r(n) for r in left)).isdisjoint(
+                _EMPTY.union(*(r(n) for r in right)))
+    return table
+
+
+def _functional(b: JnlBinary) -> bool:
+    """At most one successor per node."""
     if isinstance(b, Compose):
-        mid = _walk_det(tree, b.lhs, n, memo)
-        return _walk_det(tree, b.rhs, mid, memo) if mid is not None else None
-    raise TypeError(f"non-deterministic construct {b!r} on the pointwise path")
+        return _functional(b.lhs) and _functional(b.rhs)
+    return isinstance(b, (Eps, Test, KeyAxis, IdxAxis))
+
+
+def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range):
+    """eq(alpha, beta) for functional paths as one loop per node over the
+    steps of alpha, then of beta from the node again."""
+    kinds, _, children, keys = tree.columns()
+    program, todo = [], [f.right, None, f.left]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            program.append((3, None))  # alpha's target is found; restart for beta
+        elif isinstance(s, Compose):
+            todo += (s.rhs, s.lhs)
+        elif isinstance(s, KeyAxis):
+            program.append((0, s.key))
+        elif isinstance(s, IdxAxis):
+            program.append((1, s.pos - 1))
+        elif isinstance(s, Test):
+            program.append((2, _compile(tree, s.body, nodes)))
+
+    def eq(n):
+        m = n
+        for op, arg in program:
+            if op == 0:
+                ks = keys[m]
+                if not ks:
+                    return False
+                i = bisect_left(ks, arg)
+                if i == len(ks) or ks[i] != arg:
+                    return False
+                m = children[m][i]
+            elif op == 1:
+                ch = children[m]
+                if kinds[m] is not NodeKind.ARR or len(ch) <= arg:
+                    return False
+                m = ch[arg]
+            elif op == 2:
+                if not arg(m):
+                    return False
+            else:
+                a, m = m, n
+        return tree.equal_subtrees(a, m)
+    return eq
+
+
+def _axis(tree: JsonTree, b: JnlBinary):
+    """An axis as a closure: the matching children of a node."""
+    kinds, _, children, keys = tree.columns()
+    if isinstance(b, (KeyAxis, KeyRegexAxis)):
+        accept = b.key.__eq__ if isinstance(b, KeyAxis) else rx.word_filter(b.pattern)
+        return lambda n: [c for k, c in zip(keys[n], children[n]) if accept(k)] if keys[n] else ()
+    if isinstance(b, (IdxAxis, IdxRangeAxis)):
+        lo, hi = (b.pos, b.pos) if isinstance(b, IdxAxis) else (b.lo, b.hi)
+        return lambda n: children[n][lo - 1:hi] if kinds[n] is NodeKind.ARR else ()
+    raise TypeError(f"not a path formula: {b!r}")
+
+
+def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range):
+    """Closure: the union of ``cont`` (node -> frozenset of class ids) over a
+    node's b-successors.  A closure's table is filled by a step appended to
+    ``steps`` after the steps it reads at the same node."""
+    if isinstance(b, Eps):
+        return cont
+    if isinstance(b, Test):
+        test = _compile(tree, b.body, nodes)
+        return lambda n: cont(n) if test(n) else _EMPTY
+    if isinstance(b, Compose):
+        return _reach(tree, b.lhs, _reach(tree, b.rhs, cont, steps, nodes), steps, nodes)
+    if isinstance(b, Star):
+        table = [_EMPTY] * tree.size
+        parts = [_reach(tree, p, table.__getitem__, steps, nodes) for p in strict_paths(b.body)]
+        if not parts:
+            return cont
+
+        def step(n):
+            table[n] = cont(n).union(*(part(n) for part in parts))
+        steps.append(step)
+        return table.__getitem__
+    succ = _axis(tree, b)
+    return lambda n: _EMPTY.union(*map(cont, succ(n)))
+
+
+def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
+    """All (source path, target path) pairs the path formula selects.  The
+    relation is materialized, up to n² pairs under a closure."""
+    return frozenset((tree.path_of(n), tree.path_of(t))
+                     for n, ts in _pairs(tree, b).items() for t in ts)
+
+
+def _pairs(tree: JsonTree, b: JnlBinary) -> dict:
+    """The successor set of every node id that has one."""
+    if isinstance(b, Eps):
+        return {n: {n} for n in tree.nodes()}
+    if isinstance(b, Test):
+        return {n: {n} for n in eval_unary_ids(tree, b.body)}
+    if isinstance(b, Compose):
+        right, out = _pairs(tree, b.rhs), {}
+        for n, mids in _pairs(tree, b.lhs).items():
+            ts = set().union(*(right.get(m, ()) for m in mids))
+            if ts:
+                out[n] = ts
+        return out
+    if isinstance(b, Star):
+        step, out = _pairs(tree, b.body), {}
+        for n in range(tree.size - 1, -1, -1):  # other successors lie below n
+            out[n] = {n}.union(*(out[m] for m in step.get(n, ()) if m != n))
+        return out
+    succ = _axis(tree, b)
+    return {n: set(ts) for n in tree.nodes() for ts in (succ(n),) if ts}
 
 
 # -- find-filter compilation -----------------------------------------------------
@@ -698,8 +683,8 @@ def compile_find_filter(filter_doc: JsonTree) -> JnlUnary:
     Supported dialect: ``{path: value}`` and ``{path: {"$eq": value}}``
     conditions, combined with ``$and``/``$or``/``$not``; nested plain
     objects extend the path, so a literal object match must be written
-    through ``$eq``.  Dotted paths descend; digit-only segments are
-    1-based array positions.
+    through ``$eq``.  Dotted paths descend; segments of ASCII digits only
+    are 1-based array positions.
     """
     value = jt.to_python(filter_doc)
     if not isinstance(value, dict):
@@ -736,8 +721,8 @@ def _as_filter(x):
 def _path_axis(path: str) -> JnlBinary:
     axis = None
     for seg in path.split("."):
-        if seg.isdigit():
-            pos = int(seg)
+        if seg.isascii() and seg.isdigit():
+            pos = _position(seg)
             if pos < 1:
                 raise UnsupportedOperator("array positions in paths are 1-based")
             step = IdxAxis(pos)
@@ -745,6 +730,15 @@ def _path_axis(path: str) -> JnlBinary:
             step = KeyAxis(seg)
         axis = step if axis is None else Compose(axis, step)
     return axis
+
+
+def _position(seg: str) -> int:
+    try:
+        return int(seg)
+    except ValueError:
+        raise UnsupportedOperator(
+            f"array position of {len(seg)} digits is over the interpreter's int-string "
+            f"limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def _compile_condition(axis: JnlBinary, val) -> JnlUnary:

@@ -21,7 +21,9 @@ symbols and only admitted inside recursive expressions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional
 
 from . import regex as rx
@@ -340,8 +342,14 @@ def compile_test(tree: JsonTree, test: NodeTest) -> Callable[[int], bool]:
         count = test.count
         return lambda n: len(children[n]) <= count
     if isinstance(test, SameAsTest):
-        const = test.const
-        return lambda n: tree.subtree_id(n) == tree.const_id(const)
+        const, ids, cid = test.const, None, None
+
+        def same(n):
+            nonlocal ids, cid
+            if ids is None:  # the class ids are built on first use
+                ids, cid = tree.subtree_ids(), tree.const_id(const)
+            return ids[n] == cid
+        return same
     raise TypeError(f"not a node test: {test!r}")
 
 
@@ -349,30 +357,38 @@ def compile_modal(tree: JsonTree, label, universal: bool,
                   body: Callable[[int], bool]) -> Callable[[int], bool]:
     """Closure: some child of a node along ``label`` satisfies ``body`` (a
     closure over child ids), or with ``universal``, every such child does.
+    A ``body`` of None stands for true: some such child exists.
 
-    ``label`` is a key regex, matched through a filter with its own memo, or
+    ``label`` is a key regex, matched through a filter with its own memo
+    (a single word is looked up in the sorted keys instead), or
     a 1-based index interval ``(lo, hi)`` with ``hi`` None for unbounded,
     taken as a slice of an array's children."""
     kinds, _, children, keys = tree.columns()
+    word = rx.literal_word(label) if isinstance(label, rx.Regex) else None
+    if body is None:
+        if word is not None:
+            return lambda n: keys[n] is not None and word in keys[n]
+        if isinstance(label, rx.Regex):
+            accept = rx.word_filter(label)
+            return lambda n: keys[n] is not None and any(map(accept, keys[n]))
+        lo = label[0] - 1
+        return lambda n: kinds[n] is _ARR and len(children[n]) > lo
+    if word is not None:  # keys are sorted: one binary search
+        def modal(n):
+            ks = keys[n]
+            if ks:
+                i = bisect_left(ks, word)
+                if i < len(ks) and ks[i] == word:
+                    return body(children[n][i])
+            return universal
+        return modal
     if isinstance(label, rx.Regex):
         accept = rx.word_filter(label)
         if universal:
-            def modal(n):
-                ks = keys[n]
-                if ks:
-                    for key, c in zip(ks, children[n]):
-                        if accept(key) and not body(c):
-                            return False
-                return True
-        else:
-            def modal(n):
-                ks = keys[n]
-                if ks:
-                    for key, c in zip(ks, children[n]):
-                        if accept(key) and body(c):
-                            return True
-                return False
-        return modal
+            return lambda n: keys[n] is None or all(
+                map(body, compress(children[n], map(accept, keys[n]))))
+        return lambda n: keys[n] is not None and any(
+            map(body, compress(children[n], map(accept, keys[n]))))
     lo, hi = label
     lo -= 1
     if universal:
@@ -382,14 +398,17 @@ def compile_modal(tree: JsonTree, label, universal: bool,
 
 def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[int], bool]:
     """``holds(tree, ·, phi)`` as a closure.  A symbol reads ``tables[name]``
-    (indexed by node id, as filled by the recursive evaluator) and never
-    calls its definition, so evaluation recurses only as deep as ``phi``."""
+    (indexed by node id, as filled by the recursive evaluator, or a closure
+    over node ids) and never calls its definition, so evaluation recurses
+    only as deep as ``phi``."""
     if isinstance(phi, Top):
         return lambda n: True
     if isinstance(phi, Not):
         body = compile_formula(tree, phi.body, tables)
         return lambda n: not body(n)
     if isinstance(phi, And):
+        if isinstance(phi.lhs, Top):  # translate's And(cont, test) with cont true
+            return compile_formula(tree, phi.rhs, tables)
         lhs = compile_formula(tree, phi.lhs, tables)
         rhs = compile_formula(tree, phi.rhs, tables)
         return lambda n: lhs(n) and rhs(n)
@@ -399,16 +418,21 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         return lambda n: lhs(n) or rhs(n)
     if isinstance(phi, Atom):
         return compile_test(tree, phi.test)
-    if isinstance(phi, (BoxKey, DiaKey)):
-        return compile_modal(tree, phi.pattern, isinstance(phi, BoxKey),
-                             compile_formula(tree, phi.body, tables))
-    if isinstance(phi, (BoxIdx, DiaIdx)):
-        return compile_modal(tree, (phi.lo, phi.hi), isinstance(phi, BoxIdx),
-                             compile_formula(tree, phi.body, tables))
+    if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
+        universal = isinstance(phi, (BoxKey, BoxIdx))
+        if isinstance(phi.body, Top):
+            if universal:
+                return lambda n: True
+            body = None
+        else:
+            body = compile_formula(tree, phi.body, tables)
+        label = phi.pattern if isinstance(phi, (BoxKey, DiaKey)) else (phi.lo, phi.hi)
+        return compile_modal(tree, label, universal, body)
     if isinstance(phi, SymbolRef):
         if phi.name not in tables:
             raise MalformedFormula(f"free definition symbol {phi.name!r}")
-        return tables[phi.name].__getitem__
+        table = tables[phi.name]
+        return table if callable(table) else table.__getitem__
     raise TypeError(f"not a formula: {phi!r}")
 
 

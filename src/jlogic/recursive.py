@@ -223,21 +223,35 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
 # -- bottom-up evaluation ----------------------------------------------------------
 
 
-def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
+def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None) -> dict:
     """Per definition, a bytearray with 1 at each node id where it holds.
 
     Node ids are pre-order, so visiting them in reverse settles every child
     before its parent.  At one node the definitions run in dependency order:
     a body's unshielded symbols are already settled at this node and its
     shielded ones at the children.
+
+    ``tables`` may hold filled tables of symbols the expression uses but
+    does not define; the definitions' tables are added to it.  ``nodes``
+    (default: every node, last first) limits the filling to the given ids,
+    in decreasing order and closed under descendants, such as one subtree.
     """
     if not is_well_formed(expr):
         raise IllFormedRecursion(f"cyclic definitions: {find_cycle(expr)}")
-    tables = {name: bytearray(tree.size) for name, _ in expr.definitions}
+    tables = {} if tables is None else tables
+    for name, _ in expr.definitions:
+        tables[name] = bytearray(tree.size)
     bodies = dict(expr.definitions)
     steps = [(tables[name], jsl.compile_formula(tree, bodies[name], tables))
              for name in _topo_order(expr)]
-    for n in range(tree.size - 1, -1, -1):
+    if nodes is None:
+        nodes = range(tree.size - 1, -1, -1)
+    if len(steps) == 1:  # the common case, without the inner loop
+        (table, body), = steps
+        for n in nodes:
+            table[n] = body(n)
+        return tables
+    for n in nodes:
         for table, body in steps:
             table[n] = body(n)
     return tables

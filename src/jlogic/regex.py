@@ -484,20 +484,24 @@ def matches(r: Regex, word: str) -> bool:
     return _matcher(r).matches(word)
 
 
-def word_filter(r: Regex):
-    """``matches(r, ·)`` as a closure over the pattern's matcher, with its
-    own word -> bool memo.  For evaluators that test many words against one
-    pattern within one call; the memo lives as long as the closure."""
-    match = _matcher(r).matches
-    memo = {}
+class _WordMemo(dict):
+    """word -> bool, filled from the matcher on a miss."""
 
-    def accept(word: str) -> bool:
-        hit = memo.get(word)
-        if hit is None:
-            hit = memo[word] = match(word)
+    __slots__ = ("match",)
+
+    def __missing__(self, word: str) -> bool:
+        hit = self[word] = self.match(word)
         return hit
 
-    return accept
+
+def word_filter(r: Regex):
+    """``matches(r, ·)`` as a callable over the pattern's matcher, with its
+    own word -> bool memo.  For evaluators that test many words against one
+    pattern within one call; the memo lives as long as the callable.  A
+    word seen before costs one dictionary lookup and no Python frame."""
+    memo = _WordMemo()
+    memo.match = _matcher(r).matches
+    return memo.__getitem__
 
 
 # -- explicit DFAs -------------------------------------------------------------

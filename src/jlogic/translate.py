@@ -9,12 +9,18 @@ Navigational-to-schema works continuation style: a path formula followed
 by a condition K becomes nested diamonds ending in K, tests become
 conjunctions carried along, so eq(test([@"b"]) / @"a", A) compiles to
 ``dia("a") same(A) && dia("b") true``.
+
+The JNL evaluator uses the same translation for every formula through an
+internal entry point, ``_jnl_to_recursive``: a closure becomes a shielded
+definition of the recursive schema logic and a two-path equality a symbol
+whose table the evaluator fills.
 """
 
 from __future__ import annotations
 
 from . import jnl
 from . import jsl
+from . import recursive as rec
 from . import regex as rx
 from .errors import FragmentViolation
 
@@ -22,34 +28,65 @@ from .errors import FragmentViolation
 def jnl_to_jsl(phi: jnl.JnlUnary) -> jsl.JslFormula:
     """Translate a unary navigational formula (no two-path equality, no
     closure) into an equivalent schema-logic formula."""
-    return _tu(phi)
+    return _tu(phi, None)
 
 
-def _tu(phi: jnl.JnlUnary) -> jsl.JslFormula:
+class _Defs:
+    """What the evaluator's translation collects: one definition per
+    closure, and a symbol from ``eq_symbol`` per two-path equality."""
+
+    def __init__(self, eq_symbol):
+        self.definitions = []
+        self.eq_symbol = eq_symbol
+        self.count = 0
+
+    def fresh(self) -> str:
+        self.count += 1
+        return f"*{self.count}"  # no formula can name it
+
+
+def _jnl_to_recursive(phi: jnl.JnlUnary, eq_symbol) -> rec.RecursiveJslExpr:
+    """Any unary navigational formula as a recursive schema-logic
+    expression; each eq(alpha, beta) becomes the symbol name that
+    ``eq_symbol`` returns for it, left undefined.
+
+    ``alpha*`` followed by K becomes ``g = K || <alpha> g``, where
+    ``<alpha>`` keeps only the alpha-successors strictly below the node
+    (``jnl.strict_paths``), so every use of g in its own body sits under a
+    modality: the least fixpoint at a node gains nothing from the node
+    itself.  A body that never moves leaves K alone."""
+    defs = _Defs(eq_symbol)
+    base = _tu(phi, defs)
+    return rec.RecursiveJslExpr(tuple(defs.definitions), base)
+
+
+def _tu(phi: jnl.JnlUnary, defs) -> jsl.JslFormula:
     if isinstance(phi, jnl.Top):
         return jsl.TOP
     if isinstance(phi, jnl.Not):
-        return jsl.Not(_tu(phi.body))
+        return jsl.Not(_tu(phi.body, defs))
     if isinstance(phi, jnl.And):
-        return jsl.And(_tu(phi.lhs), _tu(phi.rhs))
+        return jsl.And(_tu(phi.lhs, defs), _tu(phi.rhs, defs))
     if isinstance(phi, jnl.Or):
-        return jsl.Or(_tu(phi.lhs), _tu(phi.rhs))
+        return jsl.Or(_tu(phi.lhs, defs), _tu(phi.rhs, defs))
     if isinstance(phi, jnl.Exists):
-        return _tb(phi.path, jsl.TOP)
+        return _tb(phi.path, jsl.TOP, defs)
     if isinstance(phi, jnl.EqConst):
-        return _tb(phi.path, jsl.Atom(jsl.SameAsTest(phi.const)))
+        return _tb(phi.path, jsl.Atom(jsl.SameAsTest(phi.const)), defs)
     if isinstance(phi, jnl.EqPaths):
-        raise FragmentViolation("eq(alpha, beta)",
-                                "two-path equality has no schema-logic counterpart")
+        if defs is None:
+            raise FragmentViolation("eq(alpha, beta)",
+                                    "two-path equality has no schema-logic counterpart")
+        return jsl.SymbolRef(defs.eq_symbol(phi))
     raise TypeError(f"not a unary formula: {phi!r}")
 
 
-def _tb(alpha: jnl.JnlBinary, cont: jsl.JslFormula) -> jsl.JslFormula:
+def _tb(alpha: jnl.JnlBinary, cont: jsl.JslFormula, defs) -> jsl.JslFormula:
     """Formula meaning: some alpha-successor exists at which ``cont`` holds."""
     if isinstance(alpha, jnl.Eps):
         return cont
     if isinstance(alpha, jnl.Test):
-        return jsl.And(cont, _tu(alpha.body))
+        return jsl.And(cont, _tu(alpha.body, defs))
     if isinstance(alpha, jnl.KeyAxis):
         return jsl.DiaKey(rx.word_regex(alpha.key), cont)
     if isinstance(alpha, jnl.KeyRegexAxis):
@@ -59,10 +96,17 @@ def _tb(alpha: jnl.JnlBinary, cont: jsl.JslFormula) -> jsl.JslFormula:
     if isinstance(alpha, jnl.IdxRangeAxis):
         return jsl.DiaIdx(alpha.lo, alpha.hi, cont)
     if isinstance(alpha, jnl.Compose):
-        return _tb(alpha.lhs, _tb(alpha.rhs, cont))
+        return _tb(alpha.lhs, _tb(alpha.rhs, cont, defs), defs)
     if isinstance(alpha, jnl.Star):
-        raise FragmentViolation("(alpha)*",
-                                "closure needs the recursive schema logic")
+        if defs is None:
+            raise FragmentViolation("(alpha)*",
+                                    "closure needs the recursive schema logic")
+        paths = jnl.strict_paths(alpha.body)
+        if not paths or cont == jsl.TOP:  # the node itself is a successor
+            return cont
+        g = jsl.SymbolRef(defs.fresh())
+        defs.definitions.append((g.name, jsl.or_all([cont] + [_tb(p, g, defs) for p in paths])))
+        return g
     raise TypeError(f"not a path formula: {alpha!r}")
 
 

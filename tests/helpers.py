@@ -41,6 +41,32 @@ def random_tree(rng, depth=3, width=3) -> JsonTree:
     return jt.from_python(random_value(rng, depth, width))
 
 
+def w1_value(rng, depth):
+    """The benchmark document shape W1: a leaf at depth 0 or with odds 0.2,
+    otherwise with equal odds an object with 1-6 keys from k0..k30 or an
+    array of 1-6 elements."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x", "abc", "hello", 3, 17, 42, 0])
+    if rng.random() < 0.5:
+        return {f"k{i}": w1_value(rng, depth - 1) for i in rng.sample(range(31), rng.randint(1, 6))}
+    return [w1_value(rng, depth - 1) for _ in range(rng.randint(1, 6))]
+
+
+def random_chain(rng, depth, keys=("a", "b")):
+    """A value nested ``depth`` levels, mostly one child per level, built
+    inside out so that no recursion follows the depth."""
+    value = rng.choice([0, 1, "x"])
+    for _ in range(depth):
+        roll = rng.random()
+        if roll < 0.6:
+            value = {rng.choice(keys): value}
+        elif roll < 0.8:
+            value = {keys[0]: value, keys[-1]: rng.choice([0, 1])}
+        else:
+            value = [value] if rng.random() < 0.5 else [rng.choice([0, "x"]), value]
+    return value
+
+
 def small_tree_pool(rng, count, depth=3, width=3):
     return [random_tree(rng, depth, width) for _ in range(count)]
 
@@ -253,6 +279,123 @@ def oracle_holds(tree: JsonTree, phi, n) -> bool:
 
 def oracle_sat(tree: JsonTree, phi) -> frozenset:
     return frozenset(tree.path_of(n) for n in tree.nodes() if oracle_holds(tree, phi, n))
+
+
+class SetInterpreter:
+    """Set-at-a-time interpreter over one tree: backward images for the
+    unary operators, forward pair maps for eq(alpha, beta).  A second oracle
+    that, unlike ``oracle_holds``, handles large and deep documents (the
+    pair maps stay quadratic under closure)."""
+
+    def __init__(self, tree: JsonTree):
+        self.tree = tree
+        self.all_nodes = frozenset(range(tree.size))
+        self._sat = {}
+        self._pairs = {}
+
+    def sat(self, u) -> frozenset:
+        """Node ids satisfying the unary formula ``u``."""
+        hit = self._sat.get(id(u))
+        if hit is not None:
+            return hit
+        tree = self.tree
+        if isinstance(u, jnl.Top):
+            out = self.all_nodes
+        elif isinstance(u, jnl.Not):
+            out = self.all_nodes - self.sat(u.body)
+        elif isinstance(u, jnl.And):
+            out = self.sat(u.lhs) & self.sat(u.rhs)
+        elif isinstance(u, jnl.Or):
+            out = self.sat(u.lhs) | self.sat(u.rhs)
+        elif isinstance(u, jnl.Exists):
+            out = frozenset(self.pre(u.path, self.all_nodes))
+        elif isinstance(u, jnl.EqConst):
+            cid = tree.const_id(u.const)
+            targets = {n for n, c in enumerate(tree.subtree_ids()) if c == cid}
+            out = frozenset(self.pre(u.path, targets))
+        elif isinstance(u, jnl.EqPaths):
+            ids = tree.subtree_ids()
+            ma, mb = self.pairs(u.left), self.pairs(u.right)
+            out = frozenset(n for n, ts in ma.items() if mb.get(n)
+                            and not {ids[t] for t in ts}.isdisjoint(ids[s] for s in mb[n]))
+        else:
+            raise TypeError(u)
+        self._sat[id(u)] = out
+        return out
+
+    def pre(self, b, targets) -> set:
+        """Nodes with some b-successor inside ``targets``."""
+        tree = self.tree
+        if isinstance(b, jnl.Eps):
+            return set(targets)
+        if isinstance(b, jnl.Test):
+            return self.sat(b.body) & set(targets)
+        if isinstance(b, jnl.Compose):
+            return self.pre(b.lhs, self.pre(b.rhs, targets))
+        if isinstance(b, jnl.Star):
+            reached = set(targets)
+            frontier = reached
+            while frontier:
+                frontier = self.pre(b.body, frontier) - reached
+                reached |= frontier
+            return reached
+        return {tree.parent(t) for t in targets if t != 0 and self._step(b, t)}
+
+    def _step(self, b, t) -> bool:
+        """Whether the edge into non-root ``t`` is a b-step."""
+        tree = self.tree
+        key, pos = tree.edge_key(t), tree.ordinal(t) + 1
+        if isinstance(b, jnl.KeyAxis):
+            return key == b.key
+        if isinstance(b, jnl.KeyRegexAxis):
+            return key is not None and rx.matches(b.pattern, key)
+        in_array = tree.kind(tree.parent(t)) is NodeKind.ARR
+        if isinstance(b, jnl.IdxAxis):
+            return in_array and pos == b.pos
+        if isinstance(b, jnl.IdxRangeAxis):
+            return in_array and b.lo <= pos and (b.hi is None or pos <= b.hi)
+        raise TypeError(b)
+
+    def pairs(self, b) -> dict:
+        """Every node's b-successors (full materialization)."""
+        hit = self._pairs.get(id(b))
+        if hit is not None:
+            return hit
+        if isinstance(b, jnl.Eps):
+            out = {n: (n,) for n in self.all_nodes}
+        elif isinstance(b, jnl.Test):
+            out = {n: (n,) for n in self.sat(b.body)}
+        elif isinstance(b, jnl.Compose):
+            left, right = self.pairs(b.lhs), self.pairs(b.rhs)
+            out = {}
+            for n, mids in left.items():
+                acc = set()
+                for m in mids:
+                    acc.update(right.get(m, ()))
+                if acc:
+                    out[n] = tuple(acc)
+        elif isinstance(b, jnl.Star):
+            step = self.pairs(b.body)
+            out = {}
+            for n in self.all_nodes:
+                seen, frontier = {n}, [n]
+                while frontier:
+                    frontier = [t for m in frontier for t in step.get(m, ()) if t not in seen]
+                    seen.update(frontier)
+                out[n] = tuple(seen)
+        else:
+            tree = self.tree
+            out = {}
+            for t in range(1, tree.size):
+                if self._step(b, t):
+                    out.setdefault(tree.parent(t), []).append(t)
+        self._pairs[id(b)] = out
+        return out
+
+
+def interpreter_sat(tree: JsonTree, phi) -> frozenset:
+    """Node ids satisfying ``phi`` by the set-at-a-time interpreter."""
+    return SetInterpreter(tree).sat(phi)
 
 
 # -- random navigational formulas -----------------------------------------------------

@@ -223,6 +223,38 @@ def _reference_lines(tree, fmt, formula):
     return "".join(("/".join(map(str, segments(p))) or "(root)") + "\n" for p in paths)
 
 
+# One document, every axis and both equality forms; the expected stdout and
+# exit code of each row were recorded before the evaluator was compiled.
+PINNED_DOC = ('{"a": {"k1": [1, 2, {"k1": "x"}], "k2": "x", "b": {"k1": "x"}},'
+              ' "c": [[1, 2], [1, 2], 3], "k10": {"k1": {"k12": 0}}}')
+PINNED_QUERIES = [
+    ('[@"a"]', (), '(root)\n', 0),
+    ('[@/k1.*/]', (), '(root)\na\na/b\na/k1/3\nk10\nk10/k1\n', 0),
+    ('[#2]', (), 'a/k1\nc\nc/1\nc/2\n', 0),
+    ('[#2:3]', (), 'a/k1\nc\nc/1\nc/2\n', 0),
+    ('[#2:*]', ('--format', 'json'), '[["a", "k1"], ["c"], ["c", 1], ["c", 2]]\n', 0),
+    ('eq(eps, "x")', (), 'a/b/k1\na/k1/3/k1\na/k2\n', 0),
+    ('[@"a" / test([@"b"])]', (), '(root)\n', 0),
+    ('[@"a" / @"k1" / #3]', ('--format', 'json'), '[[]]\n', 0),
+    ('[(@/k.*/)* / @"k12"]', (), '(root)\nk10\nk10/k1\n', 0),
+    ('eq(@"k2", @"b" / @"k1")', (), 'a\n', 0),
+    ('eq(#1:*, #2:*)', (), 'a/k1\nc\nc/1\nc/2\n', 0),
+    ('eq((@/k.*/ / #1:*)*, @"b")', ('--format', 'json'), '[["a"]]\n', 0),
+    ('eq(@"c" / #1, [1, 2])', (), '(root)\n', 0),
+    ('[@"zz"]', (), '', 0),
+    ('[(@/k1.*/)* / test(eq(eps, 0))]', ('--node', 'k10'), 'true\n', 0),
+    ('eq(#1, #2)', ('--node', 'c'), 'true\n', 0),
+    ('eq(#1, #2)', ('--node', 'c/3', '--format', 'json'), '{"member": 0}\n', 1),
+]
+
+
+@pytest.mark.parametrize("formula, extra, stdout, code", PINNED_QUERIES)
+def test_query_pinned_outputs(files, capsys, formula, extra, stdout, code):
+    doc = files("pinned.json", PINNED_DOC)
+    assert main(["query", doc, "--formula", formula, *extra]) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_query_rendering_matches_reference(files, capsys):
     rng = random.Random(53)
     formulas = ["true", "[#1]", '[@"a"] || [@/b|c/]', "!eq(eps, 0)"]

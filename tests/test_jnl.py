@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -21,18 +22,22 @@ from jlogic.jnl import (
     eval_binary,
     eval_membership,
     eval_unary,
+    eval_unary_ids,
     parse_jnl,
     unary_to_text,
 )
 from jlogic.tree import parse_document
 from helpers import (
+    interpreter_sat,
     oracle_holds,
     oracle_pairs,
     oracle_sat,
     random_jnl_binary,
+    random_chain,
     random_jnl_unary,
     random_tree,
     random_value,
+    w1_value,
 )
 
 PERSON_DOC = '{"name": {"first": "John", "last": "Doe"}, "age": 32, "hobbies": ["fishing","yoga"]}'
@@ -150,6 +155,111 @@ def test_oracle_equivalence_unary():
         t = random_tree(rng, 3, 3)
         f = random_jnl_unary(rng, rng.randint(0, 4))
         assert eval_unary(t, f) == oracle_sat(t, f), unary_to_text(f)
+
+
+JNL_CONSTRUCTORS = {jnl.Top, jnl.Not, And, jnl.Or, Exists, EqConst, EqPaths, jnl.Test,
+                    KeyAxis, jnl.KeyRegexAxis, IdxAxis, IdxRangeAxis, Compose, Eps, Star}
+
+
+def _check_compiled(t, f, want, members, paths=True):
+    """The three entry points against the node ids ``want``; membership at
+    the ids in ``members``.  Paths are as long as the document is deep, so
+    ``paths`` can skip eval_unary."""
+    text = unary_to_text(f)
+    assert eval_unary_ids(t, f) == want, text
+    if paths:
+        assert eval_unary(t, f) == {t.path_of(n) for n in want}, text
+    for n in members:
+        assert eval_membership(t, f, t.path_of(n)) == (n in want), (text, n)
+
+
+def test_compiled_evaluator_differential():
+    """Seeded random formulas on random trees, every node checked against
+    the naive pair-set oracle."""
+    rng = random.Random(7031)
+    seen = set()
+    for _ in range(300):
+        t = random_tree(rng, 4, 4)
+        f = random_jnl_unary(rng, rng.randint(1, 4))
+        seen.update(type(g) for g in jnl._walk(f))
+        want = frozenset(n for n in t.nodes() if oracle_holds(t, f, n))
+        _check_compiled(t, f, want, t.nodes())
+    assert seen == JNL_CONSTRUCTORS
+
+
+# closures with bodies that may stay put, nested closures, both equality
+# forms, key regexes and intervals ahead of a test: the cases the
+# translation to shielded definitions and the equality tables must get right
+SHAPED_FORMULAS = [
+    'eq(@"a", @"b")', 'eq(#1, #2)', 'eq(#1 / @"a", #2)', '[@/a|c/ / test(eq(eps, 0))]',
+    '[#2:3 / test([@"b"])]',
+    '[(eps)*]', '[(test([@"a"]))* / @"b"]', '[((@"a")*)* / @"b"]',
+    '[((@"a")* / (@"b")*)* / #1]', '[(test([@"a"]) / @"a")* / test(eq(eps, 1))]',
+    '[((@"a")* / test([#2]))* / @"c"]', '[(#1:2 / test(eq(eps, 0)) / eps)*]',
+    'eq((@"a")*, (@"b")*)', 'eq((@"a")* / @"a", (@"a")*)', 'eq((@/a|b/)*, (#1:2)* / #1)',
+    'eq((test([@"a"]))*, eps)', 'eq(test([@"b"]), (@"a")* / test([@"b"]))',
+    '[(eps / (@"a" / test(!eq(@"b", @"c")))*)* / test(eq(@"b", 2))]',
+    'eq((#1:2)*, (#2)* / #1)', 'eq(#1:2, #2:3)', '!eq((@/./)* / #1, (@/./)* / #2)',
+    '[((#1:*)* / test(eq(@"a", @"b")))* / @"c"]',
+]
+
+
+def test_compiled_shapes_against_oracle():
+    rng = random.Random(8117)
+    formulas = [parse_jnl(text) for text in SHAPED_FORMULAS]
+    for _ in range(40):
+        t = random_tree(rng, 4, 3)
+        for f in formulas:
+            want = frozenset(n for n in t.nodes() if oracle_holds(t, f, n))
+            _check_compiled(t, f, want, t.nodes())
+
+
+DEEP_FORMULAS = [
+    '[(@"a")* / test(eq(eps, 0))]', '[(@/a|b/ / #1:2)* / @"b"]',
+    '[(test([@"a"]) / @"a")* / test(eq(eps, 0))]', 'eq(@"a" / @"a", @"b")',
+    'eq(@/a|b/, #1:*)', '!eq(@"a", 0) && [((@"a")* / #2)* / @"b"]',
+    'eq(#1:*, @"a" / @"b") || [#2 / test(eq(eps, "x"))]',
+]
+
+
+def test_compiled_evaluator_on_deep_chains():
+    """Depth-5000 chains, against the set-at-a-time interpreter: no
+    recursion follows the document's depth.  Membership is checked at a
+    sample of nodes along the chain, the paths of eval_unary (quadratic in
+    size on a chain) for one formula."""
+    rng = random.Random(5000)
+    for _ in range(2):
+        t = jt.from_python(random_chain(rng, 5000))
+        members = list(range(0, t.size, 997)) + [t.size - 1]
+        for text in DEEP_FORMULAS:
+            f = parse_jnl(text)
+            _check_compiled(t, f, interpreter_sat(t, f), members, text == DEEP_FORMULAS[0])
+
+
+W1_FORMULAS = [
+    '[(@/k1.*/)*]', 'eq(@"items" / #1, @"items" / #2)', '[(@/k1.*/)* / test(eq(eps, "x"))]',
+    '[#2:3 / test(eq(eps, 42))]', 'eq(@/k1.*/, @/k2.*/)', 'eq(#1, #2) && ![@"k3"]',
+    '[@"items" / #3 / (#1:* / @/k[0-9]/)* / test(eq(eps, 17))]',
+]
+
+
+def test_compiled_evaluator_on_w1():
+    """A W1-shaped document of about 20,000 nodes against the set-at-a-time
+    interpreter, membership at every 101st node."""
+    rng = random.Random(7)
+    t = jt.from_python({"items": [w1_value(rng, 5) for _ in range(80)]})
+    assert t.size > 10_000
+    for text in W1_FORMULAS:
+        f = parse_jnl(text)
+        _check_compiled(t, f, interpreter_sat(t, f), range(0, t.size, 101))
+
+
+def test_star_sweep_is_linear_in_work():
+    """eq((@"a")*, (@"a")*) holds everywhere; the chain sweep never builds
+    the quadratic reach sets."""
+    t = jt.from_python(random_chain(random.Random(1), 5000, keys=("a",)))
+    f = parse_jnl('eq((@"a")*, (@"a")*)')
+    assert eval_unary_ids(t, f) == frozenset(t.nodes())
 
 
 def test_compose_is_relation_composition():
@@ -295,6 +405,22 @@ def test_filter_agrees_with_interpreter_oracle():
         for doc in docs:
             got = eval_membership(jt.from_python(doc), compiled, ())
             assert got == filter_oracle(doc, filt), (filt, doc)
+
+
+@pytest.mark.parametrize("filt, formula", [
+    ({"a.\u00b2": 1}, 'eq(@"a" / @"\u00b2", 1)'),  # a superscript digit is a key
+    ({"\u0661": 1}, 'eq(@"\u0661", 1)'),            # so is an Arabic-Indic one
+    ({"a.2": 1}, 'eq(@"a" / #2, 1)'),
+])
+def test_filter_only_ascii_digit_segments_are_positions(filt, formula):
+    assert compile_find_filter(jt.from_python(filt)) == parse_jnl(formula)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string limit on this interpreter")
+def test_filter_position_past_int_string_limit():
+    with pytest.raises(UnsupportedOperator, match="int-string limit"):
+        compile_find_filter(jt.from_python({"1" * 5000: 1}))
 
 
 @pytest.mark.parametrize("filt", [
