@@ -32,8 +32,8 @@ formula: up to n² pairs under a closure.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from . import regex as rx
@@ -145,22 +145,12 @@ TOP = Top()
 
 def and_all(parts) -> JnlUnary:
     parts = list(parts)
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TOP
 
 
 def or_all(parts) -> JnlUnary:
     parts = list(parts)
-    if not parts:
-        return Not(TOP)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else Not(TOP)
 
 
 # -- fragment inspection -------------------------------------------------------
@@ -499,8 +489,10 @@ def eval_unary(tree: JsonTree, u: JnlUnary) -> frozenset:
 
 
 def eval_unary_ids(tree: JsonTree, u: JnlUnary) -> frozenset:
-    """Same as eval_unary but over internal integer ids (fast interface)."""
-    return frozenset(filter(_compile(tree, u, range(tree.size - 1, -1, -1)), tree.nodes()))
+    """Same as eval_unary but over internal integer ids (fast interface).
+    Nodes where the formula needs a child or key it lacks are not visited."""
+    holds, nodes = _compile(tree, u, range(tree.size - 1, -1, -1))
+    return frozenset(filter(holds, nodes))
 
 
 def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
@@ -511,24 +503,27 @@ def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
     last = n  # pre-order: the subtree is the ids from n to its last leaf
     while children[last]:
         last = children[last][-1]
-    return bool(_compile(tree, u, range(last, n - 1, -1))(n))
+    return bool(_compile(tree, u, range(last, n - 1, -1))[0](n))
 
 
 def _compile(tree: JsonTree, u: JnlUnary, nodes: range):
     """``u`` as a closure over node ids, exact on ``nodes`` (decreasing ids,
-    closed under descendants).  The tables it reads are filled first."""
+    closed under descendants), and the ids of ``nodes`` where it may hold.
+    The tables the closure reads are filled first."""
     from . import jsl, recursive, translate  # they import this module
-    tables = {}
+    tables, names = {}, {}
 
-    def eq_symbol(f):
-        name = f"={len(tables)}"
-        tables[name] = _eq_paths(tree, f, nodes)
-        return name
+    def eq_symbol(f):  # one table per distinct eq(alpha, beta)
+        if f not in names:
+            names[f] = name = f"={len(names)}"
+            tables[name] = _eq_paths(tree, f, nodes)
+        return names[f]
 
     expr = translate._jnl_to_recursive(u, eq_symbol)
     if expr.definitions:
         recursive._sat_tables(expr, tree, tables, nodes)
-    return jsl.compile_formula(tree, expr.base, tables)
+    return (jsl.compile_formula(tree, expr.base, tables),
+            recursive.candidates(tree, (expr.base,), dict(expr.definitions), nodes))
 
 
 def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
@@ -541,11 +536,11 @@ def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
     stay = stays(f.left), stays(f.right)
     if stay[0] is TOP and stay[1] is TOP:
         return lambda n: True
-    both = None if None in stay else _compile(tree, And(*stay), nodes)
+    both = None if None in stay else _compile(tree, And(*stay), nodes)[0]
     ids = tree.subtree_ids()
     cont = lambda n: frozenset((ids[n],))
-    steps, table = [], bytearray(tree.size)
-    left, right = ([_reach(tree, p, cont, steps, nodes) for p in strict_paths(b)]
+    steps, table, memo = [], bytearray(tree.size), {}
+    left, right = ([_reach(tree, p, cont, steps, nodes, memo) for p in strict_paths(b)]
                    for b in (f.left, f.right))
     for n in nodes:
         for step in steps:
@@ -581,19 +576,15 @@ def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range):
         elif isinstance(s, IdxAxis):
             program.append((1, s.pos - 1))
         elif isinstance(s, Test):
-            program.append((2, _compile(tree, s.body, nodes)))
+            program.append((2, _compile(tree, s.body, nodes)[0]))
 
     def eq(n):
         m = n
         for op, arg in program:
             if op == 0:
-                ks = keys[m]
-                if not ks:
+                m = tree.obj_child(m, arg) if keys[m] else None
+                if m is None:
                     return False
-                i = bisect_left(ks, arg)
-                if i == len(ks) or ks[i] != arg:
-                    return False
-                m = children[m][i]
             elif op == 1:
                 ch = children[m]
                 if kinds[m] is not NodeKind.ARR or len(ch) <= arg:
@@ -620,29 +611,37 @@ def _axis(tree: JsonTree, b: JnlBinary):
     raise TypeError(f"not a path formula: {b!r}")
 
 
-def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range):
+def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range, memo: dict):
     """Closure: the union of ``cont`` (node -> frozenset of class ids) over a
     node's b-successors.  A closure's table is filled by a step appended to
-    ``steps`` after the steps it reads at the same node."""
+    ``steps`` after the steps it reads at the same node.  ``memo`` keeps one
+    closure per path formula and continuation: the strict paths of a closure
+    repeat the closures nested in it, each of which gets one table."""
+    key = b, id(cont)
+    if key in memo:
+        return memo[key][1]
     if isinstance(b, Eps):
-        return cont
-    if isinstance(b, Test):
-        test = _compile(tree, b.body, nodes)
-        return lambda n: cont(n) if test(n) else _EMPTY
-    if isinstance(b, Compose):
-        return _reach(tree, b.lhs, _reach(tree, b.rhs, cont, steps, nodes), steps, nodes)
-    if isinstance(b, Star):
+        out = cont
+    elif isinstance(b, Test):
+        test = _compile(tree, b.body, nodes)[0]
+        out = lambda n: cont(n) if test(n) else _EMPTY
+    elif isinstance(b, Compose):
+        out = _reach(tree, b.lhs, _reach(tree, b.rhs, cont, steps, nodes, memo), steps, nodes, memo)
+    elif isinstance(b, Star):
         table = [_EMPTY] * tree.size
-        parts = [_reach(tree, p, table.__getitem__, steps, nodes) for p in strict_paths(b.body)]
+        out = table.__getitem__
+        parts = [_reach(tree, p, out, steps, nodes, memo) for p in strict_paths(b.body)]
         if not parts:
-            return cont
-
-        def step(n):
-            table[n] = cont(n).union(*(part(n) for part in parts))
-        steps.append(step)
-        return table.__getitem__
-    succ = _axis(tree, b)
-    return lambda n: _EMPTY.union(*map(cont, succ(n)))
+            out = cont
+        else:
+            def step(n):
+                table[n] = cont(n).union(*(part(n) for part in parts))
+            steps.append(step)
+    else:
+        succ = _axis(tree, b)
+        out = lambda n: _EMPTY.union(*map(cont, succ(n)))
+    memo[key] = cont, out  # holding cont keeps its id unique
+    return out
 
 
 def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:

@@ -21,7 +21,6 @@ symbols and only admitted inside recursive expressions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional
@@ -357,7 +356,6 @@ def compile_modal(tree: JsonTree, label, universal: bool,
                   body: Callable[[int], bool]) -> Callable[[int], bool]:
     """Closure: some child of a node along ``label`` satisfies ``body`` (a
     closure over child ids), or with ``universal``, every such child does.
-    A ``body`` of None stands for true: some such child exists.
 
     ``label`` is a key regex, matched through a filter with its own memo
     (a single word is looked up in the sorted keys instead), or
@@ -365,22 +363,12 @@ def compile_modal(tree: JsonTree, label, universal: bool,
     taken as a slice of an array's children."""
     kinds, _, children, keys = tree.columns()
     word = rx.literal_word(label) if isinstance(label, rx.Regex) else None
-    if body is None:
-        if word is not None:
-            return lambda n: keys[n] is not None and word in keys[n]
-        if isinstance(label, rx.Regex):
-            accept = rx.word_filter(label)
-            return lambda n: keys[n] is not None and any(map(accept, keys[n]))
-        lo = label[0] - 1
-        return lambda n: kinds[n] is _ARR and len(children[n]) > lo
-    if word is not None:  # keys are sorted: one binary search
+    if word is not None:
+        obj_child = tree.obj_child
+
         def modal(n):
-            ks = keys[n]
-            if ks:
-                i = bisect_left(ks, word)
-                if i < len(ks) and ks[i] == word:
-                    return body(children[n][i])
-            return universal
+            c = obj_child(n, word)
+            return universal if c is None else body(c)
         return modal
     if isinstance(label, rx.Regex):
         accept = rx.word_filter(label)
@@ -402,13 +390,11 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
     over node ids) and never calls its definition, so evaluation recurses
     only as deep as ``phi``."""
     if isinstance(phi, Top):
-        return lambda n: True
+        return (-1).__lt__  # true at every node id, and no Python frame per call
     if isinstance(phi, Not):
         body = compile_formula(tree, phi.body, tables)
         return lambda n: not body(n)
     if isinstance(phi, And):
-        if isinstance(phi.lhs, Top):  # translate's And(cont, test) with cont true
-            return compile_formula(tree, phi.rhs, tables)
         lhs = compile_formula(tree, phi.lhs, tables)
         rhs = compile_formula(tree, phi.rhs, tables)
         return lambda n: lhs(n) and rhs(n)
@@ -418,16 +404,12 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         return lambda n: lhs(n) or rhs(n)
     if isinstance(phi, Atom):
         return compile_test(tree, phi.test)
-    if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
-        universal = isinstance(phi, (BoxKey, BoxIdx))
-        if isinstance(phi.body, Top):
-            if universal:
-                return lambda n: True
-            body = None
-        else:
-            body = compile_formula(tree, phi.body, tables)
-        label = phi.pattern if isinstance(phi, (BoxKey, DiaKey)) else (phi.lo, phi.hi)
-        return compile_modal(tree, label, universal, body)
+    if isinstance(phi, (BoxKey, DiaKey)):
+        return compile_modal(tree, phi.pattern, isinstance(phi, BoxKey),
+                             compile_formula(tree, phi.body, tables))
+    if isinstance(phi, (BoxIdx, DiaIdx)):
+        return compile_modal(tree, (phi.lo, phi.hi), isinstance(phi, BoxIdx),
+                             compile_formula(tree, phi.body, tables))
     if isinstance(phi, SymbolRef):
         if phi.name not in tables:
             raise MalformedFormula(f"free definition symbol {phi.name!r}")

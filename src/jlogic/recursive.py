@@ -229,7 +229,8 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None)
     Node ids are pre-order, so visiting them in reverse settles every child
     before its parent.  At one node the definitions run in dependency order:
     a body's unshielded symbols are already settled at this node and its
-    shielded ones at the children.
+    shielded ones at the children.  When every body needs a child (or a
+    key) to hold, the nodes without one are skipped and keep their 0.
 
     ``tables`` may hold filled tables of symbols the expression uses but
     does not define; the definitions' tables are added to it.  ``nodes``
@@ -246,15 +247,40 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None)
              for name in _topo_order(expr)]
     if nodes is None:
         nodes = range(tree.size - 1, -1, -1)
-    if len(steps) == 1:  # the common case, without the inner loop
-        (table, body), = steps
-        for n in nodes:
-            table[n] = body(n)
-        return tables
-    for n in nodes:
+    for n in candidates(tree, bodies.values(), bodies, nodes):
         for table, body in steps:
             table[n] = body(n)
     return tables
+
+
+def candidates(tree: JsonTree, phis, bodies: dict, nodes):
+    """The ids among ``nodes`` where some formula of ``phis`` may hold: all
+    of them, or (see _needs) only those with children or with keys."""
+    need = min((_needs(phi, bodies) for phi in phis), default=_ANY)
+    if need == _ANY:
+        return nodes
+    _, _, children, keys = tree.columns()
+    return filter((keys if need == _KEYS else children).__getitem__, nodes)
+
+
+_ANY, _CHILDREN, _KEYS = 0, 1, 2  # ordered: a node with keys has children
+
+
+def _needs(phi: JslFormula, bodies: dict) -> int:
+    """What a node needs for ``phi`` to possibly hold there: _KEYS (it is
+    false at every node without keys), _CHILDREN (false at every leaf) or
+    _ANY.  Symbols of ``bodies`` outside modalities stand for their body."""
+    if isinstance(phi, DiaKey):
+        return _KEYS
+    if isinstance(phi, DiaIdx):
+        return _CHILDREN
+    if isinstance(phi, jsl.Or):
+        return min(_needs(phi.lhs, bodies), _needs(phi.rhs, bodies))
+    if isinstance(phi, jsl.And):
+        return max(_needs(phi.lhs, bodies), _needs(phi.rhs, bodies))
+    if isinstance(phi, SymbolRef) and phi.name in bodies:
+        return _needs(bodies[phi.name], bodies)
+    return _ANY
 
 
 def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:

@@ -33,12 +33,14 @@ def jnl_to_jsl(phi: jnl.JnlUnary) -> jsl.JslFormula:
 
 class _Defs:
     """What the evaluator's translation collects: one definition per
-    closure, and a symbol from ``eq_symbol`` per two-path equality."""
+    closure and continuation, and a symbol from ``eq_symbol`` per two-path
+    equality."""
 
     def __init__(self, eq_symbol):
         self.definitions = []
         self.eq_symbol = eq_symbol
         self.count = 0
+        self.closures = {}  # (alpha*, K) -> its definition's symbol
 
     def fresh(self) -> str:
         self.count += 1
@@ -54,7 +56,11 @@ def _jnl_to_recursive(phi: jnl.JnlUnary, eq_symbol) -> rec.RecursiveJslExpr:
     ``<alpha>`` keeps only the alpha-successors strictly below the node
     (``jnl.strict_paths``), so every use of g in its own body sits under a
     modality: the least fixpoint at a node gains nothing from the node
-    itself.  A body that never moves leaves K alone."""
+    itself.  A body that never moves leaves K alone.
+
+    Each closure is translated once per continuation: the strict paths of
+    a closure nested in another repeat the inner one, and without sharing
+    the definitions would grow factorially with the nesting depth."""
     defs = _Defs(eq_symbol)
     base = _tu(phi, defs)
     return rec.RecursiveJslExpr(tuple(defs.definitions), base)
@@ -104,8 +110,10 @@ def _tb(alpha: jnl.JnlBinary, cont: jsl.JslFormula, defs) -> jsl.JslFormula:
         paths = jnl.strict_paths(alpha.body)
         if not paths or cont == jsl.TOP:  # the node itself is a successor
             return cont
-        g = jsl.SymbolRef(defs.fresh())
-        defs.definitions.append((g.name, jsl.or_all([cont] + [_tb(p, g, defs) for p in paths])))
+        g = defs.closures.get((alpha, cont))
+        if g is None:
+            g = defs.closures[alpha, cont] = jsl.SymbolRef(defs.fresh())
+            defs.definitions.append((g.name, jsl.or_all([cont] + [_tb(p, g, defs) for p in paths])))
         return g
     raise TypeError(f"not a path formula: {alpha!r}")
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from bisect import bisect_left
 from enum import Enum
 from json.decoder import JSONDecodeError
 from typing import Iterable, Optional, Union
@@ -123,18 +124,14 @@ class JsonTree:
         return ks if ks is not None else ()
 
     def obj_child(self, n: int, key: str) -> Optional[int]:
+        """The child under ``key`` of an object node: one binary search over
+        its sorted keys.  None if there is none."""
         ks = self._keys[n]
         if not ks:
             return None
-        lo, hi = 0, len(ks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ks[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(ks) and ks[lo] == key:
-            return self._children[n][lo]
+        i = bisect_left(ks, key)
+        if i < len(ks) and ks[i] == key:
+            return self._children[n][i]
         return None
 
     def columns(self) -> tuple:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import jlogic.jnl as jnl
+import jlogic.translate as translate
 import jlogic.tree as jt
 from jlogic.errors import MalformedFormula, UnsupportedOperator
 from jlogic.jnl import (
@@ -260,6 +261,57 @@ def test_star_sweep_is_linear_in_work():
     t = jt.from_python(random_chain(random.Random(1), 5000, keys=("a",)))
     f = parse_jnl('eq((@"a")*, (@"a")*)')
     assert eval_unary_ids(t, f) == frozenset(t.nodes())
+
+
+def _nested_closures(k):
+    """(..((@"a")* / @"x2")* .. / @"xk")*: k closures, each inside the next."""
+    text = '(@"a")*'
+    for i in range(2, k + 1):
+        text = f'({text} / @"x{i}")*'
+    return text
+
+
+def test_nested_closures_grow_linearly(monkeypatch):
+    """The strict paths of a closure repeat every closure nested in it.  Each
+    closure still gets one definition per continuation, and eq's reach sets
+    one closure per path and continuation, so both grow with the nesting
+    depth instead of its factorial (720 definitions at depth 6)."""
+    for k in (6, 8):
+        f = parse_jnl(f'[{_nested_closures(k)} / test(eq(eps, 1))]')
+        assert len(translate._jnl_to_recursive(f, None).definitions) == k
+    built = []
+    axis = jnl._axis
+    monkeypatch.setattr(jnl, "_axis", lambda t, b: built.append(b) or axis(t, b))
+    t = jt.from_python({"a": {"x2": {"a": {"b": 1}}, "b": [1]}, "x3": {"x2": 1}})
+    for k in (6, 8):
+        built.clear()
+        eval_unary_ids(t, parse_jnl(f'eq({_nested_closures(k)} / @"b", {_nested_closures(k)})'))
+        assert len(built) <= 2 * k + 1
+
+
+def _nested_keys_value(rng, depth):
+    if depth == 0 or (depth < 9 and rng.random() < 0.2):
+        return rng.choice([0, 1])
+    keys = rng.sample(["a", "b", "x2", "x3", "x4", "x5", "x6"], rng.randint(1, 3))
+    return {k: _nested_keys_value(rng, depth - 1) for k in keys}
+
+
+def test_nested_closures_against_interpreter():
+    """Six nested closures on documents whose keys let them all move,
+    against the set-at-a-time interpreter, membership at every 7th node."""
+    rng = random.Random(6006)
+    formulas = [parse_jnl(text) for text in (
+        f'[{_nested_closures(6)} / test(eq(eps, 1))]', f'[{_nested_closures(6)} / @"b"]',
+        f'eq({_nested_closures(5)} / @"b", {_nested_closures(6)} / @"a")',
+        f'[{_nested_closures(4)} / test(eq({_nested_closures(3)}, @"b"))]')]
+    hits = set()
+    for _ in range(8):
+        t = jt.from_python(_nested_keys_value(rng, 9))
+        for i, f in enumerate(formulas):
+            want = interpreter_sat(t, f)
+            hits.update(i for n in want if n)
+            _check_compiled(t, f, want, range(0, t.size, 7))
+    assert hits == set(range(len(formulas)))  # each holds below the root somewhere
 
 
 def test_compose_is_relation_composition():
