@@ -3,13 +3,17 @@
 An automaton has node states and tree states, each owning exactly one
 rule.  Tree-state rules are positive combinations of quantified atoms
 (some/every child along a key regex or index interval carries a state);
-node-state rules are positive combinations of already-derived states and
-possibly negated node tests.  A run decorates every tree node with the
-set of derivable states, built bottom-up in reverse pre-order id: the
-tree layer first from the children's sets, then node states in dependency
-order (the dependency graph among node states must be acyclic).  The
-automaton accepts when the root derives a final state.  Rule bodies run
-as closures built from ``jsl``'s compiled node tests and quantifiers.
+node-state rules are positive combinations of states and possibly negated
+node tests (the dependency graph among node states must be acyclic).  The
+automaton accepts a tree when its root derives a final state.
+
+A run does not interpret rule bodies: it translates the live rules into
+a recursive schema-logic expression, one definition per state that a
+quantified atom or two readers read, every other state inlined into its
+reader, and hands that to the recursive evaluator.  So a run fills
+per-definition tables bottom-up in reverse pre-order id with the same
+compiled node tests and modalities as ``eval_recursive``, and the
+connectives between them short-circuit.
 
 Formulas compile in negation normal form, so complementation is a pure
 dualization: swap and/or, toggle test negations, swap the quantifiers.
@@ -19,6 +23,7 @@ is what makes double complementation the identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,31 +148,25 @@ def _check_node_rule_order(node_rules, node_states):
         deps[q] = [a.state for a in _atoms(body)
                    if isinstance(a, StateAtom) and a.state in node_states]
     order, done, active = [], set(), set()
-
-    def visit(q):
-        stack = [(q, iter(deps[q]))]
-        active.add(q)
+    for root in deps:
+        if root in done:
+            continue
+        active.add(root)
+        stack = [(root, iter(deps[root]))]
         while stack:
-            state, it = stack[-1]
-            advanced = False
+            q, it = stack[-1]
             for dep in it:
-                if dep in done:
-                    continue
                 if dep in active:
                     raise AutomatonError(f"cyclic node-state rules through {dep}")
-                active.add(dep)
-                stack.append((dep, iter(deps[dep])))
-                advanced = True
-                break
-            if not advanced:
+                if dep not in done:
+                    active.add(dep)
+                    stack.append((dep, iter(deps[dep])))
+                    break
+            else:
                 stack.pop()
-                active.discard(state)
-                done.add(state)
-                order.append(state)
-
-    for q in deps:
-        if q not in done:
-            visit(q)
+                active.discard(q)
+                done.add(q)
+                order.append(q)
     return order
 
 
@@ -177,34 +176,22 @@ def node_rule_order(auto: JAutomaton) -> list:
 
 # -- acceptance -----------------------------------------------------------------
 
+# States inlined into one reader nest at most this deep before the next one
+# becomes a definition of its own, so a long chain of node states compiles
+# and runs with bounded recursion.
+_INLINE_DEPTH = 48
+
 
 def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
-    """Deterministic bottom-up run; True when the root derives a final state.
+    """Bottom-up run; True when the root derives a final state.
 
-    Each state is one bit and a node's derived states are one int.  Only
-    the states the final ones depend on are run.  Their rule bodies compile
-    to closures once per call; node ids are pre-order, so visiting them in
-    reverse derives every child before its parent.
+    The live rules translate to a recursive expression (``_to_recursive``)
+    that the recursive evaluator fills node by node, last pre-order id
+    first, and the base is the disjunction of the final states at the root.
     """
-    order = node_rule_order(auto)
-    live = _live_states(auto)
-    bits = {q: 1 << i for i, q in enumerate(sorted(live))}
-    masks = [0] * tree.size
-    node_rules = auto.node_rule_map()
-    tree_steps = [(bits[q], _tree_rule(body, tree, bits, masks))
-                  for q, body in auto.tree_rules if q in live]
-    node_steps = [(bits[q], _node_rule(node_rules[q], tree, bits))
-                  for q in order if q in live]
-    for n in range(tree.size - 1, -1, -1):
-        derived = 0
-        for bit, rule in tree_steps:
-            if rule(n):
-                derived |= bit
-        for bit, rule in node_steps:
-            if rule(n, derived):
-                derived |= bit
-        masks[n] = derived
-    return masks[0] & _mask(auto.final, bits) != 0
+    expr = _to_recursive(auto)
+    tables = rec._sat_tables(expr, tree)
+    return bool(jsl.compile_formula(tree, expr.base, tables)(0))
 
 
 def _live_states(auto: JAutomaton) -> set:
@@ -220,60 +207,78 @@ def _live_states(auto: JAutomaton) -> set:
     return live
 
 
-def _mask(states, bits) -> int:
-    mask = 0
-    for q in states:
-        bit = bits.get(q)
-        if bit is None:
-            raise AutomatonError(f"a rule refers to state {q}, which has no rule")
-        mask |= bit
-    return mask
+def _to_recursive(auto: JAutomaton) -> rec.RecursiveJslExpr:
+    """The live rules as one recursive expression.
+
+    A node state whose rule is a lone state atom is an alias of its target.
+    A state that a quantified atom reads, or that two readers read (the
+    final disjunction counts as one), becomes a definition ``q<id>``; every
+    other state is inlined into its one reader, until the inlining nests
+    ``_INLINE_DEPTH`` deep.  Formulas are in negation normal form, so a
+    state never occurs negated.
+    """
+    node_rules, tree_rules = auto.node_rule_map(), auto.tree_rule_map()
+    rules = {**node_rules, **tree_rules}
+    targets = {q: q for q in tree_rules}
+    for q in node_rule_order(auto):  # an alias comes after its target; raises on a cycle
+        body = node_rules[q]
+        targets[q] = targets.get(body.state, body.state) if isinstance(body, StateAtom) else q
+
+    def target(q):
+        if targets.get(q) not in rules:
+            raise AutomatonError(f"a rule refers to state {targets.get(q, q)}, which has no rule")
+        return targets[q]
+
+    reads, defined = [], set()
+    for q in _live_states(auto):
+        if target(q) != q:
+            continue
+        allowed = QuantAtom if q in tree_rules else (TrueAtom, FalseAtom, TestAtom, StateAtom)
+        for a in _atoms(rules[q]):
+            if not isinstance(a, allowed):
+                raise AutomatonError(f"misplaced atom in the rule of state {q}: {a!r}")
+            if isinstance(a, (StateAtom, QuantAtom)):
+                reads.append(target(a.state))
+            if isinstance(a, QuantAtom):
+                defined.add(reads[-1])
+    finals = sorted({target(q) for q in auto.final})
+    defined |= {q for q, k in Counter(reads + finals).items() if k > 1}
+    pending = sorted(defined)
+
+    def rule(e, depth):
+        if isinstance(e, (RAnd, ROr)):
+            return _join(jsl.And if isinstance(e, RAnd) else jsl.Or,
+                         [rule(p, depth + 1) for p in e.parts])
+        if isinstance(e, StateAtom):
+            q = target(e.state)
+            if q not in defined and depth >= _INLINE_DEPTH:
+                defined.add(q)
+                pending.append(q)
+            return jsl.SymbolRef(f"q{q}") if q in defined else rule(rules[q], depth + 1)
+        if isinstance(e, TestAtom):
+            return jsl.Not(jsl.Atom(e.test)) if e.negated else jsl.Atom(e.test)
+        if isinstance(e, QuantAtom):
+            body, label = jsl.SymbolRef(f"q{target(e.state)}"), e.label
+            if isinstance(label, KeyLabel):
+                return (jsl.BoxKey if e.universal else jsl.DiaKey)(label.pattern, body)
+            return (jsl.BoxIdx if e.universal else jsl.DiaIdx)(label.lo, label.hi, body)
+        return jsl.TOP if isinstance(e, TrueAtom) else jsl.BOTTOM
+
+    base = _join(jsl.Or, [rule(StateAtom(q), 0) for q in finals])
+    definitions = []
+    while pending:
+        q = pending.pop()
+        definitions.append((f"q{q}", rule(rules[q], 0)))
+    return rec.RecursiveJslExpr(tuple(definitions), base)
 
 
-def _node_rule(expr, tree, bits):
-    """Closure ``(n, derived) -> bool`` for a node-state rule body."""
-    if isinstance(expr, (RAnd, ROr)):
-        conj = isinstance(expr, RAnd)
-        if all(isinstance(p, StateAtom) for p in expr.parts):
-            mask = _mask([p.state for p in expr.parts], bits)
-            if conj:
-                return lambda n, derived: derived & mask == mask
-            return lambda n, derived: derived & mask != 0
-        parts = [_node_rule(p, tree, bits) for p in expr.parts]
-        if conj:
-            return lambda n, derived: all(p(n, derived) for p in parts)
-        return lambda n, derived: any(p(n, derived) for p in parts)
-    if isinstance(expr, TrueAtom):
-        return lambda n, derived: True
-    if isinstance(expr, FalseAtom):
-        return lambda n, derived: False
-    if isinstance(expr, TestAtom):
-        test = jsl.compile_test(tree, expr.test)
-        if expr.negated:
-            return lambda n, derived: not test(n)
-        return lambda n, derived: test(n)
-    if isinstance(expr, StateAtom):
-        mask = _mask([expr.state], bits)
-        return lambda n, derived: derived & mask != 0
-    if isinstance(expr, SymbolAtom):
-        raise AutomatonError("unresolved definition symbol in a rule")
-    raise AutomatonError(f"quantified atom in a node rule: {expr!r}")
-
-
-def _tree_rule(expr, tree, bits, masks):
-    """Closure ``n -> bool`` for a tree-state rule body over the children's
-    derived states in ``masks``."""
-    if isinstance(expr, (RAnd, ROr)):
-        parts = [_tree_rule(p, tree, bits, masks) for p in expr.parts]
-        if isinstance(expr, RAnd):
-            return lambda n: all(p(n) for p in parts)
-        return lambda n: any(p(n) for p in parts)
-    if isinstance(expr, QuantAtom):
-        mask = _mask([expr.state], bits)
-        label = expr.label
-        label = label.pattern if isinstance(label, KeyLabel) else (label.lo, label.hi)
-        return jsl.compile_modal(tree, label, expr.universal, lambda c: masks[c] & mask)
-    raise AutomatonError(f"node atom in a tree rule: {expr!r}")
+def _join(ctor, parts):
+    """``parts`` joined by ``jsl.And`` or ``jsl.Or``, nested logarithmically;
+    no parts give the connective's unit."""
+    if len(parts) < 2:
+        return parts[0] if parts else jsl.TOP if ctor is jsl.And else jsl.BOTTOM
+    mid = len(parts) // 2
+    return ctor(_join(ctor, parts[:mid]), _join(ctor, parts[mid:]))
 
 
 # -- complementation ---------------------------------------------------------------
@@ -399,16 +404,7 @@ def recursive_to_automaton(expr: rec.RecursiveJslExpr) -> JAutomaton:
         pos_final[name] = b.build(body, positive=True)
         neg_final[name] = b.build(body, positive=False)
     final = b.build(expr.base, positive=True)
-
-    def resolve(e: RuleExpr) -> RuleExpr:
-        if isinstance(e, (RAnd, ROr)):
-            parts = tuple(resolve(p) for p in e.parts)
-            return RAnd(parts) if isinstance(e, RAnd) else ROr(parts)
-        if isinstance(e, SymbolAtom):
-            table = neg_final if e.negated else pos_final
-            return StateAtom(table[e.name])
-        return e
-
-    node_rules = [(q, resolve(body)) for q, body in b.node_rules]
-    tree_rules = b.tree_rules
-    return make_automaton(node_rules, tree_rules, {final})
+    # the builder puts a symbol atom only as the whole rule of a fresh state
+    node_rules = [(q, StateAtom((neg_final if e.negated else pos_final)[e.name])
+                   if isinstance(e, SymbolAtom) else e) for q, e in b.node_rules]
+    return make_automaton(node_rules, b.tree_rules, {final})

@@ -45,9 +45,6 @@ class PrecedenceGraph:
     symbols: tuple
     edges: frozenset  # (definer, used-symbol) pairs outside modal scope
 
-    def successors(self, name: str):
-        return sorted(t for s, t in self.edges if s == name)
-
 
 def make_recursive(definitions, base: JslFormula) -> RecursiveJslExpr:
     """Build an expression, checking that every used symbol is defined once."""
@@ -126,32 +123,39 @@ def precedence_graph(expr: RecursiveJslExpr) -> PrecedenceGraph:
     return PrecedenceGraph(symbols, frozenset(edges))
 
 
-def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
-    """A cyclic symbol sequence in the precedence graph, or None."""
+def _successors(expr: RecursiveJslExpr) -> dict:
+    """Each definition's precedence-graph successors, sorted, in one pass
+    over the edges."""
     graph = precedence_graph(expr)
-    succ = {s: graph.successors(s) for s in graph.symbols}
-    color = {s: 0 for s in graph.symbols}  # 0 new, 1 on stack, 2 done
-    trail = []
+    succ = {s: [] for s in graph.symbols}
+    for s, t in sorted(graph.edges):
+        succ[s].append(t)
+    return succ
 
-    def visit(s):
-        color[s] = 1
-        trail.append(s)
-        for t in succ[s]:
-            if color[t] == 1:
-                return trail[trail.index(t):] + [t]
-            if color[t] == 0:
-                found = visit(t)
-                if found:
-                    return found
-        trail.pop()
-        color[s] = 2
-        return None
 
-    for s in graph.symbols:
-        if color[s] == 0:
-            found = visit(s)
-            if found:
-                return found
+def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
+    """A cyclic symbol sequence in the precedence graph, or None.  The
+    depth-first search keeps its own stack, so long chains of definitions
+    need no recursion."""
+    succ = _successors(expr)
+    color = dict.fromkeys(succ, 0)  # 0 new, 1 on the trail, 2 done
+    for root in succ:
+        if color[root]:
+            continue
+        color[root] = 1
+        trail, stack = [root], [iter(succ[root])]
+        while stack:
+            for t in stack[-1]:
+                if color[t] == 1:
+                    return trail[trail.index(t):] + [t]
+                if color[t] == 0:
+                    color[t] = 1
+                    trail.append(t)
+                    stack.append(iter(succ[t]))
+                    break
+            else:
+                stack.pop()
+                color[trail.pop()] = 2
     return None
 
 
@@ -160,21 +164,25 @@ def is_well_formed(expr: RecursiveJslExpr) -> bool:
 
 
 def _topo_order(expr: RecursiveJslExpr) -> list:
-    """Definition names with every dependency before its user."""
-    graph = precedence_graph(expr)
-    succ = {s: graph.successors(s) for s in graph.symbols}
+    """Definition names with every dependency before its user (depth-first
+    post-order, with its own stack)."""
+    succ = _successors(expr)
     out, done = [], set()
-
-    def visit(s):
-        if s in done:
-            return
-        done.add(s)
-        for t in succ[s]:
-            visit(t)
-        out.append(s)
-
-    for s in graph.symbols:
-        visit(s)
+    for root in succ:
+        if root in done:
+            continue
+        done.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            s, it = stack[-1]
+            for t in it:
+                if t not in done:
+                    done.add(t)
+                    stack.append((t, iter(succ[t])))
+                    break
+            else:
+                stack.pop()
+                out.append(s)
     return out
 
 
@@ -256,7 +264,8 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None)
 def candidates(tree: JsonTree, phis, bodies: dict, nodes):
     """The ids among ``nodes`` where some formula of ``phis`` may hold: all
     of them, or (see _needs) only those with children or with keys."""
-    need = min((_needs(phi, bodies) for phi in phis), default=_ANY)
+    memo = {}
+    need = min((_needs(phi, bodies, memo) for phi in phis), default=_ANY)
     if need == _ANY:
         return nodes
     _, _, children, keys = tree.columns()
@@ -266,21 +275,36 @@ def candidates(tree: JsonTree, phis, bodies: dict, nodes):
 _ANY, _CHILDREN, _KEYS = 0, 1, 2  # ordered: a node with keys has children
 
 
-def _needs(phi: JslFormula, bodies: dict) -> int:
+def _needs(phi: JslFormula, bodies: dict, memo: dict) -> int:
     """What a node needs for ``phi`` to possibly hold there: _KEYS (it is
     false at every node without keys), _CHILDREN (false at every leaf) or
-    _ANY.  Symbols of ``bodies`` outside modalities stand for their body."""
-    if isinstance(phi, DiaKey):
-        return _KEYS
-    if isinstance(phi, DiaIdx):
-        return _CHILDREN
-    if isinstance(phi, jsl.Or):
-        return min(_needs(phi.lhs, bodies), _needs(phi.rhs, bodies))
-    if isinstance(phi, jsl.And):
-        return max(_needs(phi.lhs, bodies), _needs(phi.rhs, bodies))
-    if isinstance(phi, SymbolRef) and phi.name in bodies:
-        return _needs(bodies[phi.name], bodies)
-    return _ANY
+    _ANY.  Symbols of ``bodies`` outside modalities stand for their body;
+    ``memo`` keeps each symbol's answer, so a body is read once however
+    often it is used.  The walk keeps its own stack."""
+    values, stack = [], [(phi, False)]
+    while stack:
+        f, done = stack.pop()
+        if isinstance(f, (jsl.And, jsl.Or)):
+            if done:
+                rhs, lhs = values.pop(), values.pop()
+                values.append(max(lhs, rhs) if isinstance(f, jsl.And) else min(lhs, rhs))
+            else:
+                stack += ((f, True), (f.rhs, False), (f.lhs, False))
+        elif isinstance(f, SymbolRef) and f.name in bodies:
+            if done:
+                memo[f.name] = values[-1]
+            elif f.name in memo:
+                values.append(memo[f.name])
+            else:
+                memo[f.name] = _ANY  # a cyclic use (ill-formed) reads _ANY
+                stack += ((f, True), (bodies[f.name], False))
+        elif isinstance(f, DiaKey):
+            values.append(_KEYS)
+        elif isinstance(f, DiaIdx):
+            values.append(_CHILDREN)
+        else:
+            values.append(_ANY)
+    return values.pop()
 
 
 def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:

@@ -16,7 +16,8 @@ import jlogic.recursive as rec
 import jlogic.regex as rx
 import jlogic.schema as sch
 import jlogic.tree as jt
-from jlogic.errors import MalformedFormula
+from jlogic.decision import automata as am
+from jlogic.errors import AutomatonError, MalformedFormula
 from jlogic.tree import JsonTree, NodeKind
 
 KEYS = ["a", "b", "c", "name", "w"]
@@ -606,6 +607,165 @@ def jsl_features(phi) -> set:
         elif isinstance(f, (jsl.BoxIdx, jsl.DiaIdx)) and f.hi is None:
             out.add("open interval")
     return out
+
+
+# -- automaton runs --------------------------------------------------------------------
+
+
+def oracle_automaton(auto: am.JAutomaton, tree: JsonTree) -> bool:
+    """The state-bit run: every live state at every node, bottom-up.
+
+    Each state is one bit and a node's derived states are one int.  Node
+    ids are pre-order, so visiting them in reverse derives every child
+    before its parent: tree states first from the children's sets, then
+    node states in rule-dependency order.  Accepts when the root derives a
+    final state.
+    """
+    order = am.node_rule_order(auto)
+    live = am._live_states(auto)
+    bits = {q: 1 << i for i, q in enumerate(sorted(live))}
+    masks = [0] * tree.size
+    node_rules = auto.node_rule_map()
+    tree_steps = [(bits[q], _oracle_tree_rule(body, tree, bits, masks))
+                  for q, body in auto.tree_rules if q in live]
+    node_steps = [(bits[q], _oracle_node_rule(node_rules[q], tree, bits))
+                  for q in order if q in live]
+    for n in range(tree.size - 1, -1, -1):
+        derived = 0
+        for bit, rule in tree_steps:
+            if rule(n):
+                derived |= bit
+        for bit, rule in node_steps:
+            if rule(n, derived):
+                derived |= bit
+        masks[n] = derived
+    return masks[0] & _oracle_mask(auto.final, bits) != 0
+
+
+def _oracle_mask(states, bits) -> int:
+    mask = 0
+    for q in states:
+        bit = bits.get(q)
+        if bit is None:
+            raise AutomatonError(f"a rule refers to state {q}, which has no rule")
+        mask |= bit
+    return mask
+
+
+def _oracle_node_rule(expr, tree, bits):
+    """Closure ``(n, derived) -> bool`` for a node-state rule body."""
+    if isinstance(expr, (am.RAnd, am.ROr)):
+        parts = [_oracle_node_rule(p, tree, bits) for p in expr.parts]
+        if isinstance(expr, am.RAnd):
+            return lambda n, derived: all(p(n, derived) for p in parts)
+        return lambda n, derived: any(p(n, derived) for p in parts)
+    if isinstance(expr, am.TrueAtom):
+        return lambda n, derived: True
+    if isinstance(expr, am.FalseAtom):
+        return lambda n, derived: False
+    if isinstance(expr, am.TestAtom):
+        test = jsl.compile_test(tree, expr.test)
+        if expr.negated:
+            return lambda n, derived: not test(n)
+        return lambda n, derived: test(n)
+    if isinstance(expr, am.StateAtom):
+        mask = _oracle_mask([expr.state], bits)
+        return lambda n, derived: derived & mask != 0
+    raise AutomatonError(f"not a node-rule atom: {expr!r}")
+
+
+def _oracle_tree_rule(expr, tree, bits, masks):
+    """Closure ``n -> bool`` for a tree-state rule body over the children's
+    derived states in ``masks``."""
+    if isinstance(expr, (am.RAnd, am.ROr)):
+        parts = [_oracle_tree_rule(p, tree, bits, masks) for p in expr.parts]
+        if isinstance(expr, am.RAnd):
+            return lambda n: all(p(n) for p in parts)
+        return lambda n: any(p(n) for p in parts)
+    if isinstance(expr, am.QuantAtom):
+        mask = _oracle_mask([expr.state], bits)
+        label = expr.label
+        label = label.pattern if isinstance(label, am.KeyLabel) else (label.lo, label.hi)
+        return jsl.compile_modal(tree, label, expr.universal, lambda c: masks[c] & mask)
+    raise AutomatonError(f"node atom in a tree rule: {expr!r}")
+
+
+def random_automaton(rng, size=8) -> am.JAutomaton:
+    """A hand-built automaton over states 0..size-1.
+
+    A node rule reads only lower states, so node rules stay acyclic; a
+    tree rule quantifies over any state, itself included.  Node rules mix
+    (possibly negated) tests, constants and state atoms, and a third of
+    them alias a lower state, so chains of aliases and states read twice
+    are common.  A conjunction or disjunction may have no parts.  One to
+    three states are final.
+    """
+    node_rules, tree_rules = [], []
+    for q in range(size):
+        roll = rng.random()
+        if q and roll < 0.3:
+            node_rules.append((q, am.StateAtom(rng.randrange(q))))
+        elif roll < 0.6:
+            tree_rules.append((q, _random_rule(rng, lambda: _random_quant(rng, size))))
+        else:
+            node_rules.append((q, _random_rule(rng, lambda: _random_node_atom(rng, q))))
+    final = rng.sample(range(size), rng.randint(1, min(3, size)))
+    return am.make_automaton(node_rules, tree_rules, final)
+
+
+def _random_rule(rng, atom):
+    parts = tuple(atom() for _ in range(rng.randint(0, 3)))
+    if len(parts) == 1 and rng.random() < 0.5:
+        return parts[0]
+    return (am.RAnd if rng.random() < 0.5 else am.ROr)(parts)
+
+
+def _random_quant(rng, size):
+    if rng.random() < 0.5:
+        label = am.KeyLabel(random_key_pattern(rng))
+    else:
+        lo = rng.randint(1, 3)
+        label = am.IdxLabel(lo, rng.choice([lo, lo + 1, None]))
+    return am.QuantAtom(rng.randrange(size), label, universal=rng.random() < 0.5)
+
+
+def _random_node_atom(rng, q):
+    roll = rng.random()
+    if q and roll < 0.5:
+        return am.StateAtom(rng.randrange(q))
+    if roll < 0.9:
+        return am.TestAtom(random_node_test(rng), negated=rng.random() < 0.5)
+    return am.TrueAtom() if rng.random() < 0.5 else am.FalseAtom()
+
+
+def automaton_features(auto: am.JAutomaton) -> set:
+    """Which of AUTOMATON_FEATURES ``auto`` shows."""
+    out = set()
+    node_rules = auto.node_rule_map()
+    aliases = {q: b.state for q, b in node_rules.items() if isinstance(b, am.StateAtom)}
+    if any(t in aliases for t in aliases.values()):
+        out.add("alias chain")
+    reads = [a.state for _, body in auto.node_rules + auto.tree_rules
+             for a in am._atoms(body) if isinstance(a, (am.StateAtom, am.QuantAtom))]
+    if len(reads) > len(set(reads)):
+        out.add("shared state")
+    if len(auto.final) > 1:
+        out.add("several finals")
+    for q, body in auto.tree_rules:
+        for a in am._atoms(body):
+            out.add("key label" if isinstance(a.label, am.KeyLabel) else "index label")
+            out.add("box" if a.universal else "dia")
+            if a.state == q:
+                out.add("self quantifier")
+    for _, body in auto.node_rules:
+        if any(isinstance(a, am.TestAtom) and a.negated for a in am._atoms(body)):
+            out.add("negated test")
+    return out
+
+
+AUTOMATON_FEATURES = frozenset({"alias chain", "shared state", "several finals", "key label",
+                                "index label", "box", "dia", "self quantifier",
+                                "negated test"})
 
 
 # -- JSON Schema keyword interpreter --------------------------------------------------

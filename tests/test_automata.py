@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,16 @@ from jlogic.decision import (
 )
 from jlogic.errors import AutomatonError, IllFormedRecursion
 from jlogic.tree import NodeKind, height, parse_document
-from helpers import JSL_FEATURES, jsl_features, random_jsl, random_tree
+from helpers import (
+    AUTOMATON_FEATURES,
+    JSL_FEATURES,
+    automaton_features,
+    jsl_features,
+    oracle_automaton,
+    random_automaton,
+    random_jsl,
+    random_tree,
+)
 
 
 def str_automaton():
@@ -47,7 +57,8 @@ def test_compiled_size_linear():
 # regexes and open index intervals; each runs on every document below
 EDGE_FORMULAS = ("int", "unique", "pattern(/a+b/)", "min(2)", "max(2)", "multOf(0)",
                  "multOf(3)", "minCh(2)", "maxCh(1)", "same([1,2])", "box(2:*) min(1)",
-                 "dia(2:*) max(1)", "box(/a.*/) min(1)", "dia(/[ab]/) !int")
+                 "dia(2:*) max(1)", "box(1:1) max(1)", "dia(2:2) max(0)",
+                 "box(/a.*/) min(1)", "dia(/[ab]/) !int")
 EDGE_DOCS = ("0", "1", "2", "3", "6", '"aab"', '"ab "', "[]", "[1,1]", "[1,2]", "[1,2,0]",
              "[2,1,0]", "{}", '{"a":1,"ab":0,"c":5}', '{"b":"x"}')
 
@@ -189,6 +200,57 @@ def test_double_complement_restores_acceptance():
         for auto in autos:
             assert automaton_accepts(complement(complement(auto)), t) == \
                 automaton_accepts(auto, t)
+
+
+def test_random_automata_against_oracle():
+    # hand-built automata, not compiled from formulas: aliases, shared and
+    # self-quantifying states, several finals; each with its complement
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        auto = random_automaton(rng, rng.randint(1, 10))
+        seen |= automaton_features(auto)
+        comp = complement(auto)
+        for _ in range(4):
+            t = random_tree(rng, 3, 3)
+            expected = oracle_automaton(auto, t)
+            assert automaton_accepts(auto, t) == expected, auto
+            assert automaton_accepts(comp, t) == (not expected), auto
+    assert seen >= AUTOMATON_FEATURES, AUTOMATON_FEATURES - seen
+
+
+def test_translation_shares_states_and_resolves_aliases():
+    # the benchmark's g: one definition, read by both boxes and the base
+    g = rec.parse_recursive(
+        "let g = (obj && box(/k[0-9]+/) g) || (arr && box(1:*) g) || "
+        "(str && pattern(/[a-z]+/)) || (int && max(100)); in box(/items/) g")
+    text = rec.to_text(am._to_recursive(recursive_to_automaton(g)))
+    assert re.sub(r"q[0-9]+", "q", text) == (
+        "let q = obj && box(/k[0-9]+/) q || arr && box(1:*) q || str && pattern(/[a-z]+/)"
+        ' || int && max(100); in box("items") q')
+    # state 0 is read through the alias chain 2 -> 1 -> 0 and through 1
+    chain = am.make_automaton(
+        [(0, am.TestAtom(jsl.KindTest(NodeKind.INT))), (1, am.StateAtom(0)),
+         (2, am.StateAtom(1)), (3, am.RAnd((am.StateAtom(2), am.StateAtom(1))))], [], {3})
+    assert rec.to_text(am._to_recursive(chain)) == "let q0 = int; in q0 && q0"
+    # every definition of a doubling DAG is read twice: one each, no copies
+    dag = rec.parse_recursive("let g0 = int; " + " ".join(
+        f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, 30)) + " in g29")
+    assert len(am._to_recursive(recursive_to_automaton(dag)).definitions) == 29
+
+
+def test_long_node_state_chain():
+    # 5,000 node states, each reading the one before; the run inlines a
+    # bounded stretch of the chain per definition
+    n = 5000
+    node_rules = [(0, am.TestAtom(jsl.KindTest(NodeKind.INT)))]
+    node_rules += [(q, am.RAnd((am.StateAtom(q - 1), am.TrueAtom()))) for q in range(1, n)]
+    auto = am.make_automaton(node_rules, [], {n - 1})
+    comp = complement(auto)
+    for text, expected in (("5", True), ('"x"', False), ("[5]", False)):
+        t = parse_document(text)
+        assert automaton_accepts(auto, t) == expected, text
+        assert automaton_accepts(comp, t) == (not expected), text
 
 
 def test_node_rule_cycles_rejected():

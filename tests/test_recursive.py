@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -310,3 +311,49 @@ def test_deep_document_bottom_up_paths(depth, tmp_path):
     assert verdicts == dict.fromkeys(verdicts, depth % 2 == 0)
     assert sets["g1"] == {n for n in doc.nodes() if (depth - n) % 2 == 0}
     assert sets["g2"] == {n for n in doc.nodes() if (depth - n) % 2 == 1}
+
+
+# definitions written last-first, first-to-last, and a DAG whose every
+# definition uses the one before twice (2^29 paths through the bodies)
+LONG_DEFINITION_LISTS = {
+    "reversed chain": " ".join(f"let g{i} = g{i + 1};" for i in range(2999))
+    + " let g2999 = int; in g0",
+    "forward chain": "let g0 = int; " + " ".join(f"let g{i} = g{i - 1};" for i in range(1, 3000))
+    + " in g2999",
+    "doubling dag": "let g0 = int; "
+    + " ".join(f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, 30)) + " in g29",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_DEFINITION_LISTS))
+def test_long_definition_lists_through_cli(name, tmp_path, capsys):
+    doc = tmp_path / "five.json"
+    doc.write_text("5")
+    rjsl = tmp_path / "e.rjsl"
+    rjsl.write_text(LONG_DEFINITION_LISTS[name])
+    rows = {
+        "check-wf": (["check-wf", "--formula-file", str(rjsl)], "WELL-FORMED"),
+        "validate": (["validate", str(doc), str(rjsl), "--logic", "rjsl"], "VALID"),
+        "automaton": (["automaton", str(doc), "--formula-file", str(rjsl), "--logic", "rjsl"],
+                      "ACCEPT"),
+    }
+    for command, (argv, verdict) in rows.items():
+        start = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (rc, captured.out.splitlines()[-1:]) == (0, [verdict]), (command, captured.err)
+        if name == "doubling dag" and command != "check-wf":
+            assert elapsed < 1.0, (command, elapsed)
+
+
+def test_candidates_read_each_definition_once():
+    # 2^29 paths through the bodies, all ending in a key modality: only the
+    # objects with keys (ids 3 and 0) may satisfy the definitions
+    expr = rec.parse_recursive(
+        "let g0 = dia(/.*/) true; "
+        + " ".join(f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, 30)) + " in g29")
+    doc = parse_document('{"a": [1, {"b": []}], "c": {}}')
+    bodies = dict(expr.definitions)
+    assert list(rec.candidates(doc, bodies.values(), bodies, range(5, -1, -1))) == [3, 0]
+    assert rec.eval_recursive(expr, doc)
