@@ -34,6 +34,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, compress, repeat
+from operator import is_
 from typing import Optional
 
 from . import regex as rx
@@ -490,9 +492,17 @@ def eval_unary(tree: JsonTree, u: JnlUnary) -> frozenset:
 
 def eval_unary_ids(tree: JsonTree, u: JnlUnary) -> frozenset:
     """Same as eval_unary but over internal integer ids (fast interface).
-    Nodes where the formula needs a child or key it lacks are not visited."""
-    holds, nodes = _compile(tree, u, range(tree.size - 1, -1, -1))
-    return frozenset(filter(holds, nodes))
+    The formula is specialized per node kind: false kinds are skipped, and
+    each other form is taken whole (true) or run at its kinds' nodes."""
+    kinds, ids = tree.columns()[0], range(tree.size)
+    by_kind = _compile(tree, u, ids[::-1], by_kind=True)
+    out = []
+    for holds in set(by_kind.values()) - {False}:
+        group = [kind for kind, h in by_kind.items() if h is holds]
+        of = ids if len(group) == len(by_kind) else chain.from_iterable(
+            compress(ids, map(is_, kinds, repeat(kind))) for kind in group)
+        out.append(of if holds is True else filter(holds, of))
+    return frozenset(chain.from_iterable(out))
 
 
 def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
@@ -503,15 +513,17 @@ def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
     last = n  # pre-order: the subtree is the ids from n to its last leaf
     while children[last]:
         last = children[last][-1]
-    return bool(_compile(tree, u, range(last, n - 1, -1))[0](n))
+    return bool(_compile(tree, u, range(last, n - 1, -1))(n))
 
 
-def _compile(tree: JsonTree, u: JnlUnary, nodes: range):
+def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False):
     """``u`` as a closure over node ids, exact on ``nodes`` (decreasing ids,
-    closed under descendants), and the ids of ``nodes`` where it may hold.
-    The tables the closure reads are filled first."""
+    closed under descendants).  The tables the closure reads are filled
+    first.  With ``by_kind``, a dict from each node kind to ``u`` there,
+    specialized as the fill specializes a definition: True, False or a
+    closure, one per distinct specialized form."""
     from . import jsl, recursive, translate  # they import this module
-    tables, names = {}, {}
+    tables, names, consts = {}, {}, {}
 
     def eq_symbol(f):  # one table per distinct eq(alpha, beta)
         if f not in names:
@@ -521,9 +533,13 @@ def _compile(tree: JsonTree, u: JnlUnary, nodes: range):
 
     expr = translate._jnl_to_recursive(u, eq_symbol)
     if expr.definitions:
-        recursive._sat_tables(expr, tree, tables, nodes)
-    return (jsl.compile_formula(tree, expr.base, tables),
-            recursive.candidates(tree, (expr.base,), dict(expr.definitions), nodes))
+        recursive._sat_tables(expr, tree, tables, nodes, consts)
+    if not by_kind:
+        return jsl.compile_formula(tree, expr.base, tables)
+    forms = {kind: jsl.specialize(expr.base, kind, consts.get(kind)) for kind in NodeKind}
+    compiled = {id(f): jsl.compile_formula(tree, f, tables)  # one per distinct form
+                for f in forms.values() if not isinstance(f, bool)}
+    return {kind: compiled.get(id(f), f) for kind, f in forms.items()}
 
 
 def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
@@ -536,7 +552,7 @@ def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
     stay = stays(f.left), stays(f.right)
     if stay[0] is TOP and stay[1] is TOP:
         return lambda n: True
-    both = None if None in stay else _compile(tree, And(*stay), nodes)[0]
+    both = None if None in stay else _compile(tree, And(*stay), nodes)
     ids = tree.subtree_ids()
     cont = lambda n: frozenset((ids[n],))
     steps, table, memo = [], bytearray(tree.size), {}
@@ -576,7 +592,7 @@ def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range):
         elif isinstance(s, IdxAxis):
             program.append((1, s.pos - 1))
         elif isinstance(s, Test):
-            program.append((2, _compile(tree, s.body, nodes)[0]))
+            program.append((2, _compile(tree, s.body, nodes)))
 
     def eq(n):
         m = n
@@ -623,7 +639,7 @@ def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range, memo: dict):
     if isinstance(b, Eps):
         out = cont
     elif isinstance(b, Test):
-        test = _compile(tree, b.body, nodes)[0]
+        test = _compile(tree, b.body, nodes)
         out = lambda n: cont(n) if test(n) else _EMPTY
     elif isinstance(b, Compose):
         out = _reach(tree, b.lhs, _reach(tree, b.rhs, cont, steps, nodes, memo), steps, nodes, memo)

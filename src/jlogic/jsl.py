@@ -418,6 +418,52 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
     raise TypeError(f"not a formula: {phi!r}")
 
 
+_TEST_KIND = {UniqueTest: _ARR, PatternTest: _STR, MinTest: _INT, MaxTest: _INT, MultOfTest: _INT}
+
+
+def specialize(phi: JslFormula, kind: NodeKind, consts=None):
+    """``phi`` at the nodes of one kind: True, False or a formula that
+    agrees with it there.  Kind tests, value tests and ``same(c)`` of
+    another kind, modalities on another kind (box true, dia false) and
+    ``minCh``/``maxCh`` on a leaf fold, and so does a symbol outside every
+    modality that ``consts`` maps to its constant at this kind; constants
+    propagate through ``!``, ``&&`` and ``||``.  Modal bodies hold at
+    children of any kind and are kept, as is every part nothing folds."""
+    if isinstance(phi, Top):
+        return True
+    if isinstance(phi, Not):
+        body = specialize(phi.body, kind, consts)
+        if isinstance(body, bool):
+            return body is False
+        return phi if body is phi.body else Not(body)
+    if isinstance(phi, (And, Or)):
+        unit = isinstance(phi, And)  # drops out; the other constant decides
+        lhs = specialize(phi.lhs, kind, consts)
+        if lhs is not unit and isinstance(lhs, bool):
+            return lhs
+        rhs = specialize(phi.rhs, kind, consts)
+        if lhs is unit or isinstance(rhs, bool) and rhs is not unit:
+            return rhs
+        if rhs is unit:
+            return lhs
+        return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
+    if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
+        on = NodeKind.OBJ if isinstance(phi, (BoxKey, DiaKey)) else _ARR
+        return phi if kind is on else isinstance(phi, (BoxKey, BoxIdx))
+    if isinstance(phi, Atom):
+        test = phi.test
+        if isinstance(test, KindTest):
+            return test.kind is kind
+        if isinstance(test, (MinChTest, MaxChTest)):  # a leaf has no children
+            leaf = kind is _STR or kind is _INT
+            return isinstance(test, MaxChTest) or test.count == 0 if leaf else phi
+        on = test.const.kind(0) if isinstance(test, SameAsTest) else _TEST_KIND[type(test)]
+        return phi if kind is on else False
+    if isinstance(phi, SymbolRef):
+        return consts.get(phi.name, phi) if consts else phi
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 # -- parsing ------------------------------------------------------------------
 
 

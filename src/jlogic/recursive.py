@@ -7,10 +7,10 @@ name appearing in its body outside the scope of any modal operator.
 
 Two semantics are provided and kept equivalent: ``unfold`` rewrites the
 base until every remaining name sits under more modalities than the
-tree's height (then turns into falsity), and ``eval_recursive`` compiles
-each definition once into a closure (``jsl.compile_formula``) and fills
-one table of satisfied nodes per definition, bottom-up in reverse
-pre-order id, the definitions in dependency order at each node.  A symbol
+tree's height (then turns into falsity), and ``eval_recursive`` fills a
+table of satisfied nodes per definition in reverse pre-order id, each body
+folded per node kind (``jsl.specialize``) and compiled once per kind: a
+node runs only its kind's closures, in dependency order.  A symbol
 reads its table and never calls its body, so evaluation recurses as deep
 as the formula, never as deep as the document.  The second is the
 production path; the first is the reference the tests compare against.
@@ -26,7 +26,7 @@ from typing import Optional
 from . import jsl
 from .errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from .jsl import BOTTOM, BoxIdx, BoxKey, DiaIdx, DiaKey, JslFormula, SymbolRef
-from .tree import JsonTree
+from .tree import JsonTree, NodeKind
 
 DEFAULT_UNFOLD_CAP = 500_000
 
@@ -231,19 +231,17 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
 # -- bottom-up evaluation ----------------------------------------------------------
 
 
-def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None) -> dict:
-    """Per definition, a bytearray with 1 at each node id where it holds.
-
-    Node ids are pre-order, so visiting them in reverse settles every child
-    before its parent.  At one node the definitions run in dependency order:
-    a body's unshielded symbols are already settled at this node and its
-    shielded ones at the children.  When every body needs a child (or a
-    key) to hold, the nodes without one are skipped and keep their 0.
+def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
+                consts=None) -> dict:
+    """Per definition, a bytearray with 1 at each node id where it holds,
+    filled by ``fill_tables`` with each body specialized per node kind
+    (``jsl.specialize``) and compiled once per kind.
 
     ``tables`` may hold filled tables of symbols the expression uses but
     does not define; the definitions' tables are added to it.  ``nodes``
     (default: every node, last first) limits the filling to the given ids,
     in decreasing order and closed under descendants, such as one subtree.
+    ``consts``, when given, receives the definitions constant at each kind.
     """
     if not is_well_formed(expr):
         raise IllFormedRecursion(f"cyclic definitions: {find_cycle(expr)}")
@@ -251,60 +249,40 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None)
     for name, _ in expr.definitions:
         tables[name] = bytearray(tree.size)
     bodies = dict(expr.definitions)
-    steps = [(tables[name], jsl.compile_formula(tree, bodies[name], tables))
-             for name in _topo_order(expr)]
-    if nodes is None:
-        nodes = range(tree.size - 1, -1, -1)
-    for n in candidates(tree, bodies.values(), bodies, nodes):
-        for table, body in steps:
-            table[n] = body(n)
+    fill_tables(tree, [(name, bodies[name]) for name in _topo_order(expr)], tables,
+                jsl.specialize, lambda phi: jsl.compile_formula(tree, phi, tables),
+                range(tree.size - 1, -1, -1) if nodes is None else nodes, consts)
     return tables
 
 
-def candidates(tree: JsonTree, phis, bodies: dict, nodes):
-    """The ids among ``nodes`` where some formula of ``phis`` may hold: all
-    of them, or (see _needs) only those with children or with keys."""
-    memo = {}
-    need = min((_needs(phi, bodies, memo) for phi in phis), default=_ANY)
-    if need == _ANY:
-        return nodes
-    _, _, children, keys = tree.columns()
-    return filter((keys if need == _KEYS else children).__getitem__, nodes)
+def fill_tables(tree: JsonTree, definitions, tables: dict, specialize, compile_, nodes,
+                consts=None):
+    """Fill ``tables[name]`` for each ``(name, body)`` of ``definitions``
+    (every dependency before its user) at the ids of ``nodes``, decreasing
+    pre-order ids, so every child is settled before its parent.
 
-
-_ANY, _CHILDREN, _KEYS = 0, 1, 2  # ordered: a node with keys has children
-
-
-def _needs(phi: JslFormula, bodies: dict, memo: dict) -> int:
-    """What a node needs for ``phi`` to possibly hold there: _KEYS (it is
-    false at every node without keys), _CHILDREN (false at every leaf) or
-    _ANY.  Symbols of ``bodies`` outside modalities stand for their body;
-    ``memo`` keeps each symbol's answer, so a body is read once however
-    often it is used.  The walk keeps its own stack."""
-    values, stack = [], [(phi, False)]
-    while stack:
-        f, done = stack.pop()
-        if isinstance(f, (jsl.And, jsl.Or)):
-            if done:
-                rhs, lhs = values.pop(), values.pop()
-                values.append(max(lhs, rhs) if isinstance(f, jsl.And) else min(lhs, rhs))
-            else:
-                stack += ((f, True), (f.rhs, False), (f.lhs, False))
-        elif isinstance(f, SymbolRef) and f.name in bodies:
-            if done:
-                memo[f.name] = values[-1]
-            elif f.name in memo:
-                values.append(memo[f.name])
-            else:
-                memo[f.name] = _ANY  # a cyclic use (ill-formed) reads _ANY
-                stack += ((f, True), (bodies[f.name], False))
-        elif isinstance(f, DiaKey):
-            values.append(_KEYS)
-        elif isinstance(f, DiaIdx):
-            values.append(_CHILDREN)
-        else:
-            values.append(_ANY)
-    return values.pop()
+    ``specialize(body, kind, consts[kind])`` gives a body at one node kind:
+    True, False or what ``compile_`` turns into a closure over node ids.
+    ``consts[kind]`` holds the definitions already constant at that kind
+    (and stays in ``consts`` when the caller passes it).  A node runs only
+    its kind's closures, in dependency order; a constant true writes 1.
+    """
+    if not definitions:
+        return
+    consts = {} if consts is None else consts
+    plan = {kind.value: [] for kind in NodeKind}
+    for name, body in definitions:
+        for kind in NodeKind:
+            f = specialize(body, kind, consts.setdefault(kind, {}))
+            if isinstance(f, bool):
+                consts[kind][name] = f
+            if f is not False:
+                plan[kind.value].append((tables[name], None if f is True else compile_(f)))
+    kinds = tree.columns()[0]
+    for n in nodes:
+        # by value: an Enum member hashes through a Python-level __hash__
+        for table, body in plan[kinds[n]._value_]:
+            table[n] = body(n) if body else 1
 
 
 def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:

@@ -370,19 +370,19 @@ def check_well_formed(doc: SchemaDocument) -> list:
 def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
     """Whether the document satisfies the schema.
 
-    Each schema node compiles once per call into a closure over the tree's
-    per-node lists (``JsonTree.columns()``); leaf keywords are the logic's
-    compiled node tests and key patterns go through ``regex.word_filter``.
-    A ``$ref`` reads a per-definition table and never calls its
-    definition: the tables of the definitions the root reaches fill in one
-    pass over node ids in reverse pre-order (children first), the
-    definitions at one node in the order ``check_well_formed`` returns.
-    The root schema then runs once, at the root node.  So evaluation
-    recurses as deep as the schema, never as deep as the document.
+    Schema nodes compile into closures over the tree's per-node lists
+    (``JsonTree.columns()``); leaf keywords are the logic's compiled node
+    tests and key patterns go through ``regex.word_filter``.  A ``$ref``
+    reads a per-definition table and never calls its definition: the
+    tables of the definitions the root reaches are filled by
+    ``recursive.fill_tables`` in the order ``check_well_formed`` returns,
+    each definition folded per node kind (``_specialize``) and compiled
+    once per kind.  The root schema then runs once, at the root node.  So
+    evaluation recurses as deep as the schema, never as deep as the document.
 
-    Trade-off: when the root reaches a definition, the pass visits every
-    node, even when the root fails at once; otherwise only the nodes the
-    keywords reach are visited.
+    Trade-off: when the root reaches a definition, the fill visits every
+    node (running no closure where the kind makes each one constant), even
+    when the root fails at once; otherwise only the keywords' nodes are.
     """
     defs = doc.definition_map()
     order = check_well_formed(doc)
@@ -393,13 +393,42 @@ def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
             live.add(name)
             todo.extend(_refs(defs[name]))
     tables = {name: bytearray(tree.size) for name in live}
-    steps = [(tables[name], _compile(tree, defs[name], tables))
-             for name in order if name in live]
-    if steps:
-        for n in range(tree.size - 1, -1, -1):
-            for table, body in steps:
-                table[n] = body(n)
+    rec.fill_tables(tree, [(name, defs[name]) for name in order if name in live], tables,
+                    _specialize, lambda ast: _compile(tree, ast, tables),
+                    range(tree.size - 1, -1, -1))
     return bool(_compile(tree, doc.root, tables)(0))
+
+
+_KIND_OF = {StringSchema: NodeKind.STR, NumberSchema: NodeKind.INT,
+            ObjectSchema: NodeKind.OBJ, ArraySchema: NodeKind.ARR}
+
+
+def _specialize(ast: SchemaAst, kind: NodeKind, consts: dict):
+    """The schema at the nodes of one kind, folded as ``jsl.specialize``
+    folds a formula: True, False or a schema that agrees with it there.  A
+    type schema holds only at its kind (always, when unconstrained),
+    ``enum`` keeps the values of this kind, and a ``$ref`` outside every
+    keyword that descends reads ``consts``."""
+    if isinstance(ast, EmptySchema):
+        return True
+    if isinstance(ast, Ref):
+        return consts.get(ast.name, ast)
+    if type(ast) in _KIND_OF:
+        return _KIND_OF[type(ast)] is kind and (ast == type(ast)() or ast)
+    if isinstance(ast, Enum):
+        values = tuple(v for v in ast.values if v.kind(0) is kind)
+        return bool(values) and (ast if values == ast.values else Enum(values))
+    if isinstance(ast, NotSchema):
+        body = _specialize(ast.body, kind, consts)
+        return (body is False) if isinstance(body, bool) else NotSchema(body)
+    unit = isinstance(ast, AllOf)  # drops out; the other constant decides
+    parts = [_specialize(sub, kind, consts) for sub in ast.parts]
+    if (not unit) in parts:
+        return not unit
+    kept = tuple(p for p in parts if p is not unit)
+    if kept == ast.parts:
+        return ast
+    return type(ast)(kept) if len(kept) > 1 else kept[0] if kept else unit
 
 
 _OBJ, _ARR = NodeKind.OBJ, NodeKind.ARR

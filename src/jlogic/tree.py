@@ -693,16 +693,6 @@ def height(tree: JsonTree) -> int:
     return h
 
 
-def tree_heights(tree: JsonTree) -> list:
-    """Height of every node by internal id (bottom-up, no recursion)."""
-    hs = [0] * tree.size
-    for n in range(tree.size - 1, -1, -1):
-        ch = tree.children(n)
-        if ch:
-            hs[n] = 1 + max(hs[c] for c in ch)
-    return hs
-
-
 # -- invariants ---------------------------------------------------------------
 
 

@@ -782,6 +782,12 @@ def oracle_schema(tree: JsonTree, doc) -> bool:
     return _vs(tree, 0, doc.root, defs, memo)
 
 
+def oracle_schema_at(tree: JsonTree, n: int, ast, doc) -> bool:
+    """The schema node ``ast``, whose references name the definitions of
+    ``doc``, at document node ``n``."""
+    return _vs(tree, n, ast, doc.definition_map(), {})
+
+
 def _vs(tree, n, ast, defs, memo) -> bool:
     key = (id(ast), n)
     hit = memo.get(key)

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from jlogic.cli import main
 from jlogic.decision import automaton_accepts, complement, recursive_to_automaton
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
-from helpers import random_jsl, random_tree, random_value, random_well_formed
+from helpers import oracle_jsl, random_jsl, random_tree, random_value, random_well_formed
 
 EVEN_PATHS = ("let g1 = box(/.*/) g2; "
               "let g2 = dia(/.*/) true && box(/.*/) g1; in g1")
@@ -281,7 +282,9 @@ def test_strata_restricted_to_exact_heights():
     e = even()
     t = parse_document('{"a":{"b":{"c":0}},"d":0}')
     sets = rec.recursive_sat_sets(e, t)
-    heights = jt.tree_heights(t)
+    heights = [0] * t.size  # children have larger ids than their parent
+    for n in reversed(t.nodes()):
+        heights[n] = 1 + max((heights[c] for c in t.children(n)), default=-1)
     for name, nodes in sets.items():
         assert all(0 <= heights[n] <= height(t) for n in nodes)
 
@@ -347,13 +350,160 @@ def test_long_definition_lists_through_cli(name, tmp_path, capsys):
             assert elapsed < 1.0, (command, elapsed)
 
 
-def test_candidates_read_each_definition_once():
-    # 2^29 paths through the bodies, all ending in a key modality: only the
-    # objects with keys (ids 3 and 0) may satisfy the definitions
-    expr = rec.parse_recursive(
-        "let g0 = dia(/.*/) true; "
-        + " ".join(f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, 30)) + " in g29")
+def doubling_dag(count, first="dia(/.*/) true"):
+    return rec.parse_recursive(
+        f"let g0 = {first}; "
+        + " ".join(f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, count))
+        + f" in g{count - 1}")
+
+
+def test_specialized_fill_runs_only_object_bodies():
+    # 2^29 paths through the bodies, all ending in a key modality: every
+    # definition is false at arrays, strings and numbers, so only the
+    # objects (ids 0, 3 and 5) call a body, once per definition
+    expr = doubling_dag(30)
     doc = parse_document('{"a": [1, {"b": []}], "c": {}}')
+    tables, calls = {name: bytearray(doc.size) for name, _ in expr.definitions}, []
+
+    def counted(phi):
+        body = jsl.compile_formula(doc, phi, tables)
+
+        def call(n):
+            calls.append(n)
+            return body(n)
+        return call
+
     bodies = dict(expr.definitions)
-    assert list(rec.candidates(doc, bodies.values(), bodies, range(5, -1, -1))) == [3, 0]
+    rec.fill_tables(doc, [(name, bodies[name]) for name in rec._topo_order(expr)], tables,
+                    jsl.specialize, counted, range(doc.size - 1, -1, -1))
+    assert sorted(Counter(calls).items()) == [(0, 30), (3, 30), (5, 30)]
+    assert {doc.kind(n) for n in calls} == {jt.NodeKind.OBJ}
+    assert tables == rec._sat_tables(expr, doc)
+    assert all(list(table) == [1, 0, 0, 1, 0, 0] for table in tables.values())
     assert rec.eval_recursive(expr, doc)
+
+
+@pytest.mark.parametrize("first, per_definition", [("dia(/.*/) true", 3), ("int", 0)])
+def test_specialization_linear_in_definitions(first, per_definition):
+    # the doubling DAG again, at growing lengths: a symbol folds to its
+    # definition's constant and is never expanded, so each specialized body
+    # keeps at most three nodes (g(i-1) || g(i-1) at objects)
+    for count in (30, 60, 120):
+        expr = doubling_dag(count, first)
+        consts, size = {kind: {} for kind in jt.NodeKind}, 0
+        for name in rec._topo_order(expr):
+            for kind in jt.NodeKind:
+                f = jsl.specialize(dict(expr.definitions)[name], kind, consts[kind])
+                if isinstance(f, bool):
+                    consts[kind][name] = f
+                else:
+                    size += sum(1 for _ in jsl.subformulas(f))
+        assert size == max(0, per_definition * count - 1), (first, count)
+
+
+# Where each folding rule of jsl.specialize applies: the kinds at which an
+# atom or a modality turns into a constant.
+LEAVES = {jt.NodeKind.STR, jt.NodeKind.INT}
+ALL_KINDS = set(jt.NodeKind)
+EXPECTED_FOLDS = {
+    "KindTest": ALL_KINDS,
+    "UniqueTest": ALL_KINDS - {jt.NodeKind.ARR},
+    "PatternTest": ALL_KINDS - {jt.NodeKind.STR},
+    "MinTest": ALL_KINDS - {jt.NodeKind.INT},
+    "MaxTest": ALL_KINDS - {jt.NodeKind.INT},
+    "MultOfTest": ALL_KINDS - {jt.NodeKind.INT},
+    "MinChTest": LEAVES,
+    "MaxChTest": LEAVES,
+    "SameAsTest": ALL_KINDS,  # at every kind but the constant's own
+    "BoxKey": ALL_KINDS - {jt.NodeKind.OBJ},
+    "DiaKey": ALL_KINDS - {jt.NodeKind.OBJ},
+    "BoxIdx": ALL_KINDS - {jt.NodeKind.ARR},
+    "DiaIdx": ALL_KINDS - {jt.NodeKind.ARR},
+}
+
+
+def test_specialize_agrees_with_oracle_at_every_node():
+    """Each definition and base of random recursive expressions,
+    specialized per kind in dependency order (as the fill does), against
+    the oracle on its unfolding, at every node of that kind.  Symbols read
+    reference tables built from the oracle, not the evaluator's."""
+    rng = random.Random(2024)
+    folds = {name: set() for name in EXPECTED_FOLDS}
+    for e in random_well_formed(rng, 120):
+        bodies = dict(e.definitions)
+        for t in [random_tree(rng) for _ in range(3)]:
+            h = height(t)
+            unfolded = {name: rec.unfold(rec.make_recursive(e.definitions, jsl.SymbolRef(name)), h)
+                        for name in bodies}
+            tables = {name: bytearray(oracle_jsl(t, n, phi) for n in t.nodes())
+                      for name, phi in unfolded.items()}
+            consts = {kind: {} for kind in jt.NodeKind}
+            for name in rec._topo_order(e) + [None]:
+                phi = e.base if name is None else bodies[name]
+                meaning = rec.unfold(e, h) if name is None else unfolded[name]
+                for kind in jt.NodeKind:
+                    f = jsl.specialize(phi, kind, consts[kind])
+                    if isinstance(f, bool) and name is not None:
+                        consts[kind][name] = f
+                    holds = (lambda n, f=f: f) if isinstance(f, bool) \
+                        else jsl.compile_formula(t, f, tables)
+                    for n in t.nodes():
+                        if t.kind(n) is kind:
+                            assert bool(holds(n)) == oracle_jsl(t, n, meaning), \
+                                (rec.to_text(e), name, kind, n)
+        for phi in list(bodies.values()) + [e.base]:
+            for sub in jsl.subformulas(phi):
+                rule = type(sub.test if isinstance(sub, jsl.Atom) else sub).__name__
+                for kind in jt.NodeKind:
+                    if rule in folds and isinstance(jsl.specialize(sub, kind), bool):
+                        folds[rule].add(kind)
+    assert folds == EXPECTED_FOLDS
+
+
+@pytest.mark.parametrize("text, kind, expected", [
+    ("minCh(0)", jt.NodeKind.STR, True),
+    ("minCh(1)", jt.NodeKind.INT, False),
+    ("maxCh(0)", jt.NodeKind.INT, True),
+    ("minCh(0)", jt.NodeKind.OBJ, "minCh(0)"),
+    ("same([1])", jt.NodeKind.ARR, "same([1])"),
+    ("same([1])", jt.NodeKind.OBJ, False),
+    ("unique", jt.NodeKind.OBJ, False),
+    ("obj && box(/a+/) int || str && pattern(/x/)", jt.NodeKind.OBJ, "box(/a+/) int"),
+    ("obj && box(/a+/) int || str && pattern(/x/)", jt.NodeKind.ARR, False),
+    ("!(int && max(3)) && true", jt.NodeKind.INT, "!max(3)"),
+    ("dia(/a+/) str || box(1:*) int", jt.NodeKind.OBJ, True),
+    ("dia(/a+/) str && box(1:*) int", jt.NodeKind.OBJ, "dia(/a+/) str"),
+    ("dia(2) str && box(/a+/) g", jt.NodeKind.ARR, "dia(2) str"),
+])
+def test_specialize_examples(text, kind, expected):
+    f = jsl.specialize(jsl.parse_jsl(text, allow_symbols=True), kind)
+    assert (f if isinstance(f, bool) else jsl.to_text(f)) == expected
+
+
+def test_specialize_folds_only_unshielded_symbols():
+    phi = jsl.parse_jsl("g && (h || box(/a+/) g) && !dia(1) h", allow_symbols=True)
+    arr, obj = jt.NodeKind.ARR, jt.NodeKind.OBJ
+    assert jsl.to_text(jsl.specialize(phi, obj, {"g": True, "h": False})) == 'box(/a+/) g'
+    assert jsl.specialize(phi, obj, {"g": False}) is False
+    assert jsl.to_text(jsl.specialize(phi, arr, {"g": True})) == "!dia(1) h"
+    assert jsl.specialize(phi, jt.NodeKind.STR, {"g": True}) is True
+
+
+def test_fill_keeps_to_the_given_nodes():
+    """Membership fills the tables over the node's subtree only: ids
+    outside it keep their 0, ids inside agree with the full fill."""
+    rng = random.Random(17)
+    outside = 0
+    for e in random_well_formed(rng, 60):
+        t = random_tree(rng, 4)
+        full = rec._sat_tables(e, t)
+        for n in t.nodes():
+            last = n
+            while t.children(last):
+                last = t.children(last)[-1]
+            part = rec._sat_tables(e, t, nodes=range(last, n - 1, -1))
+            for name, table in part.items():
+                assert table[n:last + 1] == full[name][n:last + 1], rec.to_text(e)
+                assert not any(table[:n]) and not any(table[last + 1:]), rec.to_text(e)
+                outside += any(full[name][:n]) or any(full[name][last + 1:])
+    assert outside > 100  # the full fill sets many ids outside the subtree
