@@ -30,7 +30,7 @@ from typing import Optional
 from .. import jsl
 from .. import recursive as rec
 from .. import regex as rx
-from ..errors import AutomatonError, IllFormedRecursion
+from ..errors import AutomatonError
 from ..tree import JsonTree
 
 
@@ -143,30 +143,11 @@ def make_automaton(node_rules, tree_rules, final) -> JAutomaton:
 
 def _check_node_rule_order(node_rules, node_states):
     """Topological order of node states by rule dependency (cycle = error)."""
-    deps = {}
-    for q, body in node_rules:
-        deps[q] = [a.state for a in _atoms(body)
-                   if isinstance(a, StateAtom) and a.state in node_states]
-    order, done, active = [], set(), set()
-    for root in deps:
-        if root in done:
-            continue
-        active.add(root)
-        stack = [(root, iter(deps[root]))]
-        while stack:
-            q, it = stack[-1]
-            for dep in it:
-                if dep in active:
-                    raise AutomatonError(f"cyclic node-state rules through {dep}")
-                if dep not in done:
-                    active.add(dep)
-                    stack.append((dep, iter(deps[dep])))
-                    break
-            else:
-                stack.pop()
-                active.discard(q)
-                done.add(q)
-                order.append(q)
+    order, cycle = rec.dependency_order(
+        {q: [a.state for a in _atoms(body) if isinstance(a, StateAtom) and a.state in node_states]
+         for q, body in node_rules})
+    if cycle:
+        raise AutomatonError(f"cyclic node-state rules through {cycle[-1]}")
     return order
 
 
@@ -396,8 +377,7 @@ def recursive_to_automaton(expr: rec.RecursiveJslExpr) -> JAutomaton:
     Each definition compiles twice (positive and negated); symbol atoms
     then resolve to the matching copy's final state.
     """
-    if not rec.is_well_formed(expr):
-        raise IllFormedRecursion(f"cyclic definitions: {rec.find_cycle(expr)}")
+    rec._topo_order(expr)  # rejects a cyclic expression
     b = _Builder()
     pos_final, neg_final = {}, {}
     for name, body in expr.definitions:

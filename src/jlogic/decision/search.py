@@ -210,42 +210,14 @@ class _Program:
         return self
 
     def _eval_sequence(self):
-        if self._eval_order is not None:
-            return self._eval_order
-        deps = []
-        for ins in self.instrs:
-            op = ins[0]
-            if op in ("not", "copy"):
-                deps.append((ins[1],))
-            elif op in ("and", "or"):
-                deps.append((ins[1], ins[2]))
-            else:
-                deps.append(())
-        order, done = [], [False] * len(self.instrs)
-        for start in range(len(self.instrs)):
-            if done[start]:
-                continue
-            stack = [(start, iter(deps[start]))]
-            on_stack = {start}
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for d in it:
-                    if done[d]:
-                        continue
-                    if d in on_stack:
-                        raise IllFormedRecursion("cyclic same-node bit dependencies")
-                    stack.append((d, iter(deps[d])))
-                    on_stack.add(d)
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    on_stack.discard(node)
-                    done[node] = True
-                    order.append(node)
-        self._eval_order = order
-        return order
+        if self._eval_order is None:
+            order, cycle = rec.dependency_order(
+                {i: ins[1:] if ins[0] in _CONNECTIVES else ()
+                 for i, ins in enumerate(self.instrs)})
+            if cycle:
+                raise IllFormedRecursion("cyclic same-node bit dependencies")
+            self._eval_order = order
+        return self._eval_order
 
     def _emit(self, key, ins) -> int:
         idx = len(self.instrs)
@@ -372,11 +344,8 @@ class _Program:
                 continue
             out.add(b)
             ins = self.instrs[b]
-            op = ins[0]
-            if op in ("not", "copy"):
-                work.append(ins[1])
-            elif op in ("and", "or"):
-                work.extend((ins[1], ins[2]))
+            if ins[0] in _CONNECTIVES:
+                work.extend(ins[1:])
         return out
 
     def depth_profiles(self, max_depth: int):
@@ -532,8 +501,6 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
     """
     table = {}  # one subtree intern table for the constants and every candidate
     if isinstance(formula, rec.RecursiveJslExpr):
-        if not rec.is_well_formed(formula):
-            raise IllFormedRecursion(f"cyclic definitions: {rec.find_cycle(formula)}")
         program = _Program(table).compile_recursive(formula)
         inventory = _collect_jsl([body for _, body in formula.definitions] + [formula.base],
                                  bounds.max_atoms, bounds.max_width)

@@ -188,16 +188,6 @@ def symbols_used(phi: JslFormula) -> set:
     return {f.name for f in subformulas(phi) if isinstance(f, SymbolRef)}
 
 
-def is_deterministic(phi: JslFormula) -> bool:
-    """Only single-word key modalities and single-index interval modalities."""
-    for f in subformulas(phi):
-        if isinstance(f, (BoxKey, DiaKey)) and rx.literal_word(f.pattern) is None:
-            return False
-        if isinstance(f, (BoxIdx, DiaIdx)) and f.hi != f.lo:
-            return False
-    return True
-
-
 # -- evaluation ----------------------------------------------------------------
 
 

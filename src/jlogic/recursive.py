@@ -4,6 +4,9 @@ An expression is a list of named definitions plus a base formula; bodies
 and the base may use the defined names as atoms.  Well-formedness demands
 an acyclic precedence graph, whose edges connect a definition to every
 name appearing in its body outside the scope of any modal operator.
+``dependency_order`` is the one walk that orders such a graph (every
+dependency before its user) or finds its cycle, here and for every other
+definition graph in the package.
 
 Two semantics are provided and kept equivalent: ``unfold`` rewrites the
 base until every remaining name sits under more modalities than the
@@ -133,11 +136,15 @@ def _successors(expr: RecursiveJslExpr) -> dict:
     return succ
 
 
-def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
-    """A cyclic symbol sequence in the precedence graph, or None.  The
-    depth-first search keeps its own stack, so long chains of definitions
-    need no recursion."""
-    succ = _successors(expr)
+def dependency_order(succ: dict):
+    """``(order, None)``, every node after its successors, or ``(None,
+    [s, ..., s])`` for a cycle: the one depth-first ordering and cycle
+    search, also behind schema definitions, automaton node states and the
+    search's same-node bits.  ``succ`` maps every node to its successors,
+    visited in the given order; the walk keeps its own stack, so long
+    chains need no recursion.
+    """
+    order = []
     color = dict.fromkeys(succ, 0)  # 0 new, 1 on the trail, 2 done
     for root in succ:
         if color[root]:
@@ -147,7 +154,7 @@ def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
         while stack:
             for t in stack[-1]:
                 if color[t] == 1:
-                    return trail[trail.index(t):] + [t]
+                    return None, trail[trail.index(t):] + [t]
                 if color[t] == 0:
                     color[t] = 1
                     trail.append(t)
@@ -155,8 +162,15 @@ def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
                     break
             else:
                 stack.pop()
-                color[trail.pop()] = 2
-    return None
+                s = trail.pop()
+                color[s] = 2
+                order.append(s)
+    return order, None
+
+
+def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
+    """A cyclic symbol sequence in the precedence graph, or None."""
+    return dependency_order(_successors(expr))[1]
 
 
 def is_well_formed(expr: RecursiveJslExpr) -> bool:
@@ -164,26 +178,12 @@ def is_well_formed(expr: RecursiveJslExpr) -> bool:
 
 
 def _topo_order(expr: RecursiveJslExpr) -> list:
-    """Definition names with every dependency before its user (depth-first
-    post-order, with its own stack)."""
-    succ = _successors(expr)
-    out, done = [], set()
-    for root in succ:
-        if root in done:
-            continue
-        done.add(root)
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            s, it = stack[-1]
-            for t in it:
-                if t not in done:
-                    done.add(t)
-                    stack.append((t, iter(succ[t])))
-                    break
-            else:
-                stack.pop()
-                out.append(s)
-    return out
+    """Definition names with every dependency before its user; raises
+    IllFormedRecursion on a cycle, so it is also the well-formedness check."""
+    order, cycle = dependency_order(_successors(expr))
+    if cycle:
+        raise IllFormedRecursion(f"cyclic definitions: {cycle}")
+    return order
 
 
 # -- unfold semantics -------------------------------------------------------------
@@ -196,8 +196,7 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
     at least h+1 modal operators, then the stragglers become falsity.
     The output can be exponentially large; ``size_cap`` bounds it.
     """
-    if not is_well_formed(expr):
-        raise IllFormedRecursion(f"cyclic definitions: {find_cycle(expr)}")
+    _topo_order(expr)  # rejects a cyclic expression
     bodies = dict(expr.definitions)
     budget = [size_cap]
 
@@ -243,13 +242,12 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
     in decreasing order and closed under descendants, such as one subtree.
     ``consts``, when given, receives the definitions constant at each kind.
     """
-    if not is_well_formed(expr):
-        raise IllFormedRecursion(f"cyclic definitions: {find_cycle(expr)}")
+    order = _topo_order(expr)
     tables = {} if tables is None else tables
     for name, _ in expr.definitions:
         tables[name] = bytearray(tree.size)
     bodies = dict(expr.definitions)
-    fill_tables(tree, [(name, bodies[name]) for name in _topo_order(expr)], tables,
+    fill_tables(tree, [(name, bodies[name]) for name in order], tables,
                 jsl.specialize, lambda phi: jsl.compile_formula(tree, phi, tables),
                 range(tree.size - 1, -1, -1) if nodes is None else nodes, consts)
     return tables

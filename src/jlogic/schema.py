@@ -31,10 +31,9 @@ from . import tree as jt
 from .errors import (
     BlowupLimitExceeded,
     DocumentError,
-    DuplicateKey,
     FragmentViolation,
     IllFormedRecursion,
-    MalformedSyntax,
+    NonNaturalNumber,
     TypeMismatch,
     UnknownKeyword,
     UnresolvableRef,
@@ -122,25 +121,6 @@ UNSATISFIABLE = NotSchema(EmptySchema())
 # -- parsing -------------------------------------------------------------------
 
 
-def _load_json(text: str):
-    def pairs(items):
-        out = {}
-        for k, v in items:
-            if k in out:
-                raise DuplicateKey(k)
-            out[k] = v
-        return out
-
-    def bad_number(lit):
-        raise TypeMismatch(f"schema numbers must be natural: {lit}")
-
-    try:
-        return json.loads(text, object_pairs_hook=pairs,
-                          parse_float=bad_number, parse_constant=bad_number)
-    except json.JSONDecodeError as exc:
-        raise MalformedSyntax(str(exc)) from exc
-
-
 _TYPE_KEYWORDS = {
     "string": {"pattern"},
     "number": {"minimum", "maximum", "multipleOf"},
@@ -152,7 +132,10 @@ _COMBINATORS = ("allOf", "anyOf", "not", "enum", "$ref")
 
 
 def parse_schema(text: str) -> SchemaDocument:
-    raw = _load_json(text)
+    try:
+        raw = jt.decode(text)
+    except NonNaturalNumber as exc:
+        raise TypeMismatch(str(exc)) from None
     if not isinstance(raw, dict):
         raise TypeMismatch("a schema must be a JSON object")
     raw = dict(raw)
@@ -329,38 +312,17 @@ def _check_refs(doc: SchemaDocument):
         raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
 
 
-def is_recursive(doc: SchemaDocument) -> bool:
-    return bool(doc.definitions)
-
-
 def check_well_formed(doc: SchemaDocument) -> list:
     """Reject definition cycles not broken by a document descent.
 
     Returns the definition names with every unshielded dependency before
-    its user (the post-order of the same search), the order in which the
-    validator settles definitions at one node."""
-    names = [name for name, _ in doc.definitions]
-    defs = doc.definition_map()
-    color = {n: 0 for n in names}
-    trail = []
-    order = []
-
-    def visit(n):
-        color[n] = 1
-        trail.append(n)
-        for m in sorted(_refs(defs[n], only_unshielded=True)):
-            if color[m] == 1:
-                cycle = trail[trail.index(m):] + [m]
-                raise IllFormedRecursion(f"cyclic definitions: {cycle}")
-            if color[m] == 0:
-                visit(m)
-        trail.pop()
-        color[n] = 2
-        order.append(n)
-
-    for n in names:
-        if color[n] == 0:
-            visit(n)
+    its user (``recursive.dependency_order`` over the sorted unshielded
+    references), the order in which the validator settles definitions at
+    one node."""
+    order, cycle = rec.dependency_order(
+        {name: sorted(_refs(ast, only_unshielded=True)) for name, ast in doc.definitions})
+    if cycle:
+        raise IllFormedRecursion(f"cyclic definitions: {cycle}")
     return order
 
 

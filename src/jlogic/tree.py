@@ -558,15 +558,21 @@ class _Parser:
         self.pos += 1
 
 
-def parse_document(text: str) -> JsonTree:
-    """Parse a complete document into a tree."""
+def decode(text: str):
+    """A complete text as nested python values, through the hooked C
+    scanner or, nested past its limit, the iterative parser; documents and
+    schemas both come in here."""
     try:
-        value = _DECODER.decode(text)
+        return _DECODER.decode(text)
     except JSONDecodeError as exc:
         raise MalformedSyntax(exc.msg, exc.pos) from None
     except RecursionError:
-        value = _Parser(text).parse_document()
-    return from_python(value)
+        return _Parser(text).parse_document()
+
+
+def parse_document(text: str) -> JsonTree:
+    """Parse a complete document into a tree."""
+    return from_python(decode(text))
 
 
 def parse_embedded(text: str, pos: int):

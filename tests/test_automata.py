@@ -261,6 +261,14 @@ def test_node_rule_cycles_rejected():
             final={0})
 
 
+def test_node_rule_order_and_named_cycle_state():
+    chain = [(0, am.StateAtom(1)), (1, am.RAnd((am.StateAtom(2), am.TrueAtom()))),
+             (2, am.TrueAtom())]
+    assert am.node_rule_order(am.make_automaton(chain, [], {0})) == [2, 1, 0]
+    with pytest.raises(AutomatonError, match="cyclic node-state rules through 1$"):
+        am.make_automaton(chain[:2] + [(2, am.StateAtom(1))], [], {0})
+
+
 @pytest.mark.parametrize("node_rules, tree_rules", [
     ([(0, am.QuantAtom(0, am.IdxLabel(1, None)))], []),
     ([(0, am.SymbolAtom("g"))], []),

@@ -8,7 +8,8 @@ import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.tree as jt
 from jlogic.cli import main
-from jlogic.decision import automaton_accepts, complement, recursive_to_automaton
+from jlogic.decision import (Bounds, automaton_accepts, complement, recursive_to_automaton,
+                             sat_bounded)
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
 from helpers import oracle_jsl, random_jsl, random_tree, random_value, random_well_formed
@@ -80,6 +81,72 @@ def test_boolean_connectives_do_not_shield():
     bad = rec.parse_recursive("let a = !(b || true); let b = a && int; in a")
     assert rec.precedence_graph(bad).edges == frozenset({("a", "b"), ("b", "a")})
     assert not rec.is_well_formed(bad)
+
+
+# -- dependency order ----------------------------------------------------------------
+
+
+def random_dag(rng, size):
+    """Successor lists over 0..size-1, keys in shuffled order, every edge
+    pointing to a smaller number."""
+    nodes = list(range(size))
+    rng.shuffle(nodes)
+    return {n: rng.sample(range(n), min(n, rng.randint(0, 3))) for n in nodes}
+
+
+def test_dependency_order_puts_successors_first():
+    rng = random.Random(31)
+    for _ in range(200):
+        succ = random_dag(rng, rng.randint(0, 40))
+        order, cycle = rec.dependency_order(succ)
+        assert cycle is None
+        assert sorted(order) == sorted(succ)
+        position = {n: i for i, n in enumerate(order)}
+        assert all(position[t] < position[n] for n, ts in succ.items() for t in ts)
+
+
+def test_dependency_order_returns_a_real_cycle():
+    rng = random.Random(32)
+    for _ in range(200):
+        succ = random_dag(rng, rng.randint(1, 40))
+        ring = rng.sample(sorted(succ), rng.randint(1, min(5, len(succ))))
+        for s, t in zip(ring, ring[1:] + ring[:1]):
+            succ[s].append(t)
+        order, cycle = rec.dependency_order(succ)
+        assert order is None
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        assert all(t in succ[s] for s, t in zip(cycle, cycle[1:]))
+
+
+def test_dependency_order_long_chain_written_last_first():
+    size = 100_000
+    succ = {i: [i + 1] for i in range(size - 1)}
+    succ[size - 1] = []
+    assert rec.dependency_order(succ) == (list(range(size - 1, -1, -1)), None)
+    succ[size - 1] = [0]
+    assert rec.dependency_order(succ) == (None, list(range(size)) + [0])
+
+
+def test_one_graph_build_per_call(monkeypatch):
+    builds = []
+    successors = rec._successors
+    monkeypatch.setattr(rec, "_successors", lambda expr: builds.append(expr) or successors(expr))
+    unsat = rec.parse_recursive("let g = box(/.*/) g && int; in g && str")
+    doc = parse_document('{"a": [1, {"b": []}]}')
+    calls = {
+        "eval_recursive": lambda: rec.eval_recursive(even(), doc),
+        "unfold": lambda: rec.unfold(even(), 3),
+        "recursive_to_automaton": lambda: recursive_to_automaton(even()),
+    }
+    for name, call in calls.items():
+        builds.clear()
+        call()
+        assert len(builds) == 1, name
+    for expr, satisfiable in ((unsat, False), (even(), True)):
+        builds.clear()
+        assert sat_bounded(expr, Bounds(2, 2, 2)).satisfiable is satisfiable
+        # a witness is re-validated through eval_recursive, which builds its own
+        assert len(builds) == 1 + satisfiable
 
 
 # -- unfolding -----------------------------------------------------------------------

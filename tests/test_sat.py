@@ -165,6 +165,20 @@ def test_recursive_ill_formed_rejected():
         sat_bounded(rec.parse_recursive("let g = !g; in g"), Bounds(2, 2, 2))
 
 
+def test_eval_sequence_puts_operands_first():
+    program = _Program({}).compile_formula(jsl.parse_jsl("!(int && dia(/a/) str) || !int"))
+    sequence = program._eval_sequence()
+    assert sorted(sequence) == list(range(len(program.instrs)))
+    position = {b: i for i, b in enumerate(sequence)}
+    for b, ins in enumerate(program.instrs):
+        if ins[0] in ("not", "copy", "and", "or"):
+            assert all(position[d] < position[b] for d in ins[1:]), ins
+    cyclic = _Program({})
+    cyclic.instrs = [("true",), ("not", 2), ("and", 0, 1)]
+    with pytest.raises(IllFormedRecursion, match="cyclic same-node bit dependencies"):
+        cyclic._eval_sequence()
+
+
 def test_eqpaths_goes_through_plain_enumeration():
     verdict = sat_bounded(jnl.parse_jnl("eq(eps, eps)"), Bounds(1, 1, 2))
     assert verdict.satisfiable

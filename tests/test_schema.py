@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import defaultdict
 
 import pytest
@@ -9,7 +10,9 @@ import jlogic.recursive as rec
 import jlogic.schema as sch
 import jlogic.tree as jt
 from jlogic.errors import (
+    DuplicateKey,
     IllFormedRecursion,
+    MalformedSyntax,
     TypeMismatch,
     UnknownKeyword,
     UnresolvableRef,
@@ -326,6 +329,51 @@ def test_deep_document_recursive_schema(tmp_path, capsys, depth, leaf, valid):
     schema.write_text(DEEP_SCHEMA, encoding="utf-8")
     assert main(["validate", str(doc), str(schema)]) == (0 if valid else 1)
     assert capsys.readouterr().out == ("VALID\n" if valid else "INVALID\n")
+
+
+def chain_schema(count, last):
+    """``count`` definitions, each but the last reached outside every
+    keyword that descends: d_i is ``anyOf [d_{i+1}, number]``."""
+    defs = {f"d{i}": {"anyOf": [{"$ref": f"#/definitions/d{i + 1}"}, {"type": "number"}]}
+            for i in range(count - 1)}
+    defs[f"d{count - 1}"] = last
+    return json.dumps({"definitions": defs, "$ref": "#/definitions/d0"})
+
+
+def test_long_definition_chain(tmp_path, capsys):
+    text = chain_schema(3000, {"type": "number"})
+    doc = sch.parse_schema(text)
+    assert sch.check_well_formed(doc) == [f"d{i}" for i in range(2999, -1, -1)]
+    assert sch.validate_schema(parse_document("5"), doc)
+    assert not sch.validate_schema(parse_document('"x"'), doc)
+    five, schema = tmp_path / "five.json", tmp_path / "chain.schema.json"
+    five.write_text("5")
+    schema.write_text(text)
+    for via in ([], ["--via", "jsl"]):
+        assert main(["validate", str(five), str(schema)] + via) == 0
+        assert capsys.readouterr() == ("VALID\n", "")
+    cyclic = sch.parse_schema(chain_schema(3000, {"not": {"$ref": "#/definitions/d0"}}))
+    cycle = repr([f"d{i}" for i in range(3000)] + ["d0"])
+    with pytest.raises(IllFormedRecursion, match=re.escape(cycle)):
+        sch.check_well_formed(cyclic)
+
+
+@pytest.mark.parametrize("text,exc", [
+    ('{"type": "number", "minimum": ' + "1" * 5000 + "}", MalformedSyntax),
+    ('{"type": "number", "minimum": 1e3}', TypeMismatch),
+    ('{"type": "number", "minimum": NaN}', TypeMismatch),
+    ('{"type": "string", "type": "number"}', DuplicateKey),
+    ('{"type": "number"', MalformedSyntax),
+], ids=["5000 digits", "exponent", "NaN", "duplicate key", "truncated"])
+def test_schema_text_errors(text, exc, tmp_path, capsys):
+    with pytest.raises(exc):
+        sch.parse_schema(text)
+    five, schema = tmp_path / "five.json", tmp_path / "bad.schema.json"
+    five.write_text("5")
+    schema.write_text(text)
+    assert main(["validate", str(five), str(schema)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
 
 
 def test_hundred_properties_with_additional():
