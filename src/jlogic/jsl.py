@@ -189,32 +189,28 @@ def symbols_used(phi: JslFormula) -> set:
 
 
 # -- evaluation ----------------------------------------------------------------
+#
+# Closures over one tree's per-node lists, built once per evaluation call:
+# the only semantics of the logic in the program, shared by plain
+# validation, the bottom-up evaluators (recursive expressions and automaton
+# runs) and the search's witness re-check.
+
+_ARR, _STR, _INT = NodeKind.ARR, NodeKind.STR, NodeKind.INT
 
 
-def eval_node_test(tree: JsonTree, n: int, test: NodeTest) -> bool:
-    kind = tree.kind(n)
-    if isinstance(test, KindTest):
-        return kind is test.kind
-    if isinstance(test, UniqueTest):
-        return kind is NodeKind.ARR and _children_distinct(tree, n)
-    if isinstance(test, PatternTest):
-        return kind is NodeKind.STR and rx.matches(test.pattern, tree.value(n))
-    if isinstance(test, MinTest):
-        return kind is NodeKind.INT and tree.value(n) >= test.bound
-    if isinstance(test, MaxTest):
-        return kind is NodeKind.INT and tree.value(n) <= test.bound
-    if isinstance(test, MultOfTest):
-        if kind is not NodeKind.INT:
-            return False
-        v = tree.value(n)
-        return v == 0 if test.divisor == 0 else v % test.divisor == 0
-    if isinstance(test, MinChTest):
-        return tree.child_count(n) >= test.count
-    if isinstance(test, MaxChTest):
-        return tree.child_count(n) <= test.count
-    if isinstance(test, SameAsTest):
-        return tree.subtree_id(n) == tree.const_id(test.const)
-    raise TypeError(f"not a node test: {test!r}")
+def eval_jsl(tree: JsonTree, node: jt.NodeId, phi: JslFormula) -> bool:
+    """Satisfaction at a node given by path."""
+    return compile_formula(tree, phi, {})(tree.node_at(node))
+
+
+def validate(tree: JsonTree, phi: JslFormula) -> bool:
+    """Whole-document validation: satisfaction at the root."""
+    return compile_formula(tree, phi, {})(0)
+
+
+def check_unique(tree: JsonTree, node: jt.NodeId) -> bool:
+    """Array whose elements are pairwise distinct documents."""
+    return compile_test(tree, UniqueTest())(tree.node_at(node))
 
 
 def _children_distinct(tree: JsonTree, n: int) -> bool:
@@ -223,87 +219,9 @@ def _children_distinct(tree: JsonTree, n: int) -> bool:
     return len({ids[c] for c in children}) == len(children)
 
 
-def holds(tree: JsonTree, n: int, phi: JslFormula, memo=None, symtab=None) -> bool:
-    """Satisfaction at internal node id ``n``.
-
-    ``symtab`` maps definition symbols to their satisfied node sets; only
-    the recursive evaluator supplies it.  Each (formula, node) pair is
-    computed once per call.
-    """
-    if memo is None:
-        memo = {}
-    key = (id(phi), n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(phi, Top):
-        out = True
-    elif isinstance(phi, Not):
-        out = not holds(tree, n, phi.body, memo, symtab)
-    elif isinstance(phi, And):
-        out = holds(tree, n, phi.lhs, memo, symtab) and holds(tree, n, phi.rhs, memo, symtab)
-    elif isinstance(phi, Or):
-        out = holds(tree, n, phi.lhs, memo, symtab) or holds(tree, n, phi.rhs, memo, symtab)
-    elif isinstance(phi, Atom):
-        out = eval_node_test(tree, n, phi.test)
-    elif isinstance(phi, DiaKey):
-        out = any(rx.matches(phi.pattern, key_) and holds(tree, c, phi.body, memo, symtab)
-                  for key_, c in zip(tree.keys_of(n), tree.children(n)))
-    elif isinstance(phi, BoxKey):
-        out = all(not rx.matches(phi.pattern, key_) or holds(tree, c, phi.body, memo, symtab)
-                  for key_, c in zip(tree.keys_of(n), tree.children(n)))
-    elif isinstance(phi, DiaIdx):
-        out = any(holds(tree, c, phi.body, memo, symtab)
-                  for c in _idx_children(tree, n, phi.lo, phi.hi))
-    elif isinstance(phi, BoxIdx):
-        out = all(holds(tree, c, phi.body, memo, symtab)
-                  for c in _idx_children(tree, n, phi.lo, phi.hi))
-    elif isinstance(phi, SymbolRef):
-        if symtab is None or phi.name not in symtab:
-            raise MalformedFormula(f"free definition symbol {phi.name!r}")
-        out = n in symtab[phi.name]
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    memo[key] = out
-    return out
-
-
-def _idx_children(tree, n, lo, hi):
-    if tree.kind(n) is not NodeKind.ARR:
-        return ()
-    ch = tree.children(n)
-    last = len(ch) if hi is None else min(hi, len(ch))
-    return ch[lo - 1:last]
-
-
-def eval_jsl(tree: JsonTree, node: jt.NodeId, phi: JslFormula) -> bool:
-    """Satisfaction at a node given by path."""
-    return holds(tree, tree.node_at(node), phi)
-
-
-def validate(tree: JsonTree, phi: JslFormula) -> bool:
-    """Whole-document validation: satisfaction at the root."""
-    return holds(tree, 0, phi)
-
-
-def check_unique(tree: JsonTree, node: jt.NodeId) -> bool:
-    """Array whose elements are pairwise distinct documents."""
-    n = tree.node_at(node)
-    return tree.kind(n) is NodeKind.ARR and _children_distinct(tree, n)
-
-
-# -- compiled form -------------------------------------------------------------
-#
-# Closures over one tree's per-node lists, built once per evaluation call
-# and shared by the bottom-up evaluators (recursive expressions and
-# automaton runs).  ``eval_node_test`` and ``holds`` stay the reference.
-
-_ARR, _STR, _INT = NodeKind.ARR, NodeKind.STR, NodeKind.INT
-
-
 def compile_test(tree: JsonTree, test: NodeTest) -> Callable[[int], bool]:
-    """``eval_node_test(tree, ·, test)`` as a closure specialised to the
-    test type."""
+    """Closure: whether a node id passes ``test``, specialised to the test
+    type."""
     kinds, vals, children, _ = tree.columns()
     if isinstance(test, KindTest):
         kind = test.kind
@@ -375,23 +293,26 @@ def compile_modal(tree: JsonTree, label, universal: bool,
 
 
 def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[int], bool]:
-    """``holds(tree, ·, phi)`` as a closure.  A symbol reads ``tables[name]``
-    (indexed by node id, as filled by the recursive evaluator, or a closure
-    over node ids) and never calls its definition, so evaluation recurses
-    only as deep as ``phi``."""
+    """Closure: whether ``phi`` holds at a node id.  A symbol reads
+    ``tables[name]`` (indexed by node id, as filled by the recursive
+    evaluator, or a closure over node ids) and never calls its definition,
+    so evaluation recurses only as deep as ``phi``.  A chain of one
+    connective compiles as a balanced tree of binary closures, so a long
+    flat ``&&`` or ``||`` recurses logarithmically, compiled and run."""
     if isinstance(phi, Top):
         return (-1).__lt__  # true at every node id, and no Python frame per call
     if isinstance(phi, Not):
         body = compile_formula(tree, phi.body, tables)
         return lambda n: not body(n)
-    if isinstance(phi, And):
-        lhs = compile_formula(tree, phi.lhs, tables)
-        rhs = compile_formula(tree, phi.rhs, tables)
-        return lambda n: lhs(n) and rhs(n)
-    if isinstance(phi, Or):
-        lhs = compile_formula(tree, phi.lhs, tables)
-        rhs = compile_formula(tree, phi.rhs, tables)
-        return lambda n: lhs(n) or rhs(n)
+    if isinstance(phi, (And, Or)):
+        parts, stack = [], [phi]  # the chain's operands, left to right
+        while stack:
+            f = stack.pop()
+            if type(f) is type(phi):
+                stack += (f.rhs, f.lhs)
+            else:
+                parts.append(compile_formula(tree, f, tables))
+        return _join(parts, isinstance(phi, And))
     if isinstance(phi, Atom):
         return compile_test(tree, phi.test)
     if isinstance(phi, (BoxKey, DiaKey)):
@@ -406,6 +327,18 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         table = tables[phi.name]
         return table if callable(table) else table.__getitem__
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _join(parts: list, conjunction: bool) -> Callable[[int], bool]:
+    """Closures joined by ``and`` (or ``or``) into a balanced tree,
+    evaluated left to right with short-circuit."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    lhs, rhs = _join(parts[:mid], conjunction), _join(parts[mid:], conjunction)
+    if conjunction:
+        return lambda n: lhs(n) and rhs(n)
+    return lambda n: lhs(n) or rhs(n)
 
 
 _TEST_KIND = {UniqueTest: _ARR, PatternTest: _STR, MinTest: _INT, MaxTest: _INT, MultOfTest: _INT}

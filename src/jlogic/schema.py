@@ -288,39 +288,44 @@ def _sub_schemas(ast: SchemaAst):
         yield ast.body, False
 
 
-def _refs(ast: SchemaAst, only_unshielded=False) -> set:
-    out = set()
-    stack = [ast]
+def _refs(ast: SchemaAst) -> tuple:
+    """The names ``ast`` references, and those of them it reaches without a
+    document descent (unshielded), in one walk."""
+    out, unshielded = set(), set()
+    stack = [(ast, False)]
     while stack:
-        a = stack.pop()
+        a, below = stack.pop()
         if isinstance(a, Ref):
             out.add(a.name)
+            if not below:
+                unshielded.add(a.name)
             continue
         for sub, shielded in _sub_schemas(a):
-            if not (only_unshielded and shielded):
-                stack.append(sub)
-    return out
+            stack.append((sub, below or shielded))
+    return out, unshielded
 
 
 def _check_refs(doc: SchemaDocument):
     defined = {name for name, _ in doc.definitions}
-    used = _refs(doc.root)
+    used = _refs(doc.root)[0]
     for _, ast in doc.definitions:
-        used |= _refs(ast)
+        used |= _refs(ast)[0]
     missing = used - defined
     if missing:
         raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
 
 
-def check_well_formed(doc: SchemaDocument) -> list:
+def check_well_formed(doc: SchemaDocument, refs=None) -> list:
     """Reject definition cycles not broken by a document descent.
 
     Returns the definition names with every unshielded dependency before
     its user (``recursive.dependency_order`` over the sorted unshielded
     references), the order in which the validator settles definitions at
-    one node."""
+    one node.  ``refs`` maps each definition to its ``_refs``, when the
+    caller has them."""
+    refs = refs or {name: _refs(ast) for name, ast in doc.definitions}
     order, cycle = rec.dependency_order(
-        {name: sorted(_refs(ast, only_unshielded=True)) for name, ast in doc.definitions})
+        {name: sorted(unshielded) for name, (_, unshielded) in refs.items()})
     if cycle:
         raise IllFormedRecursion(f"cyclic definitions: {cycle}")
     return order
@@ -347,13 +352,14 @@ def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
     when the root fails at once; otherwise only the keywords' nodes are.
     """
     defs = doc.definition_map()
-    order = check_well_formed(doc)
-    live, todo = set(), list(_refs(doc.root))
+    refs = {name: _refs(ast) for name, ast in doc.definitions}
+    order = check_well_formed(doc, refs)
+    live, todo = set(), list(_refs(doc.root)[0])
     while todo:
         name = todo.pop()
         if name not in live:
             live.add(name)
-            todo.extend(_refs(defs[name]))
+            todo.extend(refs[name][0])
     tables = {name: bytearray(tree.size) for name in live}
     rec.fill_tables(tree, [(name, defs[name]) for name in order if name in live], tables,
                     _specialize, lambda ast: _compile(tree, ast, tables),

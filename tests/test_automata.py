@@ -21,6 +21,7 @@ from helpers import (
     automaton_features,
     jsl_features,
     oracle_automaton,
+    oracle_jsl,
     random_automaton,
     random_jsl,
     random_tree,
@@ -73,7 +74,7 @@ def _edge_instances():
 
 def test_formula_automaton_differential():
     for phi, t in _edge_instances():
-        expected = jsl.validate(t, phi)
+        expected = oracle_jsl(t, 0, phi)
         auto = jsl_to_automaton(phi)
         assert automaton_accepts(auto, t) == expected, (jsl.to_text(phi), t)
         assert automaton_accepts(complement(auto), t) == (not expected), (jsl.to_text(phi), t)
@@ -84,7 +85,7 @@ def test_formula_automaton_differential():
         seen |= jsl_features(phi)
         auto = jsl_to_automaton(phi)
         t = random_tree(rng, 3, 3)
-        expected = jsl.validate(t, phi)
+        expected = oracle_jsl(t, 0, phi)
         assert automaton_accepts(auto, t) == expected, jsl.to_text(phi)
         assert automaton_accepts(complement(auto), t) == (not expected), jsl.to_text(phi)
     assert seen >= JSL_FEATURES, JSL_FEATURES - seen
@@ -128,7 +129,7 @@ def test_complete_binary_automaton_random_arrays():
 
 def test_recursive_automaton_differential_random():
     for phi, t in _edge_instances():
-        expected = jsl.validate(t, phi)
+        expected = oracle_jsl(t, 0, phi)
         expr = rec.make_recursive([("g", phi)], jsl.SymbolRef("g"))
         auto = recursive_to_automaton(expr)
         assert rec.eval_recursive(expr, t) == expected, (jsl.to_text(phi), t)
@@ -154,7 +155,7 @@ def test_recursive_automaton_differential_random():
         comp = complement(auto)
         for _ in range(5):
             t = random_tree(rng, 3, 3)
-            expected = jsl.validate(t, rec.unfold(expr, height(t)))
+            expected = oracle_jsl(t, 0, rec.unfold(expr, height(t)))
             assert rec.eval_recursive(expr, t) == expected, rec.to_text(expr)
             assert automaton_accepts(auto, t) == expected, rec.to_text(expr)
             assert automaton_accepts(comp, t) == (not expected), rec.to_text(expr)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import jlogic.jnl as jnl
+import jlogic.regex as rx
 from jlogic.cli import main
 from jlogic.tree import parse_document, serialize
 from helpers import random_tree
@@ -101,6 +102,44 @@ def test_validate_jsl_and_rjsl_logic(files, capsys):
     even = files("even.rjsl",
                  "let g1 = box(/.*/) g2; let g2 = dia(/.*/) true && box(/.*/) g1; in g1")
     assert main(["validate", doc, even, "--logic", "rjsl"]) == 0
+
+
+def test_logic_verdicts_never_match_a_word_one_at_a_time(files, capsys, monkeypatch):
+    # plain formulas, schemas through the logic and witness re-checks all run
+    # the compiled closures, which match words through ``regex.word_filter``
+    def refuse(*args):
+        raise AssertionError("regex.matches called")
+    monkeypatch.setattr(rx, "matches", refuse)
+    doc = files("doc.json", '{"k1": "ab", "k22": "b", "x": [1, 2]}')
+    for formula, expected in [('box(/k[0-9]+/) pattern(/a*b/) && dia("x") dia(2) int', 0),
+                              ('dia(/k[0-9]+/) pattern(/a+b/)', 0),
+                              ('box(/k[0-9]+/) pattern(/a+b/)', 1)]:
+        assert main(["validate", doc, files("f.jsl", formula), "--logic", "jsl"]) == expected
+        assert capsys.readouterr() == (["VALID", "INVALID"][expected] + "\n", "")
+    schema = files("k.schema.json", '{"type": "object", "required": ["x"],'
+                   ' "patternProperties": {"k[0-9]+": {"type": "string", "pattern": "a*b"}}}')
+    assert main(["validate", doc, schema, "--via", "jsl"]) == 0
+    assert capsys.readouterr() == ("VALID\n", "")
+    bad = files("bad.json", '{"k1": 1, "x": 0}')
+    assert main(["validate", bad, schema, "--via", "jsl"]) == 1
+    assert capsys.readouterr() == ("INVALID\n", "")
+    rc = main(["sat", "--formula", 'dia(/k[0-9]+/) pattern(/a+/) && !dia("k1") true',
+               "--logic", "jsl", "--max-depth", "1", "--max-width", "1", "--max-atoms", "4"])
+    out, err = capsys.readouterr()
+    assert (rc, out.splitlines()[0], err) == (0, "SAT", "")
+    witness = json.loads(out.splitlines()[1])
+    [(key, value)] = witness.items()
+    assert key != "k1" and key[0] == "k" and key[1:].isdigit()
+    assert value and set(value) == {"a"}
+
+
+@pytest.mark.parametrize("connective,expected", [("&&", "VALID"), ("||", "INVALID")])
+def test_flat_chain_of_3000_operands(files, capsys, connective, expected):
+    doc = files("e.json", "{}")
+    operand = "obj" if connective == "&&" else "int"
+    formula = files("chain.jsl", f" {connective} ".join([operand] * 3000))
+    assert main(["validate", doc, formula, "--logic", "jsl"]) == (expected == "INVALID")
+    assert capsys.readouterr() == (expected + "\n", "")
 
 
 def test_compile_schema_to_jsl(files, capsys):

@@ -115,8 +115,10 @@ def test_oracle_equivalence():
     for _ in range(250):
         t = random_tree(rng, 3, 3)
         f = random_jsl(rng, rng.randint(0, 3))
+        check = jsl.compile_formula(t, f, {})
         for n in t.nodes():
-            assert jsl.holds(t, n, f) == oracle_jsl(t, n, f), to_text(f)
+            assert check(n) == oracle_jsl(t, n, f), to_text(f)
+            assert eval_jsl(t, t.path_of(n), f) == check(n), to_text(f)
 
 
 def test_box_dia_duality():
@@ -129,9 +131,11 @@ def test_box_dia_duality():
         dual = jsl.Not(jsl.DiaKey(pattern, jsl.Not(body)))
         box_i = jsl.BoxIdx(1, 2, body)
         dual_i = jsl.Not(jsl.DiaIdx(1, 2, jsl.Not(body)))
+        box, dual, box_i, dual_i = (jsl.compile_formula(t, f, {})
+                                    for f in (box, dual, box_i, dual_i))
         for n in t.nodes():
-            assert jsl.holds(t, n, box) == jsl.holds(t, n, dual)
-            assert jsl.holds(t, n, box_i) == jsl.holds(t, n, dual_i)
+            assert box(n) == dual(n)
+            assert box_i(n) == dual_i(n)
 
 
 def test_print_parse_round_trip():

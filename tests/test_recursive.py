@@ -213,13 +213,13 @@ def test_eval_equals_unfold_oracle_on_random_instances():
     for e in random_well_formed(rng, 100):
         for _ in range(3):
             t = random_tree(rng, rng.randint(0, 4), 3)
-            expected = jsl.validate(t, rec.unfold(e, height(t)))
+            expected = oracle_jsl(t, 0, rec.unfold(e, height(t)))
             assert rec.eval_recursive(e, t) == expected, rec.to_text(e)
             sets = rec.recursive_sat_sets(e, t)
             for name, _ in e.definitions:
                 unfolded = rec.unfold(rec.make_recursive(e.definitions, jsl.SymbolRef(name)),
                                       height(t))
-                assert sets[name] == {n for n in t.nodes() if jsl.holds(t, n, unfolded)}, \
+                assert sets[name] == {n for n in t.nodes() if oracle_jsl(t, n, unfolded)}, \
                     (rec.to_text(e), name)
 
 

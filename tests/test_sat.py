@@ -12,7 +12,7 @@ from jlogic.decision.encode import qbf_truth
 from jlogic.decision.search import _Program
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
-from helpers import (JSL_FEATURES, jsl_features, oracle_qbf, random_jsl, random_well_formed,
+from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_qbf, random_jsl, random_well_formed,
                      truth_table_sat)
 
 UNSAT_PAIR = '[@"a" / test([#1])] && [@"a" / test([@"b"])]'
@@ -48,7 +48,7 @@ def test_witnesses_revalidate():
         except BoundsTooLarge:
             continue
         if verdict.satisfiable:
-            assert jsl.validate(verdict.witness, phi)
+            assert oracle_jsl(verdict.witness, 0, phi)
 
 
 def _tiny_universe():
@@ -89,7 +89,7 @@ def test_verdict_matches_exhaustive_check_on_tiny_space():
     randoms = [random_jsl(rng, rng.randint(0, 2)) for _ in range(120)]
     features = set().union(*map(jsl_features, randoms))
     for phi in [jsl.parse_jsl(text) for text in TINY_SPACE_FIXED] + randoms:
-        sizes = [d.size for d in docs if jsl.validate(d, phi)]
+        sizes = [d.size for d in docs if oracle_jsl(d, 0, phi)]
         try:
             verdict = sat_bounded(phi, Bounds(2, 2, 4), budget=150_000)
         except BoundsTooLarge:
@@ -143,11 +143,11 @@ def test_unique_multiplicity_needed():
     phi = jsl.parse_jsl("arr && unique && minCh(2)")
     verdict = sat_bounded(phi, Bounds(2, 3, 3))
     assert verdict.satisfiable
-    assert jsl.validate(verdict.witness, phi)
+    assert oracle_jsl(verdict.witness, 0, phi)
     anti = jsl.parse_jsl("arr && !unique && minCh(2)")
     verdict = sat_bounded(anti, Bounds(2, 3, 3))
     assert verdict.satisfiable
-    assert jsl.validate(verdict.witness, anti)
+    assert oracle_jsl(verdict.witness, 0, anti)
 
 
 def test_recursive_sat():

@@ -21,6 +21,7 @@ from jlogic.cli import main
 from jlogic.tree import NodeKind, parse_document
 from helpers import (
     SCHEMA_KEYWORDS,
+    oracle_jsl,
     oracle_schema,
     oracle_schema_at,
     random_schema,
@@ -258,7 +259,7 @@ def test_min_max_child_expansions():
         phi = jsl.parse_jsl(phi_text)
         back = sch.jsl_to_schema(phi)
         for doc in docs:
-            assert jsl.validate(doc, phi) == sch.validate_schema(doc, back), (
+            assert oracle_jsl(doc, 0, phi) == sch.validate_schema(doc, back), (
                 phi_text, jt.serialize(doc))
 
 
@@ -271,7 +272,7 @@ def test_box_dia_schema_expansions():
         phi = jsl.parse_jsl(phi_text)
         back = sch.jsl_to_schema(phi)
         for doc in docs:
-            assert jsl.validate(doc, phi) == sch.validate_schema(doc, back), (
+            assert oracle_jsl(doc, 0, phi) == sch.validate_schema(doc, back), (
                 phi_text, jt.serialize(doc))
 
 
@@ -282,12 +283,12 @@ def test_blowup_cap():
 
 
 def _logic_verdict(tree, doc):
-    """The root verdict of the schema's formula: ``jsl.holds`` on it, or on
+    """The root verdict of the schema's formula: ``oracle_jsl`` on it, or on
     its unfolding to the document's height when the schema is recursive."""
     compiled = sch.schema_to_jsl(doc)
     if isinstance(compiled, rec.RecursiveJslExpr):
         compiled = rec.unfold(compiled, jt.height(tree))
-    return jsl.holds(tree, 0, compiled)
+    return oracle_jsl(tree, 0, compiled)
 
 
 def test_random_schemas_match_both_oracles():
@@ -298,9 +299,10 @@ def test_random_schemas_match_both_oracles():
         keywords |= schema_keywords(raw)
         doc = sch.parse_schema(json.dumps(raw))
         for name, ast in doc.definitions:
-            if name in sch._refs(ast) - sch._refs(ast, only_unshielded=True):
+            refs, unshielded = sch._refs(ast)
+            if name in refs - unshielded:
                 features.add("shielded self-reference")
-            if sch._refs(ast, only_unshielded=True):
+            if unshielded:
                 features.add("unshielded reference between definitions")
         for _ in range(12):
             tree = random_tree(rng, 3, 3)
@@ -356,6 +358,15 @@ def test_long_definition_chain(tmp_path, capsys):
     cycle = repr([f"d{i}" for i in range(3000)] + ["d0"])
     with pytest.raises(IllFormedRecursion, match=re.escape(cycle)):
         sch.check_well_formed(cyclic)
+
+
+def test_one_reference_walk_per_definition(monkeypatch):
+    doc = sch.parse_schema(chain_schema(3000, {"type": "number"}))
+    calls = []
+    walk = sch._refs
+    monkeypatch.setattr(sch, "_refs", lambda ast: calls.append(ast) or walk(ast))
+    assert sch.validate_schema(parse_document("5"), doc)
+    assert len(calls) == 3001  # each definition once, and the root
 
 
 @pytest.mark.parametrize("text,exc", [
