@@ -338,14 +338,13 @@ class _Builder:
             return self.node(TrueAtom() if positive else FalseAtom())
         if isinstance(phi, jsl.Not):
             return self.build(phi.body, not positive)
-        if isinstance(phi, jsl.And):
-            parts = (StateAtom(self.build(phi.lhs, positive)),
-                     StateAtom(self.build(phi.rhs, positive)))
-            return self.node(RAnd(parts) if positive else ROr(parts))
-        if isinstance(phi, jsl.Or):
-            parts = (StateAtom(self.build(phi.lhs, positive)),
-                     StateAtom(self.build(phi.rhs, positive)))
-            return self.node(ROr(parts) if positive else RAnd(parts))
+        if isinstance(phi, (jsl.And, jsl.Or)):
+            join = RAnd if isinstance(phi, jsl.And) == positive else ROr
+            spine = jsl.left_spine(phi)
+            q = self.build(spine[0].lhs, positive)
+            for f in spine:
+                q = self.node(join((StateAtom(q), StateAtom(self.build(f.rhs, positive)))))
+            return q
         if isinstance(phi, jsl.Atom):
             return self.node(TestAtom(phi.test, negated=not positive))
         if isinstance(phi, jsl.SymbolRef):

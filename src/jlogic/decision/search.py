@@ -250,10 +250,13 @@ class _Program:
             ins = ("true",)
         elif isinstance(phi, jsl.Not):
             ins = ("not", self._bit(phi.body))
-        elif isinstance(phi, jsl.And):
-            ins = ("and", self._bit(phi.lhs), self._bit(phi.rhs))
-        elif isinstance(phi, jsl.Or):
-            ins = ("or", self._bit(phi.lhs), self._bit(phi.rhs))
+        elif isinstance(phi, (jsl.And, jsl.Or)):
+            op = "and" if isinstance(phi, jsl.And) else "or"
+            spine = jsl.left_spine(phi)
+            bit = self._bit(spine[0].lhs)
+            for f in spine:
+                bit = self._ins_bit((op, bit, self._bit(f.rhs)))
+            return bit
         elif isinstance(phi, jsl.Atom):
             ins = self._test_ins(phi.test)
         elif isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):

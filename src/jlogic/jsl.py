@@ -305,14 +305,9 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         body = compile_formula(tree, phi.body, tables)
         return lambda n: not body(n)
     if isinstance(phi, (And, Or)):
-        parts, stack = [], [phi]  # the chain's operands, left to right
-        while stack:
-            f = stack.pop()
-            if type(f) is type(phi):
-                stack += (f.rhs, f.lhs)
-            else:
-                parts.append(compile_formula(tree, f, tables))
-        return _join(parts, isinstance(phi, And))
+        spine = left_spine(phi)  # the chain's operands, left to right
+        parts = [spine[0].lhs] + [f.rhs for f in spine]
+        return _join([compile_formula(tree, f, tables) for f in parts], isinstance(phi, And))
     if isinstance(phi, Atom):
         return compile_test(tree, phi.test)
     if isinstance(phi, (BoxKey, DiaKey)):
@@ -341,6 +336,15 @@ def _join(parts: list, conjunction: bool) -> Callable[[int], bool]:
     return lambda n: lhs(n) or rhs(n)
 
 
+def left_spine(phi: JslFormula) -> list:
+    """The nodes of ``phi``'s connective down its left operands, innermost
+    first: a loop over them keeps a long flat chain off the Python stack."""
+    spine = [phi]
+    while type(spine[-1].lhs) is type(phi):
+        spine.append(spine[-1].lhs)
+    return spine[::-1]
+
+
 _TEST_KIND = {UniqueTest: _ARR, PatternTest: _STR, MinTest: _INT, MaxTest: _INT, MultOfTest: _INT}
 
 
@@ -361,15 +365,17 @@ def specialize(phi: JslFormula, kind: NodeKind, consts=None):
         return phi if body is phi.body else Not(body)
     if isinstance(phi, (And, Or)):
         unit = isinstance(phi, And)  # drops out; the other constant decides
-        lhs = specialize(phi.lhs, kind, consts)
-        if lhs is not unit and isinstance(lhs, bool):
-            return lhs
-        rhs = specialize(phi.rhs, kind, consts)
-        if lhs is unit or isinstance(rhs, bool) and rhs is not unit:
-            return rhs
-        if rhs is unit:
-            return lhs
-        return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
+        spine = left_spine(phi)
+        lhs = specialize(spine[0].lhs, kind, consts)
+        for f in spine:
+            if lhs is not unit and isinstance(lhs, bool):
+                return lhs
+            rhs = specialize(f.rhs, kind, consts)
+            if lhs is unit or isinstance(rhs, bool) and rhs is not unit:
+                lhs = rhs
+            elif rhs is not unit:
+                lhs = f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
+        return lhs
     if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
         on = NodeKind.OBJ if isinstance(phi, (BoxKey, DiaKey)) else _ARR
         return phi if kind is on else isinstance(phi, (BoxKey, BoxIdx))

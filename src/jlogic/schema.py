@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import jsl
@@ -114,6 +115,14 @@ class SchemaDocument:
     def definition_map(self) -> dict:
         return dict(self.definitions)
 
+    @cached_property
+    def refs(self) -> dict:
+        """``_refs`` of each definition by name, and of the root under
+        None: one walk per document, shared by parsing and validation."""
+        refs = {name: _refs(ast) for name, ast in self.definitions}
+        refs[None] = _refs(self.root)
+        return refs
+
 
 UNSATISFIABLE = NotSchema(EmptySchema())
 
@@ -147,7 +156,9 @@ def parse_schema(text: str) -> SchemaDocument:
         defs = [(name, _ast(sub)) for name, sub in section.items()]
     root = _ast(raw)
     doc = SchemaDocument(root, tuple(defs))
-    _check_refs(doc)
+    missing = set().union(*(used for used, _ in doc.refs.values())) - {n for n, _ in defs}
+    if missing:
+        raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
     return doc
 
 
@@ -305,27 +316,16 @@ def _refs(ast: SchemaAst) -> tuple:
     return out, unshielded
 
 
-def _check_refs(doc: SchemaDocument):
-    defined = {name for name, _ in doc.definitions}
-    used = _refs(doc.root)[0]
-    for _, ast in doc.definitions:
-        used |= _refs(ast)[0]
-    missing = used - defined
-    if missing:
-        raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
-
-
-def check_well_formed(doc: SchemaDocument, refs=None) -> list:
+def check_well_formed(doc: SchemaDocument) -> list:
     """Reject definition cycles not broken by a document descent.
 
     Returns the definition names with every unshielded dependency before
     its user (``recursive.dependency_order`` over the sorted unshielded
-    references), the order in which the validator settles definitions at
-    one node.  ``refs`` maps each definition to its ``_refs``, when the
-    caller has them."""
-    refs = refs or {name: _refs(ast) for name, ast in doc.definitions}
+    references of ``doc.refs``), the order in which the validator settles
+    definitions at one node."""
     order, cycle = rec.dependency_order(
-        {name: sorted(unshielded) for name, (_, unshielded) in refs.items()})
+        {name: sorted(unshielded) for name, (_, unshielded) in doc.refs.items()
+         if name is not None})
     if cycle:
         raise IllFormedRecursion(f"cyclic definitions: {cycle}")
     return order
@@ -351,10 +351,9 @@ def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
     node (running no closure where the kind makes each one constant), even
     when the root fails at once; otherwise only the keywords' nodes are.
     """
-    defs = doc.definition_map()
-    refs = {name: _refs(ast) for name, ast in doc.definitions}
-    order = check_well_formed(doc, refs)
-    live, todo = set(), list(_refs(doc.root)[0])
+    defs, refs = doc.definition_map(), doc.refs
+    order = check_well_formed(doc)
+    live, todo = set(), list(refs[None][0])
     while todo:
         name = todo.pop()
         if name not in live:

@@ -23,16 +23,15 @@ constant document is compared by looking its root up in the same table;
 a constant absent from the table equals no subtree.
 
 Text goes through the standard library's C scanner, with hooks that
-enforce the model.  Documents nested too deeply for it fall back to an
-iterative parser with the same grammar, hooks and error classes.  All
-deep traversals here are iterative: documents nested thousands of levels
-deep are in scope.
+enforce the model.  For documents nested too deeply for it, an explicit
+stack of open arrays and objects takes over the containers, and the C
+scanner still reads every scalar and key.  All deep traversals here are
+iterative: documents nested thousands of levels deep are in scope.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from bisect import bisect_left
 from enum import Enum
@@ -59,13 +58,6 @@ class NodeKind(Enum):
     INT = "int"
 
 
-_WS = " \t\n\r"
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-_HEX = frozenset("0123456789abcdefABCDEF")
-# the C scanner's number grammar (ASCII digits only)
-_NUMBER = re.compile(r"(-?(?:0|[1-9][0-9]*))(\.[0-9]+)?([eE][-+]?[0-9]+)?")
-_LITERALS = (("null", None), ("true", True), ("false", False))
-_CONSTANTS = ("NaN", "Infinity", "-Infinity")
 _MODEL_TYPES = frozenset((str, int, list, dict))
 _CLOSE = object()  # from_python's marker: all children of a container are numbered
 
@@ -374,9 +366,6 @@ def to_python(tree: JsonTree, node: NodeId = ()):
 
 
 # -- text parsing -------------------------------------------------------------
-#
-# The hooks below are shared by the C scanner and the fallback parser, so
-# both accept the same texts and raise the same error classes.
 
 
 def _object_from_pairs(pairs) -> dict:
@@ -410,158 +399,97 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_object_from_pairs, parse_int=_nat
 _skip_ws = json.decoder.WHITESPACE.match
 
 
+def _scan(text: str, pos: int) -> tuple:
+    """The scalar or key at ``pos`` and its end, read by the C scanner."""
+    try:
+        return _DECODER.scan_once(text, pos)
+    except StopIteration as exc:
+        raise MalformedSyntax("Expecting value", exc.value) from None
+    except JSONDecodeError as exc:
+        raise MalformedSyntax(exc.msg, exc.pos) from None
+
+
+def _key(text: str, pos: int) -> tuple:
+    """The object key at ``pos`` and the start of its value."""
+    if text[pos:pos + 1] != '"':
+        raise MalformedSyntax("Expecting property name enclosed in double quotes", pos)
+    key, pos = _scan(text, pos)
+    pos = _skip_ws(text, pos).end()
+    if text[pos:pos + 1] != ":":
+        raise MalformedSyntax("Expecting ':' delimiter", pos)
+    return key, _skip_ws(text, pos + 1).end()
+
+
 class _Parser:
-    """Iterative twin of the C scanner for documents nested too deeply for
-    it: same grammar, same hooks, no recursion limit."""
+    """The stack of open arrays and objects, for documents nested too
+    deeply for the C scanner.  Every scalar and key is read by the C
+    scanner's ``scan_once``, which recurses only into containers, so both
+    paths accept one grammar, share the hooks and report a scalar fault
+    with the same message at any depth.  Structural faults reuse the
+    C scanner's messages of Python 3.10 to 3.12."""
 
     def __init__(self, text: str, pos: int = 0):
         self.text = text
         self.pos = pos
 
-    def error(self, message):
-        raise MalformedSyntax(message, self.pos)
-
-    def skip_ws(self):
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos] in _WS:
-            self.pos += 1
-
-    def parse_string(self) -> str:
-        text = self.text
-        self.pos += 1  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(text):
-                self.error("unterminated string")
-            ch = text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(text):
-                    self.error("unterminated escape")
-                esc = text[self.pos]
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    self.pos += 1
-                elif esc == "u":
-                    out.append(self._unicode_escape())
-                else:
-                    self.error(f"bad escape \\{esc}")
-            elif ord(ch) < 0x20:
-                self.error("raw control character in string")
-            else:
-                out.append(ch)
-                self.pos += 1
-
-    def _unicode_escape(self) -> str:
-        def hex4():
-            chunk = self.text[self.pos + 1:self.pos + 5]
-            if len(chunk) != 4 or not _HEX.issuperset(chunk):
-                self.error(f"bad \\u escape {chunk!r}")
-            self.pos += 5
-            return int(chunk, 16)
-
-        cp = hex4()
-        if 0xD800 <= cp <= 0xDBFF and self.text[self.pos:self.pos + 2] == "\\u":
-            self.pos += 1
-            low = hex4()
-            if 0xDC00 <= low <= 0xDFFF:
-                cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00)
-            else:
-                self.pos -= 6  # lone surrogate; keep as-is
-        return chr(cp)
-
-    def parse_scalar(self):
-        """A string, literal or number; literals become python values that
-        from_python rejects, exactly as after the C scanner."""
-        text, pos = self.text, self.pos
-        if text[pos] == '"':
-            return self.parse_string()
-        for word, value in _LITERALS:
-            if text.startswith(word, pos):
-                self.pos += len(word)
-                return value
-        m = _NUMBER.match(text, pos)
-        if m is not None:
-            self.pos = m.end()
-            integer, frac, exp = m.groups()
-            return _non_natural(m.group()) if frac or exp else _natural(integer)
-        for word in _CONSTANTS:
-            if text.startswith(word, pos):
-                return _non_natural(word)
-        self.error(f"unexpected character {text[pos]!r}")
-
     def parse_value(self):
-        """One document value as nested python data, stack-based."""
-        # frames: [is object, items or (key, value) pairs, pending key]
-        frames = []
+        """One document value as nested python data, stack-based; ``pos``
+        ends up just past it."""
+        text, ws = self.text, _skip_ws
+        pos = ws(text, self.pos).end()  # the loop starts each value past whitespace
+        frames = []  # [is object, items or (key, value) pairs, pending key]
         while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.error("unexpected end of input")
-            ch = self.text[self.pos]
+            ch = text[pos:pos + 1]
             if ch == "[" or ch == "{":
                 is_obj = ch == "{"
-                self.pos += 1
-                self.skip_ws()
-                if self.text.startswith("}" if is_obj else "]", self.pos):
-                    self.pos += 1
-                    value = _object_from_pairs([]) if is_obj else []
+                pos = ws(text, pos + 1).end()
+                if text.startswith("}" if is_obj else "]", pos):
+                    pos += 1
+                    value = {} if is_obj else []
                 else:
                     frame = [is_obj, [], None]
                     frames.append(frame)
                     if is_obj:
-                        self._read_key(frame)
+                        frame[2], pos = _key(text, pos)
                     continue
             else:
-                value = self.parse_scalar()
+                value, pos = _scan(text, pos)
 
             # a value just completed: attach it, then unwind closers
             while frames:
                 frame = frames[-1]
                 is_obj = frame[0]
                 frame[1].append((frame[2], value) if is_obj else value)
-                self.skip_ws()
-                ch = self.text[self.pos:self.pos + 1]
+                pos = ws(text, pos).end()
+                ch = text[pos:pos + 1]
                 if ch == ",":
-                    self.pos += 1
+                    pos = ws(text, pos + 1).end()
                     if is_obj:
-                        self._read_key(frame)
+                        frame[2], pos = _key(text, pos)
                     break
                 if ch == ("}" if is_obj else "]"):
-                    self.pos += 1
+                    pos += 1
                     frames.pop()
                     value = _object_from_pairs(frame[1]) if is_obj else frame[1]
                     continue
-                self.error(f"expected ',' or {'}' if is_obj else ']'!r}, found {ch!r}")
+                raise MalformedSyntax("Expecting ',' delimiter", pos)
             else:
+                self.pos = pos
                 return value
 
     def parse_document(self):
         """The whole text as one value, surrounded by whitespace only."""
         value = self.parse_value()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing characters after document")
+        end = _skip_ws(self.text, self.pos).end()
+        if end != len(self.text):
+            raise MalformedSyntax("Extra data", end)
         return value
-
-    def _read_key(self, frame):
-        self.skip_ws()
-        if self.text[self.pos:self.pos + 1] != '"':
-            self.error("expected an object key")
-        frame[2] = self.parse_string()
-        self.skip_ws()
-        if self.text[self.pos:self.pos + 1] != ":":
-            self.error("expected ':' after object key")
-        self.pos += 1
 
 
 def decode(text: str):
     """A complete text as nested python values, through the hooked C
-    scanner or, nested past its limit, the iterative parser; documents and
-    schemas both come in here."""
+    scanner or, nested past its limit, ``_Parser``'s container stack;
+    documents and schemas both come in here."""
     try:
         return _DECODER.decode(text)
     except JSONDecodeError as exc:
@@ -599,10 +527,7 @@ def scan_string(text: str, pos: int):
     """
     if text[pos:pos + 1] != '"':
         raise MalformedSyntax("expected a string literal", pos)
-    try:
-        return _DECODER.parse_string(text, pos + 1, _DECODER.strict)
-    except JSONDecodeError as exc:
-        raise MalformedSyntax(exc.msg, exc.pos) from None
+    return _scan(text, pos)
 
 
 # -- serialization ------------------------------------------------------------

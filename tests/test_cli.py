@@ -137,9 +137,18 @@ def test_logic_verdicts_never_match_a_word_one_at_a_time(files, capsys, monkeypa
 def test_flat_chain_of_3000_operands(files, capsys, connective, expected):
     doc = files("e.json", "{}")
     operand = "obj" if connective == "&&" else "int"
-    formula = files("chain.jsl", f" {connective} ".join([operand] * 3000))
-    assert main(["validate", doc, formula, "--logic", "jsl"]) == (expected == "INVALID")
-    assert capsys.readouterr() == (expected + "\n", "")
+    chain = f" {connective} ".join([operand] * 3000)
+    formula = files("chain.jsl", chain)
+    rjsl = files("chain.rjsl", f"let g = {chain}; in g")
+    invalid = expected == "INVALID"
+    for argv in (["validate", doc, formula, "--logic", "jsl"],
+                 ["validate", doc, rjsl, "--logic", "rjsl"]):
+        assert main(argv) == invalid
+        assert capsys.readouterr() == (expected + "\n", "")
+    assert main(["automaton", doc, "--formula-file", formula]) == invalid
+    assert capsys.readouterr() == ("REJECT\n" if invalid else "ACCEPT\n", "states: 5999\n")
+    assert main(["sat", "--formula-file", formula]) == 0
+    assert capsys.readouterr() == ("SAT\n0\n" if invalid else "SAT\n{}\n", "")
 
 
 def test_compile_schema_to_jsl(files, capsys):

@@ -91,6 +91,19 @@ def test_parse_errors(text, exc):
         parse_document(text)
 
 
+# scalar faults only: the C scanner's structural messages vary between versions
+@pytest.mark.parametrize("text", ['"\\u+0e9"', '"unterminated', '"a\x01b"', "-abc"])
+def test_deep_scalar_fault_reads_as_shallow(text):
+    wrap = 1200  # past the C scanner's nesting limit
+    with pytest.raises(MalformedSyntax) as shallow:
+        parse_document(text)
+    with pytest.raises(MalformedSyntax) as deep:
+        parse_document("[" * wrap + text + "]" * wrap)
+    assert deep.value.pos == shallow.value.pos + wrap
+    assert str(deep.value) == str(shallow.value).replace(
+        f"offset {shallow.value.pos})", f"offset {deep.value.pos})")
+
+
 def test_serialize_int_leaf():
     assert serialize(parse_document("5")) == "5"
 
