@@ -59,25 +59,16 @@ def _position(seg: str) -> int:
 
 
 def _labels(tree: jt.JsonTree, ids, render, sep: str) -> list:
-    """The path label of each node id: its steps (object keys, 1-based
-    array positions) rendered and joined by ``sep``; None for the root.
+    """The path label of each ascending node id: its steps (object keys,
+    1-based array positions) rendered and joined by ``sep``; None for the
+    root."""
+    keys = tree.columns()[3]
 
-    Each label is built once from its parent's, and labels of shared
-    ancestors are reused, so the cost is linear in the output."""
-    memo = {0: None}
-    out = []
-    for n in ids:
-        chain = []
-        while n not in memo:
-            chain.append(n)
-            n = tree.parent(n)
-        label = memo[n]
-        for m in reversed(chain):
-            key = tree.edge_key(m)
-            step = render(key if key is not None else tree.ordinal(m) + 1)
-            label = memo[m] = step if label is None else label + sep + step
-        out.append(label)
-    return out
+    def step(m, i):
+        ks = keys[m]
+        return render(ks[i] if ks is not None else i + 1)
+
+    return jt.walk_paths(tree, ids, step, lambda steps: sep.join(steps) if steps else None)
 
 
 def _load_formula(args) -> str:

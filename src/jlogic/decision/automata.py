@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .. import jsl
@@ -340,11 +341,8 @@ class _Builder:
             return self.build(phi.body, not positive)
         if isinstance(phi, (jsl.And, jsl.Or)):
             join = RAnd if isinstance(phi, jsl.And) == positive else ROr
-            spine = jsl.left_spine(phi)
-            q = self.build(spine[0].lhs, positive)
-            for f in spine:
-                q = self.node(join((StateAtom(q), StateAtom(self.build(f.rhs, positive)))))
-            return q
+            return reduce(lambda q, r: self.node(join((StateAtom(q), StateAtom(r)))),
+                          (self.build(f, positive) for f in jsl.operands(phi)))
         if isinstance(phi, jsl.Atom):
             return self.node(TestAtom(phi.test, negated=not positive))
         if isinstance(phi, jsl.SymbolRef):

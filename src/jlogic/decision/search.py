@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, product
 from typing import Optional
 
@@ -252,11 +253,9 @@ class _Program:
             ins = ("not", self._bit(phi.body))
         elif isinstance(phi, (jsl.And, jsl.Or)):
             op = "and" if isinstance(phi, jsl.And) else "or"
-            spine = jsl.left_spine(phi)
-            bit = self._bit(spine[0].lhs)
-            for f in spine:
-                bit = self._ins_bit((op, bit, self._bit(f.rhs)))
-            return bit
+            # map is lazy: each operand's bits are emitted just before its join
+            return reduce(lambda a, b: self._ins_bit((op, a, b)),
+                          map(self._bit, jsl.operands(phi)))
         elif isinstance(phi, jsl.Atom):
             ins = self._test_ins(phi.test)
         elif isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):

@@ -158,6 +158,22 @@ def or_all(parts) -> JnlUnary:
 # -- fragment inspection -------------------------------------------------------
 
 
+def left_spine(phi) -> list:
+    """The nodes of ``phi``'s connective (any node with ``.lhs``) down its
+    left operands, innermost first: a loop over them keeps a long flat
+    chain off the Python stack."""
+    spine = [phi]
+    while type(spine[-1].lhs) is type(phi):
+        spine.append(spine[-1].lhs)
+    return spine[::-1]
+
+
+def operands(phi) -> list:
+    """The operands of ``phi``'s flat chain of one connective, left to right."""
+    spine = left_spine(phi)
+    return [spine[0].lhs] + [f.rhs for f in spine]
+
+
 def _walk(u):
     stack = [u]
     while stack:
@@ -411,12 +427,10 @@ def _pu(u, prec) -> str:
         return "true"
     if isinstance(u, Not):
         return "!" + _pu(u.body, 2)
-    if isinstance(u, And):
-        text = f"{_pu(u.lhs, 1)} && {_pu(u.rhs, 1)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(u, Or):
-        text = f"{_pu(u.lhs, 0)} || {_pu(u.rhs, 0)}"
-        return f"({text})" if prec > 0 else text
+    if isinstance(u, (And, Or)):
+        inner = 1 if isinstance(u, And) else 0  # a same-connective operand needs no parentheses
+        text = (" && " if inner else " || ").join([_pu(f, inner) for f in operands(u)])
+        return f"({text})" if prec > inner else text
     if isinstance(u, Exists):
         return f"[{_pb(u.path)}]"
     if isinstance(u, EqConst):
@@ -487,7 +501,7 @@ def strict_paths(b: JnlBinary) -> list:
 
 def eval_unary(tree: JsonTree, u: JnlUnary) -> frozenset:
     """All node paths satisfying the formula."""
-    return frozenset(tree.path_of(n) for n in eval_unary_ids(tree, u))
+    return frozenset(tree.paths_of(sorted(eval_unary_ids(tree, u))))
 
 
 def eval_unary_ids(tree: JsonTree, u: JnlUnary) -> frozenset:
@@ -663,8 +677,10 @@ def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range, memo: dict):
 def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
     """All (source path, target path) pairs the path formula selects.  The
     relation is materialized, up to n² pairs under a closure."""
-    return frozenset((tree.path_of(n), tree.path_of(t))
-                     for n, ts in _pairs(tree, b).items() for t in ts)
+    pairs = _pairs(tree, b)
+    ids = sorted(set(pairs).union(*pairs.values()))
+    path = dict(zip(ids, tree.paths_of(ids)))
+    return frozenset((path[n], path[t]) for n, ts in pairs.items() for t in ts)
 
 
 def _pairs(tree: JsonTree, b: JnlBinary) -> dict:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from . import regex as rx
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex
-from .jnl import _FormulaParser
+from .jnl import _FormulaParser, left_spine, operands
 from .tree import JsonTree, NodeKind
 
 
@@ -305,9 +305,8 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         body = compile_formula(tree, phi.body, tables)
         return lambda n: not body(n)
     if isinstance(phi, (And, Or)):
-        spine = left_spine(phi)  # the chain's operands, left to right
-        parts = [spine[0].lhs] + [f.rhs for f in spine]
-        return _join([compile_formula(tree, f, tables) for f in parts], isinstance(phi, And))
+        return _join([compile_formula(tree, f, tables) for f in operands(phi)],
+                     isinstance(phi, And))
     if isinstance(phi, Atom):
         return compile_test(tree, phi.test)
     if isinstance(phi, (BoxKey, DiaKey)):
@@ -334,15 +333,6 @@ def _join(parts: list, conjunction: bool) -> Callable[[int], bool]:
     if conjunction:
         return lambda n: lhs(n) and rhs(n)
     return lambda n: lhs(n) or rhs(n)
-
-
-def left_spine(phi: JslFormula) -> list:
-    """The nodes of ``phi``'s connective down its left operands, innermost
-    first: a loop over them keeps a long flat chain off the Python stack."""
-    spine = [phi]
-    while type(spine[-1].lhs) is type(phi):
-        spine.append(spine[-1].lhs)
-    return spine[::-1]
 
 
 _TEST_KIND = {UniqueTest: _ARR, PatternTest: _STR, MinTest: _INT, MaxTest: _INT, MultOfTest: _INT}
@@ -556,12 +546,10 @@ def _pf(phi, prec) -> str:
         return "true"
     if isinstance(phi, Not):
         return "!" + _pf(phi.body, 2)
-    if isinstance(phi, And):
-        text = f"{_pf(phi.lhs, 1)} && {_pf(phi.rhs, 1)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(phi, Or):
-        text = f"{_pf(phi.lhs, 0)} || {_pf(phi.rhs, 0)}"
-        return f"({text})" if prec > 0 else text
+    if isinstance(phi, (And, Or)):
+        inner = 1 if isinstance(phi, And) else 0  # a same-connective operand needs no parentheses
+        text = (" && " if inner else " || ").join([_pf(f, inner) for f in operands(phi)])
+        return f"({text})" if prec > inner else text
     if isinstance(phi, (BoxKey, BoxIdx)):
         return f"box({_modal_arg(phi)}) {_pf(phi.body, 2)}"
     if isinstance(phi, (DiaKey, DiaIdx)):

@@ -18,6 +18,8 @@ whose table the evaluator fills.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import jnl
 from . import jsl
 from . import recursive as rec
@@ -71,10 +73,9 @@ def _tu(phi: jnl.JnlUnary, defs) -> jsl.JslFormula:
         return jsl.TOP
     if isinstance(phi, jnl.Not):
         return jsl.Not(_tu(phi.body, defs))
-    if isinstance(phi, jnl.And):
-        return jsl.And(_tu(phi.lhs, defs), _tu(phi.rhs, defs))
-    if isinstance(phi, jnl.Or):
-        return jsl.Or(_tu(phi.lhs, defs), _tu(phi.rhs, defs))
+    if isinstance(phi, (jnl.And, jnl.Or)):
+        join = jsl.And if isinstance(phi, jnl.And) else jsl.Or
+        return reduce(join, [_tu(f, defs) for f in jnl.operands(phi)])
     if isinstance(phi, jnl.Exists):
         return _tb(phi.path, jsl.TOP, defs)
     if isinstance(phi, jnl.EqConst):
@@ -125,10 +126,9 @@ def jsl_to_jnl(phi: jsl.JslFormula) -> jnl.JnlUnary:
         return jnl.TOP
     if isinstance(phi, jsl.Not):
         return jnl.Not(jsl_to_jnl(phi.body))
-    if isinstance(phi, jsl.And):
-        return jnl.And(jsl_to_jnl(phi.lhs), jsl_to_jnl(phi.rhs))
-    if isinstance(phi, jsl.Or):
-        return jnl.Or(jsl_to_jnl(phi.lhs), jsl_to_jnl(phi.rhs))
+    if isinstance(phi, (jsl.And, jsl.Or)):
+        join = jnl.And if isinstance(phi, jsl.And) else jnl.Or
+        return reduce(join, [jsl_to_jnl(f) for f in jnl.operands(phi)])
     if isinstance(phi, jsl.Atom):
         if isinstance(phi.test, jsl.SameAsTest):
             return jnl.EqConst(jnl.Eps(), phi.test.const)

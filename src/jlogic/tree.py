@@ -14,6 +14,13 @@ pre-order, children in ordinal order.  So a node's id is below those of
 its descendants, sorting ids sorts their paths, and equal documents get
 identical arrays.
 
+A tree is four columns indexed by id: kind, value, child ids and sorted
+keys.  Together they hold the edge relation once, labelled by keys and
+positions; no node stores its parent.  Paths, as ordinal tuples or as
+rendered labels, are derived top-down by one walk over ascending ids
+(``walk_paths``): the child of ``m`` above ``n`` is the last child of
+``m`` not after ``n``, found by bisection.
+
 Subtree identity is interned, not hashed.  The first equality test on a
 tree labels every node bottom-up with a class id from a table keyed by
 the value for leaves, the child ids for arrays and the keys plus child ids
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from json.decoder import JSONDecodeError
 from typing import Iterable, Optional, Union
@@ -63,24 +70,21 @@ _CLOSE = object()  # from_python's marker: all children of a container are numbe
 
 
 class JsonTree:
-    """One parsed document.  Immutable; safe to share between threads.
+    """One parsed document: the kind, value, children and keys columns.
+    Immutable; safe to share between threads.
 
     Subtree class ids are built on first use into locals and published by
     a single attribute assignment, so a concurrent reader sees either no
     table (and builds an identical one) or a complete one.
     """
 
-    __slots__ = ("_kinds", "_vals", "_children", "_keys", "_parent", "_ordinal",
-                 "_edge_key", "_classes", "_height", "_hash")
+    __slots__ = ("_kinds", "_vals", "_children", "_keys", "_classes", "_height", "_hash")
 
-    def __init__(self, kinds, vals, children, keys, parent, ordinal, edge_key):
+    def __init__(self, kinds, vals, children, keys):
         self._kinds = kinds          # list[NodeKind]
         self._vals = vals            # list[Atom | None]
         self._children = children    # list[tuple[int, ...]]
         self._keys = keys            # list[tuple[str, ...] | None], sorted, obj nodes only
-        self._parent = parent        # list[int], -1 for the root
-        self._ordinal = ordinal      # list[int], position under the parent
-        self._edge_key = edge_key    # list[str | None], key label from the parent
         self._classes = None         # (class id per node, intern table, constant ids)
         self._height = None
         self._hash = None
@@ -132,22 +136,12 @@ class JsonTree:
         bind them into closures.  Read only."""
         return self._kinds, self._vals, self._children, self._keys
 
-    def parent(self, n: int) -> int:
-        return self._parent[n]
-
-    def ordinal(self, n: int) -> int:
-        return self._ordinal[n]
-
-    def edge_key(self, n: int) -> Optional[str]:
-        return self._edge_key[n]
-
     def path_of(self, n: int) -> NodeId:
-        out = []
-        while n != 0:
-            out.append(self._ordinal[n])
-            n = self._parent[n]
-        out.reverse()
-        return tuple(out)
+        return self.paths_of((n,))[0]
+
+    def paths_of(self, ids: Iterable) -> list:
+        """The path of each node id; fastest over ascending ids."""
+        return walk_paths(self, ids, lambda m, i: i, tuple)
 
     def node_at(self, path: NodeId) -> int:
         n = 0
@@ -160,7 +154,7 @@ class JsonTree:
 
     @property
     def domain(self) -> frozenset:
-        return frozenset(self.path_of(n) for n in self.nodes())
+        return frozenset(self.paths_of(self.nodes()))
 
     # -- subtree identity ---------------------------------------------------
 
@@ -258,6 +252,38 @@ def label_subtrees(tree: JsonTree, table: dict, insert: bool = True) -> Optional
     return ids
 
 
+# -- paths ---------------------------------------------------------------------
+
+
+def walk_paths(tree: JsonTree, ids: Iterable, step, finish) -> list:
+    """``finish(steps)`` for each node id, ``steps`` being ``step(m, i)``
+    for each edge down from the root, into the ``i``-th child (0-based) of
+    ``m``.  ``finish`` must copy what it keeps of the reused list.
+
+    The child of ``m`` above ``n`` is the last of ``m``'s children not
+    after ``n``; its subtree ends where its next sibling or ``m``'s ends.
+    A stack of (node, subtree end) keeps the last id's ancestors, so over
+    ascending ids each edge's step is taken once."""
+    children = tree._children
+    stack, steps, out = [(0, len(children))], [], []
+    for n in ids:
+        m, end = stack[-1]
+        while not m <= n < end:
+            stack.pop()
+            steps.pop()
+            m, end = stack[-1]
+        while m != n:
+            ch = children[m]
+            i = bisect_right(ch, n) - 1
+            if i + 1 < len(ch):
+                end = ch[i + 1]
+            steps.append(step(m, i))
+            m = ch[i]
+            stack.append((m, end))
+        out.append(finish(steps))
+    return out
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -278,12 +304,12 @@ def from_python(value) -> JsonTree:
     Object key order is irrelevant; children are canonicalized by key and
     numbered in DFS pre-order.
     """
-    kinds, vals, children, keys, parent, ordinal, edge_key = [], [], [], [], [], [], []
+    kinds, vals, children, keys = [], [], [], []
     obj, arr, string, integer = NodeKind.OBJ, NodeKind.ARR, NodeKind.STR, NodeKind.INT
-    stack = [(value, -1, 0, None)]
+    stack = [(value, -1)]
     pop, push = stack.pop, stack.append
     while stack:
-        v, par, orde, ekey = pop()
+        v, par = pop()
         if v is _CLOSE:
             # freeze the child list as soon as it is complete: fewer live
             # containers make the garbage collector's passes cheaper
@@ -292,9 +318,6 @@ def from_python(value) -> JsonTree:
         nid = len(kinds)
         if par >= 0:
             children[par].append(nid)
-        parent.append(par)
-        ordinal.append(orde)
-        edge_key.append(ekey)
         t = type(v)
         if t not in _MODEL_TYPES:
             t = _model_type(v)
@@ -320,48 +343,35 @@ def from_python(value) -> JsonTree:
             vals.append(None)
             children.append([])
             keys.append(tuple(ks))
-            push((_CLOSE, nid, 0, None))
-            for i in range(len(ks) - 1, -1, -1):
-                key = ks[i]
-                push((v[key], nid, i, key))
+            push((_CLOSE, nid))
+            for key in reversed(ks):
+                push((v[key], nid))
         else:
             kinds.append(arr)
             vals.append(None)
             children.append([])
             keys.append(None)
-            push((_CLOSE, nid, 0, None))
-            for i in range(len(v) - 1, -1, -1):
-                push((v[i], nid, i, None))
-    return JsonTree(kinds, vals, children, keys, parent, ordinal, edge_key)
+            push((_CLOSE, nid))
+            for c in reversed(v):
+                push((c, nid))
+    return JsonTree(kinds, vals, children, keys)
 
 
 def to_python(tree: JsonTree, node: NodeId = ()):
-    """Inverse of from_python (iterative, handles deep trees)."""
-    root = tree.node_at(node)
+    """Inverse of from_python: bottom-up over the subtree's pre-order ids,
+    which run from its root to its last leaf."""
+    _, vals, children, keys = tree.columns()
+    root = last = tree.node_at(node)
+    while children[last]:
+        last = children[last][-1]
     out = {}
-
-    def fresh(n):
-        k = tree.kind(n)
-        if k is NodeKind.INT or k is NodeKind.STR:
-            return tree.value(n)
-        return [] if k is NodeKind.ARR else {}
-
-    out[root] = fresh(root)
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        box = out[n]
-        k = tree.kind(n)
-        if k is NodeKind.ARR:
-            for c in tree.children(n):
-                out[c] = fresh(c)
-                box.append(out[c])
-                stack.append(c)
-        elif k is NodeKind.OBJ:
-            for key, c in zip(tree.keys_of(n), tree.children(n)):
-                out[c] = fresh(c)
-                box[key] = out[c]
-                stack.append(c)
+    for n in range(last, root - 1, -1):
+        if vals[n] is not None:
+            out[n] = vals[n]
+        elif keys[n] is not None:
+            out[n] = {key: out.pop(c) for key, c in zip(keys[n], children[n])}
+        else:
+            out[n] = [out.pop(c) for c in children[n]]
     return out[root]
 
 
@@ -575,8 +585,7 @@ def serialize(tree: JsonTree, node: NodeId = ()) -> str:
 
 def subtree(tree: JsonTree, node: NodeId) -> JsonTree:
     """The document rooted at ``node``, re-rooted as its own tree."""
-    n = tree.node_at(node)
-    return from_python(to_python(tree, tree.path_of(n)))
+    return from_python(to_python(tree, node))
 
 
 def structural_equal(tree: JsonTree, n1: NodeId, n2: NodeId) -> bool:
@@ -592,23 +601,17 @@ def navigate(tree: JsonTree, instrs: Iterable) -> Optional[NodeId]:
     """
     n = 0
     for step in instrs:
-        if isinstance(step, bool):
-            raise ValueError("navigation instructions are strings or positive ints")
         if isinstance(step, str):
-            if tree.kind(n) is not NodeKind.OBJ:
-                return None
-            nxt = tree.obj_child(n, step)
-            if nxt is None:
-                return None
-            n = nxt
-        elif isinstance(step, int):
+            n = tree.obj_child(n, step)
+        elif isinstance(step, int) and not isinstance(step, bool):
             if step < 1:
                 raise ValueError(f"array positions are 1-based, got {step}")
-            if tree.kind(n) is not NodeKind.ARR or step > tree.child_count(n):
-                return None
-            n = tree.children(n)[step - 1]
+            ch = tree.children(n)
+            n = ch[step - 1] if tree.kind(n) is NodeKind.ARR and step <= len(ch) else None
         else:
             raise ValueError(f"bad navigation instruction {step!r}")
+        if n is None:
+            return None
     return tree.path_of(n)
 
 
@@ -616,10 +619,11 @@ def height(tree: JsonTree) -> int:
     """Length of the longest root-to-leaf path; a single node has height 0."""
     h = tree._height
     if h is None:
-        parent = tree._parent
-        depth = [0] * len(parent)
-        for n in range(1, len(parent)):  # parents precede their children
-            depth[n] = depth[parent[n]] + 1
+        depth = [0] * tree.size
+        for n, ch in enumerate(tree._children):  # parents precede their children
+            d = depth[n] + 1
+            for c in ch:
+                depth[c] = d
         h = tree._height = max(depth)
     return h
 
@@ -628,59 +632,36 @@ def height(tree: JsonTree) -> int:
 
 
 def verify_invariants(tree: JsonTree) -> None:
-    """Re-check the five model conditions; raises InvariantViolation."""
-    seen_root = False
-    for n in tree.nodes():
-        k = tree.kind(n)
-        if not isinstance(k, NodeKind):
-            raise InvariantViolation(f"node {n} has no kind")
-        par = tree.parent(n)
-        if par == -1:
-            if seen_root:
-                raise InvariantViolation("two roots")
-            seen_root = True
-        else:
-            if par >= n:
-                raise InvariantViolation(f"node {n} numbered before its parent")
-            if tree.children(par)[tree.ordinal(n)] != n:
-                raise InvariantViolation(f"node {n} not indexed under its parent")
-        ch = tree.children(n)
-        if k in (NodeKind.STR, NodeKind.INT):
+    """Re-check the model conditions from the four columns; raises
+    InvariantViolation.
+
+    Ids must be DFS pre-order: a node's first child comes right after it
+    and each further child where its elder sibling's subtree ends.  Then,
+    bottom-up, the subtrees tile the ids, and the root's holds all of them
+    exactly when every other node has exactly one parent."""
+    size = tree.size
+    sizes = [1] * size
+    for n in range(size - 1, -1, -1):
+        k, v, ch = tree.kind(n), tree.value(n), tree.children(n)
+        if k is NodeKind.STR or k is NodeKind.INT:
             if ch:
                 raise InvariantViolation(f"leaf-kind node {n} has children")
-            v = tree.value(n)
-            if k is NodeKind.STR and not isinstance(v, str):
-                raise InvariantViolation(f"string node {n} has value {v!r}")
-            if k is NodeKind.INT and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
-                raise InvariantViolation(f"integer node {n} has value {v!r}")
-        else:
-            if tree.value(n) is not None:
-                raise InvariantViolation(f"inner node {n} carries a value")
-        if k is NodeKind.OBJ:
-            keys = tree.keys_of(n)
-            if len(keys) != len(ch):
-                raise InvariantViolation(f"object node {n} has unkeyed children")
-            if len(set(keys)) != len(keys):
-                raise InvariantViolation(f"object node {n} repeats a key")
-            if list(keys) != sorted(keys):
-                raise InvariantViolation(f"object node {n} keys out of canonical order")
-            for key, c in zip(keys, ch):
-                if tree.edge_key(c) != key:
-                    raise InvariantViolation(f"edge label mismatch at node {c}")
-        elif k is NodeKind.ARR:
-            for i, c in enumerate(ch):
-                if tree.ordinal(c) != i:
-                    raise InvariantViolation(f"array child {c} has wrong position")
-        # prefix closure: every child ordinal 0..len-1 is present by construction,
-        # re-checked via the parent/ordinal cross-reference above
-    # ids are DFS pre-order: each child starts right after its elder
-    # sibling's subtree, the first one right after its parent
-    sizes = [1] * tree.size
-    for n in range(tree.size - 1, 0, -1):
-        sizes[tree.parent(n)] += sizes[n]
-    for n in tree.nodes():
-        expected = n + 1
-        for c in tree.children(n):
-            if c != expected:
-                raise InvariantViolation(f"node {c} is out of pre-order")
-            expected += sizes[c]
+            if not (isinstance(v, str) if k is NodeKind.STR
+                    else isinstance(v, int) and not isinstance(v, bool) and v >= 0):
+                raise InvariantViolation(f"{k.value} node {n} has value {v!r}")
+        elif not isinstance(k, NodeKind):
+            raise InvariantViolation(f"node {n} has no kind")
+        elif v is not None:
+            raise InvariantViolation(f"inner node {n} carries a value")
+        keys = tree.keys_of(n)
+        if k is NodeKind.OBJ and (len(keys) != len(ch) or list(keys) != sorted(set(keys))):
+            raise InvariantViolation(f"object node {n} has keys {keys!r} for {len(ch)} "
+                                     "children: not one per child, unique and sorted")
+        end = n + 1
+        for c in ch:
+            if c != end or c >= size:
+                raise InvariantViolation(f"child {c} of node {n} is out of pre-order")
+            end += sizes[c]
+        sizes[n] = end - n
+    if sizes[0] != size:
+        raise InvariantViolation(f"the root's subtree holds {sizes[0]} of {size} nodes")

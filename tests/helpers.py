@@ -291,6 +291,12 @@ class SetInterpreter:
     def __init__(self, tree: JsonTree):
         self.tree = tree
         self.all_nodes = frozenset(range(tree.size))
+        # the edge into each non-root node: (parent, key or None, 1-based position)
+        self.edge = {}
+        for n in tree.nodes():
+            keys = tree.keys_of(n)
+            for i, c in enumerate(tree.children(n)):
+                self.edge[c] = (n, keys[i] if keys else None, i + 1)
         self._sat = {}
         self._pairs = {}
 
@@ -326,7 +332,6 @@ class SetInterpreter:
 
     def pre(self, b, targets) -> set:
         """Nodes with some b-successor inside ``targets``."""
-        tree = self.tree
         if isinstance(b, jnl.Eps):
             return set(targets)
         if isinstance(b, jnl.Test):
@@ -340,17 +345,16 @@ class SetInterpreter:
                 frontier = self.pre(b.body, frontier) - reached
                 reached |= frontier
             return reached
-        return {tree.parent(t) for t in targets if t != 0 and self._step(b, t)}
+        return {self.edge[t][0] for t in targets if t != 0 and self._step(b, t)}
 
     def _step(self, b, t) -> bool:
         """Whether the edge into non-root ``t`` is a b-step."""
-        tree = self.tree
-        key, pos = tree.edge_key(t), tree.ordinal(t) + 1
+        parent, key, pos = self.edge[t]
         if isinstance(b, jnl.KeyAxis):
             return key == b.key
         if isinstance(b, jnl.KeyRegexAxis):
             return key is not None and rx.matches(b.pattern, key)
-        in_array = tree.kind(tree.parent(t)) is NodeKind.ARR
+        in_array = self.tree.kind(parent) is NodeKind.ARR
         if isinstance(b, jnl.IdxAxis):
             return in_array and pos == b.pos
         if isinstance(b, jnl.IdxRangeAxis):
@@ -385,11 +389,10 @@ class SetInterpreter:
                     seen.update(frontier)
                 out[n] = tuple(seen)
         else:
-            tree = self.tree
             out = {}
-            for t in range(1, tree.size):
+            for t in range(1, self.tree.size):
                 if self._step(b, t):
-                    out.setdefault(tree.parent(t), []).append(t)
+                    out.setdefault(self.edge[t][0], []).append(t)
         self._pairs[id(b)] = out
         return out
 

@@ -255,14 +255,14 @@ def test_usage_error_exit_2(capsys):
 
 
 def _reference_lines(tree, fmt, formula):
-    """Paths rendered the obvious way: every prefix navigated from the root."""
+    """Paths rendered the obvious way: navigated from the root, each step
+    read off its parent's keys, or a 1-based position in an array."""
     def segments(path):
-        out, node = [], ()
+        out, n = [], 0
         for step in path:
-            node += (step,)
-            n = tree.node_at(node)
-            key = tree.edge_key(n)
-            out.append(key if key is not None else tree.ordinal(n) + 1)
+            keys = tree.keys_of(n)
+            out.append(keys[step] if keys else step + 1)
+            n = tree.children(n)[step]
         return out
 
     paths = sorted(jnl.eval_unary(tree, jnl.parse_jnl(formula)))

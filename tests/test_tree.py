@@ -10,6 +10,7 @@ import jlogic.jnl as jnl
 import jlogic.tree as jt
 from jlogic.errors import (
     DuplicateKey,
+    InvariantViolation,
     JLogicError,
     MalformedFormula,
     MalformedSyntax,
@@ -346,7 +347,48 @@ def test_ids_are_preorder_and_sort_paths():
         t = random_tree(rng)
         paths = [t.path_of(n) for n in t.nodes()]
         assert paths == sorted(paths)
+        assert [t.node_at(p) for p in paths] == list(t.nodes())
+        assert t.paths_of(t.nodes()) == paths
+        assert t.domain == set(paths) and len(t.domain) == t.size
+        assert jnl.eval_unary(t, jnl.TOP) == t.domain
         verify_invariants(t)
+
+
+@pytest.mark.parametrize("text,formula", [
+    ('{"a":' * 5000 + "0" + "}" * 5000, 'eq(@"a", 0)'),
+    ("[" * 5000 + "0" + "]" * 5000, "eq(#1, 0)"),
+], ids=["object-chain", "array-chain"])
+def test_paths_on_deep_chains(text, formula):
+    t = parse_document(text)
+    # a path costs its depth, so every node of the chain would cost
+    # 12.5M steps: take every 50th depth and the leaf
+    sample = list(range(0, t.size, 50)) + [t.size - 1]
+    paths = [t.path_of(n) for n in sample]
+    assert paths == [(0,) * n for n in sample]
+    assert [t.node_at(p) for p in paths] == sample
+    assert t.paths_of(sample) == paths
+    assert jnl.eval_unary(t, jnl.parse_jnl(formula)) == {(0,) * (t.size - 2)}
+
+
+def _columns(kinds, vals, children, keys=None):
+    return jt.JsonTree([NodeKind[k] for k in kinds], vals, children,
+                       keys or [None] * len(kinds))
+
+
+@pytest.mark.parametrize("tree", [
+    _columns(["ARR", "INT", "ARR"], [None, 0, None], [(2,), (), (1,)]),
+    _columns(["ARR", "ARR", "INT"], [None, None, 0], [(1, 2), (2,), ()]),
+    _columns(["ARR", "INT", "INT"], [None, 0, 1], [(1,), (), ()]),
+    _columns(["ARR", "INT", "INT"], [None, 0, 1], [(1,), (2,), ()]),
+    _columns(["OBJ", "INT", "INT"], [None, 0, 1], [(1, 2), (), ()], [("b", "a"), None, None]),
+    _columns(["OBJ", "INT", "INT"], [None, 0, 1], [(1, 2), (), ()], [("a", "a"), None, None]),
+    _columns(["ARR", "ARR", "INT", "INT"], [None, None, 0, 1], [(3, 1), (2,), (), ()]),
+    _columns(["ARR", "INT"], [None, 0], [(1, 2), ()]),
+], ids=["child-before-parent", "two-parents", "no-parent", "leaf-with-children",
+        "unsorted-keys", "repeated-keys", "siblings-out-of-pre-order", "child-past-the-end"])
+def test_verify_invariants_rejects_broken_columns(tree):
+    with pytest.raises(InvariantViolation):
+        verify_invariants(tree)
 
 
 def test_const_lookup_absent_is_unequal():
