@@ -51,11 +51,14 @@ def _parse_node_arg(text: str):
 
 def _position(seg: str) -> int:
     try:
-        return int(seg)
+        position = int(seg)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise UnknownNode(f"array position of {len(seg)} digits is over the interpreter's "
                           f"int-string limit of {limit} digits") from None
+    if position < 1:
+        raise UnknownNode(f"array positions are 1-based, got {position}")
+    return position
 
 
 def _labels(tree: jt.JsonTree, ids, render, sep: str) -> list:
@@ -109,15 +112,7 @@ def cmd_validate(args) -> int:
     doc = jt.parse_document(_read(args.document))
     text = _read(args.schema)
     if args.logic == "schema":
-        document = sch.parse_schema(text)
-        if args.via_jsl:
-            compiled = sch.schema_to_jsl(document)
-            if isinstance(compiled, rec.RecursiveJslExpr):
-                ok = rec.eval_recursive(compiled, doc)
-            else:
-                ok = jsl.validate(doc, compiled)
-        else:
-            ok = sch.validate_schema(doc, document)
+        ok = sch.validate_schema(doc, sch.parse_schema(text))
     elif args.logic == "jsl":
         ok = jsl.validate(doc, jsl.parse_jsl(text))
     else:
@@ -237,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("schema", help="schema or formula file ('-' for stdin)")
     v.add_argument("--logic", choices=("schema", "jsl", "rjsl"), default="schema")
     v.add_argument("--via", dest="via_jsl", choices=("jsl",), default=None,
-                   help="validate through the compiled schema-logic formula")
+                   help="accepted for compatibility: a schema is always validated "
+                        "through its schema-logic formula")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_validate)
 

@@ -290,6 +290,20 @@ def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
 
 
 def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
-    """Whole-document satisfaction, equal to unfold-then-validate."""
-    tables = _sat_tables(expr, tree)
+    """Whole-document satisfaction, equal to unfold-then-validate.  Only
+    the definitions the base reaches get a table and a closure; the
+    dependency order still covers them all, so a cycle among unused
+    definitions makes the expression ill-formed all the same."""
+    order = _topo_order(expr)
+    bodies = dict(expr.definitions)
+    live, todo = set(), list(jsl.symbols_used(expr.base))
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(jsl.symbols_used(bodies[name]))
+    tables = {name: bytearray(tree.size) for name in live}
+    fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
+                jsl.specialize, lambda phi: jsl.compile_formula(tree, phi, tables),
+                range(tree.size - 1, -1, -1))
     return bool(jsl.compile_formula(tree, expr.base, tables)(0))

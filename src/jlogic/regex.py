@@ -5,6 +5,9 @@ the language.  The engine is derivative-based; determinization works over a
 partition of the alphabet into intervals (the finitely many character
 ranges an expression set actually distinguishes, plus everything else),
 which keeps complement and intersection exact over the full alphabet.
+Complement is also a node of its own (``compl``): its derivative is the
+complement of its body's, so a matcher for it builds only the states the
+matched words reach.
 
 Dialect: literals, ``.`` (any char), ``|``, juxtaposition, ``*``, ``+``,
 ``( )``, ``[a-z]`` and ``[^a-z]`` classes, backslash escapes for
@@ -84,6 +87,13 @@ class Plus(Regex):
     body: Regex
 
 
+@dataclass(frozen=True, repr=False)
+class Compl(Regex):
+    """The words ``body`` does not match.  Derivatives take it lazily,
+    state by state, so a complement is never determinized up front."""
+    body: Regex
+
+
 EMPTY = Empty()
 EPSILON = Epsilon()
 SIGMA_STAR = Star(AnyChar())
@@ -109,7 +119,9 @@ def _sort_key(r: Regex):
         return (6,) + tuple(_sort_key(p) for p in r.parts)
     if isinstance(r, Star):
         return (7, _sort_key(r.body))
-    return (8, _sort_key(r.body))
+    if isinstance(r, Plus):
+        return (8, _sort_key(r.body))
+    return (9, _sort_key(r.body))
 
 
 def cat(parts: Iterable[Regex]) -> Regex:
@@ -153,6 +165,12 @@ def star(body: Regex) -> Regex:
     if isinstance(body, Star):
         return body
     return Star(body)
+
+
+def compl(body: Regex) -> Regex:
+    if isinstance(body, Compl):
+        return body.body
+    return Compl(body)
 
 
 def word_regex(word: str) -> Regex:
@@ -319,7 +337,9 @@ def _class_char(ch: str) -> str:
 
 
 def to_text(r: Regex) -> str:
-    """Concrete syntax for ``r``; ``parse_regex`` inverts it."""
+    """Concrete syntax for ``r``; ``parse_regex`` inverts it.  The dialect
+    has no complement: a ``Compl`` prints as the plain expression of its
+    DFA."""
     return _print(r, 0)
 
 
@@ -348,6 +368,8 @@ def _print(r: Regex, prec: int) -> str:
         return _print(r.body, 2) + "*"
     if isinstance(r, Plus):
         return _print(r.body, 2) + "+"
+    if isinstance(r, Compl):
+        return _print(dfa_to_regex(dfa_of(r)), prec)
     raise TypeError(f"not a regex: {r!r}")
 
 
@@ -363,6 +385,8 @@ def nullable(r: Regex) -> bool:
         return any(nullable(p) for p in r.parts)
     if isinstance(r, Plus):
         return nullable(r.body)
+    if isinstance(r, Compl):
+        return not nullable(r.body)
     return False
 
 
@@ -393,6 +417,8 @@ def deriv(r: Regex, ch: str) -> Regex:
         return cat([deriv(r.body, ch), r])
     if isinstance(r, Plus):
         return cat([deriv(r.body, ch), star(r.body)])
+    if isinstance(r, Compl):
+        return compl(deriv(r.body, ch))
     raise TypeError(f"not a regex: {r!r}")
 
 
@@ -417,7 +443,7 @@ def _boundaries(rs: Iterable[Regex]) -> list:
                     points.add(hi + 1)
         elif isinstance(r, (Concat, Union)):
             stack.extend(r.parts)
-        elif isinstance(r, (Star, Plus)):
+        elif isinstance(r, (Star, Plus, Compl)):
             stack.append(r.body)
     return sorted(points)
 
@@ -533,20 +559,17 @@ class KeyDfa:
         return state in self.accepting
 
 
-def _determinize(rs, accept, state_cap):
-    """Subset-free determinization: states are tuples of derivatives."""
-    starts = _boundaries(rs)
+def dfa_of(r: Regex, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
+    """Subset-free determinization: states are the derivatives of r."""
+    starts = _boundaries([r])
     reps = [chr(cp) for cp in starts]
-    first = tuple(rs)
-    states = {first: 0}
-    order = [first]
+    states = {r: 0}
+    order = [r]
     trans = []
-    i = 0
-    while i < len(order):
-        vec = order[i]
+    for d in order:  # grows as new derivatives turn up
         row = []
         for ch in reps:
-            nxt = tuple(deriv(r, ch) for r in vec)
+            nxt = deriv(d, ch)
             idx = states.get(nxt)
             if idx is None:
                 idx = len(order)
@@ -556,21 +579,13 @@ def _determinize(rs, accept, state_cap):
                 order.append(nxt)
             row.append(idx)
         trans.append(tuple(row))
-        i += 1
-    accepting = frozenset(i for i, vec in enumerate(order) if accept(vec))
+    accepting = frozenset(i for i, d in enumerate(order) if nullable(d))
     return KeyDfa(tuple(starts), tuple(trans), accepting)
-
-
-def dfa_of(r: Regex, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
-    return _determinize([r], lambda vec: nullable(vec[0]), state_cap)
 
 
 def complement_intersection(rs, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
     """DFA for the words matching none of the given expressions."""
-    rs = list(rs)
-    if not rs:
-        raise ValueError("complement_intersection needs at least one expression")
-    return _determinize(rs, lambda vec: not any(nullable(r) for r in vec), state_cap)
+    return dfa_of(compl(alt(rs)), state_cap)
 
 
 def is_empty(dfa: KeyDfa) -> bool:
@@ -643,7 +658,7 @@ def _distance_to_accepting(dfa: KeyDfa) -> list:
 
 
 def dfa_to_regex(dfa: KeyDfa) -> Regex:
-    """State elimination; used to name the key class of additionalProperties."""
+    """State elimination; used to print a complement in the plain dialect."""
     n = dfa.n_states
     init, fin = n, n + 1
     edges = {}

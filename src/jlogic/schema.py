@@ -6,11 +6,11 @@ Supported keywords: the four ``type`` forms with their shaping keywords
 ``additionalProperties``; ``items``/``uniqueItems``/``additionalItems``),
 the combinators ``allOf``/``anyOf``/``not``/``enum``, plus a root-level
 ``definitions`` section referenced through ``{"$ref": "#/definitions/x"}``.
-Anything else is rejected.  ``validate_schema`` compiles the keywords
-into closures and runs them bottom-up; it does not go through the logic
-compiler (``schema_to_jsl``), so the two sides can be tested against each
-other, and the tests also hold it to the keyword interpreter kept as an
-oracle in ``tests/helpers.py``.
+Anything else is rejected.  ``validate_schema`` runs the schema's
+translation into the logic (``schema_to_jsl``) on the logic's evaluators;
+there is no second semantics of the keywords in the program.  The tests
+hold it to the keyword interpreter kept as an oracle in
+``tests/helpers.py``.
 
 Semantics notes that matter: ``items`` entries are required positions (an
 array must be at least that long), and without ``additionalItems`` no
@@ -39,6 +39,7 @@ from .errors import (
     UnknownKeyword,
     UnresolvableRef,
 )
+from .jnl import operands
 from .tree import JsonTree, NodeKind
 
 DEFAULT_SCHEMA_CAP = 100_000
@@ -116,9 +117,15 @@ class SchemaDocument:
         return dict(self.definitions)
 
     @cached_property
+    def formula(self):
+        """``schema_to_jsl`` of this document, translated once."""
+        return schema_to_jsl(self)
+
+    @cached_property
     def refs(self) -> dict:
         """``_refs`` of each definition by name, and of the root under
-        None: one walk per document, shared by parsing and validation."""
+        None: one walk per document, shared by parsing and
+        ``check_well_formed``."""
         refs = {name: _refs(ast) for name, ast in self.definitions}
         refs[None] = _refs(self.root)
         return refs
@@ -321,8 +328,9 @@ def check_well_formed(doc: SchemaDocument) -> list:
 
     Returns the definition names with every unshielded dependency before
     its user (``recursive.dependency_order`` over the sorted unshielded
-    references of ``doc.refs``), the order in which the validator settles
-    definitions at one node."""
+    references of ``doc.refs``).  The references a translated definition
+    reaches outside every modality are the same, so this is also the order
+    in which ``recursive.eval_recursive`` fills them."""
     order, cycle = rec.dependency_order(
         {name: sorted(unshielded) for name, (_, unshielded) in doc.refs.items()
          if name is not None})
@@ -335,202 +343,16 @@ def check_well_formed(doc: SchemaDocument) -> list:
 
 
 def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
-    """Whether the document satisfies the schema.
-
-    Schema nodes compile into closures over the tree's per-node lists
-    (``JsonTree.columns()``); leaf keywords are the logic's compiled node
-    tests and key patterns go through ``regex.word_filter``.  A ``$ref``
-    reads a per-definition table and never calls its definition: the
-    tables of the definitions the root reaches are filled by
-    ``recursive.fill_tables`` in the order ``check_well_formed`` returns,
-    each definition folded per node kind (``_specialize``) and compiled
-    once per kind.  The root schema then runs once, at the root node.  So
-    evaluation recurses as deep as the schema, never as deep as the document.
-
-    Trade-off: when the root reaches a definition, the fill visits every
-    node (running no closure where the kind makes each one constant), even
-    when the root fails at once; otherwise only the keywords' nodes are.
-    """
-    defs, refs = doc.definition_map(), doc.refs
-    order = check_well_formed(doc)
-    live, todo = set(), list(refs[None][0])
-    while todo:
-        name = todo.pop()
-        if name not in live:
-            live.add(name)
-            todo.extend(refs[name][0])
-    tables = {name: bytearray(tree.size) for name in live}
-    rec.fill_tables(tree, [(name, defs[name]) for name in order if name in live], tables,
-                    _specialize, lambda ast: _compile(tree, ast, tables),
-                    range(tree.size - 1, -1, -1))
-    return bool(_compile(tree, doc.root, tables)(0))
-
-
-_KIND_OF = {StringSchema: NodeKind.STR, NumberSchema: NodeKind.INT,
-            ObjectSchema: NodeKind.OBJ, ArraySchema: NodeKind.ARR}
-
-
-def _specialize(ast: SchemaAst, kind: NodeKind, consts: dict):
-    """The schema at the nodes of one kind, folded as ``jsl.specialize``
-    folds a formula: True, False or a schema that agrees with it there.  A
-    type schema holds only at its kind (always, when unconstrained),
-    ``enum`` keeps the values of this kind, and a ``$ref`` outside every
-    keyword that descends reads ``consts``."""
-    if isinstance(ast, EmptySchema):
-        return True
-    if isinstance(ast, Ref):
-        return consts.get(ast.name, ast)
-    if type(ast) in _KIND_OF:
-        return _KIND_OF[type(ast)] is kind and (ast == type(ast)() or ast)
-    if isinstance(ast, Enum):
-        values = tuple(v for v in ast.values if v.kind(0) is kind)
-        return bool(values) and (ast if values == ast.values else Enum(values))
-    if isinstance(ast, NotSchema):
-        body = _specialize(ast.body, kind, consts)
-        return (body is False) if isinstance(body, bool) else NotSchema(body)
-    unit = isinstance(ast, AllOf)  # drops out; the other constant decides
-    parts = [_specialize(sub, kind, consts) for sub in ast.parts]
-    if (not unit) in parts:
-        return not unit
-    kept = tuple(p for p in parts if p is not unit)
-    if kept == ast.parts:
-        return ast
-    return type(ast)(kept) if len(kept) > 1 else kept[0] if kept else unit
-
-
-_OBJ, _ARR = NodeKind.OBJ, NodeKind.ARR
-
-
-def _all_of(checks):
-    checks = tuple(checks)
-    if len(checks) == 1:
-        return checks[0]
-
-    def all_of(n):
-        for check in checks:
-            if not check(n):
-                return False
-        return True
-    return all_of
-
-
-def _any_of(checks):
-    checks = tuple(checks)
-    if len(checks) == 1:
-        return checks[0]
-
-    def any_of(n):
-        for check in checks:
-            if check(n):
-                return True
-        return False
-    return any_of
-
-
-def _compile(tree: JsonTree, ast: SchemaAst, tables: dict):
-    """The schema as a closure over node ids; recursion here and in the
-    closure is bounded by the schema's nesting."""
-    if isinstance(ast, EmptySchema):
-        return lambda n: True
-    if isinstance(ast, Ref):
-        return tables[ast.name].__getitem__
-    if isinstance(ast, StringSchema):
-        if ast.pattern is None:
-            return jsl.compile_test(tree, jsl.KindTest(NodeKind.STR))
-        return jsl.compile_test(tree, jsl.PatternTest(ast.pattern))
-    if isinstance(ast, NumberSchema):
-        # each bound test also checks the kind
-        tests = []
-        if ast.minimum is not None:
-            tests.append(jsl.MinTest(ast.minimum))
-        if ast.maximum is not None:
-            tests.append(jsl.MaxTest(ast.maximum))
-        if ast.multiple_of is not None:
-            tests.append(jsl.MultOfTest(ast.multiple_of))
-        return _all_of(jsl.compile_test(tree, t) for t in tests or [jsl.KindTest(NodeKind.INT)])
-    if isinstance(ast, ObjectSchema):
-        return _compile_object(tree, ast, tables)
-    if isinstance(ast, ArraySchema):
-        return _compile_array(tree, ast, tables)
-    if isinstance(ast, AllOf):
-        return _all_of(_compile(tree, sub, tables) for sub in ast.parts)
-    if isinstance(ast, AnyOf):
-        return _any_of(_compile(tree, sub, tables) for sub in ast.parts)
-    if isinstance(ast, NotSchema):
-        body = _compile(tree, ast.body, tables)
-        return lambda n: not body(n)
-    if isinstance(ast, Enum):
-        return _any_of(jsl.compile_test(tree, jsl.SameAsTest(v)) for v in ast.values)
-    raise TypeError(f"not a schema: {ast!r}")
-
-
-def _compile_object(tree: JsonTree, ast: ObjectSchema, tables: dict):
-    kinds, _, children, keys = tree.columns()
-    counts = []
-    if ast.min_properties is not None:
-        counts.append(jsl.compile_test(tree, jsl.MinChTest(ast.min_properties)))
-    if ast.max_properties is not None:
-        counts.append(jsl.compile_test(tree, jsl.MaxChTest(ast.max_properties)))
-    if ast.required:
-        required, obj_child = ast.required, tree.obj_child
-        counts.append(lambda n: all(obj_child(n, k) is not None for k in required))
-    counts = tuple(counts)
-    props = {key: _compile(tree, sub, tables) for key, sub in ast.properties}
-    patterns = tuple((rx.word_filter(p), _compile(tree, sub, tables))
-                     for p, sub in ast.pattern_properties)
-    additional = (None if ast.additional_properties is None
-                  else _compile(tree, ast.additional_properties, tables))
-    members = bool(props or patterns or additional is not None)
-
-    def obj(n):
-        if kinds[n] is not _OBJ:
-            return False
-        for check in counts:
-            if not check(n):
-                return False
-        if members:
-            for key, c in zip(keys[n], children[n]):
-                named = props.get(key)
-                if named is not None and not named(c):
-                    return False
-                matched = named is not None
-                for accept, sub in patterns:
-                    if accept(key):
-                        if not sub(c):
-                            return False
-                        matched = True
-                if not matched and additional is not None and not additional(c):
-                    return False
-        return True
-    return obj
-
-
-def _compile_array(tree: JsonTree, ast: ArraySchema, tables: dict):
-    kinds, _, children, _ = tree.columns()
-    unique = jsl.compile_test(tree, jsl.UniqueTest()) if ast.unique_items else None
-    items = tuple(_compile(tree, sub, tables) for sub in ast.items or ())
-    count = len(items)
-    closed = ast.items is not None and ast.additional_items is None
-    extra = (None if ast.additional_items is None
-             else _compile(tree, ast.additional_items, tables))
-
-    def array(n):
-        if kinds[n] is not _ARR:
-            return False
-        ch = children[n]
-        if len(ch) < count or (closed and len(ch) > count):
-            return False
-        if unique is not None and not unique(n):
-            return False
-        for sub, c in zip(items, ch):
-            if not sub(c):
-                return False
-        if extra is not None:
-            for c in ch[count:]:
-                if not extra(c):
-                    return False
-        return True
-    return array
+    """Whether the document satisfies the schema: its translation
+    (``SchemaDocument.formula``) run by the logic's evaluators, the
+    recursive one (``recursive.eval_recursive``) when the schema has
+    definitions.  That one fills a table per definition bottom-up and a
+    ``$ref`` reads its table, so evaluation recurses as deep as the
+    schema, never as deep as the document."""
+    formula = doc.formula
+    if isinstance(formula, rec.RecursiveJslExpr):
+        return rec.eval_recursive(formula, tree)
+    return jsl.validate(tree, formula)
 
 
 # -- schema to logic ----------------------------------------------------------------
@@ -571,17 +393,12 @@ def _to_jsl(ast: SchemaAst) -> jsl.JslFormula:
             parts.append(jsl.Atom(jsl.MaxChTest(ast.max_properties)))
         for req in ast.required:
             parts.append(jsl.DiaKey(rx.word_regex(req), jsl.TOP))
-        for key, sub in ast.properties:
-            parts.append(jsl.BoxKey(rx.word_regex(key), _to_jsl(sub)))
-        for pattern, sub in ast.pattern_properties:
+        named = [(rx.word_regex(key), sub) for key, sub in ast.properties]
+        named += ast.pattern_properties
+        for pattern, sub in named:
             parts.append(jsl.BoxKey(pattern, _to_jsl(sub)))
         if ast.additional_properties is not None:
-            named = [rx.word_regex(k) for k, _ in ast.properties]
-            named += [p for p, _ in ast.pattern_properties]
-            if named:
-                klass = rx.dfa_to_regex(rx.complement_intersection(named))
-            else:
-                klass = rx.SIGMA_STAR
+            klass = rx.compl(rx.alt(p for p, _ in named)) if named else rx.SIGMA_STAR
             parts.append(jsl.BoxKey(klass, _to_jsl(ast.additional_properties)))
         return jsl.and_all(parts)
     if isinstance(ast, ArraySchema):
@@ -633,10 +450,9 @@ def _to_schema(phi: jsl.JslFormula, budget) -> SchemaAst:
         return EmptySchema()
     if isinstance(phi, jsl.Not):
         return NotSchema(_to_schema(phi.body, budget))
-    if isinstance(phi, jsl.And):
-        return AllOf((_to_schema(phi.lhs, budget), _to_schema(phi.rhs, budget)))
-    if isinstance(phi, jsl.Or):
-        return AnyOf((_to_schema(phi.lhs, budget), _to_schema(phi.rhs, budget)))
+    if isinstance(phi, (jsl.And, jsl.Or)):
+        parts = tuple(_to_schema(f, budget) for f in operands(phi))
+        return (AllOf if isinstance(phi, jsl.And) else AnyOf)(parts)
     if isinstance(phi, jsl.Atom):
         return _test_to_schema(phi.test, budget)
     if isinstance(phi, jsl.BoxKey):

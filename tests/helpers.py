@@ -97,13 +97,15 @@ def naive_equal(t1: JsonTree, n1: int, t2: JsonTree, n2: int) -> bool:
 
 
 class NfaOracle:
-    """Classic epsilon-NFA built structurally; subset simulation."""
+    """Classic epsilon-NFA built structurally; subset simulation.  A
+    top-level complement negates the verdict on its body."""
 
     def __init__(self, regex: rx.Regex):
         self.eps = {}
         self.moves = {}
         self.counter = 0
-        self.start, self.end = self._build(regex)
+        self.negated = isinstance(regex, rx.Compl)
+        self.start, self.end = self._build(regex.body if self.negated else regex)
 
     def _state(self):
         self.counter += 1
@@ -174,8 +176,8 @@ class NfaOracle:
                         nxt.add(b)
             current = self._closure(nxt)
             if not current:
-                return False
-        return self.end in current
+                return self.negated
+        return (self.end in current) != self.negated
 
 
 def oracle_matches(regex: rx.Regex, word: str) -> bool:
@@ -783,12 +785,6 @@ def oracle_schema(tree: JsonTree, doc) -> bool:
     defs = doc.definition_map()
     memo = {}
     return _vs(tree, 0, doc.root, defs, memo)
-
-
-def oracle_schema_at(tree: JsonTree, n: int, ast, doc) -> bool:
-    """The schema node ``ast``, whose references name the definitions of
-    ``doc``, at document node ``n``."""
-    return _vs(tree, n, ast, doc.definition_map(), {})
 
 
 def _vs(tree, n, ast, defs, memo) -> bool:

@@ -323,8 +323,10 @@ def test_query_number_past_int_string_limit_exit_2(files, capsys):
     assert main(["query", doc, "--formula", "true"]) == 2
     assert "limit" in capsys.readouterr().err
     small = files("small.json", "[1]")
-    assert main(["query", small, "--formula", "true", "--node", digits]) == 2
-    assert "limit" in capsys.readouterr().err
+    for node, reason in ((digits, "limit"), ("0", "1-based")):
+        assert main(["query", small, "--formula", "true", "--node", node]) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "internal" not in err
 
 
 def test_query_lone_surrogate_key_prints_escape(files, monkeypatch):

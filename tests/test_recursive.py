@@ -149,6 +149,37 @@ def test_one_graph_build_per_call(monkeypatch):
         assert len(builds) == 1 + satisfiable
 
 
+def test_eval_recursive_compiles_only_reached_definitions(monkeypatch):
+    compiled = []
+    compile_formula = jsl.compile_formula
+    monkeypatch.setattr(jsl, "compile_formula",
+                        lambda tree, phi, tables: compiled.append(phi)
+                        or compile_formula(tree, phi, tables))
+    expr = rec.parse_recursive("let used = int || obj && box(/.*/) used; "
+                               "let unused = dia(/x/) unused || pattern(/q/); in used")
+    for text, valid in (('{"a": "q", "b": {"c": 2}}', False), ('{"a": {"b": 1}}', True)):
+        compiled.clear()
+        assert rec.eval_recursive(expr, parse_document(text)) is valid
+        assert compiled
+        assert not any(f == jsl.SymbolRef("unused") or isinstance(f, jsl.Atom)
+                       and isinstance(f.test, jsl.PatternTest)
+                       for phi in compiled for f in jsl.subformulas(phi))
+
+
+def test_cycle_among_unused_definitions_is_ill_formed(tmp_path, capsys):
+    expr = rec.parse_recursive("let a = !b; let b = a || str; in int")
+    with pytest.raises(IllFormedRecursion):
+        rec.eval_recursive(expr, parse_document("5"))
+    five, schema = tmp_path / "five.json", tmp_path / "cyclic.schema.json"
+    five.write_text("5")
+    schema.write_text('{"definitions": {"a": {"not": {"$ref": "#/definitions/b"}},'
+                      ' "b": {"anyOf": [{"$ref": "#/definitions/a"}, {"type": "string"}]}},'
+                      ' "type": "number"}')
+    for via in ([], ["--via", "jsl"]):
+        assert main(["validate", str(five), str(schema)] + via) == 2
+        assert capsys.readouterr() == ("", "error: cyclic definitions: ['a', 'b', 'a']\n")
+
+
 # -- unfolding -----------------------------------------------------------------------
 
 

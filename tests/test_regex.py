@@ -61,13 +61,15 @@ def test_escapes_and_classes():
 def test_matches_agrees_with_nfa_oracle():
     rng = random.Random(2024)
     pairs = 0
-    while pairs < 10_000:
+    while pairs < 20_000:
         e = random_regex(rng, rng.randint(0, 3))
-        oracle = NfaOracle(e)
-        for _ in range(20):
-            w = random_word(rng)
-            assert rx.matches(e, w) == oracle.matches(w), (rx.to_text(e), w)
-            pairs += 1
+        assert rx.compl(rx.compl(e)) == e
+        for r in (e, rx.compl(e)):
+            oracle = NfaOracle(r)
+            for _ in range(20):
+                w = random_word(rng)
+                assert rx.matches(r, w) == oracle.matches(w), (rx.to_text(r), w)
+                pairs += 1
 
 
 def test_print_parse_round_trip():

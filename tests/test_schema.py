@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from collections import defaultdict
 
 import pytest
 
@@ -18,12 +17,11 @@ from jlogic.errors import (
     UnresolvableRef,
 )
 from jlogic.cli import main
-from jlogic.tree import NodeKind, parse_document
+from jlogic.tree import parse_document
 from helpers import (
     SCHEMA_KEYWORDS,
     oracle_jsl,
     oracle_schema,
-    oracle_schema_at,
     random_schema,
     random_tree,
     random_value,
@@ -409,72 +407,3 @@ def test_hundred_properties_with_additional():
         assert got == oracle_schema(tree, doc), json.dumps(value)
         verdicts.add(got)
     assert verdicts == {True, False}
-
-
-def _schema_nodes(doc):
-    """Every schema node of the root and the definitions."""
-    todo = [doc.root] + [ast for _, ast in doc.definitions]
-    while todo:
-        ast = todo.pop()
-        yield ast
-        todo.extend(sub for sub, _ in sch._sub_schemas(ast))
-
-
-KINDS = set(NodeKind)
-# (schema node type, what specializing it at one kind gave) -> the kinds
-EXPECTED_SCHEMA_FOLDS = {
-    ("EmptySchema", True): KINDS,
-    ("Enum", False): KINDS,
-    ("Enum", "narrowed"): KINDS,
-    **{(typ.__name__, outcome): KINDS  # constants propagate
-       for typ in (sch.AllOf, sch.AnyOf, sch.NotSchema) for outcome in (False, True, "narrowed")},
-    **{(typ.__name__, False): KINDS - {kind} for typ, kind in sch._KIND_OF.items()},
-    **{(typ.__name__, True): {kind} for typ, kind in sch._KIND_OF.items()},  # unconstrained
-}
-
-
-def test_specialize_schema_agrees_with_oracle_at_every_node():
-    """Each definition and the root of random schemas, specialized per
-    kind in dependency order (as the validator's fill does), against the
-    keyword interpreter at every node of that kind.  A $ref reads a
-    reference table built from the interpreter."""
-    rng = random.Random(83)
-    folds = defaultdict(set)
-    for _ in range(150):
-        raw = random_schema(rng)
-        doc = sch.parse_schema(json.dumps(raw))
-        defs = doc.definition_map()
-        for t in [random_tree(rng) for _ in range(3)]:
-            tables = {name: bytearray(oracle_schema_at(t, n, sch.Ref(name), doc)
-                                      for n in t.nodes()) for name in defs}
-            consts = {kind: {} for kind in NodeKind}
-            for name in sch.check_well_formed(doc) + [None]:
-                ast = doc.root if name is None else defs[name]
-                for kind in NodeKind:
-                    s = sch._specialize(ast, kind, consts[kind])
-                    if isinstance(s, bool) and name is not None:
-                        consts[kind][name] = s
-                    holds = (lambda n, s=s: s) if isinstance(s, bool) \
-                        else sch._compile(t, s, tables)
-                    for n in t.nodes():
-                        if t.kind(n) is kind:
-                            assert bool(holds(n)) == oracle_schema_at(t, n, ast, doc), \
-                                (json.dumps(raw), name, kind, jt.serialize(t))
-        for ast in _schema_nodes(doc):
-            for kind in NodeKind:
-                s = sch._specialize(ast, kind, {})
-                outcome = s if isinstance(s, bool) else "kept" if s is ast else "narrowed"
-                if outcome != "kept":
-                    folds[type(ast).__name__, outcome].add(kind)
-    assert folds == EXPECTED_SCHEMA_FOLDS
-
-
-def test_specialize_schema_folds_unshielded_refs():
-    doc = sch.parse_schema(json.dumps({
-        "definitions": {"n": {"type": "number"}},
-        "anyOf": [{"$ref": "#/definitions/n"},
-                  {"type": "array", "items": [{"$ref": "#/definitions/n"}]}]}))
-    at = {kind: sch._specialize(doc.root, kind, {"n": kind is NodeKind.INT}) for kind in NodeKind}
-    assert at[NodeKind.INT] is True
-    assert at[NodeKind.OBJ] is False and at[NodeKind.STR] is False
-    assert at[NodeKind.ARR] == doc.root.parts[1]  # the shielded reference stays
