@@ -248,19 +248,19 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
         tables[name] = bytearray(tree.size)
     bodies = dict(expr.definitions)
     fill_tables(tree, [(name, bodies[name]) for name in order], tables,
-                jsl.specialize, lambda phi: jsl.compile_formula(tree, phi, tables),
+                lambda phi: jsl.compile_formula(tree, phi, tables),
                 range(tree.size - 1, -1, -1) if nodes is None else nodes, consts)
     return tables
 
 
-def fill_tables(tree: JsonTree, definitions, tables: dict, specialize, compile_, nodes,
-                consts=None):
+def fill_tables(tree: JsonTree, definitions, tables: dict, compile_, nodes, consts=None):
     """Fill ``tables[name]`` for each ``(name, body)`` of ``definitions``
     (every dependency before its user) at the ids of ``nodes``, decreasing
     pre-order ids, so every child is settled before its parent.
 
-    ``specialize(body, kind, consts[kind])`` gives a body at one node kind:
-    True, False or what ``compile_`` turns into a closure over node ids.
+    ``jsl.specialize(body, kind, consts[kind])`` gives a body at one node
+    kind: True, False or what ``compile_`` turns into a closure over node
+    ids.
     ``consts[kind]`` holds the definitions already constant at that kind
     (and stays in ``consts`` when the caller passes it).  A node runs only
     its kind's closures, in dependency order; a constant true writes 1.
@@ -271,7 +271,7 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, specialize, compile_,
     plan = {kind.value: [] for kind in NodeKind}
     for name, body in definitions:
         for kind in NodeKind:
-            f = specialize(body, kind, consts.setdefault(kind, {}))
+            f = jsl.specialize(body, kind, consts.setdefault(kind, {}))
             if isinstance(f, bool):
                 consts[kind][name] = f
             if f is not False:
@@ -304,6 +304,5 @@ def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
             todo.extend(jsl.symbols_used(bodies[name]))
     tables = {name: bytearray(tree.size) for name in live}
     fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
-                jsl.specialize, lambda phi: jsl.compile_formula(tree, phi, tables),
-                range(tree.size - 1, -1, -1))
+                lambda phi: jsl.compile_formula(tree, phi, tables), range(tree.size - 1, -1, -1))
     return bool(jsl.compile_formula(tree, expr.base, tables)(0))

@@ -27,6 +27,13 @@ from .errors import MalformedRegex, StateBlowup
 
 MAX_CODEPOINT = 0x10FFFF
 DEFAULT_STATE_CAP = 10_000
+# Printing a complement eliminates the states of its DFA one by one, and
+# the expression can grow exponentially in their number, so the elimination
+# stops past this many regex nodes built, about 0.2 s of work.  A key class
+# of ordinary property names builds about 75 nodes a name (100 names: 277
+# states, 7,341 nodes); the complement of (a|b)*a(a|b)(a|b)(a|b)(a|b) builds
+# 656,125 nodes and prints as 0.5 MB.
+PRINT_SIZE_CAP = 200_000
 
 _META = set("\\.|*+()[]/^")
 
@@ -339,7 +346,7 @@ def _class_char(ch: str) -> str:
 def to_text(r: Regex) -> str:
     """Concrete syntax for ``r``; ``parse_regex`` inverts it.  The dialect
     has no complement: a ``Compl`` prints as the plain expression of its
-    DFA."""
+    DFA, which raises StateBlowup past ``PRINT_SIZE_CAP`` regex nodes."""
     return _print(r, 0)
 
 
@@ -658,40 +665,54 @@ def _distance_to_accepting(dfa: KeyDfa) -> list:
 
 
 def dfa_to_regex(dfa: KeyDfa) -> Regex:
-    """State elimination; used to print a complement in the plain dialect."""
+    """State elimination; used to print a complement in the plain dialect.
+
+    An edge keeps its alternatives in a list, with the node count of each,
+    and joins them only when its source or target is eliminated.  Raises
+    StateBlowup once the alternatives built count more than
+    ``PRINT_SIZE_CAP`` nodes in all, which bounds the time it takes."""
     n = dfa.n_states
     init, fin = n, n + 1
-    edges = {}
+    out = [{} for _ in range(n + 2)]  # out[p][q]: [(alternative, nodes)]
+    into = [set() for _ in range(n + 2)]
+    built = 0
 
-    def connect(p, q, r):
-        if isinstance(r, Empty):
-            return
-        prev = edges.get((p, q))
-        edges[(p, q)] = alt([prev, r]) if prev is not None else r
+    def connect(p, q, r, nodes):
+        nonlocal built
+        built += nodes
+        if built > PRINT_SIZE_CAP:
+            raise StateBlowup(f"printing a complement exceeded {PRINT_SIZE_CAP} regex nodes")
+        out[p].setdefault(q, []).append((r, nodes))
+        into[q].add(p)
+
+    def join(alternatives):
+        return (alt(r for r, _ in alternatives),
+                sum(nodes for _, nodes in alternatives))
 
     for s, row in enumerate(dfa.transitions):
         by_target = {}
         for interval, t in enumerate(row):
             by_target.setdefault(t, []).append(interval)
         for t, intervals in by_target.items():
-            connect(s, t, _intervals_to_regex(intervals, dfa.starts))
-    connect(init, dfa.start, EPSILON)
+            connect(s, t, _intervals_to_regex(intervals, dfa.starts), 1)
+    connect(init, dfa.start, EPSILON, 1)
     for s in dfa.accepting:
-        connect(s, fin, EPSILON)
+        connect(s, fin, EPSILON, 1)
 
     for s in range(n):
-        loop = edges.pop((s, s), None)
-        loop_star = star(loop) if loop is not None else EPSILON
-        incoming = [(p, r) for (p, q), r in edges.items() if q == s and p != s]
-        outgoing = [(q, r) for (p, q), r in edges.items() if p == s and q != s]
-        for (p, _) in incoming:
-            edges.pop((p, s))
-        for (q, _) in outgoing:
-            edges.pop((s, q))
-        for p, rin in incoming:
-            for q, rout in outgoing:
-                connect(p, q, cat([rin, loop_star, rout]))
-    return edges.get((init, fin), EMPTY)
+        into[s].discard(s)
+        loop, loop_nodes = join(out[s].pop(s, ()))
+        loop_star = star(loop)
+        outgoing = [(q, *join(alternatives)) for q, alternatives in out[s].items()]
+        incoming = [(p, *join(out[p].pop(s))) for p in into[s]]
+        for q, _, _ in outgoing:
+            into[q].discard(s)
+        out[s], into[s] = {}, set()
+        for p, rin, in_nodes in incoming:
+            for q, rout, out_nodes in outgoing:
+                connect(p, q, cat([rin, loop_star, rout]),
+                        in_nodes + loop_nodes + out_nodes)
+    return join(out[init].get(fin, ()))[0]
 
 
 def _intervals_to_regex(intervals, starts) -> Regex:

@@ -29,11 +29,15 @@ Ullman, 1974).  Two subtrees are equal exactly when their ids are.  A
 constant document is compared by looking its root up in the same table;
 a constant absent from the table equals no subtree.
 
-Text goes through the standard library's C scanner, with hooks that
-enforce the model.  For documents nested too deeply for it, an explicit
-stack of open arrays and objects takes over the containers, and the C
-scanner still reads every scalar and key.  All deep traversals here are
-iterative: documents nested thousands of levels deep are in scope.
+Text goes through the standard library's C scanner, which reads integers
+on its fast path.  Its hooks reject duplicate keys and non-integers
+(fractions, exponents, NaN, infinities); ``from_python`` then rejects
+negatives, booleans and null.  So a fault the hooks see anywhere in a text
+is reported before a negative number, and ``-0`` is zero.  For documents
+nested too deeply for the scanner, an explicit stack of open arrays and
+objects takes over the containers, and the C scanner still reads every
+scalar and key.  All deep traversals here are iterative: documents nested
+thousands of levels deep are in scope.
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ class NodeKind(Enum):
     ARR = "arr"
     STR = "str"
     INT = "int"
-
-
-_MODEL_TYPES = frozenset((str, int, list, dict))
-_CLOSE = object()  # from_python's marker: all children of a container are numbered
 
 
 class JsonTree:
@@ -288,7 +288,8 @@ def walk_paths(tree: JsonTree, ids: Iterable, step, finish) -> list:
 
 
 def _model_type(v):
-    """str, int, list or dict for a subclass instance; raises otherwise."""
+    """str, int, list or dict for a subclass instance; raises outside the
+    model."""
     if isinstance(v, bool) or v is None:
         raise UnsupportedValue(f"value {v!r} is outside the model")
     for t in (str, int, list, dict):
@@ -300,60 +301,62 @@ def _model_type(v):
 def from_python(value) -> JsonTree:
     """Build a tree from nested dict/list/str/int values.
 
-    Rejects booleans and None (outside the model) and negative integers.
-    Object key order is irrelevant; children are canonicalized by key and
-    numbered in DFS pre-order.
+    The model's checks on values live here: it rejects booleans, None and
+    values of other types, negative integers and non-string keys, the
+    first fault in pre-order; a text's duplicate keys and non-integers
+    are left to the scanner's hooks.  Object key order is irrelevant;
+    children are canonicalized by key and numbered in DFS pre-order.
+
+    One loop, with a frame per open container: its id, an iterator over
+    its children (values in key order for objects) and its child ids so
+    far.  A str or int child is handled inside its parent's loop; a
+    container child suspends the parent until its own children are done.
     """
-    kinds, vals, children, keys = [], [], [], []
+    vals, kinds, frames, kids, keyed = [], [], [], {}, {}
     obj, arr, string, integer = NodeKind.OBJ, NodeKind.ARR, NodeKind.STR, NodeKind.INT
-    stack = [(value, -1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, par = pop()
-        if v is _CLOSE:
-            # freeze the child list as soon as it is complete: fewer live
-            # containers make the garbage collector's passes cheaper
-            children[par] = tuple(children[par])
-            continue
-        nid = len(kinds)
-        if par >= 0:
-            children[par].append(nid)
-        t = type(v)
-        if t not in _MODEL_TYPES:
-            t = _model_type(v)
-        if t is str:
-            kinds.append(string)
-            vals.append(v)
-            children.append(())
-            keys.append(None)
-        elif t is int:
-            if v < 0:
-                raise NonNaturalNumber(f"negative number {v}")
-            kinds.append(integer)
-            vals.append(v)
-            children.append(())
-            keys.append(None)
-        elif t is dict:
-            ks = list(v)
-            for key in ks:
-                if not isinstance(key, str):
-                    raise UnsupportedValue(f"object key {key!r} is not a string")
-            ks.sort()
-            kinds.append(obj)
-            vals.append(None)
-            children.append([])
-            keys.append(tuple(ks))
-            push((_CLOSE, nid))
-            for key in reversed(ks):
-                push((v[key], nid))
+    nid, items, ids = -1, iter((value,)), []  # -1: the root's parent
+    while True:
+        for c in items:
+            t = type(c)
+            if t is not str and t is not int and t is not dict and t is not list:
+                t = _model_type(c)
+            ids.append(len(vals))
+            if t is str:
+                vals.append(c)
+                kinds.append(string)
+            elif t is int:
+                if c < 0:
+                    raise NonNaturalNumber(f"negative number {c}")
+                vals.append(c)
+                kinds.append(integer)
+            else:
+                frames.append((nid, items, ids))
+                nid = len(vals)
+                vals.append(None)
+                if t is dict:
+                    kinds.append(obj)
+                    ks = list(c)
+                    for key in ks:  # before sorting, which mixed key types break
+                        if not isinstance(key, str):
+                            raise UnsupportedValue(f"object key {key!r} is not a string")
+                    ks.sort()
+                    ks = keyed[nid] = tuple(ks)
+                    items = map(c.__getitem__, ks)
+                else:
+                    kinds.append(arr)
+                    items = iter(c)
+                ids = []
+                break
         else:
-            kinds.append(arr)
-            vals.append(None)
-            children.append([])
-            keys.append(None)
-            push((_CLOSE, nid))
-            for c in reversed(v):
-                push((c, nid))
+            if nid < 0:
+                break
+            kids[nid] = tuple(ids)
+            nid, items, ids = frames.pop()
+    children, keys = [()] * len(vals), [None] * len(vals)
+    for n, ch in kids.items():
+        children[n] = ch
+    for n, ks in keyed.items():
+        keys[n] = ks
     return JsonTree(kinds, vals, children, keys)
 
 
@@ -389,24 +392,23 @@ def _object_from_pairs(pairs) -> dict:
     return obj
 
 
-def _natural(text: str) -> int:
-    if text[0] == "-":
-        raise NonNaturalNumber(f"negative number {text}")
-    try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise MalformedSyntax(f"number of {len(text)} digits is over the interpreter's "
-                              f"int-string limit of {limit} digits") from None
-
-
 def _non_natural(text: str):
     raise NonNaturalNumber(f"number {text} is not a natural number")
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_object_from_pairs, parse_int=_natural,
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_from_pairs,
                             parse_float=_non_natural, parse_constant=_non_natural)
 _skip_ws = json.decoder.WHITESPACE.match
+
+
+def _fault(exc: ValueError) -> MalformedSyntax:
+    """A ValueError of the C scanner as MalformedSyntax.  Besides
+    JSONDecodeError it raises one: for an integer past the interpreter's
+    int-string limit."""
+    if isinstance(exc, JSONDecodeError):
+        return MalformedSyntax(exc.msg, exc.pos)
+    return MalformedSyntax(f"integer over the interpreter's int-string limit of "
+                           f"{sys.get_int_max_str_digits()} digits")
 
 
 def _scan(text: str, pos: int) -> tuple:
@@ -415,8 +417,8 @@ def _scan(text: str, pos: int) -> tuple:
         return _DECODER.scan_once(text, pos)
     except StopIteration as exc:
         raise MalformedSyntax("Expecting value", exc.value) from None
-    except JSONDecodeError as exc:
-        raise MalformedSyntax(exc.msg, exc.pos) from None
+    except ValueError as exc:
+        raise _fault(exc) from None
 
 
 def _key(text: str, pos: int) -> tuple:
@@ -502,8 +504,8 @@ def decode(text: str):
     documents and schemas both come in here."""
     try:
         return _DECODER.decode(text)
-    except JSONDecodeError as exc:
-        raise MalformedSyntax(exc.msg, exc.pos) from None
+    except ValueError as exc:
+        raise _fault(exc) from None
     except RecursionError:
         return _Parser(text).parse_document()
 
@@ -521,8 +523,8 @@ def parse_embedded(text: str, pos: int):
     pos = _skip_ws(text, pos).end()
     try:
         value, end = _DECODER.raw_decode(text, pos)
-    except JSONDecodeError as exc:
-        raise MalformedSyntax(exc.msg, exc.pos) from None
+    except ValueError as exc:
+        raise _fault(exc) from None
     except RecursionError:
         p = _Parser(text, pos)
         value = p.parse_value()

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import jlogic.jnl as jnl
+import jlogic.jsl as jsl
 import jlogic.regex as rx
 from jlogic.cli import main
-from jlogic.tree import parse_document, serialize
+from jlogic.tree import from_python, parse_document, serialize
 from helpers import random_tree
 
 PERSON_DOC = '{"name": {"first": "John", "last": "Doe"}, "age": 32, "hobbies": ["fishing","yoga"]}'
@@ -155,6 +156,22 @@ def test_compile_schema_to_jsl(files, capsys):
     schema = files("s.schema", '{"type":"string","pattern":"(01)+"}')
     assert main(["compile", schema, "--from", "schema", "--to", "jsl"]) == 0
     assert capsys.readouterr().out.strip() == "str && pattern(/(01)+/)"
+
+
+def test_compile_schema_with_ordinary_property_names(files, capsys):
+    # the key class of additionalProperties prints through a DFA of one
+    # state per distinct name suffix, here 44 of them
+    names = ["name", "email", "address", "phone", "city", "country", "zip", "age",
+             "id", "title", "status", "created_at"]
+    raw = {"type": "object", "properties": {k: {"type": "string"} for k in names},
+           "additionalProperties": {"type": "number"}}
+    schema = files("s.schema", json.dumps(raw))
+    assert main(["compile", schema, "--from", "schema", "--to", "jsl"]) == 0
+    out, err = capsys.readouterr()
+    phi = jsl.parse_jsl(out)
+    for doc, verdict in (({"name": "x", "zip": "1"}, True), ({"nam": 1, "names": 2}, True),
+                         ({"nam": "x"}, False), ({"age": 3}, False)):
+        assert jsl.validate(from_python(doc), phi) is verdict, doc
 
 
 def test_compile_true_to_empty_schema(files, capsys):
@@ -327,6 +344,13 @@ def test_query_number_past_int_string_limit_exit_2(files, capsys):
         assert main(["query", small, "--formula", "true", "--node", node]) == 2
         err = capsys.readouterr().err
         assert reason in err and "internal" not in err
+
+
+def test_negative_schema_number_exit_2(files, capsys):
+    doc, schema = files("five.json", "5"), files("s.json", '{"type":"number","minimum":-1}')
+    assert main(["validate", doc, schema]) == 2
+    err = capsys.readouterr().err
+    assert "minimum expects a natural number, got -1" in err and "internal" not in err
 
 
 def test_query_lone_surrogate_key_prints_escape(files, monkeypatch):

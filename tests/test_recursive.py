@@ -473,7 +473,7 @@ def test_specialized_fill_runs_only_object_bodies():
 
     bodies = dict(expr.definitions)
     rec.fill_tables(doc, [(name, bodies[name]) for name in rec._topo_order(expr)], tables,
-                    jsl.specialize, counted, range(doc.size - 1, -1, -1))
+                    counted, range(doc.size - 1, -1, -1))
     assert sorted(Counter(calls).items()) == [(0, 30), (3, 30), (5, 30)]
     assert {doc.kind(n) for n in calls} == {jt.NodeKind.OBJ}
     assert tables == rec._sat_tables(expr, doc)

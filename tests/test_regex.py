@@ -168,6 +168,18 @@ def test_state_cap():
         rx.dfa_of(e, state_cap=50)
 
 
+def test_print_size_cap(monkeypatch):
+    # the printed complement grows exponentially in n for (a|b)*a(a|b)^n
+    small = rx.compl(rx.parse_regex("(a|b)*a" + "(a|b)" * 3))
+    assert rx.parse_regex(rx.to_text(small)) is not None
+    large = rx.compl(rx.parse_regex("(a|b)*a" + "(a|b)" * 4))
+    with pytest.raises(StateBlowup, match=f"exceeded {rx.PRINT_SIZE_CAP} regex nodes"):
+        rx.to_text(large)
+    monkeypatch.setattr(rx, "PRINT_SIZE_CAP", 1000)
+    with pytest.raises(StateBlowup, match="exceeded 1000 regex nodes"):
+        rx.to_text(small)
+
+
 def test_literal_word():
     assert rx.literal_word(rx.word_regex("abc")) == "abc"
     assert rx.literal_word(rx.EPSILON) == ""

@@ -2,6 +2,8 @@ import random
 import sys
 import threading
 import time
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,7 @@ def test_parse_empty_object():
     ("[" * DEEP + '"\\u0_e9"' + "]" * DEEP, MalformedSyntax),
     ("[" * DEEP + '"\\u-0e9"' + "]" * DEEP, MalformedSyntax),
     ("[" * DEEP + "-abc" + "]" * DEEP, MalformedSyntax),
+    ("[" * DEEP + "-1" + "]" * DEEP, NonNaturalNumber),
     ("[" * DEEP + "NaN" + "]" * DEEP, NonNaturalNumber),
     ("[" * DEEP + '{"a":1,"a":2}' + "]" * DEEP, DuplicateKey),
     ("[" * DEEP + "true" + "]" * DEEP, UnsupportedValue),
@@ -90,6 +93,60 @@ def test_parse_empty_object():
 def test_parse_errors(text, exc):
     with pytest.raises(exc):
         parse_document(text)
+
+
+class _Color(IntEnum):
+    RED = 1
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+@pytest.mark.parametrize("value, expected", [
+    ({1: 0}, UnsupportedValue("object key 1 is not a string")),
+    ({1: 0, "a": 0}, UnsupportedValue("object key 1 is not a string")),
+    ([True], UnsupportedValue("value True is outside the model")),
+    ({"a": None}, UnsupportedValue("value None is outside the model")),
+    ([1.5], UnsupportedValue("value of type float is outside the model")),
+    ((1, 2), UnsupportedValue("value of type tuple is outside the model")),
+    ({"a": [[-1]]}, NonNaturalNumber("negative number -1")),
+    (_Color.RED, 1),
+    ([_Str("x"), {"k": _Color.RED}], ["x", {"k": 1}]),
+    (OrderedDict([("b", 1), ("a", [2])]), {"a": [2], "b": 1}),
+    (_List([1, _List(["y"]), []]), [1, ["y"], []]),
+])
+def test_from_python_model_checks(value, expected):
+    """Python values outside the model fail with the fault's type and
+    message; subclass instances build what their base types build."""
+    if isinstance(expected, JLogicError):
+        with pytest.raises(type(expected)) as info:
+            from_python(value)
+        assert str(info.value) == str(expected)
+    else:
+        assert from_python(value).columns() == from_python(expected).columns()
+
+
+def test_minus_zero_is_zero():
+    # the builder, not the scanner, rejects negatives, and -0 is not one
+    assert parse_document("-0").columns() == parse_document("0").columns()
+    assert parse_document('{"a": [-0]}') == parse_document('{"a": [0]}')
+
+
+@pytest.mark.parametrize("wrap", [0, DEEP])
+@pytest.mark.parametrize("text, exc, fragment", [
+    ('{"a": -1, "a": 2}', DuplicateKey, "'a'"),
+    ("[-1, 1.5]", NonNaturalNumber, r"1\.5"),
+])
+def test_scanner_faults_come_before_negatives(text, exc, fragment, wrap):
+    """A fault the scanner's hooks see anywhere in the text is reported
+    before a negative number, which only the builder checks."""
+    with pytest.raises(exc, match=fragment):
+        parse_document("[" * wrap + text + "]" * wrap)
 
 
 # scalar faults only: the C scanner's structural messages vary between versions
