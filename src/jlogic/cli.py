@@ -251,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-depth", type=int, default=3)
     s.add_argument("--max-width", type=int, default=3)
     s.add_argument("--max-atoms", type=int, default=6)
-    s.add_argument("--budget", type=int, default=200_000)
+    s.add_argument("--budget", type=int, default=200_000,
+                   help="most candidate trees to enumerate, counting those masked and "
+                        "dropped without being built (default %(default)s)")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_sat)
 

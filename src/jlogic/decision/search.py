@@ -21,13 +21,15 @@ translate into the schema logic first; those outside the translatable
 fragment (two-path equality, closure) fall back to enumerating every
 distinct tree, where only the candidate budget keeps things finite.
 
-A candidate's bit mask comes before anything else of it: its modal bits
-are read off per-level contribution tables keyed by (key or position,
-child mask), its node tests run as closures, and the connectives follow
-through a per-level memo.  Only stored representatives and root witnesses
-get an identity (canonical text and subtree class id, and python values
-for the returned witness), so a candidate that falls into an already full
-class costs a few table lookups.
+Candidates are judged in batches, one per size composition of their
+children (every tuple of stored children of those sizes, for arrays and
+for every key set), by their bit masks alone: modal bits are ORs of
+entry lists per (key or position, child size) taken over the product of
+the children, node tests are one bit set per (kind, child count), and
+each distinct mask is decided once.  Only a kept candidate becomes an
+object, and only stored representatives and root witnesses get an
+identity (canonical text and subtree class id, and python values for the
+returned witness).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Optional
 
 from .. import jnl
@@ -45,7 +47,7 @@ from .. import recursive as rec
 from .. import regex as rx
 from .. import translate
 from .. import tree as jt
-from ..errors import BoundsTooLarge, IllFormedRecursion
+from ..errors import BadBounds, BoundsTooLarge, IllFormedRecursion
 from ..tree import JsonTree, NodeKind
 
 DEFAULT_BUDGET = 200_000
@@ -60,8 +62,10 @@ class Bounds:
     max_atoms: int
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_width < 0 or self.max_atoms < 1:
-            raise ValueError(f"bad bounds {self}")
+        for name, least in (("max_depth", 0), ("max_width", 0), ("max_atoms", 1)):
+            if getattr(self, name) < least:
+                raise BadBounds(f"bad search bound {name} = {getattr(self, name)}: "
+                                f"it must be at least {least}")
 
     def __str__(self):
         return f"({self.max_depth},{self.max_width},{self.max_atoms})"
@@ -83,19 +87,20 @@ class SatVerdict:
 
 
 class _Cand:
-    """A candidate tree: its shape and the truth mask of the compiled
-    formula bits.  Its identity (canonical text, subtree class id) is filled
-    in only once it is kept: as a stored representative or a root witness."""
+    """A kept candidate tree: its shape and the truth mask of the compiled
+    formula bits (at the root, where only the formula's bit is read, its
+    base mask).  Its canonical text is filled in once it is kept, its
+    subtree class id once it is stored."""
 
     __slots__ = ("kind", "value", "children", "size", "mask", "serial", "cid")
 
-    def __init__(self, kind, value, children, size, serial=None):
+    def __init__(self, kind, value, children, size, serial=None, mask=0):
         self.kind = kind
         self.value = value
         self.children = children  # ((key or 0-based position, _Cand), ...)
         self.size = size
         self.serial = serial
-        self.mask = 0
+        self.mask = mask
         self.cid = None
 
     def order_key(self):
@@ -118,21 +123,16 @@ def _serial(cand, key_text) -> str:
     return "[" + ",".join(r.serial for _, r in cand.children) + "]"
 
 
-def _cid(cand, table) -> int:
-    """Subtree class id, interned on first use; children, being stored
-    representatives, already have theirs."""
-    cid = cand.cid
-    if cid is None:
-        if cand.kind == "obj":
-            ordered = sorted((k, r.cid) for k, r in cand.children)
-            cid = jt.intern_class(table, keys=tuple(k for k, _ in ordered),
-                                  child_ids=tuple(c for _, c in ordered))
-        elif cand.kind == "arr":
-            cid = jt.intern_class(table, child_ids=tuple(r.cid for _, r in cand.children))
-        else:
-            cid = jt.intern_class(table, cand.value)
-        cand.cid = cid
-    return cid
+def _class_id(table, kind, value, children) -> int:
+    """Subtree class id of a node, interned on first use; its children,
+    being stored representatives, already have theirs."""
+    if kind == "obj":
+        ordered = sorted((k, r.cid) for k, r in children)
+        return jt.intern_class(table, keys=tuple(k for k, _ in ordered),
+                               child_ids=tuple(c for _, c in ordered))
+    if kind == "arr":
+        return jt.intern_class(table, child_ids=tuple(r.cid for _, r in children))
+    return jt.intern_class(table, value)
 
 
 def _to_py(cand):
@@ -300,49 +300,32 @@ class _Program:
             accept = self._filters[pattern] = rx.word_filter(pattern)
         return accept
 
-    def test_step(self, ins):
-        """Closure ``test(cand)`` giving a node test's truth on a candidate."""
-        op = ins[0]
+    def node_test(self, ins, kind, value, count) -> bool:
+        """A node test's truth on a node of that kind, leaf value and child
+        count; ``uniq`` and ``eqid`` read the children, see ``_LevelTables``."""
+        op, arg = ins
         if op == "kind":
-            kind = ins[1]
-            return lambda cand: cand.kind == kind
+            return kind == arg
+        if op in ("minch", "maxch"):
+            return count >= arg if op == "minch" else count <= arg
         if op == "patt":
-            accept = self._filter(ins[1])
-            return lambda cand: cand.kind == "str" and accept(cand.value)
-        if op == "min":
-            bound = ins[1]
-            return lambda cand: cand.kind == "int" and cand.value >= bound
-        if op == "max":
-            bound = ins[1]
-            return lambda cand: cand.kind == "int" and cand.value <= bound
-        if op == "mult":
-            d = ins[1]
-            if d == 0:
-                return lambda cand: cand.kind == "int" and cand.value == 0
-            return lambda cand: cand.kind == "int" and cand.value % d == 0
-        if op == "minch":
-            count = ins[1]
-            return lambda cand: len(cand.children) >= count
-        if op == "maxch":
-            count = ins[1]
-            return lambda cand: len(cand.children) <= count
-        if op == "uniq":
-            return lambda cand: cand.kind == "arr" and \
-                len({r.cid for _, r in cand.children}) == len(cand.children)
-        if op == "eqid":
-            cid, table = ins[1], self.table
-            return lambda cand: _cid(cand, table) == cid
-        raise AssertionError(op)
+            return kind == "str" and self._filter(arg)(value)
+        if kind != "int":
+            return False
+        if op in ("min", "max"):
+            return value >= arg if op == "min" else value <= arg
+        return value % arg == 0 if arg else value == 0
 
     def allow_key_pruning(self) -> bool:
         return not (self.has_counts or self.has_unique or self.has_equality)
 
-    def _same_node_closure(self, bits) -> set:
+    def _same_node_closure(self, bits, seen=()) -> set:
+        """The bits ``bits`` read at the same node, not entering ``seen``."""
         out = set()
         work = list(bits)
         while work:
             b = work.pop()
-            if b in out:
+            if b in out or b in seen:
                 continue
             out.add(b)
             ins = self.instrs[b]
@@ -381,8 +364,6 @@ class _Program:
         return out
 
     def visible_keys(self, regs, keys):
-        if not self.allow_key_pruning():
-            return tuple(keys)
         filters = [self._filter(r) for r in regs]
         return tuple(k for k in keys if any(accept(k) for accept in filters))
 
@@ -514,12 +495,14 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
         revalidate = lambda tree: jsl.validate(tree, formula)
         return _class_search(program, inventory, bounds, budget, revalidate)
     if isinstance(formula, jnl.JnlUnary):
+        revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
         if jnl.uses_eqpaths(formula) or jnl.uses_star(formula):
-            return _exhaustive_search(formula, bounds, budget, table)
+            program = _Program(table).compile_formula(jsl.TOP)
+            return _class_search(program, _collect_jnl(formula, bounds.max_atoms), bounds,
+                                 budget, revalidate, exhaustive=True)
         translated = translate.jnl_to_jsl(formula)
         program = _Program(table).compile_formula(translated)
         inventory = _collect_jsl([translated], bounds.max_atoms, bounds.max_width)
-        revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
         return _class_search(program, inventory, bounds, budget, revalidate)
     raise TypeError(f"not a supported formula: {formula!r}")
 
@@ -534,6 +517,8 @@ def _full_tree_size(depth, width) -> int:
 
 class _Budget:
     def __init__(self, limit):
+        if limit < 0:
+            raise BadBounds(f"bad search budget {limit}: it must be at least 0")
         self.limit = limit
         self.spent = 0
 
@@ -549,26 +534,37 @@ def _interval(lo, hi):
     return lambda pos: lo <= pos + 1 and (hi is None or pos < hi)
 
 
+class _Memo(dict):
+    """A dict filling a missing value from ``compute``; hits stay in C."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class _LevelTables:
     """How a candidate at one distance from the root gets its bit mask.
 
-    Modal bits come from two contribution tables, one for keys and one for
-    0-based positions.  Each maps (key or position, child mask) to the dia
-    bits that child sets plus the box bits it violates, so a candidate's
-    modal bits are ``box_bits ^ (OR of its children's entries)``.  Node
-    tests run as closures.  The connectives depend on those two parts only,
-    so a memo from them to the full mask runs each connective once per
-    distinct mask, not once per candidate.
+    Its *base* mask holds its node tests and its modal bits, ``box_bits ^
+    (OR of its children's entries)``; an entry is the dia bits one child
+    sets under its label plus the box bits it violates.  Only ``unique``
+    and ``same(c)`` read the children's class ids.  The connectives depend
+    on the base alone: below the root ``full`` memoizes the full mask per
+    base; at the root only the formula's bit is read (``_holds``).
     """
 
-    def __init__(self, program, read, closure, obj_keys, arrays):
+    def __init__(self, program, read, closure, obj_keys, arrays, root):
         self.read = read  # the class key: the bits a parent reads
         self.obj_keys, self.arrays = obj_keys, arrays
-        self.box_bits = 0
-        # per kind: the modalities over its edge labels, and their table
-        self.modals = {"obj": [], "arr": []}
-        self.tables = {"obj": {}, "arr": {}}
-        self.tests, self.steps, self.memo = [], [], {}
+        self.table, self.node_test = program.table, program.node_test
+        self.box_bits = self.uniq_bit = 0
+        self.eq_of = {}  # class id of a constant's subtree -> its equality bit
+        self.modals = {"obj": [], "arr": []}  # per kind: the modalities over its labels
+        self.tests, steps = [], []
         for b in program._eval_sequence():
             if b not in closure:
                 continue
@@ -581,39 +577,110 @@ class _LevelTables:
                 self.modals["arr"].append((bit, op == "boxidx", _interval(ins[1], ins[2]),
                                            1 << ins[3]))
             elif op in _CONNECTIVES:
-                self.steps.append((bit, _connective_step(ins)))
+                steps.append((b, bit, _connective_step(ins)))
+            elif op == "uniq":
+                self.uniq_bit = bit
+            elif op == "eqid":
+                self.eq_of[ins[1]] = bit
             else:
-                self.tests.append((bit, program.test_step(ins)))
+                self.tests.append((bit, ins))
             if op in ("boxkey", "boxidx"):
                 self.box_bits |= bit
+        self.shapes = _Memo(lambda shape: self.test_bits(shape[0], None, shape[1]))
+        self.entries = {}  # (label, child size) -> entry per stored child of that size
+        if root:
+            holds = _holds(program, steps)
+            self.full, self.hits = None, _Memo(lambda base: base if holds(base) else None)
+        else:
+            self.full = _Memo(lambda base: _run(steps, base))
 
-    def evaluate(self, cand) -> None:
-        """Set the candidate's mask; its children's masks are final."""
-        acc = 0  # the OR of the children's table entries
-        modals = self.modals.get(cand.kind)
-        if modals:
-            table = self.tables[cand.kind]
-            for label, r in cand.children:
-                entry = table.get((label, r.mask))
-                if entry is None:
-                    entry = 0
-                    for bit, box, match, body in modals:
-                        if match(label) and (not r.mask & body) == box:
-                            entry |= bit
-                    table[label, r.mask] = entry
-                acc |= entry
-        base = self.box_bits ^ acc
-        for bit, test in self.tests:
-            if test(cand):
-                base |= bit
-        full = self.memo.get(base)
-        if full is None:
-            full = base
-            for bit, step in self.steps:
-                if step(full):
-                    full |= bit
-            self.memo[base] = full
-        cand.mask = full
+    def test_bits(self, kind, value, count) -> int:
+        """The box bits and plain node tests of one node."""
+        bits = self.box_bits
+        for bit, ins in self.tests:
+            if self.node_test(ins, kind, value, count):
+                bits |= bit
+        return bits
+
+    def identity_bits(self, kind, value, children) -> int:
+        """The ``unique`` and ``same(c)`` bits, read off the children's ids."""
+        bits = 0
+        if self.uniq_bit and kind == "arr" and \
+                len({r.cid for _, r in children}) == len(children):
+            bits = self.uniq_bit
+        if self.eq_of:
+            bits |= self.eq_of.get(_class_id(self.table, kind, value, children), 0)
+        return bits
+
+    def bases(self, kind, labels, sizes, groups) -> list:
+        """The base mask of every candidate of this kind whose children, under
+        ``labels``, are drawn from ``groups`` (the stored children of the
+        given sizes), in the order of ``product(*groups)``."""
+        lists = []
+        for label, size, group in zip(labels, sizes, groups):
+            listed = self.entries.get((label, size))
+            if listed is None:  # dia bits set plus box bits violated; one bit per modality
+                listed = self.entries[label, size] = [
+                    sum(bit for bit, box, match, body in self.modals[kind]
+                        if match(label) and (not r.mask & body) == box) for r in group]
+            lists.append(listed)
+        accs = lists[0]
+        for listed in lists[1:]:
+            accs = [a | e for a in accs for e in listed]
+        bases = list(map(self.shapes[kind, len(labels)].__xor__, accs))
+        if self.uniq_bit or self.eq_of:
+            bases = [base | self.identity_bits(kind, None, tuple(zip(labels, reps)))
+                     for base, reps in zip(bases, product(*groups))]
+        return bases
+
+    def verdicts(self, level) -> _Memo:
+        """Per base mask, a kept candidate's mask or None.  At the root one
+        is kept when it satisfies the formula (its mask is then its base);
+        below it, while its class in ``level`` is not full as it stood
+        before the batch, so each batch needs its own."""
+        if self.full is None:
+            return self.hits
+        full, read = self.full, self.read
+
+        def kept(base):
+            mask = full[base]
+            return None if level.is_full(mask & read) else mask
+        return _Memo(kept)
+
+
+def _holds(program, steps):
+    """``holds(base)``: the formula's bit on a base mask, read one conjunct
+    of its top-level ``&&`` chain at a time, left to right, up to the first
+    false one.  A conjunct runs only the connectives no earlier one ran."""
+    plan, owner, chain, work = [], {}, set(), [program.phi_bit]
+    while work:
+        b = work.pop()
+        ins = program.instrs[b]
+        if ins[0] != "and":
+            owner.update(dict.fromkeys(program._same_node_closure([b], owner), len(plan)))
+            plan.append((1 << b, []))
+        elif b not in chain:
+            chain.add(b)
+            work += (ins[2], ins[1])
+    for step in steps:
+        if step[0] in owner:
+            plan[owner[step[0]]][1].append(step)
+
+    def holds(base):
+        for bit, run in plan:
+            base = _run(run, base)
+            if not base & bit:
+                return False
+        return True
+    return holds
+
+
+def _run(steps, base) -> int:
+    """The base mask with the given connectives' bits added, in order."""
+    for _, bit, step in steps:
+        if step(base):
+            base |= bit
+    return base
 
 
 class _Level:
@@ -633,7 +700,7 @@ class _Level:
 
     def store(self, cand, key) -> None:
         stored = self.classes.setdefault(key, set())
-        cid = _cid(cand, self.table)
+        cid = cand.cid = _class_id(self.table, cand.kind, cand.value, cand.children)
         if len(stored) >= self.multiplicity or cid in stored:
             return
         stored.add(cid)
@@ -642,47 +709,47 @@ class _Level:
             self.max_size = cand.size
 
 
-def _leaf_batch(inventory, budget, tables) -> list:
-    out = [_leaf("obj", None), _leaf("arr", None)]
-    out.extend(_leaf("str", s) for s in inventory.strings)
-    out.extend(_leaf("int", v) for v in inventory.ints)
+def _leaf_batch(inventory, budget, tables, verdicts) -> list:
+    out = [_leaf("obj", None), _leaf("arr", None)] + \
+        [_leaf("str", s) for s in inventory.strings] + [_leaf("int", v) for v in inventory.ints]
     budget.charge(len(out))
     for cand in out:
-        tables.evaluate(cand)
-    return out
+        cand.mask = verdicts[tables.test_bits(cand.kind, cand.value, 0)
+                             | tables.identity_bits(cand.kind, cand.value, ())]
+    return [cand for cand in out if cand.mask is not None]
 
 
-def _parent_batch(n, child_level, tables, width, budget):
-    """All candidates with exactly n nodes over the stored child reps, each
-    with its bit mask and nothing more."""
+def _parent_batch(n, child_level, tables, width, budget, verdicts) -> list:
+    """The kept candidates with exactly n nodes over the stored child reps;
+    each size composition is charged to the budget at once."""
     sizes, by_size = sorted(child_level.by_size), child_level.by_size
-    obj_keys, arrays, evaluate = tables.obj_keys, tables.arrays, tables.evaluate
+    kept = []
     for k in range(1, min(width, n - 1) + 1):
-        keysets = list(combinations(obj_keys, k)) if k <= len(obj_keys) else []
-        if not keysets and not arrays:
+        shapes = [("obj", keyset) for keyset in combinations(tables.obj_keys, k)]
+        if tables.arrays:
+            shapes.append(("arr", range(k)))
+        if not shapes:
             continue
-        tuples = (product(*(by_size[size] for size in comp))
-                  for comp in _compositions(sizes, k, n - 1))
-        for reps in chain.from_iterable(tuples):
-            budget.charge(len(keysets) + (1 if arrays else 0))
-            if arrays:
-                cand = _Cand("arr", None, tuple(enumerate(reps)), n)
-                evaluate(cand)
-                yield cand
-            for keyset in keysets:
-                cand = _Cand("obj", None, tuple(zip(keyset, reps)), n)
-                evaluate(cand)
-                yield cand
+        for comp in _compositions(sizes, k, n - 1):
+            groups = [by_size[size] for size in comp]
+            budget.charge(math.prod(map(len, groups)) * len(shapes))
+            for kind, labels in shapes:
+                masks = list(map(verdicts.__getitem__, tables.bases(kind, labels, comp, groups)))
+                if masks.count(None) == len(masks):
+                    continue
+                for reps, mask in zip(product(*groups), masks):
+                    if mask is not None:
+                        kept.append(_Cand(kind, None, tuple(zip(labels, reps)), n, mask=mask))
+    return kept
 
 
 def _compositions(sizes, slots, total) -> list:
     """Every tuple of ``slots`` entries of ``sizes`` (all at least 1) that
-    sums to ``total``, built one slot at a time."""
-    found = [()]
-    for left in range(slots - 1, -1, -1):  # slots still open after this one
-        found = [comp + (size,) for comp in found for size in sizes
-                 if size <= total - sum(comp) - left]
-    return [comp for comp in found if sum(comp) == total]
+    sums to ``total``, in lexicographic order."""
+    if slots == 1:
+        return [(total,)] if total in sizes else []
+    return [(size,) + rest for size in sizes if size <= total - slots + 1
+            for rest in _compositions(sizes, slots - 1, total - size)]
 
 
 def _in_order(cands, key_text) -> list:
@@ -693,21 +760,17 @@ def _in_order(cands, key_text) -> list:
     return sorted(cands, key=_Cand.order_key)
 
 
-def _staged_search(inventory, bounds, budget_limit, levels, phi_mask, multiplicity,
+def _staged_search(inventory, bounds, budget_limit, levels, multiplicity,
                    confirm, table) -> Optional[_Cand]:
     """Bottom-up over distances from the root: the level at distance p is
-    populated from the one at p+1, keeping one representative per
-    interchangeability class (up to ``multiplicity`` distinct subtrees per
-    class under array uniqueness).  Returns a witness or None after
-    exhausting the bounded space.
-
-    Each candidate's bit mask comes first, from ``levels[p]``; its class
-    key is the mask's read bits.  Below the root a candidate whose class is
-    already full is dropped there.  The rest of a size batch get their
-    canonical texts and are stored smallest first, so each class keeps its
-    smallest members.  At the root nothing is stored: the candidates of a
-    batch whose mask holds ``phi_mask`` get their texts, and the smallest by
-    ``_Cand.order_key`` that ``confirm`` (when given) accepts is returned.
+    populated from the one at p+1, in batches of one node count.  Below the
+    root, ``levels[p]`` drops a candidate whose class is already full (up to
+    ``multiplicity`` distinct subtrees per class, more than one under array
+    uniqueness); the rest are stored smallest first, so each class keeps
+    its smallest members.  At the root nothing is stored: of the candidates
+    that satisfy the formula, the smallest by ``_Cand.order_key`` that
+    ``confirm`` (when given) accepts is returned; None once the bounded
+    space is exhausted.
     """
     budget = _Budget(budget_limit)
     depth, width = bounds.max_depth, bounds.max_width
@@ -716,61 +779,47 @@ def _staged_search(inventory, bounds, budget_limit, levels, phi_mask, multiplici
     for p in range(depth, -1, -1):
         tables = levels[p]
         level = _Level(multiplicity, table)
-        batches = [_leaf_batch(inventory, budget, tables)]
+        ceiling = 1
         if below is not None and width > 0 and below.by_size:
             ceiling = min(_full_tree_size(depth - p, width), 1 + width * below.max_size)
-            batches += (_parent_batch(n, below, tables, width, budget)
-                        for n in range(2, ceiling + 1))
-        read = tables.read
-        for batch in batches:
-            if p:
-                fresh = [c for c in batch if not level.is_full(c.mask & read)]
-                for cand in _in_order(fresh, key_text):
-                    level.store(cand, cand.mask & read)
-            else:
-                hits = [c for c in batch if c.mask & phi_mask]
-                for cand in _in_order(hits, key_text):
-                    if confirm is None or confirm(cand):
-                        return cand
+        for n in range(1, ceiling + 1):
+            verdicts = tables.verdicts(level)
+            batch = _leaf_batch(inventory, budget, tables, verdicts) if n == 1 else \
+                _parent_batch(n, below, tables, width, budget, verdicts)
+            for cand in _in_order(batch, key_text):
+                if p:
+                    level.store(cand, cand.mask & tables.read)
+                elif confirm is None or confirm(cand):
+                    return cand
         below = level
     return None
 
 
-def _class_search(program, inventory, bounds, budget, revalidate) -> SatVerdict:
-    multiplicity = max(1, bounds.max_width) if program.has_unique else 1
-    prune = program.allow_key_pruning()
+def _class_search(program, inventory, bounds, budget, revalidate,
+                  exhaustive=False) -> SatVerdict:
+    """The staged search, its witness re-checked by ``revalidate``.
+
+    An exhaustive search, for the untranslatable fragment, collapses
+    nothing: its program is just ``true``, so every candidate of a level
+    falls in one class with no bound on its distinct members, and the root
+    candidates go to ``revalidate`` in order until one is accepted."""
+    if exhaustive:
+        multiplicity, prune = math.inf, False
+    else:
+        multiplicity = max(1, bounds.max_width) if program.has_unique else 1
+        prune = program.allow_key_pruning()
     levels = []
     for read, closure, regs in program.depth_profiles(bounds.max_depth):
         arrays = (not prune) or any(program.instrs[b][0] in ("boxidx", "diaidx")
                                     for b in closure)
-        levels.append(_LevelTables(program, read, closure,
-                                   program.visible_keys(regs, inventory.keys), arrays))
-    found = _staged_search(inventory, bounds, budget, levels, 1 << program.phi_bit,
-                           multiplicity, None, program.table)
+        keys = program.visible_keys(regs, inventory.keys) if prune else inventory.keys
+        levels.append(_LevelTables(program, read, closure, keys, arrays, root=not levels))
+    confirm = (lambda cand: revalidate(jt.from_python(_to_py(cand)))) if exhaustive else None
+    found = _staged_search(inventory, bounds, budget, levels, multiplicity, confirm,
+                           program.table)
     if found is None:
         return SatVerdict(False, None, bounds)
     tree = jt.from_python(_to_py(found))
     if not revalidate(tree):
         raise RuntimeError(f"search/evaluator disagreement on {found.serial}")
     return SatVerdict(True, tree, bounds)
-
-
-def _exhaustive_search(formula, bounds, budget, table) -> SatVerdict:
-    """Every distinct tree, no collapsing; for the untranslatable fragment.
-
-    The program is just ``true``: every candidate of a level falls in one
-    class with no bound on its distinct members, and the root candidates go
-    to the evaluator in order until one satisfies the formula."""
-    inventory = _collect_jnl(formula, bounds.max_atoms)
-    program = _Program(table).compile_formula(jsl.TOP)
-    levels = [_LevelTables(program, read, closure, inventory.keys, True)
-              for read, closure, _ in program.depth_profiles(bounds.max_depth)]
-
-    def confirm(cand):
-        return jnl.eval_membership(jt.from_python(_to_py(cand)), formula, ())
-
-    found = _staged_search(inventory, bounds, budget, levels, 1 << program.phi_bit,
-                           math.inf, confirm, table)
-    if found is None:
-        return SatVerdict(False, None, bounds)
-    return SatVerdict(True, jt.from_python(_to_py(found)), bounds)

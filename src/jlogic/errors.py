@@ -111,3 +111,7 @@ class AutomatonError(JLogicError):
 
 class BoundsTooLarge(JLogicError):
     """Bounded satisfiability search exceeded the configured budget."""
+
+
+class BadBounds(JLogicError):
+    """A search bound or budget out of range."""

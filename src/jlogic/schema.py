@@ -33,7 +33,6 @@ from .errors import (
     BlowupLimitExceeded,
     DocumentError,
     FragmentViolation,
-    IllFormedRecursion,
     NonNaturalNumber,
     TypeMismatch,
     UnknownKeyword,
@@ -123,9 +122,8 @@ class SchemaDocument:
 
     @cached_property
     def refs(self) -> dict:
-        """``_refs`` of each definition by name, and of the root under
-        None: one walk per document, shared by parsing and
-        ``check_well_formed``."""
+        """The names each definition references, by name, and those of the
+        root under None."""
         refs = {name: _refs(ast) for name, ast in self.definitions}
         refs[None] = _refs(self.root)
         return refs
@@ -163,7 +161,7 @@ def parse_schema(text: str) -> SchemaDocument:
         defs = [(name, _ast(sub)) for name, sub in section.items()]
     root = _ast(raw)
     doc = SchemaDocument(root, tuple(defs))
-    missing = set().union(*(used for used, _ in doc.refs.values())) - {n for n, _ in defs}
+    missing = set().union(*doc.refs.values()) - {n for n, _ in defs}
     if missing:
         raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
     return doc
@@ -285,58 +283,30 @@ def _opt_regex(raw, key) -> Optional[rx.Regex]:
 
 
 def _sub_schemas(ast: SchemaAst):
-    """Direct children in schema positions, flagged shielded when the
-    keyword descends into the document (a modal step)."""
+    """Direct children in schema positions (None for an absent optional one)."""
     if isinstance(ast, ObjectSchema):
-        for _, sub in ast.properties:
-            yield sub, True
-        for _, sub in ast.pattern_properties:
-            yield sub, True
-        if ast.additional_properties is not None:
-            yield ast.additional_properties, True
+        yield from (sub for _, sub in ast.properties)
+        yield from (sub for _, sub in ast.pattern_properties)
+        yield ast.additional_properties
     elif isinstance(ast, ArraySchema):
-        for sub in ast.items or ():
-            yield sub, True
-        if ast.additional_items is not None:
-            yield ast.additional_items, True
+        yield from ast.items or ()
+        yield ast.additional_items
     elif isinstance(ast, (AllOf, AnyOf)):
-        for sub in ast.parts:
-            yield sub, False
+        yield from ast.parts
     elif isinstance(ast, NotSchema):
-        yield ast.body, False
+        yield ast.body
 
 
-def _refs(ast: SchemaAst) -> tuple:
-    """The names ``ast`` references, and those of them it reaches without a
-    document descent (unshielded), in one walk."""
-    out, unshielded = set(), set()
-    stack = [(ast, False)]
+def _refs(ast: SchemaAst) -> set:
+    """The names ``ast`` references."""
+    out, stack = set(), [ast]
     while stack:
-        a, below = stack.pop()
+        a = stack.pop()
         if isinstance(a, Ref):
             out.add(a.name)
-            if not below:
-                unshielded.add(a.name)
-            continue
-        for sub, shielded in _sub_schemas(a):
-            stack.append((sub, below or shielded))
-    return out, unshielded
-
-
-def check_well_formed(doc: SchemaDocument) -> list:
-    """Reject definition cycles not broken by a document descent.
-
-    Returns the definition names with every unshielded dependency before
-    its user (``recursive.dependency_order`` over the sorted unshielded
-    references of ``doc.refs``).  The references a translated definition
-    reaches outside every modality are the same, so this is also the order
-    in which ``recursive.eval_recursive`` fills them."""
-    order, cycle = rec.dependency_order(
-        {name: sorted(unshielded) for name, (_, unshielded) in doc.refs.items()
-         if name is not None})
-    if cycle:
-        raise IllFormedRecursion(f"cyclic definitions: {cycle}")
-    return order
+        elif a is not None:
+            stack.extend(_sub_schemas(a))
+    return out
 
 
 # -- validation ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import jlogic.regex as rx
 import jlogic.schema as sch
 import jlogic.tree as jt
 from jlogic.decision import automata as am
-from jlogic.errors import AutomatonError, MalformedFormula
+from jlogic.errors import AutomatonError, IllFormedRecursion, MalformedFormula
 from jlogic.tree import JsonTree, NodeKind
 
 KEYS = ["a", "b", "c", "name", "w"]
@@ -776,12 +776,64 @@ AUTOMATON_FEATURES = frozenset({"alias chain", "shared state", "several finals",
 # -- JSON Schema keyword interpreter --------------------------------------------------
 
 
+def _sub_schemas(ast):
+    """Direct children in schema positions, flagged shielded when the
+    keyword descends into the document (a modal step)."""
+    if isinstance(ast, sch.ObjectSchema):
+        for _, sub in ast.properties + ast.pattern_properties:
+            yield sub, True
+        if ast.additional_properties is not None:
+            yield ast.additional_properties, True
+    elif isinstance(ast, sch.ArraySchema):
+        for sub in ast.items or ():
+            yield sub, True
+        if ast.additional_items is not None:
+            yield ast.additional_items, True
+    elif isinstance(ast, (sch.AllOf, sch.AnyOf)):
+        for sub in ast.parts:
+            yield sub, False
+    elif isinstance(ast, sch.NotSchema):
+        yield ast.body, False
+
+
+def schema_refs(ast) -> tuple:
+    """The names ``ast`` references, and those of them it reaches without a
+    document descent (unshielded)."""
+    out, unshielded = set(), set()
+    stack = [(ast, False)]
+    while stack:
+        a, below = stack.pop()
+        if isinstance(a, sch.Ref):
+            out.add(a.name)
+            if not below:
+                unshielded.add(a.name)
+            continue
+        for sub, shielded in _sub_schemas(a):
+            stack.append((sub, below or shielded))
+    return out, unshielded
+
+
+def check_well_formed(doc) -> list:
+    """Reject definition cycles not broken by a document descent.
+
+    Returns the definition names with every unshielded dependency before
+    its user (``recursive.dependency_order`` over the sorted unshielded
+    references).  The references a translated definition reaches outside
+    every modality are the same, so this is also the order in which
+    ``recursive.eval_recursive`` fills them."""
+    order, cycle = rec.dependency_order(
+        {name: sorted(schema_refs(ast)[1]) for name, ast in doc.definitions})
+    if cycle:
+        raise IllFormedRecursion(f"cyclic definitions: {cycle}")
+    return order
+
+
 def oracle_schema(tree: JsonTree, doc) -> bool:
     """Interpret the keywords directly, top-down, with one memo entry per
     (schema node, document node).  It recurses once per document level, so
     it only suits documents a few hundred levels deep."""
     if doc.definitions:
-        sch.check_well_formed(doc)
+        check_well_formed(doc)
     defs = doc.definition_map()
     memo = {}
     return _vs(tree, 0, doc.root, defs, memo)

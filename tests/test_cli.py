@@ -269,6 +269,11 @@ def test_unreadable_document_exit_2(files, tmp_path, capsys, command, bad):
 
 def test_usage_error_exit_2(capsys):
     assert main(["compile", "x", "--from", "schema"]) == 2
+    for bad in (["--max-depth", "-1"], ["--max-width", "-1"], ["--max-atoms", "0"],
+                ["--budget", "-5"]):
+        assert main(["sat", "--formula", "obj"] + bad) == 2, bad
+        err = capsys.readouterr().err
+        assert "internal" not in err and bad[0][2:].replace("-", "_") in err, err
 
 
 def _reference_lines(tree, fmt, formula):

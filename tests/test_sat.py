@@ -9,7 +9,7 @@ import jlogic.tree as jt
 from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision.encode import qbf_truth
-from jlogic.decision.search import _Program
+from jlogic.decision.search import _CONNECTIVES, _LevelTables, _Program
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
 from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_qbf, random_jsl, random_well_formed,
@@ -284,6 +284,24 @@ def test_qbf_validation():
         Qbf((("some", "x1"),), ())
 
 
+def test_root_reads_formula_bit_like_the_full_mask():
+    # the root evaluates only the formula's bit, conjunct by conjunct; below
+    # the root every connective runs: both agree on every base mask
+    rng = random.Random(11)
+    phis = [random_jsl(rng, rng.randint(1, 4)) for _ in range(150)]
+    phis += [jsl.And(jsl.Or(p, q), jsl.And(q, jsl.Not(p))) for p, q in zip(phis, phis[1:60])]
+    programs = [_Program({}).compile_formula(phi) for phi in phis]
+    programs += [_Program({}).compile_recursive(e) for e in random_well_formed(rng, 60)]
+    for program in programs:
+        (read, closure, _), = program.depth_profiles(0)
+        root = _LevelTables(program, read, closure, (), False, root=True)
+        below = _LevelTables(program, read, closure, (), False, root=False)
+        plain = sum(1 << b for b in closure if program.instrs[b][0] not in _CONNECTIVES)
+        for _ in range(40):
+            base = rng.getrandbits(len(program.instrs)) & plain
+            assert (root.hits[base] is not None) == bool(below.full[base] & read)
+
+
 def test_repeated_subformulas_share_one_instruction():
     # equal subformulas built as distinct objects still get one bit each
     def part():
@@ -305,45 +323,53 @@ PINNED_QBF_FALSE = Qbf((("forall", "x1"), ("exists", "x2")),
                        ((("x1", True), ("x2", True)), (("x1", True), ("x2", False))))
 
 
-@pytest.mark.parametrize("logic,formula,bounds,expected", [
+# Each case also pins the smallest --budget that answers: the number of
+# candidate trees the search enumerates before it returns.
+@pytest.mark.parametrize("logic,formula,bounds,expected,budget", [
     pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CNF)), (2, 5, 8),
-                 '{"x1":[{}],"x2":[{}],"x3":[{}],"x4":[{}]}', id="3cnf"),
+                 '{"x1":[{}],"x2":[{}],"x3":[{}],"x4":[{}]}', 273, id="3cnf"),
     pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CONTRADICTION)), (2, 3, 5), None,
-                 id="3cnf-unsat"),
+                 31, id="3cnf-unsat"),
     pytest.param("jsl", jsl.to_text(encode_qbf(PINNED_QBF_TRUE)), (4, 2, 5),
-                 '{"X":{"F":{"X":{"T":{}}},"T":{"X":{"F":{}}}}}', id="qbf"),
+                 '{"X":{"F":{"X":{"T":{}}},"T":{"X":{"F":{}}}}}', 737, id="qbf"),
     pytest.param("jsl", jsl.to_text(encode_qbf(PINNED_QBF_FALSE)), (4, 2, 5), None,
-                 id="qbf-unsat"),
-    pytest.param("jsl", "arr && unique && minCh(3)", (2, 3, 3), '["s",[],{}]', id="unique"),
+                 2677, id="qbf-unsat"),
+    pytest.param("jsl", "arr && unique && minCh(3)", (2, 3, 3), '["s",[],{}]', 216,
+                 id="unique"),
     pytest.param("jsl", "arr && !unique && minCh(2) && dia(1) arr", (2, 3, 3), "[[],[]]",
-                 id="not-unique"),
+                 202, id="not-unique"),
     pytest.param("jsl", 'obj && dia("a") same({"b": [1, "x"]})', (3, 2, 4),
-                 '{"a":{"b":[1,"x"]}}', id="same-below"),
+                 '{"a":{"b":[1,"x"]}}', 236, id="same-below"),
     pytest.param("jsl", 'arr && dia(2) same([1, "a"]) && !same([[1, "a"], [1, "a"]])',
-                 (3, 2, 4), '["a",[1,"a"]]', id="same-root"),
+                 (3, 2, 4), '["a",[1,"a"]]', 90, id="same-root"),
     pytest.param("rjsl", "let g = !(dia(1) true) || (minCh(2) && maxCh(2) && !unique "
                          "&& box(1:2) g); in g && arr && minCh(1)", (3, 3, 3), '["s","s"]',
-                 id="recursive-pairs"),
+                 778, id="recursive-pairs"),
     pytest.param("rjsl", 'let g = int || (obj && dia(/a|b/) g && box(/.*/) g); '
                          'in g && obj && dia("b") obj', (3, 2, 4), '{"b":{"a":0}}',
-                 id="recursive-keys"),
+                 91, id="recursive-keys"),
     pytest.param("jsl", "arr && dia(2:3) (int && min(4)) && box(1:1) str && !box(3:*) int",
-                 (2, 4, 4), '["s",4,"s"]', id="index-intervals"),
+                 (2, 4, 4), '["s",4,"s"]', 105, id="index-intervals"),
     pytest.param("jsl", 'obj && box(/a|b/) (arr && minCh(1)) && dia(/b/) true '
                         '&& dia("c") (int && multOf(3) && min(1))', (3, 3, 5),
-                 '{"b":[{}],"c":3}', id="box-keys"),
+                 '{"b":[{}],"c":3}', 177, id="box-keys"),
     pytest.param("jsl", 'obj && box(/a|b/) int && dia("a") true && !dia("b") true '
-                        '&& dia(/c/) str', (2, 3, 4), '{"a":0,"c":"s"}', id="box-dia-keys"),
+                        '&& dia(/c/) str', (2, 3, 4), '{"a":0,"c":"s"}', 48,
+                 id="box-dia-keys"),
     pytest.param("jnl", 'eq(@"a", @"b") && [@"a" / #1]', (2, 2, 3), '{"a":["s"],"b":["s"]}',
-                 id="eqpaths"),
-    pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", id="star"),
+                 4076, id="eqpaths"),
+    pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", 108, id="star"),
 ])
-def test_pinned_witness(capsys, logic, formula, bounds, expected):
+def test_pinned_witness(capsys, logic, formula, bounds, expected, budget):
     # the exact minimal witness (or bound) the search reports, through the CLI
-    rc = main(["sat", "--logic", logic, "--formula", formula, "--max-depth", str(bounds[0]),
-               "--max-width", str(bounds[1]), "--max-atoms", str(bounds[2])])
-    out = capsys.readouterr().out
-    if expected is None:
-        assert (rc, out) == (1, "UNSAT up to ({},{},{})\n".format(*bounds))
-    else:
-        assert (rc, out) == (0, f"SAT\n{expected}\n")
+    argv = ["sat", "--logic", logic, "--formula", formula, "--max-depth", str(bounds[0]),
+            "--max-width", str(bounds[1]), "--max-atoms", str(bounds[2])]
+    want = (1, "UNSAT up to ({},{},{})\n".format(*bounds)) if expected is None \
+        else (0, f"SAT\n{expected}\n")
+    for extra in ((), ("--budget", str(budget))):
+        rc = main(argv + list(extra))
+        assert (rc, capsys.readouterr().out) == want
+    assert main(argv + ["--budget", str(budget - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: search exceeded the candidate budget ({budget - 1})\n"

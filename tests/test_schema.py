@@ -20,12 +20,14 @@ from jlogic.cli import main
 from jlogic.tree import parse_document
 from helpers import (
     SCHEMA_KEYWORDS,
+    check_well_formed,
     oracle_jsl,
     oracle_schema,
     random_schema,
     random_tree,
     random_value,
     schema_keywords,
+    schema_refs,
 )
 
 # one schema per row, covering every supported keyword at least once
@@ -297,7 +299,7 @@ def test_random_schemas_match_both_oracles():
         keywords |= schema_keywords(raw)
         doc = sch.parse_schema(json.dumps(raw))
         for name, ast in doc.definitions:
-            refs, unshielded = sch._refs(ast)
+            refs, unshielded = schema_refs(ast)
             if name in refs - unshielded:
                 features.add("shielded self-reference")
             if unshielded:
@@ -343,7 +345,7 @@ def chain_schema(count, last):
 def test_long_definition_chain(tmp_path, capsys):
     text = chain_schema(3000, {"type": "number"})
     doc = sch.parse_schema(text)
-    assert sch.check_well_formed(doc) == [f"d{i}" for i in range(2999, -1, -1)]
+    assert check_well_formed(doc) == [f"d{i}" for i in range(2999, -1, -1)]
     assert sch.validate_schema(parse_document("5"), doc)
     assert not sch.validate_schema(parse_document('"x"'), doc)
     five, schema = tmp_path / "five.json", tmp_path / "chain.schema.json"
@@ -355,7 +357,7 @@ def test_long_definition_chain(tmp_path, capsys):
     cyclic = sch.parse_schema(chain_schema(3000, {"not": {"$ref": "#/definitions/d0"}}))
     cycle = repr([f"d{i}" for i in range(3000)] + ["d0"])
     with pytest.raises(IllFormedRecursion, match=re.escape(cycle)):
-        sch.check_well_formed(cyclic)
+        check_well_formed(cyclic)
 
 
 def test_one_reference_walk_per_definition(monkeypatch):
