@@ -24,84 +24,67 @@ is what makes double complementation the identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 from .. import jsl
 from .. import recursive as rec
-from .. import regex as rx
+from .._node import Node
 from ..errors import AutomatonError
 from ..tree import JsonTree
 
 
-class RuleExpr:
+class RuleExpr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueAtom(RuleExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseAtom(RuleExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TestAtom(RuleExpr):
-    test: jsl.NodeTest
-    negated: bool = False
+    __slots__ = ("test", "negated")
+    _defaults = {"negated": False}
 
 
-@dataclass(frozen=True)
 class StateAtom(RuleExpr):
-    state: int
+    __slots__ = ("state",)
 
 
-@dataclass(frozen=True)
 class SymbolAtom(RuleExpr):
     """Placeholder for a definition symbol during recursive compilation."""
-    name: str
-    negated: bool = False
+    __slots__ = ("name", "negated")
+    _defaults = {"negated": False}
 
 
-@dataclass(frozen=True)
-class KeyLabel:
-    pattern: rx.Regex
+class KeyLabel(Node):
+    __slots__ = ("pattern",)
 
 
-@dataclass(frozen=True)
-class IdxLabel:
-    lo: int
-    hi: Optional[int]
+class IdxLabel(Node):
+    __slots__ = ("lo", "hi")
 
 
-@dataclass(frozen=True)
 class QuantAtom(RuleExpr):
-    state: int
-    label: object  # KeyLabel | IdxLabel
-    universal: bool = False
+    # label: KeyLabel | IdxLabel
+    __slots__ = ("state", "label", "universal")
+    _defaults = {"universal": False}
 
 
-@dataclass(frozen=True)
 class RAnd(RuleExpr):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class ROr(RuleExpr):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class JAutomaton:
-    node_states: frozenset
-    tree_states: frozenset
-    final: frozenset
-    node_rules: tuple  # ((state, RuleExpr), ...)
-    tree_rules: tuple
+class JAutomaton(Node):
+    # node_rules: ((state, RuleExpr), ...)
+    __slots__ = ("node_states", "tree_states", "final", "node_rules", "tree_rules")
 
     def node_rule_map(self) -> dict:
         return dict(self.node_rules)

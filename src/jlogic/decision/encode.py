@@ -13,11 +13,10 @@ clause forbids any root-to-leaf assignment path that falsifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .. import jnl
 from .. import jsl
 from .. import regex as rx
+from .._node import Node
 
 # literals are (variable name, positive) pairs; a clause is a sequence of them
 
@@ -58,11 +57,10 @@ def encode_3sat(clauses) -> jnl.JnlUnary:
     return jnl.and_all(parts)
 
 
-@dataclass(frozen=True)
-class Qbf:
+class Qbf(Node):
     """Closed quantified boolean formula with a 3CNF matrix."""
-    prefix: tuple   # ((quantifier 'exists'|'forall', variable), ...)
-    clauses: tuple
+    # prefix: ((quantifier 'exists'|'forall', variable), ...)
+    __slots__ = ("prefix", "clauses")
 
     def __post_init__(self):
         bound = [v for _, v in self.prefix]

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Optional
 
@@ -47,6 +46,7 @@ from .. import recursive as rec
 from .. import regex as rx
 from .. import translate
 from .. import tree as jt
+from .._node import Node
 from ..errors import BadBounds, BoundsTooLarge, IllFormedRecursion
 from ..tree import JsonTree, NodeKind
 
@@ -55,11 +55,8 @@ DEFAULT_BUDGET = 200_000
 _KIND_RANK = {"obj": 0, "arr": 1, "str": 2, "int": 3}
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_depth: int
-    max_width: int
-    max_atoms: int
+class Bounds(Node):
+    __slots__ = ("max_depth", "max_width", "max_atoms")
 
     def __post_init__(self):
         for name, least in (("max_depth", 0), ("max_width", 0), ("max_atoms", 1)):
@@ -71,11 +68,8 @@ class Bounds:
         return f"({self.max_depth},{self.max_width},{self.max_atoms})"
 
 
-@dataclass(frozen=True)
-class SatVerdict:
-    satisfiable: bool
-    witness: Optional[JsonTree]
-    bounds: Bounds
+class SatVerdict(Node):
+    __slots__ = ("satisfiable", "witness", "bounds")
 
     def describe(self) -> str:
         if self.satisfiable:
@@ -94,25 +88,29 @@ class _Cand:
 
     __slots__ = ("kind", "value", "children", "size", "mask", "serial", "cid")
 
-    def __init__(self, kind, value, children, size, serial=None, mask=0):
+    def __init__(self, kind, value, children, size, serial=None, mask=0, cid=None):
         self.kind = kind
         self.value = value
         self.children = children  # ((key or 0-based position, _Cand), ...)
         self.size = size
         self.serial = serial
         self.mask = mask
-        self.cid = None
+        self.cid = cid
 
     def order_key(self):
         return (_KIND_RANK[self.kind], self.serial)
 
 
-def _leaf(kind, value) -> _Cand:
-    if kind == "int":
-        return _Cand("int", value, (), 1, str(value))
-    if kind == "str":
-        return _Cand("str", value, (), 1, json.dumps(value, ensure_ascii=False))
-    return _Cand(kind, None, (), 1, "{}" if kind == "obj" else "[]")
+def _leaves(inventory, program) -> list:
+    """``(kind, value, text, test bits, class id)`` of every one-node candidate,
+    once per search; the bits are the plain node tests it passes, at any depth."""
+    leaves = [("obj", None, "{}"), ("arr", None, "[]")]
+    leaves += [("str", s, json.dumps(s, ensure_ascii=False)) for s in inventory.strings]
+    leaves += [("int", v, str(v)) for v in inventory.ints]
+    tests = [(1 << b, ins) for b, ins in enumerate(program.instrs) if ins[0] in _NODE_TESTS]
+    return [(kind, value, text, sum(bit for bit, ins in tests
+                                    if program.node_test(ins, kind, value, 0)),
+             _class_id(program.table, kind, value, ())) for kind, value, text in leaves]
 
 
 def _serial(cand, key_text) -> str:
@@ -147,6 +145,7 @@ def _to_py(cand):
 # -- the compiled formula program ----------------------------------------------------
 
 _CONNECTIVES = ("true", "not", "copy", "and", "or")
+_NODE_TESTS = ("kind", "patt", "min", "max", "mult", "minch", "maxch")
 
 
 def _connective_step(ins):
@@ -371,11 +370,8 @@ class _Program:
 # -- atom inventory ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inventory:
-    keys: tuple
-    strings: tuple
-    ints: tuple
+class Inventory(Node):
+    __slots__ = ("keys", "strings", "ints")
 
 
 def _fresh(base: str, taken) -> str:
@@ -554,17 +550,19 @@ class _LevelTables:
     sets under its label plus the box bits it violates.  Only ``unique``
     and ``same(c)`` read the children's class ids.  The connectives depend
     on the base alone: below the root ``full`` memoizes the full mask per
-    base; at the root only the formula's bit is read (``_holds``).
+    base; at the root only the formula's bit is read (``_holds``).  Each
+    memo is built on first use.
     """
 
     def __init__(self, program, read, closure, obj_keys, arrays, root):
         self.read = read  # the class key: the bits a parent reads
         self.obj_keys, self.arrays = obj_keys, arrays
+        self.program, self.root = program, root
         self.table, self.node_test = program.table, program.node_test
-        self.box_bits = self.uniq_bit = 0
+        self.box_bits = self.uniq_bit = self.test_mask = 0
         self.eq_of = {}  # class id of a constant's subtree -> its equality bit
         self.modals = {"obj": [], "arr": []}  # per kind: the modalities over its labels
-        self.tests, steps = [], []
+        self.tests, self.steps = [], []
         for b in program._eval_sequence():
             if b not in closure:
                 continue
@@ -577,22 +575,29 @@ class _LevelTables:
                 self.modals["arr"].append((bit, op == "boxidx", _interval(ins[1], ins[2]),
                                            1 << ins[3]))
             elif op in _CONNECTIVES:
-                steps.append((b, bit, _connective_step(ins)))
+                self.steps.append((b, bit, _connective_step(ins)))
             elif op == "uniq":
                 self.uniq_bit = bit
             elif op == "eqid":
                 self.eq_of[ins[1]] = bit
             else:
                 self.tests.append((bit, ins))
+                self.test_mask |= bit
             if op in ("boxkey", "boxidx"):
                 self.box_bits |= bit
         self.shapes = _Memo(lambda shape: self.test_bits(shape[0], None, shape[1]))
         self.entries = {}  # (label, child size) -> entry per stored child of that size
-        if root:
-            holds = _holds(program, steps)
-            self.full, self.hits = None, _Memo(lambda base: base if holds(base) else None)
-        else:
-            self.full = _Memo(lambda base: _run(steps, base))
+
+    @cached_property
+    def full(self) -> _Memo:
+        """Below the root: base mask -> full mask."""
+        return _Memo(lambda base: _run(self.steps, base))
+
+    @cached_property
+    def hits(self) -> _Memo:
+        """At the root: base mask -> itself if it satisfies the formula, else None."""
+        holds = _holds(self.program, self.steps)
+        return _Memo(lambda base: base if holds(base) else None)
 
     def test_bits(self, kind, value, count) -> int:
         """The box bits and plain node tests of one node."""
@@ -638,7 +643,7 @@ class _LevelTables:
         is kept when it satisfies the formula (its mask is then its base);
         below it, while its class in ``level`` is not full as it stood
         before the batch, so each batch needs its own."""
-        if self.full is None:
+        if self.root:
             return self.hits
         full, read = self.full, self.read
 
@@ -700,7 +705,9 @@ class _Level:
 
     def store(self, cand, key) -> None:
         stored = self.classes.setdefault(key, set())
-        cid = cand.cid = _class_id(self.table, cand.kind, cand.value, cand.children)
+        cid = cand.cid
+        if cid is None:  # a leaf comes with its class id
+            cid = cand.cid = _class_id(self.table, cand.kind, cand.value, cand.children)
         if len(stored) >= self.multiplicity or cid in stored:
             return
         stored.add(cid)
@@ -709,21 +716,23 @@ class _Level:
             self.max_size = cand.size
 
 
-def _leaf_batch(inventory, budget, tables, verdicts) -> list:
-    out = [_leaf("obj", None), _leaf("arr", None)] + \
-        [_leaf("str", s) for s in inventory.strings] + [_leaf("int", v) for v in inventory.ints]
-    budget.charge(len(out))
-    for cand in out:
-        cand.mask = verdicts[tables.test_bits(cand.kind, cand.value, 0)
-                             | tables.identity_bits(cand.kind, cand.value, ())]
-    return [cand for cand in out if cand.mask is not None]
+def _leaf_batch(leaves, budget, tables, verdicts) -> list:
+    budget.charge(len(leaves))
+    identity = tables.uniq_bit or tables.eq_of
+    out = []
+    for kind, value, text, bits, cid in leaves:
+        base = tables.box_bits | bits & tables.test_mask
+        mask = verdicts[base | tables.identity_bits(kind, value, ()) if identity else base]
+        if mask is not None:
+            out.append(_Cand(kind, value, (), 1, text, mask, cid))
+    return out
 
 
-def _parent_batch(n, child_level, tables, width, budget, verdicts) -> list:
+def _parent_batch(n, child_level, tables, width, budget, level) -> list:
     """The kept candidates with exactly n nodes over the stored child reps;
     each size composition is charged to the budget at once."""
     sizes, by_size = sorted(child_level.by_size), child_level.by_size
-    kept = []
+    kept, verdicts = [], None
     for k in range(1, min(width, n - 1) + 1):
         shapes = [("obj", keyset) for keyset in combinations(tables.obj_keys, k)]
         if tables.arrays:
@@ -733,6 +742,8 @@ def _parent_batch(n, child_level, tables, width, budget, verdicts) -> list:
         for comp in _compositions(sizes, k, n - 1):
             groups = [by_size[size] for size in comp]
             budget.charge(math.prod(map(len, groups)) * len(shapes))
+            if verdicts is None:
+                verdicts = tables.verdicts(level)
             for kind, labels in shapes:
                 masks = list(map(verdicts.__getitem__, tables.bases(kind, labels, comp, groups)))
                 if masks.count(None) == len(masks):
@@ -760,8 +771,8 @@ def _in_order(cands, key_text) -> list:
     return sorted(cands, key=_Cand.order_key)
 
 
-def _staged_search(inventory, bounds, budget_limit, levels, multiplicity,
-                   confirm, table) -> Optional[_Cand]:
+def _staged_search(leaves, bounds, budget_limit, levels, multiplicity,
+                   confirm, table, key_text) -> Optional[_Cand]:
     """Bottom-up over distances from the root: the level at distance p is
     populated from the one at p+1, in batches of one node count.  Below the
     root, ``levels[p]`` drops a candidate whose class is already full (up to
@@ -774,7 +785,6 @@ def _staged_search(inventory, bounds, budget_limit, levels, multiplicity,
     """
     budget = _Budget(budget_limit)
     depth, width = bounds.max_depth, bounds.max_width
-    key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
     below = None
     for p in range(depth, -1, -1):
         tables = levels[p]
@@ -783,9 +793,8 @@ def _staged_search(inventory, bounds, budget_limit, levels, multiplicity,
         if below is not None and width > 0 and below.by_size:
             ceiling = min(_full_tree_size(depth - p, width), 1 + width * below.max_size)
         for n in range(1, ceiling + 1):
-            verdicts = tables.verdicts(level)
-            batch = _leaf_batch(inventory, budget, tables, verdicts) if n == 1 else \
-                _parent_batch(n, below, tables, width, budget, verdicts)
+            batch = _leaf_batch(leaves, budget, tables, tables.verdicts(level)) if n == 1 else \
+                _parent_batch(n, below, tables, width, budget, level)
             for cand in _in_order(batch, key_text):
                 if p:
                     level.store(cand, cand.mask & tables.read)
@@ -815,8 +824,9 @@ def _class_search(program, inventory, bounds, budget, revalidate,
         keys = program.visible_keys(regs, inventory.keys) if prune else inventory.keys
         levels.append(_LevelTables(program, read, closure, keys, arrays, root=not levels))
     confirm = (lambda cand: revalidate(jt.from_python(_to_py(cand)))) if exhaustive else None
-    found = _staged_search(inventory, bounds, budget, levels, multiplicity, confirm,
-                           program.table)
+    key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
+    found = _staged_search(_leaves(inventory, program), bounds, budget, levels, multiplicity,
+                           confirm, program.table, key_text)
     if found is None:
         return SatVerdict(False, None, bounds)
     tree = jt.from_python(_to_py(found))

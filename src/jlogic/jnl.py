@@ -14,7 +14,8 @@ Concrete syntax (whitespace-insensitive)::
     binary:  @"key"  @/regex/  #i  #i:j  #i:*  eps
              alpha / beta  (alpha)*  test(phi)
 
-Array positions are 1-based on this surface.
+Array positions are 1-based on this surface.  Formulas are interned
+(``_node``): equal formulas are one object, compared in O(1).
 
 Evaluation compiles a unary formula once per call into closures over the
 tree's columns and runs them bottom-up in reverse pre-order: ids are
@@ -32,114 +33,96 @@ formula: up to n² pairs under a closure.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import is_
 from typing import Optional
 
 from . import regex as rx
+from ._node import Node
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex, UnsupportedOperator
 from .tree import JsonTree, NodeKind
 
 
-class JnlUnary:
+class JnlUnary(Node):
     __slots__ = ()
 
     def __repr__(self):
         return f"<jnl {unary_to_text(self)}>"
 
 
-class JnlBinary:
+class JnlBinary(Node):
     __slots__ = ()
 
     def __repr__(self):
         return f"<jnl-path {binary_to_text(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
 class Top(JnlUnary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Not(JnlUnary):
-    body: JnlUnary
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, repr=False)
 class And(JnlUnary):
-    lhs: JnlUnary
-    rhs: JnlUnary
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Or(JnlUnary):
-    lhs: JnlUnary
-    rhs: JnlUnary
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Exists(JnlUnary):
     """[alpha]: some alpha-successor exists."""
-    path: JnlBinary
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True, repr=False)
 class EqConst(JnlUnary):
     """Some alpha-successor's subtree equals a constant document."""
-    path: JnlBinary
-    const: JsonTree
+    __slots__ = ("path", "const")
 
 
-@dataclass(frozen=True, repr=False)
 class EqPaths(JnlUnary):
     """Two reachable nodes carry equal subtrees."""
-    left: JnlBinary
-    right: JnlBinary
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, repr=False)
 class Test(JnlBinary):
-    body: JnlUnary
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, repr=False)
 class KeyAxis(JnlBinary):
-    key: str
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True, repr=False)
 class KeyRegexAxis(JnlBinary):
-    pattern: rx.Regex
+    __slots__ = ("pattern",)
 
 
-@dataclass(frozen=True, repr=False)
 class IdxAxis(JnlBinary):
-    pos: int  # 1-based
+    # pos: 1-based
+    __slots__ = ("pos",)
 
 
-@dataclass(frozen=True, repr=False)
 class IdxRangeAxis(JnlBinary):
-    lo: int            # 1-based, inclusive
-    hi: Optional[int]  # inclusive; None = unbounded
+    # lo: 1-based, inclusive
+    # hi: inclusive; None = unbounded
+    __slots__ = ("lo", "hi")
 
 
-@dataclass(frozen=True, repr=False)
 class Compose(JnlBinary):
-    lhs: JnlBinary
-    rhs: JnlBinary
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Eps(JnlBinary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Star(JnlBinary):
-    body: JnlBinary
+    __slots__ = ("body",)
 
 
 TOP = Top()
@@ -551,9 +534,9 @@ def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False):
     if not by_kind:
         return jsl.compile_formula(tree, expr.base, tables)
     forms = {kind: jsl.specialize(expr.base, kind, consts.get(kind)) for kind in NodeKind}
-    compiled = {id(f): jsl.compile_formula(tree, f, tables)  # one per distinct form
+    compiled = {f: jsl.compile_formula(tree, f, tables)  # one per distinct form
                 for f in forms.values() if not isinstance(f, bool)}
-    return {kind: compiled.get(id(f), f) for kind, f in forms.items()}
+    return {kind: compiled.get(f, f) for kind, f in forms.items()}
 
 
 def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):

@@ -16,135 +16,110 @@ Concrete syntax::
     true  !phi  phi && psi  phi || psi  (phi)
 
 ``min``/``max`` are inclusive bounds.  Bare identifiers are definition
-symbols and only admitted inside recursive expressions.
+symbols and only admitted inside recursive expressions.  Formulas are
+interned (``_node``): equal formulas are one object, compared in O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Optional
+from typing import Callable
 
 from . import regex as rx
+from ._node import Node
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex
 from .jnl import _FormulaParser, left_spine, operands
 from .tree import JsonTree, NodeKind
 
 
-class NodeTest:
+class NodeTest(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class KindTest(NodeTest):
-    kind: NodeKind
+    __slots__ = ("kind",)
 
 
-@dataclass(frozen=True)
 class UniqueTest(NodeTest):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PatternTest(NodeTest):
-    pattern: rx.Regex
+    __slots__ = ("pattern",)
 
 
-@dataclass(frozen=True)
 class MinTest(NodeTest):
-    bound: int
+    __slots__ = ("bound",)
 
 
-@dataclass(frozen=True)
 class MaxTest(NodeTest):
-    bound: int
+    __slots__ = ("bound",)
 
 
-@dataclass(frozen=True)
 class MultOfTest(NodeTest):
-    divisor: int
+    __slots__ = ("divisor",)
 
 
-@dataclass(frozen=True)
 class MinChTest(NodeTest):
-    count: int
+    __slots__ = ("count",)
 
 
-@dataclass(frozen=True)
 class MaxChTest(NodeTest):
-    count: int
+    __slots__ = ("count",)
 
 
-@dataclass(frozen=True)
 class SameAsTest(NodeTest):
-    const: JsonTree
+    __slots__ = ("const",)
 
 
-class JslFormula:
+class JslFormula(Node):
     __slots__ = ()
 
     def __repr__(self):
         return f"<jsl {to_text(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
 class Top(JslFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Not(JslFormula):
-    body: JslFormula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, repr=False)
 class And(JslFormula):
-    lhs: JslFormula
-    rhs: JslFormula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Or(JslFormula):
-    lhs: JslFormula
-    rhs: JslFormula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(JslFormula):
-    test: NodeTest
+    __slots__ = ("test",)
 
 
-@dataclass(frozen=True, repr=False)
 class BoxKey(JslFormula):
-    pattern: rx.Regex
-    body: JslFormula
+    __slots__ = ("pattern", "body")
 
 
-@dataclass(frozen=True, repr=False)
 class DiaKey(JslFormula):
-    pattern: rx.Regex
-    body: JslFormula
+    __slots__ = ("pattern", "body")
 
 
-@dataclass(frozen=True, repr=False)
 class BoxIdx(JslFormula):
-    lo: int
-    hi: Optional[int]  # None = unbounded
-    body: JslFormula
+    # hi: None = unbounded
+    __slots__ = ("lo", "hi", "body")
 
 
-@dataclass(frozen=True, repr=False)
 class DiaIdx(JslFormula):
-    lo: int
-    hi: Optional[int]
-    body: JslFormula
+    __slots__ = ("lo", "hi", "body")
 
 
-@dataclass(frozen=True, repr=False)
 class SymbolRef(JslFormula):
     """A named definition used as an atom (recursive expressions only)."""
-    name: str
+    __slots__ = ("name",)
 
 
 TOP = Top()

@@ -23,10 +23,10 @@ Concrete syntax: ``let g1 = <jsl>; let g2 = <jsl>; in <jsl>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import jsl
+from ._node import Node
 from .errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from .jsl import BOTTOM, BoxIdx, BoxKey, DiaIdx, DiaKey, JslFormula, SymbolRef
 from .tree import JsonTree, NodeKind
@@ -34,19 +34,17 @@ from .tree import JsonTree, NodeKind
 DEFAULT_UNFOLD_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class RecursiveJslExpr:
-    definitions: tuple  # tuple[(name, JslFormula), ...]
-    base: JslFormula
+class RecursiveJslExpr(Node):
+    # definitions: tuple[(name, JslFormula), ...]
+    __slots__ = ("definitions", "base")
 
     def __repr__(self):
         return f"<rjsl {to_text(self)[:80]}>"
 
 
-@dataclass(frozen=True)
-class PrecedenceGraph:
-    symbols: tuple
-    edges: frozenset  # (definer, used-symbol) pairs outside modal scope
+class PrecedenceGraph(Node):
+    # edges: (definer, used-symbol) pairs outside modal scope
+    __slots__ = ("symbols", "edges")
 
 
 def make_recursive(definitions, base: JslFormula) -> RecursiveJslExpr:

@@ -7,7 +7,8 @@ ranges an expression set actually distinguishes, plus everything else),
 which keeps complement and intersection exact over the full alphabet.
 Complement is also a node of its own (``compl``): its derivative is the
 complement of its body's, so a matcher for it builds only the states the
-matched words reach.
+matched words reach.  Expressions are interned (``_node``): equal ones
+are one object, so matcher and DFA states compare and hash in O(1).
 
 Dialect: literals, ``.`` (any char), ``|``, juxtaposition, ``*``, ``+``,
 ``( )``, ``[a-z]`` and ``[^a-z]`` classes, backslash escapes for
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional
 
+from ._node import Node
 from .errors import MalformedRegex, StateBlowup
 
 MAX_CODEPOINT = 0x10FFFF
@@ -36,80 +38,71 @@ DEFAULT_STATE_CAP = 10_000
 PRINT_SIZE_CAP = 200_000
 
 _META = set("\\.|*+()[]/^")
+_KEY = attrgetter("_key")
 
 
-class Regex:
-    """Base class of the expression AST (immutable)."""
+class Regex(Node):
+    """Base class of the expression AST.  A new node caches the structural
+    key ``alt`` sorts by, built from its children's, and its derivatives."""
 
-    __slots__ = ()
+    __slots__ = ("_key", "_derivs")
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", _sort_key(self))
+        object.__setattr__(self, "_derivs", {})  # character -> derivative
 
     def __repr__(self):
         return f"/{to_text(self)}/"
 
 
-@dataclass(frozen=True, repr=False)
 class Empty(Regex):
     """The empty language."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Epsilon(Regex):
     """Only the empty word."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Lit(Regex):
-    char: str
+    __slots__ = ("char",)
 
 
-@dataclass(frozen=True, repr=False)
 class AnyChar(Regex):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Cls(Regex):
     """Character class: sorted disjoint (lo, hi) codepoint ranges."""
-    ranges: tuple
-    negated: bool = False
+    __slots__ = ("ranges", "negated")
+    _defaults = {"negated": False}
 
 
-@dataclass(frozen=True, repr=False)
 class Concat(Regex):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, repr=False)
 class Union(Regex):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, repr=False)
 class Star(Regex):
-    body: Regex
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, repr=False)
 class Plus(Regex):
-    body: Regex
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, repr=False)
 class Compl(Regex):
     """The words ``body`` does not match.  Derivatives take it lazily,
     state by state, so a complement is never determinized up front."""
-    body: Regex
-
-
-EMPTY = Empty()
-EPSILON = Epsilon()
-SIGMA_STAR = Star(AnyChar())
-
-
-# -- smart constructors (ACI-normalising, keeps derivative sets finite) -------
+    __slots__ = ("body",)
 
 
 def _sort_key(r: Regex):
+    """Structural sort key of a new node; its children already carry theirs."""
     if isinstance(r, Empty):
         return (0,)
     if isinstance(r, Epsilon):
@@ -121,14 +114,22 @@ def _sort_key(r: Regex):
     if isinstance(r, Cls):
         return (4, r.negated, r.ranges)
     if isinstance(r, Concat):
-        return (5,) + tuple(_sort_key(p) for p in r.parts)
+        return (5,) + tuple(p._key for p in r.parts)
     if isinstance(r, Union):
-        return (6,) + tuple(_sort_key(p) for p in r.parts)
+        return (6,) + tuple(p._key for p in r.parts)
     if isinstance(r, Star):
-        return (7, _sort_key(r.body))
+        return (7, r.body._key)
     if isinstance(r, Plus):
-        return (8, _sort_key(r.body))
-    return (9, _sort_key(r.body))
+        return (8, r.body._key)
+    return (9, r.body._key)
+
+
+EMPTY = Empty()
+EPSILON = Epsilon()
+SIGMA_STAR = Star(AnyChar())
+
+
+# -- smart constructors (ACI-normalising, keeps derivative sets finite) -------
 
 
 def cat(parts: Iterable[Regex]) -> Regex:
@@ -158,7 +159,7 @@ def alt(parts: Iterable[Regex]) -> Regex:
             flat.extend(p.parts)
         else:
             flat.append(p)
-    uniq = sorted(set(flat), key=_sort_key)
+    uniq = sorted(set(flat), key=_KEY)
     if not uniq:
         return EMPTY
     if len(uniq) == 1:
@@ -403,30 +404,35 @@ def _contains(cls: Cls, cp: int) -> bool:
 
 
 def deriv(r: Regex, ch: str) -> Regex:
-    """Brzozowski derivative of r with respect to one character."""
+    """Brzozowski derivative of r by one character, memoized on the node."""
+    d = r._derivs.get(ch)
+    if d is not None:
+        return d
     if isinstance(r, (Empty, Epsilon)):
-        return EMPTY
-    if isinstance(r, Lit):
-        return EPSILON if r.char == ch else EMPTY
-    if isinstance(r, AnyChar):
-        return EPSILON
-    if isinstance(r, Cls):
-        return EPSILON if _contains(r, ord(ch)) else EMPTY
-    if isinstance(r, Concat):
+        d = EMPTY
+    elif isinstance(r, Lit):
+        d = EPSILON if r.char == ch else EMPTY
+    elif isinstance(r, AnyChar):
+        d = EPSILON
+    elif isinstance(r, Cls):
+        d = EPSILON if _contains(r, ord(ch)) else EMPTY
+    elif isinstance(r, Concat):
         first, rest = r.parts[0], cat(r.parts[1:])
         d = cat([deriv(first, ch), rest])
         if nullable(first):
-            return alt([d, deriv(rest, ch)])
-        return d
-    if isinstance(r, Union):
-        return alt(deriv(p, ch) for p in r.parts)
-    if isinstance(r, Star):
-        return cat([deriv(r.body, ch), r])
-    if isinstance(r, Plus):
-        return cat([deriv(r.body, ch), star(r.body)])
-    if isinstance(r, Compl):
-        return compl(deriv(r.body, ch))
-    raise TypeError(f"not a regex: {r!r}")
+            d = alt([d, deriv(rest, ch)])
+    elif isinstance(r, Union):
+        d = alt(deriv(p, ch) for p in r.parts)
+    elif isinstance(r, Star):
+        d = cat([deriv(r.body, ch), r])
+    elif isinstance(r, Plus):
+        d = cat([deriv(r.body, ch), star(r.body)])
+    elif isinstance(r, Compl):
+        d = compl(deriv(r.body, ch))
+    else:
+        raise TypeError(f"not a regex: {r!r}")
+    r._derivs[ch] = d
+    return d
 
 
 # -- alphabet partition --------------------------------------------------------
@@ -540,17 +546,15 @@ def word_filter(r: Regex):
 # -- explicit DFAs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeyDfa:
+class KeyDfa(Node):
     """Complete DFA over the interval partition of the alphabet.
 
     ``starts[i]`` is the smallest codepoint of interval i; interval i ends
     where interval i+1 begins (the last one at the top of the unicode range).
+    ``transitions[state][interval]`` is the next state.
     """
-    starts: tuple
-    transitions: tuple   # transitions[state][interval] -> state
-    accepting: frozenset
-    start: int = 0
+    __slots__ = ("starts", "transitions", "accepting", "start")
+    _defaults = {"start": 0}
 
     @property
     def n_states(self) -> int:

@@ -21,7 +21,6 @@ keyword never constrains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -29,6 +28,7 @@ from . import jsl
 from . import recursive as rec
 from . import regex as rx
 from . import tree as jt
+from ._node import Node
 from .errors import (
     BlowupLimitExceeded,
     DocumentError,
@@ -44,73 +44,64 @@ from .tree import JsonTree, NodeKind
 DEFAULT_SCHEMA_CAP = 100_000
 
 
-class SchemaAst:
+class SchemaAst(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptySchema(SchemaAst):
     """{} validates against any document."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class StringSchema(SchemaAst):
-    pattern: Optional[rx.Regex] = None
+    __slots__ = ("pattern",)
+    _defaults = {"pattern": None}
 
 
-@dataclass(frozen=True)
 class NumberSchema(SchemaAst):
-    minimum: Optional[int] = None
-    maximum: Optional[int] = None
-    multiple_of: Optional[int] = None
+    __slots__ = ("minimum", "maximum", "multiple_of")
+    _defaults = {"minimum": None, "maximum": None, "multiple_of": None}
 
 
-@dataclass(frozen=True)
 class ObjectSchema(SchemaAst):
-    min_properties: Optional[int] = None
-    max_properties: Optional[int] = None
-    required: tuple = ()
-    properties: tuple = ()          # ((key, SchemaAst), ...)
-    pattern_properties: tuple = ()  # ((Regex, SchemaAst), ...)
-    additional_properties: Optional[SchemaAst] = None
+    # properties: ((key, SchemaAst), ...); pattern_properties: ((Regex, SchemaAst), ...)
+    __slots__ = ("min_properties", "max_properties", "required", "properties",
+                 "pattern_properties", "additional_properties")
+    _defaults = {"min_properties": None, "max_properties": None, "required": (), "properties": (),
+                 "pattern_properties": (), "additional_properties": None}
 
 
-@dataclass(frozen=True)
 class ArraySchema(SchemaAst):
-    items: Optional[tuple] = None
-    unique_items: bool = False
-    additional_items: Optional[SchemaAst] = None
+    __slots__ = ("items", "unique_items", "additional_items")
+    _defaults = {"items": None, "unique_items": False, "additional_items": None}
 
 
-@dataclass(frozen=True)
 class AllOf(SchemaAst):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class AnyOf(SchemaAst):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class NotSchema(SchemaAst):
-    body: SchemaAst
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class Enum(SchemaAst):
-    values: tuple  # JsonTree constants
+    # values: JsonTree constants
+    __slots__ = ("values",)
 
 
-@dataclass(frozen=True)
 class Ref(SchemaAst):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class SchemaDocument:
-    root: SchemaAst
-    definitions: tuple = ()  # ((name, SchemaAst), ...)
+class SchemaDocument(Node):
+    """A parsed schema: its root and its ``((name, SchemaAst), ...)``
+    definitions.  The instance dict holds its cached translation."""
+    __slots__ = ("root", "definitions", "__dict__")
+    _defaults = {"definitions": ()}
 
     def definition_map(self) -> dict:
         return dict(self.definitions)
@@ -119,14 +110,6 @@ class SchemaDocument:
     def formula(self):
         """``schema_to_jsl`` of this document, translated once."""
         return schema_to_jsl(self)
-
-    @cached_property
-    def refs(self) -> dict:
-        """The names each definition references, by name, and those of the
-        root under None."""
-        refs = {name: _refs(ast) for name, ast in self.definitions}
-        refs[None] = _refs(self.root)
-        return refs
 
 
 UNSATISFIABLE = NotSchema(EmptySchema())
@@ -160,11 +143,10 @@ def parse_schema(text: str) -> SchemaDocument:
             raise TypeMismatch("definitions must be an object")
         defs = [(name, _ast(sub)) for name, sub in section.items()]
     root = _ast(raw)
-    doc = SchemaDocument(root, tuple(defs))
-    missing = set().union(*doc.refs.values()) - {n for n, _ in defs}
+    missing = _refs(root).union(*(_refs(ast) for _, ast in defs)) - {n for n, _ in defs}
     if missing:
         raise UnresolvableRef(f"unresolved references: {sorted(missing)}")
-    return doc
+    return SchemaDocument(root, tuple(defs))
 
 
 def _ast(raw) -> SchemaAst:
