@@ -32,16 +32,21 @@ formula: up to n² pairs under a closure.
 
 from __future__ import annotations
 
+import re
 import sys
 from functools import reduce
 from itertools import chain, compress, repeat
+from json import dumps
 from operator import is_
 from typing import Optional
 
 from . import regex as rx
 from ._node import Node
+from . import syntax
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex, UnsupportedOperator
+from .syntax import ATOM, CONST, END, GROUP, INFIX, POSTFIX, PREFIX
+from .syntax import operands  # noqa: F401  (translate and schema take it from here)
 from .tree import JsonTree, NodeKind
 
 
@@ -141,22 +146,6 @@ def or_all(parts) -> JnlUnary:
 # -- fragment inspection -------------------------------------------------------
 
 
-def left_spine(phi) -> list:
-    """The nodes of ``phi``'s connective (any node with ``.lhs``) down its
-    left operands, innermost first: a loop over them keeps a long flat
-    chain off the Python stack."""
-    spine = [phi]
-    while type(spine[-1].lhs) is type(phi):
-        spine.append(spine[-1].lhs)
-    return spine[::-1]
-
-
-def operands(phi) -> list:
-    """The operands of ``phi``'s flat chain of one connective, left to right."""
-    spine = left_spine(phi)
-    return [spine[0].lhs] + [f.rhs for f in spine]
-
-
 def _walk(u):
     stack = [u]
     while stack:
@@ -180,270 +169,95 @@ def uses_star(u: JnlUnary) -> bool:
     return any(isinstance(f, Star) for f in _walk(u))
 
 
-# -- parsing ------------------------------------------------------------------
+# -- concrete syntax -------------------------------------------------------------
+
+
+def regex_literal(text: str, pos: int):
+    """``/e/`` after blanks: the expression, read by ``rx.parse_regex``, and
+    its end.  A backslash escapes the character after it."""
+    _, at, pos = syntax.token(text, pos)
+    if text[at:pos] != "/":
+        raise syntax.fail("expected '/'", at)
+    end = _SLASHED.match(text, pos).end()
+    if end == len(text) or text[end] != "/":  # past the end, or at a last lone backslash
+        raise syntax.fail("unterminated regex literal", len(text) + (end < len(text)))
+    return rx.parse_regex(text[pos:end]), end + 1
+
+
+def write_regex(r) -> str:
+    return f"/{rx.to_text(r)}/"
+
+
+def _read_key(text, pos, tok):  # @"key" or @/regex/
+    if text[pos:pos + 1] == '"':
+        key, pos = jt.scan_string(text, pos)
+        return 0, (key,), pos
+    if text[pos:pos + 1] == "/":
+        pattern, pos = regex_literal(text, pos)
+        return 1, (pattern,), pos
+    raise syntax.fail("expected a key string or /regex/ after '@'", pos)
+
+
+def _read_document(text, pos, tok):  # a JSON document, as in eq(alpha, <json>)
+    value, pos = jt.parse_embedded(text, pos)
+    return 0, (value,), pos
+
+
+def _read_index(text, pos, tok):  # #i, #i:j or #i:*
+    lo, hi, pos = syntax.interval(text, pos)
+    return len(hi), (lo, *hi), pos
+
+
+def _write_index(tok, i, args) -> str:
+    return f"{tok}{args[0]}" if i == 0 else f"{tok}{args[0]}:{'*' if args[1] is None else args[1]}"
+
+
+_KEY = _read_key, lambda tok, i, args: tok + (
+    dumps(args[0], ensure_ascii=False) if i == 0 else write_regex(args[0]))
+_INDEX = _read_index, _write_index
+_DOCUMENT = _read_document, lambda tok, i, args: jt.serialize(args[0])
+_SLASHED = re.compile(r"(?:[^\\/]|\\.)*", re.S)
+
+SYNTAX = {
+    "unary": {
+        "||": (INFIX, Or, 0, " || "),
+        "&&": (INFIX, And, 1, " && "),
+        "!": (PREFIX, (Not,), None, 2),
+        "true": (CONST, TOP),
+        "(": (GROUP, (), ("", None, ")")),
+        "[": (GROUP, (Exists,), ("", "path", "]")),
+        "eq": (GROUP, (EqPaths, EqConst), ("(", "path", ", ", ("path", _DOCUMENT), ")")),
+        "": (END, "formula", ""),
+    },
+    "path": {
+        "/": (INFIX, Compose, 0, " / "),
+        "*": (POSTFIX, Star, 3, Star),  # 3: the operand prints in parentheses
+        "@": (ATOM, (KeyAxis, KeyRegexAxis), _KEY, None),
+        "#": (ATOM, (IdxAxis, IdxRangeAxis), _INDEX, None),
+        "eps": (CONST, Eps()),
+        "test": (GROUP, (Test,), ("(", "unary", ")")),
+        "(": (GROUP, (), ("", None, ")")),
+        "": (END, "path formula", " in path formula"),
+    },
+}
 
 
 def parse_jnl(text: str) -> JnlUnary:
-    p = _FormulaParser(text)
     try:
-        u = p.parse_unary()
+        u, end = syntax.parse(SYNTAX, "unary", text)
     except (MalformedRegex, DocumentError) as exc:
         raise MalformedFormula(str(exc)) from exc
-    p.skip_ws()
-    if p.pos != len(text):
-        raise MalformedFormula(f"trailing input at offset {p.pos}")
+    if end != len(text):
+        raise MalformedFormula(f"trailing input at offset {end}")
     return u
 
 
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def fail(self, msg):
-        raise MalformedFormula(f"{msg} (at offset {self.pos})")
-
-    def eat(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            self.fail(f"expected {token!r}")
-        self.pos += len(token)
-
-    def try_eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def try_word(self, word: str) -> bool:
-        """Keyword match not swallowing a longer identifier."""
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text.startswith(word, self.pos):
-            nxt = self.text[end:end + 1]
-            if not (nxt.isalnum() or nxt == "_"):
-                self.pos = end
-                return True
-        return False
-
-    def parse_number(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a number")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:
-            self.fail(f"number of {self.pos - start} digits is over the interpreter's "
-                      "int-string limit")
-
-    def parse_string(self) -> str:
-        self.skip_ws()
-        value, end = jt.scan_string(self.text, self.pos)
-        self.pos = end
-        return value
-
-    def parse_regex_literal(self) -> rx.Regex:
-        self.skip_ws()
-        if self.text[self.pos:self.pos + 1] != "/":
-            self.fail("expected '/'")
-        self.pos += 1
-        start = self.pos
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated regex literal")
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-            elif ch == "/":
-                body = self.text[start:self.pos]
-                self.pos += 1
-                return rx.parse_regex(body)
-            else:
-                self.pos += 1
-
-    def parse_json(self) -> JsonTree:
-        self.skip_ws()
-        value, end = jt.parse_embedded(self.text, self.pos)
-        self.pos = end
-        return value
-
-    # unary grammar
-
-    def parse_unary(self) -> JnlUnary:
-        lhs = self.parse_and()
-        while self.try_eat("||"):
-            lhs = Or(lhs, self.parse_and())
-        return lhs
-
-    def parse_and(self) -> JnlUnary:
-        lhs = self.parse_not()
-        while self.try_eat("&&"):
-            lhs = And(lhs, self.parse_not())
-        return lhs
-
-    def parse_not(self) -> JnlUnary:
-        if self.try_eat("!"):
-            return Not(self.parse_not())
-        return self.parse_unary_atom()
-
-    def parse_unary_atom(self) -> JnlUnary:
-        ch = self.peek()
-        if ch is None:
-            self.fail("unexpected end of formula")
-        if self.try_word("true"):
-            return TOP
-        if ch == "(":
-            self.pos += 1
-            u = self.parse_unary()
-            self.eat(")")
-            return u
-        if ch == "[":
-            self.pos += 1
-            alpha = self.parse_binary()
-            self.eat("]")
-            return Exists(alpha)
-        if self.try_word("eq"):
-            self.eat("(")
-            alpha = self.parse_binary()
-            self.eat(",")
-            nxt = self.peek()
-            if nxt in ("@", "#", "(") or self._at_word("eps") or self._at_word("test"):
-                beta = self.parse_binary()
-                self.eat(")")
-                return EqPaths(alpha, beta)
-            const = self.parse_json()
-            self.eat(")")
-            return EqConst(alpha, const)
-        self.fail(f"unexpected {ch!r}")
-
-    def _at_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        nxt = self.text[end:end + 1]
-        return self.text.startswith(word, self.pos) and not (nxt.isalnum() or nxt == "_")
-
-    # binary grammar
-
-    def parse_binary(self) -> JnlBinary:
-        lhs = self.parse_binary_postfix()
-        while True:
-            self.skip_ws()
-            # '/' composes; regex literals only appear right after '@'
-            if self.text.startswith("/", self.pos):
-                self.pos += 1
-                lhs = Compose(lhs, self.parse_binary_postfix())
-            else:
-                return lhs
-
-    def parse_binary_postfix(self) -> JnlBinary:
-        b = self.parse_binary_atom()
-        while self.try_eat("*"):
-            b = Star(b)
-        return b
-
-    def parse_binary_atom(self) -> JnlBinary:
-        ch = self.peek()
-        if ch is None:
-            self.fail("unexpected end of path formula")
-        if ch == "@":
-            self.pos += 1
-            nxt = self.text[self.pos:self.pos + 1]
-            if nxt == '"':
-                return KeyAxis(self.parse_string())
-            if nxt == "/":
-                return KeyRegexAxis(self.parse_regex_literal())
-            self.fail("expected a key string or /regex/ after '@'")
-        if ch == "#":
-            self.pos += 1
-            lo = self.parse_number()
-            if lo < 1:
-                self.fail("array positions are 1-based")
-            if self.try_eat(":"):
-                if self.try_eat("*"):
-                    return IdxRangeAxis(lo, None)
-                hi = self.parse_number()
-                if hi < lo:
-                    self.fail(f"empty position range {lo}:{hi}")
-                return IdxRangeAxis(lo, hi)
-            return IdxAxis(lo)
-        if self.try_word("eps"):
-            return Eps()
-        if self.try_word("test"):
-            self.eat("(")
-            u = self.parse_unary()
-            self.eat(")")
-            return Test(u)
-        if ch == "(":
-            self.pos += 1
-            b = self.parse_binary()
-            self.eat(")")
-            return b
-        self.fail(f"unexpected {ch!r} in path formula")
-
-
-# -- printing -----------------------------------------------------------------
-
-
 def unary_to_text(u: JnlUnary) -> str:
-    return _pu(u, 0)
+    return syntax.to_text(SYNTAX, u)
 
 
 def binary_to_text(b: JnlBinary) -> str:
-    return _pb(b)
-
-
-def _pu(u, prec) -> str:
-    # prec: 0 or, 1 and, 2 atom
-    if isinstance(u, Top):
-        return "true"
-    if isinstance(u, Not):
-        return "!" + _pu(u.body, 2)
-    if isinstance(u, (And, Or)):
-        inner = 1 if isinstance(u, And) else 0  # a same-connective operand needs no parentheses
-        text = (" && " if inner else " || ").join([_pu(f, inner) for f in operands(u)])
-        return f"({text})" if prec > inner else text
-    if isinstance(u, Exists):
-        return f"[{_pb(u.path)}]"
-    if isinstance(u, EqConst):
-        return f"eq({_pb(u.path)}, {jt.serialize(u.const)})"
-    if isinstance(u, EqPaths):
-        return f"eq({_pb(u.left)}, {_pb(u.right)})"
-    raise TypeError(f"not a unary formula: {u!r}")
-
-
-def _pb(b) -> str:
-    import json as _json
-    if isinstance(b, Test):
-        return f"test({_pu(b.body, 0)})"
-    if isinstance(b, KeyAxis):
-        return "@" + _json.dumps(b.key, ensure_ascii=False)
-    if isinstance(b, KeyRegexAxis):
-        return f"@/{rx.to_text(b.pattern)}/"
-    if isinstance(b, IdxAxis):
-        return f"#{b.pos}"
-    if isinstance(b, IdxRangeAxis):
-        return f"#{b.lo}:{'*' if b.hi is None else b.hi}"
-    if isinstance(b, Compose):
-        lhs = _pb(b.lhs)
-        rhs = _pb(b.rhs)
-        return f"{lhs} / {rhs}"
-    if isinstance(b, Eps):
-        return "eps"
-    if isinstance(b, Star):
-        return f"({_pb(b.body)})*"
-    raise TypeError(f"not a path formula: {b!r}")
+    return syntax.to_text(SYNTAX, b)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -23,13 +23,16 @@ interned (``_node``): equal formulas are one object, compared in O(1).
 from __future__ import annotations
 
 from itertools import compress
+from json import dumps
 from typing import Callable
 
 from . import regex as rx
 from ._node import Node
+from . import syntax
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex
-from .jnl import _FormulaParser, left_spine, operands
+from .jnl import regex_literal, write_regex
+from .syntax import ATOM, CONST, END, GROUP, INFIX, PREFIX, left_spine, operands
 from .tree import JsonTree, NodeKind
 
 
@@ -271,14 +274,18 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
     """Closure: whether ``phi`` holds at a node id.  A symbol reads
     ``tables[name]`` (indexed by node id, as filled by the recursive
     evaluator, or a closure over node ids) and never calls its definition,
-    so evaluation recurses only as deep as ``phi``.  A chain of one
-    connective compiles as a balanced tree of binary closures, so a long
-    flat ``&&`` or ``||`` recurses logarithmically, compiled and run."""
+    so evaluation recurses only as deep as ``phi``, a run of ``!`` counting
+    as one level.  A chain of one connective compiles as a balanced tree of
+    binary closures, so a long flat ``&&`` or ``||`` recurses
+    logarithmically, compiled and run."""
     if isinstance(phi, Top):
         return (-1).__lt__  # true at every node id, and no Python frame per call
-    if isinstance(phi, Not):
-        body = compile_formula(tree, phi.body, tables)
-        return lambda n: not body(n)
+    if isinstance(phi, Not):  # a run of `!` is one negation or none
+        odd = False
+        while isinstance(phi, Not):
+            phi, odd = phi.body, not odd
+        body = compile_formula(tree, phi, tables)
+        return (lambda n: not body(n)) if odd else body
     if isinstance(phi, (And, Or)):
         return _join([compile_formula(tree, f, tables) for f in operands(phi)],
                      isinstance(phi, And))
@@ -358,197 +365,85 @@ def specialize(phi: JslFormula, kind: NodeKind, consts=None):
     raise TypeError(f"not a formula: {phi!r}")
 
 
-# -- parsing ------------------------------------------------------------------
+# -- concrete syntax -------------------------------------------------------------
 
 
-_KEYWORDS = {"true", "arr", "obj", "str", "int", "unique", "pattern", "min", "max",
-             "multOf", "minCh", "maxCh", "same", "box", "dia", "in", "let"}
+def _read_modal(text, pos, tok):  # (/e/), ("w"), (i), (i:j) or (i:*)
+    pos = syntax.eat(text, pos, "(")
+    nxt, at, _ = syntax.token(text, pos)
+    if nxt == "/":
+        pattern, pos = regex_literal(text, pos)
+        return 0, (pattern,), syntax.eat(text, pos, ")")
+    if nxt == '"':
+        word, pos = jt.scan_string(text, at)
+        return 0, (rx.word_regex(word),), syntax.eat(text, pos, ")")
+    lo, hi, pos = syntax.interval(text, pos)
+    return 1, (lo, *(hi or (lo,))), syntax.eat(text, pos, ")")
+
+
+def _write_modal(tok, i, args) -> str:
+    if i:
+        lo, hi = args
+        return f"{tok}({lo}) " if hi == lo else f"{tok}({lo}:{'*' if hi is None else hi}) "
+    word = rx.literal_word(args[0])
+    return f"{tok}({write_regex(args[0]) if word is None else dumps(word, ensure_ascii=False)}) "
+
+
+def _read_symbol(text, pos, tok):
+    return 0, (tok,), pos
+
+
+def _no_symbol(text, pos, tok):
+    raise MalformedFormula(f"symbol {tok!r} is only allowed inside a recursive expression")
+
+
+def _write_symbol(tok, i, args) -> str:
+    return args[0]
+
+
+_MODAL = _read_modal, _write_modal
+_NUMBER = syntax.call(syntax.number, str)
+_FORMULA = {
+    "||": (INFIX, Or, 0, " || "),
+    "&&": (INFIX, And, 1, " && "),
+    "!": (PREFIX, (Not,), None, 2),
+    "box": (PREFIX, (BoxKey, BoxIdx), _MODAL, 2),
+    "dia": (PREFIX, (DiaKey, DiaIdx), _MODAL, 2),
+    "(": (GROUP, (), ("", None, ")")),
+    "true": (CONST, TOP),
+    "arr": (CONST, Atom(KindTest(NodeKind.ARR))),
+    "obj": (CONST, Atom(KindTest(NodeKind.OBJ))),
+    "str": (CONST, Atom(KindTest(NodeKind.STR))),
+    "int": (CONST, Atom(KindTest(NodeKind.INT))),
+    "unique": (CONST, Atom(UniqueTest())),
+    "pattern": (ATOM, (PatternTest,), syntax.call(regex_literal, write_regex), Atom),
+    "min": (ATOM, (MinTest,), _NUMBER, Atom),
+    "max": (ATOM, (MaxTest,), _NUMBER, Atom),
+    "multOf": (ATOM, (MultOfTest,), _NUMBER, Atom),
+    "minCh": (ATOM, (MinChTest,), _NUMBER, Atom),
+    "maxCh": (ATOM, (MaxChTest,), _NUMBER, Atom),
+    # jt.serialize is looked up at each call, so a wrapper bound in its place is seen
+    "same": (ATOM, (SameAsTest,), syntax.call(jt.parse_embedded, lambda c: jt.serialize(c)), Atom),
+    # the words of recursive expressions, reserved
+    "in": None,
+    "let": None,
+    None: (ATOM, (SymbolRef,), (_no_symbol, _write_symbol), None),
+    "": (END, "formula", ""),
+}
+# "body": a recursive expression's, where a name is a definition symbol
+SYNTAX = {"formula": _FORMULA,
+          "body": {**_FORMULA, None: (ATOM, (SymbolRef,), (_read_symbol, _write_symbol), None)}}
 
 
 def parse_jsl(text: str, allow_symbols: bool = False) -> JslFormula:
-    p = _JslParser(text)
-    p.allow_symbols = allow_symbols
     try:
-        phi = p.parse_formula()
+        phi, end = syntax.parse(SYNTAX, "body" if allow_symbols else "formula", text)
     except (MalformedRegex, DocumentError) as exc:
         raise MalformedFormula(str(exc)) from exc
-    p.skip_ws()
-    if p.pos != len(text):
-        raise MalformedFormula(f"trailing input at offset {p.pos}")
+    if end != len(text):
+        raise MalformedFormula(f"trailing input at offset {end}")
     return phi
 
 
-class _JslParser(_FormulaParser):
-    allow_symbols = False
-
-    def parse_formula(self) -> JslFormula:
-        lhs = self.parse_and_f()
-        while self.try_eat("||"):
-            lhs = Or(lhs, self.parse_and_f())
-        return lhs
-
-    def parse_and_f(self) -> JslFormula:
-        lhs = self.parse_prefix()
-        while self.try_eat("&&"):
-            lhs = And(lhs, self.parse_prefix())
-        return lhs
-
-    def parse_prefix(self) -> JslFormula:
-        if self.try_eat("!"):
-            return Not(self.parse_prefix())
-        if self.try_word("box"):
-            return self.parse_modal(BoxKey, BoxIdx)
-        if self.try_word("dia"):
-            return self.parse_modal(DiaKey, DiaIdx)
-        return self.parse_atom_f()
-
-    def parse_modal(self, key_ctor, idx_ctor) -> JslFormula:
-        self.eat("(")
-        ch = self.peek()
-        if ch == "/":
-            pattern = self.parse_regex_literal()
-            self.eat(")")
-            return key_ctor(pattern, self.parse_prefix())
-        if ch == '"':
-            word = self.parse_string()
-            self.eat(")")
-            return key_ctor(rx.word_regex(word), self.parse_prefix())
-        lo = self.parse_number()
-        if lo < 1:
-            self.fail("array positions are 1-based")
-        hi = lo
-        if self.try_eat(":"):
-            if self.try_eat("*"):
-                hi = None
-            else:
-                hi = self.parse_number()
-                if hi < lo:
-                    self.fail(f"empty position range {lo}:{hi}")
-        self.eat(")")
-        return idx_ctor(lo, hi, self.parse_prefix())
-
-    def parse_atom_f(self) -> JslFormula:
-        ch = self.peek()
-        if ch is None:
-            self.fail("unexpected end of formula")
-        if ch == "(":
-            self.pos += 1
-            phi = self.parse_formula()
-            self.eat(")")
-            return phi
-        if self.try_word("true"):
-            return TOP
-        if self.try_word("arr"):
-            return Atom(KindTest(NodeKind.ARR))
-        if self.try_word("obj"):
-            return Atom(KindTest(NodeKind.OBJ))
-        if self.try_word("str"):
-            return Atom(KindTest(NodeKind.STR))
-        if self.try_word("int"):
-            return Atom(KindTest(NodeKind.INT))
-        if self.try_word("unique"):
-            return Atom(UniqueTest())
-        if self.try_word("pattern"):
-            self.eat("(")
-            pattern = self.parse_regex_literal()
-            self.eat(")")
-            return Atom(PatternTest(pattern))
-        if self.try_word("multOf"):
-            return Atom(MultOfTest(self._nat_arg()))
-        if self.try_word("minCh"):
-            return Atom(MinChTest(self._nat_arg()))
-        if self.try_word("maxCh"):
-            return Atom(MaxChTest(self._nat_arg()))
-        if self.try_word("min"):
-            return Atom(MinTest(self._nat_arg()))
-        if self.try_word("max"):
-            return Atom(MaxTest(self._nat_arg()))
-        if self.try_word("same"):
-            self.eat("(")
-            const = self.parse_json()
-            self.eat(")")
-            return Atom(SameAsTest(const))
-        ident = self._try_identifier()
-        if ident is not None:
-            if not self.allow_symbols:
-                raise MalformedFormula(
-                    f"symbol {ident!r} is only allowed inside a recursive expression")
-            return SymbolRef(ident)
-        self.fail(f"unexpected {ch!r}")
-
-    def _nat_arg(self) -> int:
-        self.eat("(")
-        n = self.parse_number()
-        self.eat(")")
-        return n
-
-    def _try_identifier(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            end = self.pos + 1
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                end += 1
-            word = self.text[start:end]
-            if word not in _KEYWORDS:
-                self.pos = end
-                return word
-        return None
-
-
-# -- printing -----------------------------------------------------------------
-
-
 def to_text(phi: JslFormula) -> str:
-    return _pf(phi, 0)
-
-
-def _modal_arg(phi) -> str:
-    if isinstance(phi, (BoxKey, DiaKey)):
-        word = rx.literal_word(phi.pattern)
-        if word is not None:
-            import json as _json
-            return _json.dumps(word, ensure_ascii=False)
-        return f"/{rx.to_text(phi.pattern)}/"
-    if phi.hi == phi.lo:
-        return str(phi.lo)
-    return f"{phi.lo}:{'*' if phi.hi is None else phi.hi}"
-
-
-def _pf(phi, prec) -> str:
-    # prec: 0 or, 1 and, 2 prefix operand
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Not):
-        return "!" + _pf(phi.body, 2)
-    if isinstance(phi, (And, Or)):
-        inner = 1 if isinstance(phi, And) else 0  # a same-connective operand needs no parentheses
-        text = (" && " if inner else " || ").join([_pf(f, inner) for f in operands(phi)])
-        return f"({text})" if prec > inner else text
-    if isinstance(phi, (BoxKey, BoxIdx)):
-        return f"box({_modal_arg(phi)}) {_pf(phi.body, 2)}"
-    if isinstance(phi, (DiaKey, DiaIdx)):
-        return f"dia({_modal_arg(phi)}) {_pf(phi.body, 2)}"
-    if isinstance(phi, SymbolRef):
-        return phi.name
-    if isinstance(phi, Atom):
-        t = phi.test
-        if isinstance(t, KindTest):
-            return t.kind.value
-        if isinstance(t, UniqueTest):
-            return "unique"
-        if isinstance(t, PatternTest):
-            return f"pattern(/{rx.to_text(t.pattern)}/)"
-        if isinstance(t, MinTest):
-            return f"min({t.bound})"
-        if isinstance(t, MaxTest):
-            return f"max({t.bound})"
-        if isinstance(t, MultOfTest):
-            return f"multOf({t.divisor})"
-        if isinstance(t, MinChTest):
-            return f"minCh({t.count})"
-        if isinstance(t, MaxChTest):
-            return f"maxCh({t.count})"
-        if isinstance(t, SameAsTest):
-            return f"same({jt.serialize(t.const)})"
-    raise TypeError(f"not a formula: {phi!r}")
+    return syntax.to_text(SYNTAX, phi)

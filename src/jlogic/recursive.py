@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import jsl
+from . import syntax
 from ._node import Node
 from .errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from .jsl import BOTTOM, BoxIdx, BoxKey, DiaIdx, DiaKey, JslFormula, SymbolRef
@@ -66,25 +67,20 @@ def make_recursive(definitions, base: JslFormula) -> RecursiveJslExpr:
 
 def parse_recursive(text: str) -> RecursiveJslExpr:
     """Parse ``let g = <jsl>; ... in <jsl>`` (a bare formula is also fine)."""
-    p = jsl._JslParser(text)
-    p.allow_symbols = True
-    definitions = []
-    while p.try_word("let"):
-        name = p._try_identifier()
-        if name is None:
-            p.fail("expected a definition name after 'let'")
-        p.eat("=")
-        definitions.append((name, p.parse_formula()))
-        p.eat(";")
-    if definitions:
-        if not p.try_word("in"):
-            p.fail("expected 'in' before the base expression")
-    else:
-        p.try_word("in")
-    base = p.parse_formula()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise MalformedFormula(f"trailing input at offset {p.pos}")
+    definitions, body = [], jsl.SYNTAX["body"]
+    tok, at, pos = syntax.token(text, 0)
+    while tok == "let":
+        name, at, pos = syntax.token(text, pos)
+        if not syntax.is_name(name) or name in body:
+            raise syntax.fail("expected a definition name after 'let'", at)
+        phi, pos = syntax.parse(jsl.SYNTAX, "body", text, syntax.eat(text, pos, "="))
+        definitions.append((name, phi))
+        tok, at, pos = syntax.token(text, syntax.eat(text, pos, ";"))
+    if definitions and tok != "in":
+        raise syntax.fail("expected 'in' before the base expression", at)
+    base, end = syntax.parse(jsl.SYNTAX, "body", text, pos if tok == "in" else at)
+    if end != len(text):
+        raise MalformedFormula(f"trailing input at offset {end}")
     return make_recursive(definitions, base)
 
 

@@ -25,7 +25,9 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from ._node import Node
+from . import syntax
 from .errors import MalformedRegex, StateBlowup
+from .syntax import ATOM, CONST, GROUP, INFIX, POSTFIX
 
 MAX_CODEPOINT = 0x10FFFF
 DEFAULT_STATE_CAP = 10_000
@@ -38,6 +40,7 @@ DEFAULT_STATE_CAP = 10_000
 PRINT_SIZE_CAP = 200_000
 
 _META = set("\\.|*+()[]/^")
+_CLASS_META = "]\\^-"
 _KEY = attrgetter("_key")
 
 
@@ -197,113 +200,94 @@ def literal_word(r: Regex) -> Optional[str]:
     return None
 
 
-# -- parsing ------------------------------------------------------------------
+# -- concrete syntax -------------------------------------------------------------
 
 
 def parse_regex(text: str) -> Regex:
-    parser = _RegexParser(text)
-    r = parser.parse_alt()
-    if parser.pos != len(text):
-        raise MalformedRegex(f"unexpected {text[parser.pos]!r} at {parser.pos}")
-    return r
+    """The expression ``text`` spells, read by one loop over ``SYNTAX`` that
+    keeps the groups open around it on a stack."""
+    table = SYNTAX["regex"]
+    groups, branches, parts = [], [], []
+    pos, end = 0, len(text)
+    while pos < end:
+        ch = text[pos]
+        pos += 1
+        entry = table.get(ch)
+        if ch == ")":
+            if not groups:
+                raise MalformedRegex(f"unexpected ')' at {pos - 1}")
+            r = alt(branches + [cat(parts)]) if branches else cat(parts)
+            branches, parts = groups.pop()
+        elif entry is None:  # a character with no entry stands for itself
+            r = Lit(ch)
+        elif entry[0] == GROUP:
+            groups.append((branches, parts))
+            branches, parts = [], []
+            continue
+        elif entry[0] == INFIX:
+            branches.append(cat(parts))
+            parts = []
+            continue
+        elif entry[0] == CONST:
+            r = entry[1]
+        elif entry[0] == ATOM:
+            i, args, pos = entry[2][0](text, pos, ch)
+            r = entry[1][i](*args)
+        else:
+            raise MalformedRegex(f"unexpected {ch!r} at {pos - 1}")
+        while pos < end and (op := table.get(text[pos])) is not None and op[0] == POSTFIX:
+            r = op[3](r)
+            pos += 1
+        parts.append(r)
+    if groups:
+        raise MalformedRegex("missing ')'")
+    return alt(branches + [cat(parts)]) if branches else cat(parts)
 
 
-class _RegexParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _read_escape(text, pos, ch):
+    if pos >= len(text):
+        raise MalformedRegex("dangling backslash")
+    return 0, (_ESCAPED.get(text[pos], text[pos]),), pos + 1
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def parse_alt(self) -> Regex:
-        branches = [self.parse_cat()]
-        while self.peek() == "|":
-            self.pos += 1
-            branches.append(self.parse_cat())
-        return alt(branches) if len(branches) > 1 else branches[0]
+def _read_class(text, pos, ch):  # [...] or [^...]: a Cls, or [] and [^]
+    negated = text[pos:pos + 1] == "^"
+    pos += negated
+    items = []
+    while True:
+        if pos >= len(text):
+            raise MalformedRegex("unterminated character class")
+        if text[pos] == "]":
+            break
+        lo, pos = _class_char(text, pos)
+        hi = lo
+        if text[pos:pos + 1] == "-" and text[pos + 1:pos + 2] not in ("]", ""):
+            hi, pos = _class_char(text, pos + 1)
+            if ord(hi) < ord(lo):
+                raise MalformedRegex(f"inverted range {lo}-{hi}")
+        items.append((ord(lo), ord(hi)))
+    if not items:
+        return 2 if negated else 1, (), pos + 1
+    return 0, (_merge_ranges(items), negated), pos + 1
 
-    def parse_cat(self) -> Regex:
-        parts = []
-        while True:
-            ch = self.peek()
-            if ch is None or ch in "|)":
-                break
-            parts.append(self.parse_postfix())
-        return cat(parts)
 
-    def parse_postfix(self) -> Regex:
-        r = self.parse_atom()
-        while self.peek() in ("*", "+"):
-            op = self.text[self.pos]
-            self.pos += 1
-            r = star(r) if op == "*" else Plus(r)
-        return r
+def _class_char(text, pos):
+    if text[pos] != "\\":
+        return text[pos], pos + 1
+    _, (ch,), pos = _read_escape(text, pos + 1, "\\")
+    return ch, pos
 
-    def parse_atom(self) -> Regex:
-        ch = self.peek()
-        if ch is None:
-            raise MalformedRegex("unexpected end of expression")
-        if ch == "(":
-            self.pos += 1
-            r = self.parse_alt()
-            if self.peek() != ")":
-                raise MalformedRegex("missing ')'")
-            self.pos += 1
-            return r
-        if ch == ".":
-            self.pos += 1
-            return AnyChar()
-        if ch == "[":
-            return self.parse_class()
-        if ch == "\\":
-            return Lit(self.parse_escape())
-        if ch in "*+|)":
-            raise MalformedRegex(f"unexpected {ch!r} at {self.pos}")
-        self.pos += 1
-        return Lit(ch)
 
-    def parse_escape(self) -> str:
-        self.pos += 1
-        if self.pos >= len(self.text):
-            raise MalformedRegex("dangling backslash")
-        ch = self.text[self.pos]
-        self.pos += 1
-        return {"n": "\n", "t": "\t", "r": "\r"}.get(ch, ch)
+def _write_class(tok, i, args) -> str:
+    ranges, negated = args if i == 0 else ((), i == 2)
+    body = "".join(_escape(chr(lo), _CLASS_META) if lo == hi else
+                   _escape(chr(lo), _CLASS_META) + "-" + _escape(chr(hi), _CLASS_META)
+                   for lo, hi in ranges)
+    return ("[^" if negated else "[") + body + "]"
 
-    def parse_class(self) -> Regex:
-        self.pos += 1  # '['
-        negated = False
-        if self.peek() == "^":
-            negated = True
-            self.pos += 1
-        items = []
-        while True:
-            ch = self.peek()
-            if ch is None:
-                raise MalformedRegex("unterminated character class")
-            if ch == "]":
-                self.pos += 1
-                break
-            lo = self.parse_escape() if ch == "\\" else self._take()
-            if self.peek() == "-" and self.text[self.pos + 1:self.pos + 2] not in ("]", ""):
-                self.pos += 1
-                nxt = self.peek()
-                hi = self.parse_escape() if nxt == "\\" else self._take()
-                if ord(hi) < ord(lo):
-                    raise MalformedRegex(f"inverted range {lo}-{hi}")
-                items.append((ord(lo), ord(hi)))
-            else:
-                items.append((ord(lo), ord(lo)))
-        if not items:
-            # [] is the empty language, [^] any character
-            return AnyChar() if negated else EMPTY
-        return Cls(_merge_ranges(items), negated)
 
-    def _take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+def _escape(ch: str, meta: str = _META) -> str:
+    return "\\" + ch if ch in meta else _ESCAPES.get(ch, ch)
 
 
 def _merge_ranges(items) -> tuple:
@@ -317,68 +301,28 @@ def _merge_ranges(items) -> tuple:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-# -- printing -----------------------------------------------------------------
-
-
-def _escape(ch: str) -> str:
-    if ch in _META:
-        return "\\" + ch
-    if ch == "\n":
-        return "\\n"
-    if ch == "\t":
-        return "\\t"
-    if ch == "\r":
-        return "\\r"
-    return ch
-
-
-def _class_char(ch: str) -> str:
-    if ch in "]\\^-":
-        return "\\" + ch
-    if ch == "\n":
-        return "\\n"
-    if ch == "\t":
-        return "\\t"
-    if ch == "\r":
-        return "\\r"
-    return ch
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r"}  # the character \n, \t or \r stands for
+_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r"}
+SYNTAX = {"regex": {
+    "|": (INFIX, Union, 0, "|"),
+    "": (INFIX, Concat, 1, ""),  # juxtaposition
+    "*": (POSTFIX, Star, 2, star),
+    "+": (POSTFIX, Plus, 2, Plus),
+    "(": (GROUP, (), ("", None, ")")),
+    ".": (CONST, AnyChar()),
+    "()": (CONST, EPSILON),  # printing only: an empty group reads as cat([])
+    "[": (ATOM, (Cls, Empty, AnyChar), (_read_class, _write_class), None),
+    "\\": (ATOM, (Lit,), (_read_escape, lambda tok, i, args: _escape(args[0])), None),
+    # no token: the dialect has no complement, which prints as its DFA's expression
+    None: (ATOM, (Compl,), (None, lambda tok, i, args: dfa_to_regex(dfa_of(Compl(*args)))), None),
+}}
 
 
 def to_text(r: Regex) -> str:
     """Concrete syntax for ``r``; ``parse_regex`` inverts it.  The dialect
     has no complement: a ``Compl`` prints as the plain expression of its
     DFA, which raises StateBlowup past ``PRINT_SIZE_CAP`` regex nodes."""
-    return _print(r, 0)
-
-
-def _print(r: Regex, prec: int) -> str:
-    # prec: 0 alternation, 1 concatenation, 2 postfix operand
-    if isinstance(r, Empty):
-        return "[]"
-    if isinstance(r, Epsilon):
-        return "()"
-    if isinstance(r, Lit):
-        return _escape(r.char)
-    if isinstance(r, AnyChar):
-        return "."
-    if isinstance(r, Cls):
-        body = "".join(
-            _class_char(chr(lo)) if lo == hi else f"{_class_char(chr(lo))}-{_class_char(chr(hi))}"
-            for lo, hi in r.ranges)
-        return ("[^" if r.negated else "[") + body + "]"
-    if isinstance(r, Concat):
-        text = "".join(_print(p, 1) for p in r.parts)
-        return f"({text})" if prec > 1 else text
-    if isinstance(r, Union):
-        text = "|".join(_print(p, 1) for p in r.parts)
-        return f"({text})" if prec > 0 else text
-    if isinstance(r, Star):
-        return _print(r.body, 2) + "*"
-    if isinstance(r, Plus):
-        return _print(r.body, 2) + "+"
-    if isinstance(r, Compl):
-        return _print(dfa_to_regex(dfa_of(r)), prec)
-    raise TypeError(f"not a regex: {r!r}")
+    return syntax.to_text(SYNTAX, r)
 
 
 # -- derivatives --------------------------------------------------------------

@@ -377,11 +377,24 @@ def test_query_deep_document_node(files, capsys):
     assert main(["query", doc, "--formula", "eq(eps, 0)", "--node", "/".join(["a"] * 10)]) == 1
 
 
-def test_internal_error_exit_2(files, capsys):
+def test_internal_error_exit_2(files, capsys, monkeypatch):
     doc = files("e.json", "{}")
-    # the formula parser recurses once per `!`
-    formula = files("f.jsl", "!" * 3000 + "true")
+    formula = files("f.jsl", "obj")
+
+    def fault(tree, phi):
+        raise RuntimeError("fault")
+    monkeypatch.setattr(jsl, "validate", fault)
     assert main(["validate", doc, formula, "--logic", "jsl"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: internal: RecursionError: ")
+    assert captured.err.startswith("error: internal: RuntimeError: ")
+
+
+@pytest.mark.parametrize("text", ["!" * 3000 + "true", "(" * 3000 + "obj" + ")" * 3000],
+                         ids=["not", "parentheses"])
+def test_deep_formula_validates(files, capsys, text):
+    doc = files("e.json", "{}")
+    formula = files("f.jsl", text)
+    assert main(["validate", doc, formula, "--logic", "jsl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "VALID\n" and captured.err == ""

@@ -1,9 +1,6 @@
 """Interned syntax-tree nodes (``jlogic._node``): equality is identity and
-hashing is O(1), so both are total on nodes of any depth.
-
-Only ``hash`` and ``==`` are held to that here.  Printing a deep node
-(``repr``) still recurses through the printers; making them iterative is
-ROADMAP direction 4.
+hashing is O(1), so both are total on nodes of any depth, and so is
+``repr``, which prints through the iterative printers of ``jlogic.syntax``.
 """
 
 import os
@@ -52,6 +49,7 @@ def test_hash_and_equality_of_deep_nodes(build):
     assert hash(first) == hash(second)
     assert {first: 1}[second] == 1
     assert len({first, second, first.body}) == 2
+    assert repr(first) == repr(second) and repr(first) != repr(first.body)
 
 
 def test_equal_constructions_are_one_object():
