@@ -318,10 +318,10 @@ class _Builder:
 
     def build(self, phi: jsl.JslFormula, positive: bool) -> int:
         """State deriving exactly where phi (or its negation) holds."""
+        while isinstance(phi, jsl.Not):  # a run of `!` only flips the polarity
+            phi, positive = phi.body, not positive
         if isinstance(phi, jsl.Top):
             return self.node(TrueAtom() if positive else FalseAtom())
-        if isinstance(phi, jsl.Not):
-            return self.build(phi.body, not positive)
         if isinstance(phi, (jsl.And, jsl.Or)):
             join = RAnd if isinstance(phi, jsl.And) == positive else ROr
             return reduce(lambda q, r: self.node(join((StateAtom(q), StateAtom(r)))),

@@ -9,6 +9,11 @@ evaluator before being returned.  A negative answer only says no tree
 within the explored bounds satisfies the formula, and the verdict
 reports those bounds verbatim.
 
+Formulas are interned, so the search compiles the formula itself: each
+distinct subformula node owns one bit of a candidate's mask.  Its plain
+node tests are ``jsl.compile_test``'s, run once per search over one
+batch tree of the one-node candidates and the (kind, child count) shapes.
+
 Desk-scale exhaustiveness comes from collapsing interchangeable
 subtrees, staged by distance from the root: a parent at distance p reads
 a child only through the truth of the formula bits a modality actually
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
@@ -101,18 +106,6 @@ class _Cand:
         return (_KIND_RANK[self.kind], self.serial)
 
 
-def _leaves(inventory, program) -> list:
-    """``(kind, value, text, test bits, class id)`` of every one-node candidate,
-    once per search; the bits are the plain node tests it passes, at any depth."""
-    leaves = [("obj", None, "{}"), ("arr", None, "[]")]
-    leaves += [("str", s, json.dumps(s, ensure_ascii=False)) for s in inventory.strings]
-    leaves += [("int", v, str(v)) for v in inventory.ints]
-    tests = [(1 << b, ins) for b, ins in enumerate(program.instrs) if ins[0] in _NODE_TESTS]
-    return [(kind, value, text, sum(bit for bit, ins in tests
-                                    if program.node_test(ins, kind, value, 0)),
-             _class_id(program.table, kind, value, ())) for kind, value, text in leaves]
-
-
 def _serial(cand, key_text) -> str:
     """Canonical text of a composite; its children are stored representatives,
     whose texts are known."""
@@ -144,62 +137,66 @@ def _to_py(cand):
 
 # -- the compiled formula program ----------------------------------------------------
 
-_CONNECTIVES = ("true", "not", "copy", "and", "or")
-_NODE_TESTS = ("kind", "patt", "min", "max", "mult", "minch", "maxch")
+_CONNECTIVES = (jsl.Top, jsl.Not, jsl.And, jsl.Or, jsl.SymbolRef)
+_KEY_MODALS, _IDX_MODALS = (jsl.BoxKey, jsl.DiaKey), (jsl.BoxIdx, jsl.DiaIdx)
+_MODALS = _KEY_MODALS + _IDX_MODALS
 
 
-def _connective_step(ins):
+def _connective_step(phi, deps):
     """Closure ``step(bits)`` giving a connective's truth from the same-node
-    bits computed before it."""
-    op = ins[0]
-    if op == "true":
+    bits ``deps`` computed before it."""
+    if isinstance(phi, jsl.Top):
         return lambda bits: True
-    m = 1 << ins[1]
-    if op == "not":
+    m = 1 << deps[0]
+    if isinstance(phi, jsl.Not):
         return lambda bits: not bits & m
-    if op == "copy":
+    if isinstance(phi, jsl.SymbolRef):  # a placeholder copies its definition's bit
         return lambda bits: bits & m != 0
-    m |= 1 << ins[2]
-    if op == "and":
+    m |= 1 << deps[1]
+    if isinstance(phi, jsl.And):
         return lambda bits: bits & m == m
     return lambda bits: bits & m != 0
 
 
 class _Program:
-    """Formula closure flattened into bit instructions over candidates.
+    """The interned formula as bits over candidates.
 
-    Each distinct subformula owns one bit; a candidate's bit is computed
-    from its own shape plus the already-final bit masks of its children,
-    so interchangeability classes are read straight off the mask.  The
-    instruction list is the same-node dependency graph; ``_LevelTables``
-    turns it into tables and closures once per search.
+    Each distinct subformula node owns one bit: ``instrs[b]`` is the node,
+    and ``bit_of`` finds the bit again in O(1), equal subformulas being one
+    object.  A ``same(c)`` atom has the bit of its constant's class id; each
+    subtree of a constant owns one (``instrs[b]`` is then the class id).
+    ``deps[b]`` holds the bits a connective, or a definition's placeholder,
+    reads at the same node; a modality reads its body's bit off the
+    children.  A candidate's bits follow from its shape and its children's
+    final masks, so interchangeability classes are read straight off the
+    mask.  The plain node tests are jsl's compiled tests (``compile_atoms``);
+    ``_LevelTables`` turns the rest into tables and closures once per search.
     """
 
     def __init__(self, table):
         self.table = table  # subtree intern table shared with the candidates
-        self.instrs = []
-        self.bit_of = {}  # instruction (or SymbolRef placeholder) -> bit
-        self.eq_bits = {}
+        self.instrs = []  # bit -> subformula, or class id of a constant's subtree
+        self.deps = []  # bit -> the same-node bits it reads
+        self.bit_of = {}  # subformula (or SymbolRef placeholder) -> bit
+        self.eq_bits = {}  # class id of a constant's subtree -> its bit
         self.phi_bit = None
-        self.has_counts = False
-        self.has_unique = False
-        self.has_equality = False
-        self._filters = {}  # pattern -> rx.word_filter, for this search
+        self.has_counts = self.has_unique = self.has_equality = False
+        self.shape_bits = self.key_filters = None  # see compile_atoms
         self._eval_order = None
 
     # compilation
 
     def compile_recursive(self, expr: rec.RecursiveJslExpr):
-        # a shielded self- or forward-reference gets a placeholder copy slot
-        # patched once the body's bit is known; evaluation order then follows
-        # same-node dependencies rather than slot numbers
+        # a shielded self- or forward-reference gets a placeholder bit whose
+        # dependency is patched once the body's bit is known; evaluation
+        # order then follows same-node dependencies rather than bit numbers
         bodies = dict(expr.definitions)
         for name in rec._topo_order(expr):
             bit = self._bit(bodies[name])
             ref = jsl.SymbolRef(name)
             placeholder = self.bit_of.get(ref)
             if placeholder is not None:
-                self.instrs[placeholder] = ("copy", bit)
+                self.deps[placeholder] = (bit,)
             else:
                 self.bit_of[ref] = bit
         self.phi_bit = self._bit(expr.base)
@@ -211,109 +208,84 @@ class _Program:
 
     def _eval_sequence(self):
         if self._eval_order is None:
-            order, cycle = rec.dependency_order(
-                {i: ins[1:] if ins[0] in _CONNECTIVES else ()
-                 for i, ins in enumerate(self.instrs)})
+            order, cycle = rec.dependency_order(dict(enumerate(self.deps)))
             if cycle:
                 raise IllFormedRecursion("cyclic same-node bit dependencies")
             self._eval_order = order
         return self._eval_order
 
-    def _emit(self, key, ins) -> int:
-        idx = len(self.instrs)
-        self.instrs.append(ins)
-        self.bit_of[key] = idx
-        return idx
-
-    def _ins_bit(self, ins) -> int:
-        """The bit of an instruction; equal instructions share one."""
-        hit = self.bit_of.get(ins)
-        return hit if hit is not None else self._emit(ins, ins)
+    def _emit(self, instr, deps) -> int:
+        self.instrs.append(instr)
+        self.deps.append(deps)
+        return len(self.instrs) - 1
 
     def _register_const(self, const: JsonTree) -> int:
-        """Equality bits for every subtree of the constant; its root's id."""
+        """Equality bits for every subtree of the constant; its root's bit."""
         self.has_equality = True
         ids = jt.label_subtrees(const, self.table)
         for cid in ids:
-            self.eq_bits[cid] = self._ins_bit(("eqid", cid))
-        return ids[0]
+            if cid not in self.eq_bits:
+                self.eq_bits[cid] = self._emit(cid, ())
+        return self.eq_bits[ids[0]]
 
     def _bit(self, phi: jsl.JslFormula) -> int:
-        """The subformula's bit.  Bits are found by instruction (operator,
-        operand bits, atom), so equal subformulas share one without the
-        formula itself being hashed; a definition's placeholder is found by
-        its SymbolRef."""
-        if isinstance(phi, jsl.SymbolRef):
-            hit = self.bit_of.get(phi)
-            return hit if hit is not None else self._emit(phi, ("copy", None))
-        if isinstance(phi, jsl.Top):
-            ins = ("true",)
-        elif isinstance(phi, jsl.Not):
-            ins = ("not", self._bit(phi.body))
-        elif isinstance(phi, (jsl.And, jsl.Or)):
-            op = "and" if isinstance(phi, jsl.And) else "or"
-            # map is lazy: each operand's bits are emitted just before its join
-            return reduce(lambda a, b: self._ins_bit((op, a, b)),
-                          map(self._bit, jsl.operands(phi)))
-        elif isinstance(phi, jsl.Atom):
-            ins = self._test_ins(phi.test)
-        elif isinstance(phi, (jsl.BoxKey, jsl.DiaKey)):
-            op = "boxkey" if isinstance(phi, jsl.BoxKey) else "diakey"
-            ins = (op, phi.pattern, self._bit(phi.body))
-        elif isinstance(phi, (jsl.BoxIdx, jsl.DiaIdx)):
-            op = "boxidx" if isinstance(phi, jsl.BoxIdx) else "diaidx"
-            ins = (op, phi.lo, phi.hi, self._bit(phi.body))
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-        return self._ins_bit(ins)
+        """The subformula's bit.  Its subformulas are numbered in post-order,
+        each after its parts (``jsl.subformulas``' pre-order reversed), so
+        deep formulas need no recursion; an unknown SymbolRef gets a
+        placeholder."""
+        bit_of = self.bit_of
+        for f in reversed(list(jsl.subformulas(phi))):
+            if f in bit_of:
+                continue
+            deps = ()
+            if isinstance(f, (jsl.And, jsl.Or)):
+                deps = bit_of[f.lhs], bit_of[f.rhs]
+            elif isinstance(f, jsl.Not):
+                deps = (bit_of[f.body],)
+            elif isinstance(f, jsl.Atom):
+                test = f.test
+                if isinstance(test, jsl.SameAsTest):
+                    bit_of[f] = self._register_const(test.const)
+                    continue
+                self.has_counts |= isinstance(test, (jsl.MinChTest, jsl.MaxChTest))
+                self.has_unique |= isinstance(test, jsl.UniqueTest)
+            elif not isinstance(f, jsl.JslFormula):
+                raise TypeError(f"not a formula: {f!r}")
+            bit_of[f] = self._emit(f, deps)
+        return bit_of[phi]
 
-    def _test_ins(self, test: jsl.NodeTest):
-        if isinstance(test, jsl.KindTest):
-            return ("kind", test.kind.value)
-        if isinstance(test, jsl.PatternTest):
-            return ("patt", test.pattern)
-        if isinstance(test, jsl.MinTest):
-            return ("min", test.bound)
-        if isinstance(test, jsl.MaxTest):
-            return ("max", test.bound)
-        if isinstance(test, jsl.MultOfTest):
-            return ("mult", test.divisor)
-        if isinstance(test, jsl.MinChTest):
-            self.has_counts = True
-            return ("minch", test.count)
-        if isinstance(test, jsl.MaxChTest):
-            self.has_counts = True
-            return ("maxch", test.count)
-        if isinstance(test, jsl.UniqueTest):
-            self.has_unique = True
-            return ("uniq",)
-        if isinstance(test, jsl.SameAsTest):
-            return ("eqid", self._register_const(test.const))
-        raise TypeError(f"not a node test: {test!r}")
+    def compile_atoms(self, inventory, width) -> list:
+        """Compile the plain node tests once, over one batch tree of the
+        one-node candidates and one (object | array, child count 1..width)
+        shape each, and give each key pattern one word filter
+        (``key_filters``).  Returns ``(kind, value, text, test bits, class
+        id)`` per one-node candidate; ``shape_bits(shape)`` runs the tests on
+        a shape when a level first asks for it."""
+        strings, ints = inventory.strings, inventory.ints
+        leaves = [("obj", None, "{}"), ("arr", None, "[]")]
+        leaves += [("str", s, json.dumps(s, ensure_ascii=False)) for s in strings]
+        leaves += [("int", v, str(v)) for v in ints]
+        shapes = [(kind, k) for k in range(1, width + 1) for kind in ("obj", "arr")]
+        obj_arr = [NodeKind.OBJ, NodeKind.ARR]
+        kinds = obj_arr + [NodeKind.STR] * len(strings) + [NodeKind.INT] * len(ints) + obj_arr * width
+        # the plain tests read kinds, values and child counts only: the
+        # shapes' child ids are placeholders and no node has keys
+        batch = JsonTree(kinds, [None, None, *strings, *ints] + [None] * len(shapes),
+                         [()] * len(leaves) + [(0,) * k for _, k in shapes], [None] * len(kinds))
+        tests = [(1 << b, jsl.compile_test(batch, f.test)) for b, f in enumerate(self.instrs)
+                 if isinstance(f, jsl.Atom) and not isinstance(f.test, jsl.UniqueTest)]
+        bits = [0] * len(leaves)
+        for bit, test in tests:
+            for n in filter(test, range(len(leaves))):
+                bits[n] |= bit
+        ids = dict(zip(shapes, range(len(leaves), len(kinds))))
+        self.shape_bits = lambda shape: sum(bit for bit, test in tests if test(ids[shape]))
+        patterns = dict.fromkeys(f.pattern for f in self.instrs if isinstance(f, _KEY_MODALS))
+        self.key_filters = {pattern: rx.word_filter(pattern) for pattern in patterns}
+        return [(kind, value, text, bits[n], _class_id(self.table, kind, value, ()))
+                for n, (kind, value, text) in enumerate(leaves)]
 
     # evaluation
-
-    def _filter(self, pattern):
-        accept = self._filters.get(pattern)
-        if accept is None:
-            accept = self._filters[pattern] = rx.word_filter(pattern)
-        return accept
-
-    def node_test(self, ins, kind, value, count) -> bool:
-        """A node test's truth on a node of that kind, leaf value and child
-        count; ``uniq`` and ``eqid`` read the children, see ``_LevelTables``."""
-        op, arg = ins
-        if op == "kind":
-            return kind == arg
-        if op in ("minch", "maxch"):
-            return count >= arg if op == "minch" else count <= arg
-        if op == "patt":
-            return kind == "str" and self._filter(arg)(value)
-        if kind != "int":
-            return False
-        if op in ("min", "max"):
-            return value >= arg if op == "min" else value <= arg
-        return value % arg == 0 if arg else value == 0
 
     def allow_key_pruning(self) -> bool:
         return not (self.has_counts or self.has_unique or self.has_equality)
@@ -327,9 +299,7 @@ class _Program:
             if b in out or b in seen:
                 continue
             out.add(b)
-            ins = self.instrs[b]
-            if ins[0] in _CONNECTIVES:
-                work.extend(ins[1:])
+            work.extend(self.deps[b])
         return out
 
     def depth_profiles(self, max_depth: int):
@@ -344,26 +314,20 @@ class _Program:
         out = []
         for _ in range(max_depth + 1):
             closure = self._same_node_closure(read)
-            mask = 0
+            mask, regs, nxt = 0, [], set()
             for b in read:
                 mask |= 1 << b
-            regs = [self.instrs[b][1] for b in closure
-                    if self.instrs[b][0] in ("boxkey", "diakey")]
+            for f in map(self.instrs.__getitem__, closure):
+                if isinstance(f, _MODALS):
+                    nxt.add(self.bit_of[f.body])
+                    if isinstance(f, _KEY_MODALS):
+                        regs.append(f.pattern)
             out.append((mask, closure, regs))
-            nxt = set()
-            for b in closure:
-                ins = self.instrs[b]
-                if ins[0] in ("boxkey", "diakey"):
-                    nxt.add(ins[2])
-                elif ins[0] in ("boxidx", "diaidx"):
-                    nxt.add(ins[3])
-            if self.has_equality:
-                nxt |= eq_bits
-            read = nxt
+            read = nxt | eq_bits if self.has_equality else nxt
         return out
 
     def visible_keys(self, regs, keys):
-        filters = [self._filter(r) for r in regs]
+        filters = [self.key_filters[r] for r in regs]
         return tuple(k for k in keys if any(accept(k) for accept in filters))
 
 
@@ -558,34 +522,34 @@ class _LevelTables:
         self.read = read  # the class key: the bits a parent reads
         self.obj_keys, self.arrays = obj_keys, arrays
         self.program, self.root = program, root
-        self.table, self.node_test = program.table, program.node_test
+        self.table = program.table
         self.box_bits = self.uniq_bit = self.test_mask = 0
         self.eq_of = {}  # class id of a constant's subtree -> its equality bit
         self.modals = {"obj": [], "arr": []}  # per kind: the modalities over its labels
-        self.tests, self.steps = [], []
+        self.steps = []
         for b in program._eval_sequence():
             if b not in closure:
                 continue
-            ins, bit = program.instrs[b], 1 << b
-            op = ins[0]
-            if op in ("diakey", "boxkey"):
-                self.modals["obj"].append((bit, op == "boxkey", program._filter(ins[1]),
-                                           1 << ins[2]))
-            elif op in ("diaidx", "boxidx"):
-                self.modals["arr"].append((bit, op == "boxidx", _interval(ins[1], ins[2]),
-                                           1 << ins[3]))
-            elif op in _CONNECTIVES:
-                self.steps.append((b, bit, _connective_step(ins)))
-            elif op == "uniq":
+            phi, bit = program.instrs[b], 1 << b
+            if isinstance(phi, _KEY_MODALS):
+                self.modals["obj"].append((bit, isinstance(phi, jsl.BoxKey),
+                                           program.key_filters[phi.pattern],
+                                           1 << program.bit_of[phi.body]))
+            elif isinstance(phi, _IDX_MODALS):
+                self.modals["arr"].append((bit, isinstance(phi, jsl.BoxIdx),
+                                           _interval(phi.lo, phi.hi), 1 << program.bit_of[phi.body]))
+            elif isinstance(phi, _CONNECTIVES):
+                self.steps.append((b, bit, _connective_step(phi, program.deps[b])))
+            elif isinstance(phi, int):  # a constant subtree's class id
+                self.eq_of[phi] = bit
+            elif isinstance(phi.test, jsl.UniqueTest):
                 self.uniq_bit = bit
-            elif op == "eqid":
-                self.eq_of[ins[1]] = bit
             else:
-                self.tests.append((bit, ins))
                 self.test_mask |= bit
-            if op in ("boxkey", "boxidx"):
+            if isinstance(phi, (jsl.BoxKey, jsl.BoxIdx)):
                 self.box_bits |= bit
-        self.shapes = _Memo(lambda shape: self.test_bits(shape[0], None, shape[1]))
+        # a shape's box bits and plain node tests
+        self.shapes = _Memo(lambda shape: self.box_bits | program.shape_bits(shape) & self.test_mask)
         self.entries = {}  # (label, child size) -> entry per stored child of that size
 
     @cached_property
@@ -598,14 +562,6 @@ class _LevelTables:
         """At the root: base mask -> itself if it satisfies the formula, else None."""
         holds = _holds(self.program, self.steps)
         return _Memo(lambda base: base if holds(base) else None)
-
-    def test_bits(self, kind, value, count) -> int:
-        """The box bits and plain node tests of one node."""
-        bits = self.box_bits
-        for bit, ins in self.tests:
-            if self.node_test(ins, kind, value, count):
-                bits |= bit
-        return bits
 
     def identity_bits(self, kind, value, children) -> int:
         """The ``unique`` and ``same(c)`` bits, read off the children's ids."""
@@ -660,13 +616,12 @@ def _holds(program, steps):
     plan, owner, chain, work = [], {}, set(), [program.phi_bit]
     while work:
         b = work.pop()
-        ins = program.instrs[b]
-        if ins[0] != "and":
+        if not isinstance(program.instrs[b], jsl.And):
             owner.update(dict.fromkeys(program._same_node_closure([b], owner), len(plan)))
             plan.append((1 << b, []))
         elif b not in chain:
             chain.add(b)
-            work += (ins[2], ins[1])
+            work += reversed(program.deps[b])
     for step in steps:
         if step[0] in owner:
             plan[owner[step[0]]][1].append(step)
@@ -817,15 +772,15 @@ def _class_search(program, inventory, bounds, budget, revalidate,
     else:
         multiplicity = max(1, bounds.max_width) if program.has_unique else 1
         prune = program.allow_key_pruning()
+    leaves = program.compile_atoms(inventory, bounds.max_width)
     levels = []
     for read, closure, regs in program.depth_profiles(bounds.max_depth):
-        arrays = (not prune) or any(program.instrs[b][0] in ("boxidx", "diaidx")
-                                    for b in closure)
+        arrays = (not prune) or any(isinstance(program.instrs[b], _IDX_MODALS) for b in closure)
         keys = program.visible_keys(regs, inventory.keys) if prune else inventory.keys
         levels.append(_LevelTables(program, read, closure, keys, arrays, root=not levels))
     confirm = (lambda cand: revalidate(jt.from_python(_to_py(cand)))) if exhaustive else None
     key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
-    found = _staged_search(_leaves(inventory, program), bounds, budget, levels, multiplicity,
+    found = _staged_search(leaves, bounds, budget, levels, multiplicity,
                            confirm, program.table, key_text)
     if found is None:
         return SatVerdict(False, None, bounds)

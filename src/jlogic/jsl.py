@@ -330,11 +330,18 @@ def specialize(phi: JslFormula, kind: NodeKind, consts=None):
     children of any kind and are kept, as is every part nothing folds."""
     if isinstance(phi, Top):
         return True
-    if isinstance(phi, Not):
-        body = specialize(phi.body, kind, consts)
-        if isinstance(body, bool):
-            return body is False
-        return phi if body is phi.body else Not(body)
+    if isinstance(phi, Not):  # a run of `!` folds in one loop, innermost first
+        run = []
+        while isinstance(phi, Not):
+            run.append(phi)
+            phi = phi.body
+        body = specialize(phi, kind, consts)
+        for f in reversed(run):
+            if isinstance(body, bool):
+                body = body is False
+            else:
+                body = f if body is f.body else Not(body)
+        return body
     if isinstance(phi, (And, Or)):
         unit = isinstance(phi, And)  # drops out; the other constant decides
         spine = left_spine(phi)

@@ -242,19 +242,18 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
         tables[name] = bytearray(tree.size)
     bodies = dict(expr.definitions)
     fill_tables(tree, [(name, bodies[name]) for name in order], tables,
-                lambda phi: jsl.compile_formula(tree, phi, tables),
                 range(tree.size - 1, -1, -1) if nodes is None else nodes, consts)
     return tables
 
 
-def fill_tables(tree: JsonTree, definitions, tables: dict, compile_, nodes, consts=None):
+def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
     """Fill ``tables[name]`` for each ``(name, body)`` of ``definitions``
     (every dependency before its user) at the ids of ``nodes``, decreasing
     pre-order ids, so every child is settled before its parent.
 
     ``jsl.specialize(body, kind, consts[kind])`` gives a body at one node
-    kind: True, False or what ``compile_`` turns into a closure over node
-    ids.
+    kind: True, False or a formula that ``jsl.compile_formula`` turns
+    into a closure over node ids, reading the symbols from ``tables``.
     ``consts[kind]`` holds the definitions already constant at that kind
     (and stays in ``consts`` when the caller passes it).  A node runs only
     its kind's closures, in dependency order; a constant true writes 1.
@@ -269,7 +268,8 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, compile_, nodes, cons
             if isinstance(f, bool):
                 consts[kind][name] = f
             if f is not False:
-                plan[kind.value].append((tables[name], None if f is True else compile_(f)))
+                plan[kind.value].append(
+                    (tables[name], None if f is True else jsl.compile_formula(tree, f, tables)))
     kinds = tree.columns()[0]
     for n in nodes:
         # by value: an Enum member hashes through a Python-level __hash__
@@ -298,5 +298,5 @@ def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
             todo.extend(jsl.symbols_used(bodies[name]))
     tables = {name: bytearray(tree.size) for name in live}
     fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
-                lambda phi: jsl.compile_formula(tree, phi, tables), range(tree.size - 1, -1, -1))
+                range(tree.size - 1, -1, -1))
     return bool(jsl.compile_formula(tree, expr.base, tables)(0))

@@ -395,6 +395,14 @@ def test_internal_error_exit_2(files, capsys, monkeypatch):
 def test_deep_formula_validates(files, capsys, text):
     doc = files("e.json", "{}")
     formula = files("f.jsl", text)
-    assert main(["validate", doc, formula, "--logic", "jsl"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "VALID\n" and captured.err == ""
+    rjsl = files("f.rjsl", f"let g = {text}; in g")
+    for argv, expected in [(["validate", doc, formula, "--logic", "jsl"], ("VALID\n", "")),
+                           (["validate", doc, rjsl, "--logic", "rjsl"], ("VALID\n", "")),
+                           (["automaton", doc, "--formula-file", formula],
+                            ("ACCEPT\n", "states: 1\n")),
+                           (["automaton", doc, "--formula-file", rjsl, "--logic", "rjsl"],
+                            ("ACCEPT\n", "states: 3\n")),
+                           (["sat", "--formula-file", formula], ("SAT\n{}\n", "")),
+                           (["sat", "--formula-file", rjsl, "--logic", "rjsl"], ("SAT\n{}\n", ""))]:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == expected, argv

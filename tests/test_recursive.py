@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -455,7 +456,7 @@ def doubling_dag(count, first="dia(/.*/) true"):
         + f" in g{count - 1}")
 
 
-def test_specialized_fill_runs_only_object_bodies():
+def test_specialized_fill_runs_only_object_bodies(monkeypatch):
     # 2^29 paths through the bodies, all ending in a key modality: every
     # definition is false at arrays, strings and numbers, so only the
     # objects (ids 0, 3 and 5) call a body, once per definition
@@ -463,8 +464,8 @@ def test_specialized_fill_runs_only_object_bodies():
     doc = parse_document('{"a": [1, {"b": []}], "c": {}}')
     tables, calls = {name: bytearray(doc.size) for name, _ in expr.definitions}, []
 
-    def counted(phi):
-        body = jsl.compile_formula(doc, phi, tables)
+    def counted(tree, phi, symbols):
+        body = jsl.compile_formula(tree, phi, symbols)
 
         def call(n):
             calls.append(n)
@@ -472,8 +473,11 @@ def test_specialized_fill_runs_only_object_bodies():
         return call
 
     bodies = dict(expr.definitions)
-    rec.fill_tables(doc, [(name, bodies[name]) for name in rec._topo_order(expr)], tables,
-                    counted, range(doc.size - 1, -1, -1))
+    definitions = [(name, bodies[name]) for name in rec._topo_order(expr)]
+    with monkeypatch.context() as patch:  # count the calls of the bodies fill_tables compiles
+        patch.setattr(rec, "jsl", SimpleNamespace(specialize=jsl.specialize,
+                                                  compile_formula=counted))
+        rec.fill_tables(doc, definitions, tables, range(doc.size - 1, -1, -1))
     assert sorted(Counter(calls).items()) == [(0, 30), (3, 30), (5, 30)]
     assert {doc.kind(n) for n in calls} == {jt.NodeKind.OBJ}
     assert tables == rec._sat_tables(expr, doc)

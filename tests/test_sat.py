@@ -9,11 +9,11 @@ import jlogic.tree as jt
 from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision.encode import qbf_truth
-from jlogic.decision.search import _CONNECTIVES, _LevelTables, _Program
+from jlogic.decision.search import _CONNECTIVES, Inventory, _LevelTables, _Program
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
-from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_qbf, random_jsl, random_well_formed,
-                     truth_table_sat)
+from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_node_test, oracle_qbf, random_jsl,
+                     random_node_test, random_well_formed, truth_table_sat)
 
 UNSAT_PAIR = '[@"a" / test([#1])] && [@"a" / test([@"b"])]'
 
@@ -170,11 +170,12 @@ def test_eval_sequence_puts_operands_first():
     sequence = program._eval_sequence()
     assert sorted(sequence) == list(range(len(program.instrs)))
     position = {b: i for i, b in enumerate(sequence)}
-    for b, ins in enumerate(program.instrs):
-        if ins[0] in ("not", "copy", "and", "or"):
-            assert all(position[d] < position[b] for d in ins[1:]), ins
+    assert any(program.deps)
+    for b, deps in enumerate(program.deps):
+        assert all(position[d] < position[b] for d in deps), program.instrs[b]
     cyclic = _Program({})
-    cyclic.instrs = [("true",), ("not", 2), ("and", 0, 1)]
+    cyclic.instrs = [jsl.TOP, jsl.Not(jsl.TOP), jsl.And(jsl.TOP, jsl.TOP)]
+    cyclic.deps = [(), (2,), (0, 1)]
     with pytest.raises(IllFormedRecursion, match="cyclic same-node bit dependencies"):
         cyclic._eval_sequence()
 
@@ -293,23 +294,50 @@ def test_root_reads_formula_bit_like_the_full_mask():
     programs = [_Program({}).compile_formula(phi) for phi in phis]
     programs += [_Program({}).compile_recursive(e) for e in random_well_formed(rng, 60)]
     for program in programs:
+        program.compile_atoms(Inventory((), (), ()), 0)
         (read, closure, _), = program.depth_profiles(0)
         root = _LevelTables(program, read, closure, (), False, root=True)
         below = _LevelTables(program, read, closure, (), False, root=False)
-        plain = sum(1 << b for b in closure if program.instrs[b][0] not in _CONNECTIVES)
+        plain = sum(1 << b for b in closure if not isinstance(program.instrs[b], _CONNECTIVES))
         for _ in range(40):
             base = rng.getrandbits(len(program.instrs)) & plain
             assert (root.hits[base] is not None) == bool(below.full[base] & read)
 
 
 def test_repeated_subformulas_share_one_instruction():
-    # equal subformulas built as distinct objects still get one bit each
+    # equal subformulas built as distinct objects are one interned node,
+    # with one bit
     def part():
         return jsl.parse_jsl('(dia("a") int || box(1:2) !str) && obj')
     phi = jsl.And(jsl.Or(part(), jsl.Not(part())), jsl.And(part(), jsl.TOP))
     program = _Program({}).compile_formula(phi)
     assert len(program.instrs) == len(set(jsl.subformulas(phi)))
     assert program.phi_bit == len(program.instrs) - 1
+
+
+def test_node_test_bits_agree_with_the_oracle_on_every_leaf_and_shape():
+    # the plain node tests compile once per search over one batch tree of
+    # the one-node candidates and the (kind, child count) shapes; each bit
+    # agrees with the oracle on a real tree of that shape
+    rng = random.Random(20)
+    tests = []
+    while len(tests) < 300:
+        test = random_node_test(rng)
+        if not isinstance(test, (jsl.UniqueTest, jsl.SameAsTest)):
+            tests.append(test)
+    program = _Program({}).compile_formula(jsl.or_all(jsl.Atom(t) for t in tests))
+    strings, ints = ("", "a", "b", "0", "ab", "ba", "a1", "bb0"), (0, 1, 2, 3, 4, 5, 6, 12)
+    leaves = program.compile_atoms(Inventory(("k",), strings, ints), 3)
+    assert [value for _, value, _, _, _ in leaves] == [None, None, *strings, *ints]
+    cases = [(bits, {"obj": {}, "arr": []}.get(kind, value)) for kind, value, _, bits, _ in leaves]
+    for count in range(1, 4):
+        cases.append((program.shape_bits(("obj", count)), {f"k{i}": i for i in range(count)}))
+        cases.append((program.shape_bits(("arr", count)), ["a"] * count))
+    for bits, value in cases:
+        tree = jt.from_python(value)
+        for test in tests:
+            bit = program.bit_of[jsl.Atom(test)]
+            assert (bits >> bit) & 1 == oracle_node_test(tree, 0, test), (test, value)
 
 
 PINNED_CNF = [[("x1", True), ("x2", False), ("x3", True)],
