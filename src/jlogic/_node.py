@@ -15,6 +15,14 @@ The table lives as long as the process, since dropping a node would let
 an equal one be built as another object.  On the benchmark's workloads
 it stops growing after one pass: at seed 29 it holds 140 nodes on
 ``validate``, 253 on ``query`` and 1,820 on ``reason``.
+
+``walk`` drives every walk over formulas, schemas and rules.  A walker
+is a generator function of one argument: it ``yield``s the argument of
+each sub-call, receives that sub-call's result and returns its own.  The
+pending walkers wait on a list, not in Python frames, and a memo maps each
+argument to its result for one top-level call (or several sharing it), so
+each distinct interned node is visited once however often it occurs.
+Walkers over raw JSON, or whose output counts occurrences, keep no memo.
 """
 
 _TABLE = {}
@@ -65,3 +73,37 @@ class Node:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def walk(visit, arg, memo=None):
+    """``visit(arg)``'s result; ``memo`` is a dict of results by argument
+    (a fresh one by default) or False to keep none."""
+    if memo is None:
+        memo = {}
+    elif memo is not False and arg in memo:
+        return memo[arg]
+    gens, args, result = [visit(arg)], [arg], None
+    while gens:
+        try:
+            sub = gens[-1].send(result)
+        except StopIteration as done:
+            gens.pop()
+            key, result = args.pop(), done.value
+            if memo is not False:
+                memo[key] = result
+            continue
+        if memo is not False and sub in memo:
+            result = memo[sub]
+        else:
+            gens.append(visit(sub))
+            args.append(sub)
+            result = None
+    return result
+
+
+def each(args):
+    """``results = yield from each(args)``: a sub-call on each argument."""
+    results = []
+    for arg in args:
+        results.append((yield arg))
+    return results

@@ -10,10 +10,10 @@ automaton accepts a tree when its root derives a final state.
 A run does not interpret rule bodies: it translates the live rules into
 a recursive schema-logic expression, one definition per state that a
 quantified atom or two readers read, every other state inlined into its
-reader, and hands that to the recursive evaluator.  So a run fills
-per-definition tables bottom-up in reverse pre-order id with the same
-compiled node tests and modalities as ``eval_recursive``, and the
-connectives between them short-circuit.
+reader, and hands that (``recursive.cut``) to the recursive evaluator.
+So a run fills per-definition tables bottom-up in reverse pre-order id
+with the same compiled node tests and modalities as ``eval_recursive``,
+and the connectives between them short-circuit.
 
 Formulas compile in negation normal form, so complementation is a pure
 dualization: swap and/or, toggle test negations, swap the quantifiers.
@@ -24,11 +24,10 @@ is what makes double complementation the identity.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
 
 from .. import jsl
 from .. import recursive as rec
-from .._node import Node
+from .._node import Node, each, walk
 from ..errors import AutomatonError
 from ..tree import JsonTree
 
@@ -141,12 +140,6 @@ def node_rule_order(auto: JAutomaton) -> list:
 
 # -- acceptance -----------------------------------------------------------------
 
-# States inlined into one reader nest at most this deep before the next one
-# becomes a definition of its own, so a long chain of node states compiles
-# and runs with bounded recursion.
-_INLINE_DEPTH = 48
-
-
 def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
     """Bottom-up run; True when the root derives a final state.
 
@@ -154,7 +147,7 @@ def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
     that the recursive evaluator fills node by node, last pre-order id
     first, and the base is the disjunction of the final states at the root.
     """
-    expr = _to_recursive(auto)
+    expr = rec.cut(_to_recursive(auto))
     tables = rec._sat_tables(expr, tree)
     return bool(jsl.compile_formula(tree, expr.base, tables)(0))
 
@@ -178,9 +171,8 @@ def _to_recursive(auto: JAutomaton) -> rec.RecursiveJslExpr:
     A node state whose rule is a lone state atom is an alias of its target.
     A state that a quantified atom reads, or that two readers read (the
     final disjunction counts as one), becomes a definition ``q<id>``; every
-    other state is inlined into its one reader, until the inlining nests
-    ``_INLINE_DEPTH`` deep.  Formulas are in negation normal form, so a
-    state never occurs negated.
+    other state is inlined into its one reader.  Formulas are in negation
+    normal form, so a state never occurs negated.
     """
     node_rules, tree_rules = auto.node_rule_map(), auto.tree_rule_map()
     rules = {**node_rules, **tree_rules}
@@ -208,18 +200,13 @@ def _to_recursive(auto: JAutomaton) -> rec.RecursiveJslExpr:
                 defined.add(reads[-1])
     finals = sorted({target(q) for q in auto.final})
     defined |= {q for q, k in Counter(reads + finals).items() if k > 1}
-    pending = sorted(defined)
 
-    def rule(e, depth):
+    def rule(e):
         if isinstance(e, (RAnd, ROr)):
-            return _join(jsl.And if isinstance(e, RAnd) else jsl.Or,
-                         [rule(p, depth + 1) for p in e.parts])
+            return (jsl.and_all if isinstance(e, RAnd) else jsl.or_all)((yield from each(e.parts)))
         if isinstance(e, StateAtom):
             q = target(e.state)
-            if q not in defined and depth >= _INLINE_DEPTH:
-                defined.add(q)
-                pending.append(q)
-            return jsl.SymbolRef(f"q{q}") if q in defined else rule(rules[q], depth + 1)
+            return jsl.SymbolRef(f"q{q}") if q in defined else (yield rules[q])
         if isinstance(e, TestAtom):
             return jsl.Not(jsl.Atom(e.test)) if e.negated else jsl.Atom(e.test)
         if isinstance(e, QuantAtom):
@@ -229,44 +216,30 @@ def _to_recursive(auto: JAutomaton) -> rec.RecursiveJslExpr:
             return (jsl.BoxIdx if e.universal else jsl.DiaIdx)(label.lo, label.hi, body)
         return jsl.TOP if isinstance(e, TrueAtom) else jsl.BOTTOM
 
-    base = _join(jsl.Or, [rule(StateAtom(q), 0) for q in finals])
-    definitions = []
-    while pending:
-        q = pending.pop()
-        definitions.append((f"q{q}", rule(rules[q], 0)))
-    return rec.RecursiveJslExpr(tuple(definitions), base)
-
-
-def _join(ctor, parts):
-    """``parts`` joined by ``jsl.And`` or ``jsl.Or``, nested logarithmically;
-    no parts give the connective's unit."""
-    if len(parts) < 2:
-        return parts[0] if parts else jsl.TOP if ctor is jsl.And else jsl.BOTTOM
-    mid = len(parts) // 2
-    return ctor(_join(ctor, parts[:mid]), _join(ctor, parts[mid:]))
+    memo = {}
+    definitions = tuple((f"q{q}", walk(rule, rules[q], memo))
+                        for q in sorted(defined, reverse=True))
+    base = jsl.or_all(walk(rule, StateAtom(q), memo) for q in finals)
+    return rec.RecursiveJslExpr(definitions, base)
 
 
 # -- complementation ---------------------------------------------------------------
 
 
 def _dual(expr: RuleExpr) -> RuleExpr:
-    if isinstance(expr, RAnd):
-        return ROr(tuple(_dual(p) for p in expr.parts))
-    if isinstance(expr, ROr):
-        return RAnd(tuple(_dual(p) for p in expr.parts))
-    if isinstance(expr, TrueAtom):
-        return FalseAtom()
-    if isinstance(expr, FalseAtom):
-        return TrueAtom()
-    if isinstance(expr, TestAtom):
-        return TestAtom(expr.test, not expr.negated)
-    if isinstance(expr, SymbolAtom):
-        return SymbolAtom(expr.name, not expr.negated)
-    if isinstance(expr, StateAtom):
-        return expr
-    if isinstance(expr, QuantAtom):
-        return QuantAtom(expr.state, expr.label, not expr.universal)
-    raise AutomatonError(f"not a rule expression: {expr!r}")
+    def visit(expr):
+        if isinstance(expr, (RAnd, ROr)):
+            return (ROr if isinstance(expr, RAnd) else RAnd)(tuple((yield from each(expr.parts))))
+        if isinstance(expr, (TrueAtom, FalseAtom)):
+            return FalseAtom() if isinstance(expr, TrueAtom) else TrueAtom()
+        if isinstance(expr, (TestAtom, SymbolAtom)):  # (test or name, negated)
+            return type(expr)(getattr(expr, expr._fields[0]), not expr.negated)
+        if isinstance(expr, StateAtom):
+            return expr
+        if isinstance(expr, QuantAtom):
+            return QuantAtom(expr.state, expr.label, not expr.universal)
+        raise AutomatonError(f"not a rule expression: {expr!r}")
+    return walk(visit, expr)
 
 
 def single_final(auto: JAutomaton) -> JAutomaton:
@@ -298,34 +271,29 @@ def complement(auto: JAutomaton) -> JAutomaton:
 
 class _Builder:
     def __init__(self):
-        self.node_rules = []
-        self.tree_rules = []
-        self.counter = 0
+        self.node_rules, self.tree_rules = [], []
 
-    def fresh(self) -> int:
-        self.counter += 1
-        return self.counter - 1
-
-    def node(self, body) -> int:
-        q = self.fresh()
-        self.node_rules.append((q, body))
-        return q
-
-    def tree(self, body) -> int:
-        q = self.fresh()
-        self.tree_rules.append((q, body))
+    def node(self, body, rules=None) -> int:  # a fresh state owning body
+        q = len(self.node_rules) + len(self.tree_rules)
+        (self.node_rules if rules is None else rules).append((q, body))
         return q
 
     def build(self, phi: jsl.JslFormula, positive: bool) -> int:
-        """State deriving exactly where phi (or its negation) holds."""
-        while isinstance(phi, jsl.Not):  # a run of `!` only flips the polarity
-            phi, positive = phi.body, not positive
+        """State deriving exactly where phi (or its negation) holds; each
+        occurrence of a subformula gets states of its own (no memo)."""
+        return walk(self._build, (phi, positive), memo=False)
+
+    def _build(self, item):
+        phi, positive = item
+        if isinstance(phi, jsl.Not):
+            return (yield phi.body, not positive)
         if isinstance(phi, jsl.Top):
             return self.node(TrueAtom() if positive else FalseAtom())
         if isinstance(phi, (jsl.And, jsl.Or)):
             join = RAnd if isinstance(phi, jsl.And) == positive else ROr
-            return reduce(lambda q, r: self.node(join((StateAtom(q), StateAtom(r)))),
-                          (self.build(f, positive) for f in jsl.operands(phi)))
+            q = yield phi.lhs, positive
+            r = yield phi.rhs, positive
+            return self.node(join((StateAtom(q), StateAtom(r))))
         if isinstance(phi, jsl.Atom):
             return self.node(TestAtom(phi.test, negated=not positive))
         if isinstance(phi, jsl.SymbolRef):
@@ -337,9 +305,9 @@ class _Builder:
         else:
             raise TypeError(f"not a formula: {phi!r}")
         boxlike = isinstance(phi, (jsl.BoxKey, jsl.BoxIdx))
-        sub = self.build(phi.body, positive)
+        sub = yield phi.body, positive
         # a negated box is an existential over the negated body, and dually
-        return self.tree(QuantAtom(sub, label, universal=boxlike == positive))
+        return self.node(QuantAtom(sub, label, universal=boxlike == positive), self.tree_rules)
 
     def finish(self, final: int) -> JAutomaton:
         return make_automaton(self.node_rules, self.tree_rules, {final})

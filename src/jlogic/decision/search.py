@@ -229,12 +229,12 @@ class _Program:
         return self.eq_bits[ids[0]]
 
     def _bit(self, phi: jsl.JslFormula) -> int:
-        """The subformula's bit.  Its subformulas are numbered in post-order,
-        each after its parts (``jsl.subformulas``' pre-order reversed), so
-        deep formulas need no recursion; an unknown SymbolRef gets a
+        """The subformula's bit.  Its subformulas are numbered in
+        ``jsl.subformulas``' post-order, each after its parts, so deep
+        formulas need no recursion; an unknown SymbolRef gets a
         placeholder."""
         bit_of = self.bit_of
-        for f in reversed(list(jsl.subformulas(phi))):
+        for f in jsl.subformulas(phi):
             if f in bit_of:
                 continue
             deps = ()

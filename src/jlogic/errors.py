@@ -92,6 +92,10 @@ class BlowupLimitExceeded(SchemaError):
     """Formula-to-schema output exceeded the configured size cap."""
 
 
+class NestingTooDeep(SchemaError):
+    """A schema nested past what its text form can print."""
+
+
 # -- compilation between logics --------------------------------------------
 
 class FragmentViolation(JLogicError):

@@ -41,7 +41,7 @@ from operator import is_
 from typing import Optional
 
 from . import regex as rx
-from ._node import Node
+from ._node import Node, each, walk
 from . import syntax
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex, UnsupportedOperator
@@ -146,19 +146,24 @@ def or_all(parts) -> JnlUnary:
 # -- fragment inspection -------------------------------------------------------
 
 
-def _walk(u):
-    stack = [u]
-    while stack:
-        f = stack.pop()
-        yield f
+def _walk(u) -> list:
+    """Each distinct subformula of ``u`` once, after those it holds."""
+    out = []
+
+    def visit(f):
         if isinstance(f, (Not, Test, Star)):
-            stack.append(f.body)
+            yield f.body
         elif isinstance(f, (And, Or, Compose)):
-            stack.extend((f.lhs, f.rhs))
+            yield f.lhs
+            yield f.rhs
         elif isinstance(f, (Exists, EqConst)):
-            stack.append(f.path)
+            yield f.path
         elif isinstance(f, EqPaths):
-            stack.extend((f.left, f.right))
+            yield f.left
+            yield f.right
+        out.append(f)
+    walk(visit, u)
+    return out
 
 
 def uses_eqpaths(u: JnlUnary) -> bool:
@@ -265,16 +270,17 @@ def binary_to_text(b: JnlBinary) -> str:
 _EMPTY = frozenset()
 
 
-def stays(b: JnlBinary) -> Optional[JnlUnary]:
-    """Where the path formula relates a node to itself: a unary formula
-    (TOP for everywhere) or None for nowhere."""
+def _stays(b: JnlBinary):
+    """Walker: where the path formula relates a node to itself, a unary
+    formula (TOP for everywhere) or None for nowhere."""
     if isinstance(b, (Eps, Star)):
         return TOP
     if isinstance(b, Test):
         return b.body
     if isinstance(b, Compose):
-        lhs, rhs = stays(b.lhs), stays(b.rhs)
-        if lhs is None or rhs is None:
+        lhs = yield b.lhs
+        rhs = None if lhs is None else (yield b.rhs)
+        if rhs is None:
             return None
         return rhs if lhs is TOP else lhs if rhs is TOP else And(lhs, rhs)
     return None
@@ -283,17 +289,21 @@ def stays(b: JnlBinary) -> Optional[JnlUnary]:
 def strict_paths(b: JnlBinary) -> list:
     """Path formulas that each start with a move, whose union relates a
     node to its b-successors strictly below it; empty when b never moves."""
-    if isinstance(b, (Eps, Test)):
-        return []
-    if isinstance(b, Compose):
-        out = [Compose(p, b.rhs) for p in strict_paths(b.lhs)]
-        stay = stays(b.lhs)
+    stay_memo = {}
+
+    def visit(b):
+        if isinstance(b, (Eps, Test)):
+            return []
+        if isinstance(b, Star):
+            return [Compose(p, b) for p in (yield b.body)]
+        if not isinstance(b, Compose):
+            return [b]
+        out = [Compose(p, b.rhs) for p in (yield b.lhs)]
+        stay = walk(_stays, b.lhs, stay_memo)
         if stay is not None:
-            out += [p if stay is TOP else Compose(Test(stay), p) for p in strict_paths(b.rhs)]
+            out += [p if stay is TOP else Compose(Test(stay), p) for p in (yield b.rhs)]
         return out
-    if isinstance(b, Star):
-        return [Compose(p, b) for p in strict_paths(b.body)]
-    return [b]
+    return walk(visit, b)
 
 
 def eval_unary(tree: JsonTree, u: JnlUnary) -> frozenset:
@@ -327,22 +337,27 @@ def eval_membership(tree: JsonTree, u: JnlUnary, node: jt.NodeId) -> bool:
     return bool(_compile(tree, u, range(last, n - 1, -1))(n))
 
 
-def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False):
+def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False, eqs=None):
     """``u`` as a closure over node ids, exact on ``nodes`` (decreasing ids,
-    closed under descendants).  The tables the closure reads are filled
-    first.  With ``by_kind``, a dict from each node kind to ``u`` there,
-    specialized as the fill specializes a definition: True, False or a
-    closure, one per distinct specialized form."""
+    closed under descendants).  The tables it reads are filled first: those
+    of its eq(alpha, beta) (``eqs``, shared with the calls for their tests)
+    innermost first.  With ``by_kind``, a dict from each node kind to ``u``
+    there, specialized as the fill specializes a definition: True, False
+    or a closure, one per distinct specialized form."""
     from . import jsl, recursive, translate  # they import this module
-    tables, names, consts = {}, {}, {}
+    if eqs is None:
+        eqs = {}
+        for f in _walk(u):
+            if isinstance(f, EqPaths):
+                eqs[f] = _eq_paths(tree, f, nodes, eqs)
+    tables, consts = {}, {}
 
-    def eq_symbol(f):  # one table per distinct eq(alpha, beta)
-        if f not in names:
-            names[f] = name = f"={len(names)}"
-            tables[name] = _eq_paths(tree, f, nodes)
-        return names[f]
+    def eq_symbol(f):  # the translation's memo asks once per distinct eq(alpha, beta)
+        name = f"={len(tables)}"
+        tables[name] = eqs[f]
+        return name
 
-    expr = translate._jnl_to_recursive(u, eq_symbol)
+    expr = recursive.cut(translate._jnl_to_recursive(u, eq_symbol))
     if expr.definitions:
         recursive._sat_tables(expr, tree, tables, nodes, consts)
     if not by_kind:
@@ -353,21 +368,21 @@ def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False):
     return {kind: compiled.get(f, f) for kind, f in forms.items()}
 
 
-def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
+def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict):
     """eq(alpha, beta) as a closure over node ids, or as a table filled on
     ``nodes`` when a path has more than one successor."""
     if _functional(f.left) and _functional(f.right):
-        return _eq_walk(tree, f, nodes)
+        return _eq_walk(tree, f, nodes, eqs)
     # A subtree strictly below n never equals n's: so either both paths
     # stay at n, or their strict successors share a class.
-    stay = stays(f.left), stays(f.right)
+    stay = walk(_stays, f.left), walk(_stays, f.right)
     if stay[0] is TOP and stay[1] is TOP:
         return lambda n: True
-    both = None if None in stay else _compile(tree, And(*stay), nodes)
+    both = None if None in stay else _compile(tree, And(*stay), nodes, eqs=eqs)
     ids = tree.subtree_ids()
     cont = lambda n: frozenset((ids[n],))
     steps, table, memo = [], bytearray(tree.size), {}
-    left, right = ([_reach(tree, p, cont, steps, nodes, memo) for p in strict_paths(b)]
+    left, right = ([walk(_reach(tree, steps, nodes, eqs), (p, cont), memo) for p in strict_paths(b)]
                    for b in (f.left, f.right))
     for n in nodes:
         for step in steps:
@@ -382,12 +397,14 @@ def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range):
 
 def _functional(b: JnlBinary) -> bool:
     """At most one successor per node."""
-    if isinstance(b, Compose):
-        return _functional(b.lhs) and _functional(b.rhs)
-    return isinstance(b, (Eps, Test, KeyAxis, IdxAxis))
+    def visit(b):
+        if isinstance(b, Compose):
+            return (yield b.lhs) and (yield b.rhs)
+        return isinstance(b, (Eps, Test, KeyAxis, IdxAxis))
+    return walk(visit, b)
 
 
-def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range):
+def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict):
     """eq(alpha, beta) for functional paths as one loop per node over the
     steps of alpha, then of beta from the node again."""
     kinds, _, children, keys = tree.columns()
@@ -403,7 +420,7 @@ def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range):
         elif isinstance(s, IdxAxis):
             program.append((1, s.pos - 1))
         elif isinstance(s, Test):
-            program.append((2, _compile(tree, s.body, nodes)))
+            program.append((2, _compile(tree, s.body, nodes, eqs=eqs)))
 
     def eq(n):
         m = n
@@ -438,37 +455,34 @@ def _axis(tree: JsonTree, b: JnlBinary):
     raise TypeError(f"not a path formula: {b!r}")
 
 
-def _reach(tree, b: JnlBinary, cont, steps: list, nodes: range, memo: dict):
-    """Closure: the union of ``cont`` (node -> frozenset of class ids) over a
-    node's b-successors.  A closure's table is filled by a step appended to
-    ``steps`` after the steps it reads at the same node.  ``memo`` keeps one
-    closure per path formula and continuation: the strict paths of a closure
-    repeat the closures nested in it, each of which gets one table."""
-    key = b, id(cont)
-    if key in memo:
-        return memo[key][1]
-    if isinstance(b, Eps):
-        out = cont
-    elif isinstance(b, Test):
-        test = _compile(tree, b.body, nodes)
-        out = lambda n: cont(n) if test(n) else _EMPTY
-    elif isinstance(b, Compose):
-        out = _reach(tree, b.lhs, _reach(tree, b.rhs, cont, steps, nodes, memo), steps, nodes, memo)
-    elif isinstance(b, Star):
-        table = [_EMPTY] * tree.size
-        out = table.__getitem__
-        parts = [_reach(tree, p, out, steps, nodes, memo) for p in strict_paths(b.body)]
-        if not parts:
-            out = cont
-        else:
+def _reach(tree, steps: list, nodes: range, eqs: dict):
+    """Walker: ``(b, cont)`` to a closure, the union of ``cont`` (node ->
+    frozenset of class ids) over a node's b-successors.  A closure's table
+    is filled by a step appended to ``steps`` after the steps it reads at
+    the same node; a shared memo gives it one table per continuation."""
+    def visit(item):
+        b, cont = item
+        if isinstance(b, Eps):
+            return cont
+        if isinstance(b, Test):
+            test = _compile(tree, b.body, nodes, eqs=eqs)
+            return lambda n: cont(n) if test(n) else _EMPTY
+        if isinstance(b, Compose):
+            return (yield b.lhs, (yield b.rhs, cont))
+        if isinstance(b, Star):
+            table = [_EMPTY] * tree.size
+            out = table.__getitem__
+            parts = yield from each((p, out) for p in strict_paths(b.body))
+            if not parts:
+                return cont
+
             def step(n):
                 table[n] = cont(n).union(*(part(n) for part in parts))
             steps.append(step)
-    else:
+            return out
         succ = _axis(tree, b)
-        out = lambda n: _EMPTY.union(*map(cont, succ(n)))
-    memo[key] = cont, out  # holding cont keeps its id unique
-    return out
+        return lambda n: _EMPTY.union(*map(cont, succ(n)))
+    return visit
 
 
 def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
@@ -482,24 +496,26 @@ def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
 
 def _pairs(tree: JsonTree, b: JnlBinary) -> dict:
     """The successor set of every node id that has one."""
-    if isinstance(b, Eps):
-        return {n: {n} for n in tree.nodes()}
-    if isinstance(b, Test):
-        return {n: {n} for n in eval_unary_ids(tree, b.body)}
-    if isinstance(b, Compose):
-        right, out = _pairs(tree, b.rhs), {}
-        for n, mids in _pairs(tree, b.lhs).items():
-            ts = set().union(*(right.get(m, ()) for m in mids))
-            if ts:
-                out[n] = ts
-        return out
-    if isinstance(b, Star):
-        step, out = _pairs(tree, b.body), {}
-        for n in range(tree.size - 1, -1, -1):  # other successors lie below n
-            out[n] = {n}.union(*(out[m] for m in step.get(n, ()) if m != n))
-        return out
-    succ = _axis(tree, b)
-    return {n: set(ts) for n in tree.nodes() for ts in (succ(n),) if ts}
+    def visit(b):
+        if isinstance(b, Eps):
+            return {n: {n} for n in tree.nodes()}
+        if isinstance(b, Test):
+            return {n: {n} for n in eval_unary_ids(tree, b.body)}
+        if isinstance(b, Compose):
+            right, out = (yield b.rhs), {}
+            for n, mids in (yield b.lhs).items():
+                ts = set().union(*(right.get(m, ()) for m in mids))
+                if ts:
+                    out[n] = ts
+            return out
+        if isinstance(b, Star):
+            step, out = (yield b.body), {}
+            for n in range(tree.size - 1, -1, -1):  # other successors lie below n
+                out[n] = {n}.union(*(out[m] for m in step.get(n, ()) if m != n))
+            return out
+        succ = _axis(tree, b)
+        return {n: set(ts) for n in tree.nodes() for ts in (succ(n),) if ts}
+    return walk(visit, b)
 
 
 # -- find-filter compilation -----------------------------------------------------
@@ -521,23 +537,36 @@ def compile_find_filter(filter_doc: JsonTree) -> JnlUnary:
 
 
 def _compile_filter(f: dict) -> JnlUnary:
-    conjuncts = []
-    for key, val in f.items():
-        if key == "$and":
-            if not isinstance(val, list):
-                raise UnsupportedOperator("$and expects an array of filters")
-            conjuncts.append(and_all(_compile_filter(_as_filter(x)) for x in val))
-        elif key == "$or":
-            if not isinstance(val, list):
-                raise UnsupportedOperator("$or expects an array of filters")
-            conjuncts.append(or_all(_compile_filter(_as_filter(x)) for x in val))
-        elif key == "$not":
-            conjuncts.append(Not(_compile_filter(_as_filter(val))))
-        elif key.startswith("$"):
-            raise UnsupportedOperator(f"operator {key} is not supported (only $eq/$and/$or/$not)")
-        else:
-            conjuncts.append(_compile_condition(_path_axis(key), val))
-    return and_all(conjuncts)
+    """A walk over ``(None, filter)`` and ``(axis, value)``, a condition."""
+    def visit(item):
+        axis, val = item
+        if axis is not None:
+            if not isinstance(val, dict) or not val:
+                return EqConst(axis, jt.from_python(val))
+            dollar = [k for k in val if k.startswith("$")]
+            if dollar:
+                if len(val) != 1 or dollar[0] != "$eq":
+                    raise UnsupportedOperator(
+                        f"operator {dollar[0]} is not supported in a value position (only $eq)")
+                return EqConst(axis, jt.from_python(val["$eq"]))
+            return and_all((yield from each((Compose(axis, _path_axis(k)), v)
+                                            for k, v in val.items())))
+        conjuncts = []
+        for key, val in val.items():
+            if key in ("$and", "$or"):
+                if not isinstance(val, list):
+                    raise UnsupportedOperator(f"{key} expects an array of filters")
+                parts = yield from each((None, _as_filter(x)) for x in val)
+                conjuncts.append((and_all if key == "$and" else or_all)(parts))
+            elif key == "$not":
+                conjuncts.append(Not((yield None, _as_filter(val))))
+            elif key.startswith("$"):
+                raise UnsupportedOperator(
+                    f"operator {key} is not supported (only $eq/$and/$or/$not)")
+            else:
+                conjuncts.append((yield _path_axis(key), val))
+        return and_all(conjuncts)
+    return walk(visit, (None, f), memo=False)
 
 
 def _as_filter(x):
@@ -568,15 +597,3 @@ def _position(seg: str) -> int:
             f"array position of {len(seg)} digits is over the interpreter's int-string "
             f"limit of {sys.get_int_max_str_digits()} digits") from None
 
-
-def _compile_condition(axis: JnlBinary, val) -> JnlUnary:
-    if isinstance(val, dict) and val:
-        dollar = [k for k in val if k.startswith("$")]
-        if dollar:
-            if len(val) != 1 or dollar[0] != "$eq":
-                raise UnsupportedOperator(
-                    f"operator {dollar[0]} is not supported in a value position (only $eq)")
-            return EqConst(axis, jt.from_python(val["$eq"]))
-        return and_all(_compile_condition(Compose(axis, _path_axis(k)), v)
-                       for k, v in val.items())
-    return EqConst(axis, jt.from_python(val))

@@ -22,17 +22,18 @@ interned (``_node``): equal formulas are one object, compared in O(1).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
 from json import dumps
 from typing import Callable
 
 from . import regex as rx
-from ._node import Node
+from ._node import Node, each, walk
 from . import syntax
 from . import tree as jt
 from .errors import DocumentError, MalformedFormula, MalformedRegex
 from .jnl import regex_literal, write_regex
-from .syntax import ATOM, CONST, END, GROUP, INFIX, PREFIX, left_spine, operands
+from .syntax import ATOM, CONST, END, GROUP, INFIX, PREFIX, operands
 from .tree import JsonTree, NodeKind
 
 
@@ -77,7 +78,14 @@ class SameAsTest(NodeTest):
 
 
 class JslFormula(Node):
-    __slots__ = ()
+    # _nesting: how deep compile_formula's closures nest when they run; of
+    # a chain of one connective also _chain, its operand count and deepest;
+    # _symbols: the definition symbols it names, anywhere and unshielded
+    __slots__ = ("_nesting", "_chain", "_symbols")
+
+    def __post_init__(self):
+        object.__setattr__(self, "_nesting", _nesting(self))
+        object.__setattr__(self, "_symbols", _symbols(self))
 
     def __repr__(self):
         return f"<jsl {to_text(self)}>"
@@ -125,45 +133,56 @@ class SymbolRef(JslFormula):
     __slots__ = ("name",)
 
 
+def _nesting(f: JslFormula) -> int:
+    """One level per modality, node test and ``!``; a chain as a balanced tree."""
+    if isinstance(f, (And, Or)):
+        width, deepest = f.lhs._chain if type(f.lhs) is type(f) else (1, f.lhs._nesting)
+        object.__setattr__(f, "_chain", (width + 1, max(deepest, f.rhs._nesting)))
+        return width.bit_length() + f._chain[1]
+    return 1 + f.body._nesting if hasattr(f, "body") else int(isinstance(f, Atom))
+
+
+def _symbols(f: JslFormula) -> tuple:
+    """The symbols ``f`` names anywhere, and outside every modality."""
+    if isinstance(f, SymbolRef):
+        return (frozenset((f.name,)),) * 2
+    parts = (f.lhs, f.rhs) if isinstance(f, (And, Or)) else (f.body,) if hasattr(f, "body") else ()
+    anywhere = frozenset().union(*(p._symbols[0] for p in parts))
+    shielded = not isinstance(f, (Not, And, Or))
+    return anywhere, frozenset() if shielded else frozenset().union(*(p._symbols[1] for p in parts))
+
+
 TOP = Top()
 BOTTOM = Not(TOP)
 
 
 def and_all(parts) -> JslFormula:
     parts = list(parts)
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TOP
 
 
 def or_all(parts) -> JslFormula:
     parts = list(parts)
-    if not parts:
-        return BOTTOM
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
+    return reduce(Or, parts) if parts else BOTTOM
+
+
+def subformulas(phi: JslFormula) -> list:
+    """Each distinct subformula once, every one after its operands."""
+    out = []
+
+    def visit(f):
+        if isinstance(f, (And, Or)):
+            yield f.lhs
+            yield f.rhs
+        elif isinstance(f, (Not, BoxKey, DiaKey, BoxIdx, DiaIdx)):
+            yield f.body
+        out.append(f)
+    walk(visit, phi)
     return out
 
 
-def subformulas(phi: JslFormula):
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        yield f
-        if isinstance(f, Not):
-            stack.append(f.body)
-        elif isinstance(f, (And, Or)):
-            stack.extend((f.lhs, f.rhs))
-        elif isinstance(f, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
-            stack.append(f.body)
-
-
 def symbols_used(phi: JslFormula) -> set:
-    return {f.name for f in subformulas(phi) if isinstance(f, SymbolRef)}
+    return set(phi._symbols[0])
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -177,13 +196,14 @@ _ARR, _STR, _INT = NodeKind.ARR, NodeKind.STR, NodeKind.INT
 
 
 def eval_jsl(tree: JsonTree, node: jt.NodeId, phi: JslFormula) -> bool:
-    """Satisfaction at a node given by path."""
-    return compile_formula(tree, phi, {})(tree.node_at(node))
+    """Satisfaction at a node given by path: at the root of its subtree."""
+    return validate(jt.subtree(tree, node), phi)
 
 
 def validate(tree: JsonTree, phi: JslFormula) -> bool:
     """Whole-document validation: satisfaction at the root."""
-    return compile_formula(tree, phi, {})(0)
+    from .recursive import RecursiveJslExpr, eval_recursive  # they import this module
+    return eval_recursive(RecursiveJslExpr((), phi), tree)
 
 
 def check_unique(tree: JsonTree, node: jt.NodeId) -> bool:
@@ -271,52 +291,45 @@ def compile_modal(tree: JsonTree, label, universal: bool,
 
 
 def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[int], bool]:
-    """Closure: whether ``phi`` holds at a node id.  A symbol reads
-    ``tables[name]`` (indexed by node id, as filled by the recursive
-    evaluator, or a closure over node ids) and never calls its definition,
-    so evaluation recurses only as deep as ``phi``, a run of ``!`` counting
-    as one level.  A chain of one connective compiles as a balanced tree of
-    binary closures, so a long flat ``&&`` or ``||`` recurses
-    logarithmically, compiled and run."""
-    if isinstance(phi, Top):
-        return (-1).__lt__  # true at every node id, and no Python frame per call
-    if isinstance(phi, Not):  # a run of `!` is one negation or none
-        odd = False
-        while isinstance(phi, Not):
-            phi, odd = phi.body, not odd
-        body = compile_formula(tree, phi, tables)
-        return (lambda n: not body(n)) if odd else body
-    if isinstance(phi, (And, Or)):
-        return _join([compile_formula(tree, f, tables) for f in operands(phi)],
-                     isinstance(phi, And))
-    if isinstance(phi, Atom):
-        return compile_test(tree, phi.test)
-    if isinstance(phi, (BoxKey, DiaKey)):
-        return compile_modal(tree, phi.pattern, isinstance(phi, BoxKey),
-                             compile_formula(tree, phi.body, tables))
-    if isinstance(phi, (BoxIdx, DiaIdx)):
-        return compile_modal(tree, (phi.lo, phi.hi), isinstance(phi, BoxIdx),
-                             compile_formula(tree, phi.body, tables))
-    if isinstance(phi, SymbolRef):
-        if phi.name not in tables:
-            raise MalformedFormula(f"free definition symbol {phi.name!r}")
-        table = tables[phi.name]
-        return table if callable(table) else table.__getitem__
-    raise TypeError(f"not a formula: {phi!r}")
+    """Closure: whether ``phi`` holds at a node id, compiled once per
+    distinct subformula.  A symbol reads ``tables[name]`` (indexed by node
+    id, as the recursive evaluator fills it, or a closure over node ids)
+    and never calls its definition; other closures nest as ``_nesting``
+    counts, a chain of one connective as a balanced tree."""
+    def visit(phi):
+        if isinstance(phi, Top):
+            return (-1).__lt__  # true at every node id, and no Python frame per call
+        if isinstance(phi, Not):
+            body = yield phi.body
+            return lambda n: not body(n)
+        if isinstance(phi, (And, Or)):
+            parts = yield from each(operands(phi))
+            join = _JOIN[isinstance(phi, And)]
+            while len(parts) > 1:  # pairwise, left to right, so a chain nests logarithmically
+                parts = [join(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                         for i in range(0, len(parts), 2)]
+            return parts[0]
+        if isinstance(phi, Atom):
+            return compile_test(tree, phi.test)
+        if isinstance(phi, (BoxKey, DiaKey)):
+            return compile_modal(tree, phi.pattern, isinstance(phi, BoxKey), (yield phi.body))
+        if isinstance(phi, (BoxIdx, DiaIdx)):
+            return compile_modal(tree, (phi.lo, phi.hi), isinstance(phi, BoxIdx),
+                                 (yield phi.body))
+        if isinstance(phi, SymbolRef):
+            if phi.name not in tables:
+                raise MalformedFormula(f"free definition symbol {phi.name!r}")
+            table = tables[phi.name]
+            return table if callable(table) else table.__getitem__
+        raise TypeError(f"not a formula: {phi!r}")
+    return walk(visit, phi)
 
 
-def _join(parts: list, conjunction: bool) -> Callable[[int], bool]:
-    """Closures joined by ``and`` (or ``or``) into a balanced tree,
-    evaluated left to right with short-circuit."""
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    lhs, rhs = _join(parts[:mid], conjunction), _join(parts[mid:], conjunction)
-    if conjunction:
-        return lambda n: lhs(n) and rhs(n)
-    return lambda n: lhs(n) or rhs(n)
+_JOIN = {True: lambda lhs, rhs: lambda n: lhs(n) and rhs(n),
+         False: lambda lhs, rhs: lambda n: lhs(n) or rhs(n)}
 
 
+_CONNECTIVE = (Not, And, Or)
 _TEST_KIND = {UniqueTest: _ARR, PatternTest: _STR, MinTest: _INT, MaxTest: _INT, MultOfTest: _INT}
 
 
@@ -328,48 +341,44 @@ def specialize(phi: JslFormula, kind: NodeKind, consts=None):
     modality that ``consts`` maps to its constant at this kind; constants
     propagate through ``!``, ``&&`` and ``||``.  Modal bodies hold at
     children of any kind and are kept, as is every part nothing folds."""
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Not):  # a run of `!` folds in one loop, innermost first
-        run = []
-        while isinstance(phi, Not):
-            run.append(phi)
-            phi = phi.body
-        body = specialize(phi, kind, consts)
-        for f in reversed(run):
+    def fold(phi):  # a part with no connective on top
+        if isinstance(phi, Top):
+            return True
+        if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
+            on = NodeKind.OBJ if isinstance(phi, (BoxKey, DiaKey)) else _ARR
+            return phi if kind is on else isinstance(phi, (BoxKey, BoxIdx))
+        if isinstance(phi, Atom):
+            test = phi.test
+            if isinstance(test, KindTest):
+                return test.kind is kind
+            if isinstance(test, (MinChTest, MaxChTest)):  # a leaf has no children
+                leaf = kind is _STR or kind is _INT
+                return isinstance(test, MaxChTest) or test.count == 0 if leaf else phi
+            on = test.const.kind(0) if isinstance(test, SameAsTest) else _TEST_KIND[type(test)]
+            return phi if kind is on else False
+        if isinstance(phi, SymbolRef):
+            return consts.get(phi.name, phi) if consts else phi
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def visit(phi):  # the walk goes down connectives only, folding their other operands
+        if isinstance(phi, Not):
+            body = (yield phi.body) if isinstance(phi.body, _CONNECTIVE) else fold(phi.body)
             if isinstance(body, bool):
-                body = body is False
-            else:
-                body = f if body is f.body else Not(body)
-        return body
-    if isinstance(phi, (And, Or)):
-        unit = isinstance(phi, And)  # drops out; the other constant decides
-        spine = left_spine(phi)
-        lhs = specialize(spine[0].lhs, kind, consts)
-        for f in spine:
+                return body is False
+            return phi if body is phi.body else Not(body)
+        if isinstance(phi, (And, Or)):
+            unit = isinstance(phi, And)  # drops out; the other constant decides
+            lhs = (yield phi.lhs) if isinstance(phi.lhs, _CONNECTIVE) else fold(phi.lhs)
             if lhs is not unit and isinstance(lhs, bool):
                 return lhs
-            rhs = specialize(f.rhs, kind, consts)
+            rhs = (yield phi.rhs) if isinstance(phi.rhs, _CONNECTIVE) else fold(phi.rhs)
             if lhs is unit or isinstance(rhs, bool) and rhs is not unit:
-                lhs = rhs
-            elif rhs is not unit:
-                lhs = f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
-        return lhs
-    if isinstance(phi, (BoxKey, DiaKey, BoxIdx, DiaIdx)):
-        on = NodeKind.OBJ if isinstance(phi, (BoxKey, DiaKey)) else _ARR
-        return phi if kind is on else isinstance(phi, (BoxKey, BoxIdx))
-    if isinstance(phi, Atom):
-        test = phi.test
-        if isinstance(test, KindTest):
-            return test.kind is kind
-        if isinstance(test, (MinChTest, MaxChTest)):  # a leaf has no children
-            leaf = kind is _STR or kind is _INT
-            return isinstance(test, MaxChTest) or test.count == 0 if leaf else phi
-        on = test.const.kind(0) if isinstance(test, SameAsTest) else _TEST_KIND[type(test)]
-        return phi if kind is on else False
-    if isinstance(phi, SymbolRef):
-        return consts.get(phi.name, phi) if consts else phi
-    raise TypeError(f"not a formula: {phi!r}")
+                return rhs
+            if rhs is unit:
+                return lhs
+            return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
+        return fold(phi)
+    return walk(visit, phi)
 
 
 # -- concrete syntax -------------------------------------------------------------

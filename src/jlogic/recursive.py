@@ -14,9 +14,10 @@ tree's height (then turns into falsity), and ``eval_recursive`` fills a
 table of satisfied nodes per definition in reverse pre-order id, each body
 folded per node kind (``jsl.specialize``) and compiled once per kind: a
 node runs only its kind's closures, in dependency order.  A symbol
-reads its table and never calls its body, so evaluation recurses as deep
-as the formula, never as deep as the document.  The second is the
-production path; the first is the reference the tests compare against.
+reads its table and never calls its body, and ``cut`` makes a definition
+of any part nested too deep, so evaluation recurses a bounded depth,
+whatever the formula or the document.  The second is the production
+path; the first is the reference the tests compare against.
 
 Concrete syntax: ``let g1 = <jsl>; let g2 = <jsl>; in <jsl>``.
 """
@@ -27,12 +28,14 @@ from typing import Optional
 
 from . import jsl
 from . import syntax
-from ._node import Node
+from ._node import Node, each, walk
 from .errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from .jsl import BOTTOM, BoxIdx, BoxKey, DiaIdx, DiaKey, JslFormula, SymbolRef
+from .syntax import operands
 from .tree import JsonTree, NodeKind
 
 DEFAULT_UNFOLD_CAP = 500_000
+MAX_CLOSURE_NESTING = 100  # levels of compiled closures a run may nest (see cut)
 
 
 class RecursiveJslExpr(Node):
@@ -93,28 +96,12 @@ def to_text(expr: RecursiveJslExpr) -> str:
 # -- precedence graph and well-formedness ---------------------------------------
 
 
-def _unshielded_symbols(phi: JslFormula) -> set:
-    """Names occurring outside the scope of every modal operator."""
-    out = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, SymbolRef):
-            out.add(f.name)
-        elif isinstance(f, jsl.Not):
-            stack.append(f.body)
-        elif isinstance(f, (jsl.And, jsl.Or)):
-            stack.extend((f.lhs, f.rhs))
-        # modal bodies shield their symbols; atoms carry none
-    return out
-
-
 def precedence_graph(expr: RecursiveJslExpr) -> PrecedenceGraph:
     symbols = tuple(name for name, _ in expr.definitions)
     defined = set(symbols)
     edges = set()
     for name, body in expr.definitions:
-        for used in _unshielded_symbols(body):
+        for used in body._symbols[1]:  # outside every modality
             if used in defined:
                 edges.add((name, used))
     return PrecedenceGraph(symbols, frozenset(edges))
@@ -224,11 +211,38 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
 # -- bottom-up evaluation ----------------------------------------------------------
 
 
+def cut(expr: RecursiveJslExpr) -> RecursiveJslExpr:
+    """``expr`` with each formula cut so that its compiled closures nest at
+    most ``MAX_CLOSURE_NESTING`` levels deep (``jsl._nesting``): an operand
+    that would nest its user deeper becomes a definition ``^i``, read
+    through its table.  Every evaluator cuts its expression so."""
+    limit, cuts = MAX_CLOSURE_NESTING, {}
+    if all(body._nesting <= limit for _, body in expr.definitions) and expr.base._nesting <= limit:
+        return expr
+
+    def visit(phi):
+        if phi._nesting <= limit:
+            return phi
+        chain = isinstance(phi, (jsl.And, jsl.Or))
+        parts = yield from each(operands(phi) if chain else [phi.body])
+        levels = (len(parts) - 1).bit_length() if chain else 1
+        parts = [f if f._nesting + levels <= limit
+                 else cuts.setdefault(f, SymbolRef(f"^{len(cuts)}")) for f in parts]
+        if chain:
+            return (jsl.and_all if isinstance(phi, jsl.And) else jsl.or_all)(parts)
+        return type(phi)(*(getattr(phi, name) for name in phi._fields[:-1]), parts[0])
+
+    memo = {}
+    bodies = tuple((name, walk(visit, body, memo)) for name, body in expr.definitions)
+    base = walk(visit, expr.base, memo)
+    return RecursiveJslExpr(bodies + tuple((ref.name, f) for f, ref in cuts.items()), base)
+
+
 def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
                 consts=None) -> dict:
-    """Per definition, a bytearray with 1 at each node id where it holds,
-    filled by ``fill_tables`` with each body specialized per node kind
-    (``jsl.specialize``) and compiled once per kind.
+    """Per definition of a ``cut`` expression, a bytearray with 1 at each
+    node id where it holds, filled by ``fill_tables`` with each body
+    specialized per node kind (``jsl.specialize``), compiled once per kind.
 
     ``tables`` may hold filled tables of symbols the expression uses but
     does not define; the definitions' tables are added to it.  ``nodes``
@@ -236,12 +250,9 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
     in decreasing order and closed under descendants, such as one subtree.
     ``consts``, when given, receives the definitions constant at each kind.
     """
-    order = _topo_order(expr)
-    tables = {} if tables is None else tables
-    for name, _ in expr.definitions:
-        tables[name] = bytearray(tree.size)
-    bodies = dict(expr.definitions)
-    fill_tables(tree, [(name, bodies[name]) for name in order], tables,
+    bodies, tables = dict(expr.definitions), {} if tables is None else tables
+    tables.update((name, bytearray(tree.size)) for name in bodies)
+    fill_tables(tree, [(name, bodies[name]) for name in _topo_order(expr)], tables,
                 range(tree.size - 1, -1, -1) if nodes is None else nodes, consts)
     return tables
 
@@ -279,8 +290,8 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
 
 def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
     """Satisfied internal node ids per definition symbol."""
-    return {name: {n for n, hit in enumerate(table) if hit}
-            for name, table in _sat_tables(expr, tree).items()}
+    tables = _sat_tables(cut(expr), tree)
+    return {name: {n for n, hit in enumerate(tables[name]) if hit} for name, _ in expr.definitions}
 
 
 def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
@@ -288,15 +299,16 @@ def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
     the definitions the base reaches get a table and a closure; the
     dependency order still covers them all, so a cycle among unused
     definitions makes the expression ill-formed all the same."""
-    order = _topo_order(expr)
-    bodies = dict(expr.definitions)
-    live, todo = set(), list(jsl.symbols_used(expr.base))
-    while todo:
-        name = todo.pop()
-        if name not in live:
-            live.add(name)
-            todo.extend(jsl.symbols_used(bodies[name]))
-    tables = {name: bytearray(tree.size) for name in live}
-    fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
-                range(tree.size - 1, -1, -1))
+    expr, tables = cut(expr), {}
+    if expr.definitions:
+        order, bodies = _topo_order(expr), dict(expr.definitions)
+        live, todo = set(), list(jsl.symbols_used(expr.base))
+        while todo:
+            name = todo.pop()
+            if name not in live:
+                live.add(name)
+                todo.extend(jsl.symbols_used(bodies[name]))
+        tables = {name: bytearray(tree.size) for name in live}
+        fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
+                    range(tree.size - 1, -1, -1))
     return bool(jsl.compile_formula(tree, expr.base, tables)(0))

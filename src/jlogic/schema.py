@@ -28,11 +28,12 @@ from . import jsl
 from . import recursive as rec
 from . import regex as rx
 from . import tree as jt
-from ._node import Node
+from ._node import Node, each, walk
 from .errors import (
     BlowupLimitExceeded,
     DocumentError,
     FragmentViolation,
+    NestingTooDeep,
     NonNaturalNumber,
     TypeMismatch,
     UnknownKeyword,
@@ -42,6 +43,7 @@ from .jnl import operands
 from .tree import JsonTree, NodeKind
 
 DEFAULT_SCHEMA_CAP = 100_000
+MAX_NESTING = 500  # the JSON printer recurses once per nested list or object
 
 
 class SchemaAst(Node):
@@ -150,6 +152,11 @@ def parse_schema(text: str) -> SchemaDocument:
 
 
 def _ast(raw) -> SchemaAst:
+    return walk(_schema, raw, memo=False)
+
+
+def _schema(raw):
+    """Walker: a raw schema value to its node."""
     if not isinstance(raw, dict):
         raise TypeMismatch("a schema must be a JSON object")
     if not raw:
@@ -162,7 +169,7 @@ def _ast(raw) -> SchemaAst:
             if len(raw) != 1:
                 extra = sorted(present - {comb})
                 raise UnknownKeyword(f"{comb} cannot be combined with {extra}")
-            return _combinator(comb, raw[comb])
+            return (yield from _combinator(comb, raw[comb]))
     if "type" not in raw:
         raise UnknownKeyword(f"keyword {sorted(present)[0]!r} requires a type keyword")
     typ = raw["type"]
@@ -179,11 +186,11 @@ def _ast(raw) -> SchemaAst:
                             maximum=_opt_nat(raw, "maximum"),
                             multiple_of=_opt_nat(raw, "multipleOf"))
     if typ == "object":
-        return _object_schema(raw)
-    return _array_schema(raw)
+        return (yield from _object_schema(raw))
+    return (yield from _array_schema(raw))
 
 
-def _combinator(name: str, value) -> SchemaAst:
+def _combinator(name: str, value):
     if name == "$ref":
         if not isinstance(value, str) or not value.startswith("#/definitions/"):
             raise UnresolvableRef(f"only #/definitions/<name> references are supported: {value!r}")
@@ -192,7 +199,7 @@ def _combinator(name: str, value) -> SchemaAst:
             raise UnresolvableRef(f"bad reference path {value!r}")
         return Ref(target)
     if name == "not":
-        return NotSchema(_ast(value))
+        return NotSchema((yield value))
     if name == "enum":
         if not isinstance(value, list):
             raise TypeMismatch("enum expects an array of documents")
@@ -202,11 +209,10 @@ def _combinator(name: str, value) -> SchemaAst:
             raise TypeMismatch(f"enum value outside the document model: {exc}") from exc
     if not isinstance(value, list):
         raise TypeMismatch(f"{name} expects an array of schemas")
-    parts = tuple(_ast(v) for v in value)
-    return AllOf(parts) if name == "allOf" else AnyOf(parts)
+    return (AllOf if name == "allOf" else AnyOf)(tuple((yield from each(value))))
 
 
-def _object_schema(raw) -> ObjectSchema:
+def _object_schema(raw):
     required = raw.get("required", [])
     if not isinstance(required, list) or not all(isinstance(k, str) for k in required):
         raise TypeMismatch("required expects an array of key strings")
@@ -219,17 +225,16 @@ def _object_schema(raw) -> ObjectSchema:
     additional = raw.get("additionalProperties")
     if additional is not None and not isinstance(additional, dict):
         raise TypeMismatch("additionalProperties expects a schema object")
-    return ObjectSchema(
-        min_properties=_opt_nat(raw, "minProperties"),
-        max_properties=_opt_nat(raw, "maxProperties"),
-        required=tuple(dict.fromkeys(required)),
-        properties=tuple((k, _ast(v)) for k, v in props.items()),
-        pattern_properties=tuple((rx.parse_regex(p), _ast(v)) for p, v in patterns.items()),
-        additional_properties=_ast(additional) if additional is not None else None,
-    )
+    bounds = _opt_nat(raw, "minProperties"), _opt_nat(raw, "maxProperties")
+    properties, pattern_properties = tuple(zip(props, (yield from each(props.values())))), []
+    for p, v in patterns.items():
+        pattern_properties.append((rx.parse_regex(p), (yield v)))
+    return ObjectSchema(*bounds, tuple(dict.fromkeys(required)), properties,
+                        tuple(pattern_properties),
+                        (yield additional) if additional is not None else None)
 
 
-def _array_schema(raw) -> ArraySchema:
+def _array_schema(raw):
     items = raw.get("items")
     if items is not None and not isinstance(items, list):
         raise TypeMismatch("items expects an array of schemas")
@@ -240,9 +245,9 @@ def _array_schema(raw) -> ArraySchema:
     if additional is not None and not isinstance(additional, dict):
         raise TypeMismatch("additionalItems expects a schema object")
     return ArraySchema(
-        items=tuple(_ast(v) for v in items) if items is not None else None,
+        items=tuple((yield from each(items))) if items is not None else None,
         unique_items=unique,
-        additional_items=_ast(additional) if additional is not None else None,
+        additional_items=(yield additional) if additional is not None else None,
     )
 
 
@@ -296,11 +301,8 @@ def _refs(ast: SchemaAst) -> set:
 
 def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
     """Whether the document satisfies the schema: its translation
-    (``SchemaDocument.formula``) run by the logic's evaluators, the
-    recursive one (``recursive.eval_recursive``) when the schema has
-    definitions.  That one fills a table per definition bottom-up and a
-    ``$ref`` reads its table, so evaluation recurses as deep as the
-    schema, never as deep as the document."""
+    (``SchemaDocument.formula``) run by ``recursive.eval_recursive``, where
+    a ``$ref`` reads its definition's table, filled bottom-up."""
     formula = doc.formula
     if isinstance(formula, rec.RecursiveJslExpr):
         return rec.eval_recursive(formula, tree)
@@ -312,65 +314,58 @@ def validate_schema(tree: JsonTree, doc: SchemaDocument) -> bool:
 
 def schema_to_jsl(doc: SchemaDocument):
     """Equivalent formula; recursive documents yield a recursive expression."""
+    memo = {}
     if doc.definitions:
-        defs = [(name, _to_jsl(ast)) for name, ast in doc.definitions]
-        return rec.make_recursive(defs, _to_jsl(doc.root))
-    return _to_jsl(doc.root)
+        defs = [(name, walk(_to_jsl, ast, memo)) for name, ast in doc.definitions]
+        return rec.make_recursive(defs, walk(_to_jsl, doc.root, memo))
+    return walk(_to_jsl, doc.root, memo)
 
 
-def _to_jsl(ast: SchemaAst) -> jsl.JslFormula:
+_KINDS = {StringSchema: NodeKind.STR, NumberSchema: NodeKind.INT, ObjectSchema: NodeKind.OBJ,
+          ArraySchema: NodeKind.ARR}
+_TYPES = dict(zip(_KINDS, _TYPE_KEYWORDS))  # the type keyword of each
+_TESTS = {"pattern": jsl.PatternTest, "minimum": jsl.MinTest, "maximum": jsl.MaxTest,
+          "multiple_of": jsl.MultOfTest, "min_properties": jsl.MinChTest,
+          "max_properties": jsl.MaxChTest}
+
+
+def _to_jsl(ast: SchemaAst):
     if isinstance(ast, EmptySchema):
         return jsl.TOP
     if isinstance(ast, Ref):
         return jsl.SymbolRef(ast.name)
-    if isinstance(ast, StringSchema):
-        parts = [jsl.Atom(jsl.KindTest(NodeKind.STR))]
-        if ast.pattern is not None:
-            parts.append(jsl.Atom(jsl.PatternTest(ast.pattern)))
-        return jsl.and_all(parts)
-    if isinstance(ast, NumberSchema):
-        parts = [jsl.Atom(jsl.KindTest(NodeKind.INT))]
-        if ast.minimum is not None:
-            parts.append(jsl.Atom(jsl.MinTest(ast.minimum)))
-        if ast.maximum is not None:
-            parts.append(jsl.Atom(jsl.MaxTest(ast.maximum)))
-        if ast.multiple_of is not None:
-            parts.append(jsl.Atom(jsl.MultOfTest(ast.multiple_of)))
+    if type(ast) in _KINDS:  # its kind, then its keywords' node tests
+        parts = [jsl.Atom(jsl.KindTest(_KINDS[type(ast)]))] + [
+            jsl.Atom(_TESTS[name](getattr(ast, name))) for name in ast._fields
+            if name in _TESTS and getattr(ast, name) is not None]
+    if isinstance(ast, (StringSchema, NumberSchema)):
         return jsl.and_all(parts)
     if isinstance(ast, ObjectSchema):
-        parts = [jsl.Atom(jsl.KindTest(NodeKind.OBJ))]
-        if ast.min_properties is not None:
-            parts.append(jsl.Atom(jsl.MinChTest(ast.min_properties)))
-        if ast.max_properties is not None:
-            parts.append(jsl.Atom(jsl.MaxChTest(ast.max_properties)))
         for req in ast.required:
             parts.append(jsl.DiaKey(rx.word_regex(req), jsl.TOP))
         named = [(rx.word_regex(key), sub) for key, sub in ast.properties]
         named += ast.pattern_properties
         for pattern, sub in named:
-            parts.append(jsl.BoxKey(pattern, _to_jsl(sub)))
+            parts.append(jsl.BoxKey(pattern, (yield sub)))
         if ast.additional_properties is not None:
             klass = rx.compl(rx.alt(p for p, _ in named)) if named else rx.SIGMA_STAR
-            parts.append(jsl.BoxKey(klass, _to_jsl(ast.additional_properties)))
+            parts.append(jsl.BoxKey(klass, (yield ast.additional_properties)))
         return jsl.and_all(parts)
     if isinstance(ast, ArraySchema):
-        parts = [jsl.Atom(jsl.KindTest(NodeKind.ARR))]
         if ast.unique_items:
             parts.append(jsl.Atom(jsl.UniqueTest()))
         n_items = len(ast.items) if ast.items is not None else 0
         for i, sub in enumerate(ast.items or (), start=1):
-            parts.append(jsl.DiaIdx(i, i, _to_jsl(sub)))
+            parts.append(jsl.DiaIdx(i, i, (yield sub)))
         if ast.additional_items is not None:
-            parts.append(jsl.BoxIdx(n_items + 1, None, _to_jsl(ast.additional_items)))
+            parts.append(jsl.BoxIdx(n_items + 1, None, (yield ast.additional_items)))
         elif ast.items is not None:
             parts.append(jsl.BoxIdx(n_items + 1, None, jsl.BOTTOM))
         return jsl.and_all(parts)
-    if isinstance(ast, AllOf):
-        return jsl.and_all(_to_jsl(sub) for sub in ast.parts)
-    if isinstance(ast, AnyOf):
-        return jsl.or_all(_to_jsl(sub) for sub in ast.parts)
+    if isinstance(ast, (AllOf, AnyOf)):
+        return (jsl.and_all if isinstance(ast, AllOf) else jsl.or_all)((yield from each(ast.parts)))
     if isinstance(ast, NotSchema):
-        return jsl.Not(_to_jsl(ast.body))
+        return jsl.Not((yield ast.body))
     if isinstance(ast, Enum):
         return jsl.or_all(jsl.Atom(jsl.SameAsTest(v)) for v in ast.values)
     raise TypeError(f"not a schema: {ast!r}")
@@ -384,10 +379,37 @@ def jsl_to_schema(phi: jsl.JslFormula, size_cap: int = DEFAULT_SCHEMA_CAP) -> Sc
 
     Child-count tests expand into unions over object and array cases (plus
     the leaf kinds, which always have zero children); universal index
-    modalities expand per array length.  ``size_cap`` bounds the output.
+    modalities expand per array length.  ``size_cap`` bounds the output
+    per occurrence (no memo).
     """
     budget = [size_cap]
-    return SchemaDocument(_to_schema(phi, budget))
+
+    def visit(phi):
+        _spend(budget)
+        if isinstance(phi, jsl.Top):
+            return EmptySchema()
+        if isinstance(phi, jsl.Not):
+            return NotSchema((yield phi.body))
+        if isinstance(phi, (jsl.And, jsl.Or)):
+            parts = tuple((yield from each(operands(phi))))
+            return (AllOf if isinstance(phi, jsl.And) else AnyOf)(parts)
+        if isinstance(phi, jsl.Atom):
+            return _test_to_schema(phi.test, budget)
+        if isinstance(phi, jsl.BoxKey):
+            body = yield phi.body
+            return AnyOf((NotSchema(ObjectSchema()),
+                          ObjectSchema(pattern_properties=((phi.pattern, body),))))
+        if isinstance(phi, jsl.DiaKey):
+            return NotSchema((yield jsl.BoxKey(phi.pattern, jsl.Not(phi.body))))
+        if isinstance(phi, jsl.BoxIdx):
+            return (yield from _box_idx_schema(phi, budget))
+        if isinstance(phi, jsl.DiaIdx):
+            box = jsl.BoxIdx(phi.lo, phi.hi, jsl.Not(phi.body))
+            return NotSchema((yield from _box_idx_schema(box, budget)))
+        if isinstance(phi, jsl.SymbolRef):
+            raise FragmentViolation(phi.name, "definition symbols have no schema counterpart here")
+        raise TypeError(f"not a formula: {phi!r}")
+    return SchemaDocument(walk(visit, phi, memo=False))
 
 
 def _spend(budget, amount=1):
@@ -396,40 +418,13 @@ def _spend(budget, amount=1):
         raise BlowupLimitExceeded("schema output exceeded the size cap")
 
 
-def _to_schema(phi: jsl.JslFormula, budget) -> SchemaAst:
-    _spend(budget)
-    if isinstance(phi, jsl.Top):
-        return EmptySchema()
-    if isinstance(phi, jsl.Not):
-        return NotSchema(_to_schema(phi.body, budget))
-    if isinstance(phi, (jsl.And, jsl.Or)):
-        parts = tuple(_to_schema(f, budget) for f in operands(phi))
-        return (AllOf if isinstance(phi, jsl.And) else AnyOf)(parts)
-    if isinstance(phi, jsl.Atom):
-        return _test_to_schema(phi.test, budget)
-    if isinstance(phi, jsl.BoxKey):
-        body = _to_schema(phi.body, budget)
-        return AnyOf((NotSchema(ObjectSchema()),
-                      ObjectSchema(pattern_properties=((phi.pattern, body),))))
-    if isinstance(phi, jsl.DiaKey):
-        return NotSchema(_to_schema(jsl.BoxKey(phi.pattern, jsl.Not(phi.body)), budget))
-    if isinstance(phi, jsl.BoxIdx):
-        return _box_idx_schema(phi, budget)
-    if isinstance(phi, jsl.DiaIdx):
-        return NotSchema(_box_idx_schema(jsl.BoxIdx(phi.lo, phi.hi, jsl.Not(phi.body)), budget))
-    if isinstance(phi, jsl.SymbolRef):
-        raise FragmentViolation(phi.name, "definition symbols have no schema counterpart here")
-    raise TypeError(f"not a formula: {phi!r}")
+def _exact_length(n: int) -> ArraySchema:
+    """Arrays of exactly n elements."""
+    return ArraySchema(items=tuple(EmptySchema() for _ in range(n)), additional_items=None)
 
 
-def _exact_length(n: int, prefix=()) -> ArraySchema:
-    """Arrays of exactly n elements, the first len(prefix) as given."""
-    items = tuple(prefix) + tuple(EmptySchema() for _ in range(n - len(prefix)))
-    return ArraySchema(items=items, additional_items=None)
-
-
-def _box_idx_schema(phi: jsl.BoxIdx, budget) -> SchemaAst:
-    body = _to_schema(phi.body, budget)
+def _box_idx_schema(phi: jsl.BoxIdx, budget):
+    body = yield phi.body
     lo, hi = phi.lo, phi.hi
     parts = [NotSchema(ArraySchema())]
     blanks = tuple(EmptySchema() for _ in range(lo - 1))
@@ -489,64 +484,49 @@ def _test_to_schema(test: jsl.NodeTest, budget) -> SchemaAst:
 # -- text form ------------------------------------------------------------------
 
 
-def schema_to_python(ast: SchemaAst):
-    if isinstance(ast, EmptySchema):
-        return {}
-    if isinstance(ast, Ref):
-        return {"$ref": f"#/definitions/{ast.name}"}
-    if isinstance(ast, StringSchema):
-        out = {"type": "string"}
-        if ast.pattern is not None:
-            out["pattern"] = rx.to_text(ast.pattern)
-        return out
-    if isinstance(ast, NumberSchema):
-        out = {"type": "number"}
-        if ast.minimum is not None:
-            out["minimum"] = ast.minimum
-        if ast.maximum is not None:
-            out["maximum"] = ast.maximum
-        if ast.multiple_of is not None:
-            out["multipleOf"] = ast.multiple_of
-        return out
-    if isinstance(ast, ObjectSchema):
-        out = {"type": "object"}
-        if ast.min_properties is not None:
-            out["minProperties"] = ast.min_properties
-        if ast.max_properties is not None:
-            out["maxProperties"] = ast.max_properties
-        if ast.required:
-            out["required"] = list(ast.required)
-        if ast.properties:
-            out["properties"] = {k: schema_to_python(v) for k, v in ast.properties}
-        if ast.pattern_properties:
-            out["patternProperties"] = {rx.to_text(p): schema_to_python(v)
-                                        for p, v in ast.pattern_properties}
-        if ast.additional_properties is not None:
-            out["additionalProperties"] = schema_to_python(ast.additional_properties)
-        return out
-    if isinstance(ast, ArraySchema):
-        out = {"type": "array"}
-        if ast.items is not None:
-            out["items"] = [schema_to_python(v) for v in ast.items]
-        if ast.unique_items:
-            out["uniqueItems"] = True
-        if ast.additional_items is not None:
-            out["additionalItems"] = schema_to_python(ast.additional_items)
-        return out
-    if isinstance(ast, AllOf):
-        return {"allOf": [schema_to_python(v) for v in ast.parts]}
-    if isinstance(ast, AnyOf):
-        return {"anyOf": [schema_to_python(v) for v in ast.parts]}
+def _python(ast: SchemaAst):
+    """Walker: a schema node's JSON value, keywords its fields camel-cased."""
+    if isinstance(ast, (AllOf, AnyOf)):
+        return {"allOf" if isinstance(ast, AllOf) else "anyOf": (yield from each(ast.parts))}
     if isinstance(ast, NotSchema):
-        return {"not": schema_to_python(ast.body)}
+        return {"not": (yield ast.body)}
     if isinstance(ast, Enum):
         return {"enum": [jt.to_python(v) for v in ast.values]}
-    raise TypeError(f"not a schema: {ast!r}")
+    if isinstance(ast, Ref):
+        return {"$ref": f"#/definitions/{ast.name}"}
+    out = {"type": _TYPES[type(ast)]} if type(ast) in _TYPES else {}
+    for name in ast._fields:
+        value = getattr(ast, name)
+        if value is None or value is False or value == () and name != "items":
+            continue
+        if isinstance(value, rx.Regex):
+            value = rx.to_text(value)
+        elif isinstance(value, SchemaAst):
+            value = yield value
+        elif name in ("properties", "pattern_properties"):
+            keys = [k if name == "properties" else rx.to_text(k) for k, _ in value]
+            value = dict(zip(keys, (yield from each(v for _, v in value))))
+        elif name in ("items", "required"):
+            value = (yield from each(value)) if name == "items" else list(value)
+        head, *rest = name.split("_")
+        out[head + "".join(map(str.title, rest))] = value
+    return out
 
 
 def schema_to_text(doc: SchemaDocument, indent: Optional[int] = None) -> str:
-    out = schema_to_python(doc.root)
+    """The schema as JSON text; it raises ``NestingTooDeep`` rather than
+    print lists and objects nested more than ``MAX_NESTING`` deep."""
+    memo = {}
+    out = walk(_python, doc.root, memo)
     if doc.definitions:
-        out = {"definitions": {name: schema_to_python(ast) for name, ast in doc.definitions},
+        out = {"definitions": {name: walk(_python, ast, memo) for name, ast in doc.definitions},
                **out}
+    todo = [(out, 1)]
+    while todo:
+        value, depth = todo.pop()
+        if depth > MAX_NESTING:
+            raise NestingTooDeep(f"the schema nests lists and objects more than {MAX_NESTING} "
+                                 "deep, past what JSON printing supports")
+        items = value.values() if isinstance(value, dict) else value
+        todo += ((v, depth + 1) for v in items if isinstance(v, (dict, list)))
     return json.dumps(out, ensure_ascii=False, indent=indent)

@@ -198,20 +198,14 @@ def _unexpected(table: dict, tok: str, at: int) -> MalformedFormula:
     return fail(f"unexpected {tok[0]!r}{where}" if tok else f"unexpected end of {noun}", at)
 
 
-def left_spine(phi) -> list:
-    """The nodes of ``phi``'s connective (any node with ``.lhs``) down its
-    left operands, innermost first: a loop over them keeps a long flat
-    chain off the Python stack."""
-    spine = [phi]
-    while type(spine[-1].lhs) is type(phi):
-        spine.append(spine[-1].lhs)
-    return spine[::-1]
-
-
 def operands(phi) -> list:
-    """The operands of ``phi``'s flat chain of one connective, left to right."""
-    spine = left_spine(phi)
-    return [spine[0].lhs] + [f.rhs for f in spine]
+    """The operands of ``phi``'s flat chain of one connective (any node
+    with ``.lhs`` and ``.rhs``), left to right."""
+    out = [phi.rhs]
+    while type(phi.lhs) is type(phi):
+        phi = phi.lhs
+        out.append(phi.rhs)
+    return [phi.lhs] + out[::-1]
 
 
 def to_text(syntax: dict, node) -> str:

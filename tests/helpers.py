@@ -567,6 +567,17 @@ def random_jsl(rng, depth, symbols=()) -> jsl.JslFormula:
     return (jsl.BoxIdx if kind == 2 else jsl.DiaIdx)(lo, hi, body)
 
 
+def formula_size(phi) -> int:
+    """Nodes of a schema-logic formula, counted once per occurrence
+    (``jsl.subformulas`` lists each distinct node once)."""
+    size, stack = 0, [phi]
+    while stack:
+        f = stack.pop()
+        size += 1
+        stack.extend(getattr(f, name) for name in ("lhs", "rhs", "body") if hasattr(f, name))
+    return size
+
+
 def random_well_formed(rng, count) -> list:
     """Seeded well-formed recursive expressions over one to three symbols."""
     out = []

@@ -406,3 +406,89 @@ def test_deep_formula_validates(files, capsys, text):
                            (["sat", "--formula-file", rjsl, "--logic", "rjsl"], ("SAT\n{}\n", ""))]:
         assert main(argv) == 0, argv
         assert capsys.readouterr() == expected, argv
+
+
+DEPTH = 3000
+DIA = 'dia("a") ' * DEPTH + "true"
+DEEP_INPUTS = {
+    "e.json": "{}",
+    "deep.json": '{"a":' * DEPTH + "{}" + "}" * DEPTH,
+    "not.jsl": "!" * DEPTH + "true",
+    "dia.jsl": DIA,
+    "box.jsl": "box(/a/) " * DEPTH + "true",
+    "not-and.jsl": "!(obj && " * DEPTH + "true" + ")" * DEPTH,
+    "or.jsl": "(obj || " * DEPTH + "true" + ")" * DEPTH,
+    "dia.rjsl": f"let g = {DIA}; in g",
+    "not.schema.json": '{"not":' * DEPTH + "{}" + "}" * DEPTH,
+    "all-of.schema.json": '{"allOf":[' * DEPTH + "{}" + "]}" * DEPTH,
+    "properties.schema.json": '{"type":"object","properties":{"a":' * DEPTH + "{}" + "}}" * DEPTH,
+    "not.jnl": "!" * DEPTH + "true",
+    "test.jnl": "[test(" * DEPTH + "true" + ")]" * DEPTH,
+    "key-test.jnl": '[@"a" / test(' * DEPTH + "true" + ")]" * DEPTH,
+    "parentheses.jnl": "[" + "(" * DEPTH + '@"a"' + ")" * DEPTH + "]",
+}
+NESTING = "error: the schema nests lists and objects more than 500 deep"
+# The probe of deep inputs through the CLI, one row per path: each prints
+# its verdict or exits 2 with a named error, never an internal one.  Three
+# rows run a 3,000-deep formula down a 3,000-deep document, one per
+# evaluator (closures, automaton run, JNL); those take seconds each, since
+# the cut formula's 30 definitions are filled at every node.
+DEEP_PROBE = [
+    ("validate", "e.json", "not.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "deep.json", "dia.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "e.json", "box.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "e.json", "not-and.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "e.json", "or.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "e.json", "dia.rjsl", "--logic", "rjsl", 1, "INVALID"),
+    ("validate", "e.json", "not.schema.json", 0, "VALID"),
+    ("validate", "e.json", "all-of.schema.json", 0, "VALID"),
+    ("validate", "e.json", "properties.schema.json", 0, "VALID"),
+    ("compile", "not.schema.json", "--from", "schema", "--to", "jsl", 0, "!!"),
+    ("compile", "properties.schema.json", "--from", "schema", "--to", "jsl", 0, 'obj && box("a")'),
+    ("compile", "properties.schema.json", "--from", "schema", "--to", "jnl", 2,
+     "error: obj is outside the admissible fragment"),
+    ("query", "e.json", "--formula-file", "not.jnl", 0, "(root)"),
+    ("query", "e.json", "--formula-file", "test.jnl", 0, "(root)"),
+    ("query", "deep.json", "--formula-file", "key-test.jnl", 0, "(root)"),
+    ("query", "deep.json", "--formula-file", "parentheses.jnl", 0, "(root)\na\na/a\n"),
+    ("sat", "--logic", "jnl", "--formula-file", "not.jnl", 0, "SAT"),
+    ("sat", "--logic", "jnl", "--formula-file", "test.jnl", 0, "SAT"),
+    ("compile", "not.jnl", "--from", "jnl", "--to", "jsl", 0, "!!"),
+    ("compile", "test.jnl", "--from", "jnl", "--to", "jsl", 0, "true && true"),
+    ("compile", "not.jsl", "--from", "jsl", "--to", "jnl", 0, "!!"),
+    ("compile", "dia.jsl", "--from", "jsl", "--to", "jnl", 0, '[@"a" / test([@"a"'),
+    ("compile", "not.jsl", "--from", "jsl", "--to", "schema", 2, NESTING),
+    ("compile", "dia.jsl", "--from", "jsl", "--to", "schema", 2, NESTING),
+    ("automaton", "deep.json", "--formula-file", "dia.jsl", 0, "ACCEPT"),
+    ("automaton", "e.json", "--formula-file", "not-and.jsl", 0, "ACCEPT"),
+    ("automaton", "e.json", "--formula-file", "dia.rjsl", "--logic", "rjsl", 1, "REJECT"),
+    ("sat", "--formula-file", "dia.jsl", 1, "UNSAT"),
+    ("sat", "--formula-file", "dia.rjsl", "--logic", "rjsl", 1, "UNSAT"),
+    ("check-wf", "--formula-file", "dia.rjsl", 0, "symbols: g"),
+]
+
+
+@pytest.mark.parametrize("row", DEEP_PROBE,
+                         ids=["-".join(arg for arg in row[:-2] if not arg.startswith("-"))
+                              for row in DEEP_PROBE])
+def test_deep_input_probe(tmp_path, capsys, row):
+    *argv, code, expected = row
+    for i, arg in enumerate(argv):
+        if arg in DEEP_INPUTS:
+            argv[i] = str(tmp_path / arg)
+            (tmp_path / arg).write_text(DEEP_INPUTS[arg], encoding="utf-8")
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "internal" not in err
+    assert (out if code < 2 else err).startswith(expected)
+
+
+@pytest.mark.parametrize("step", ["eps", "@/a|b/"], ids=["functional", "regex"])
+def test_nested_equalities_answer(files, capsys, step):
+    # each eq(alpha, beta) sits in a test of the next one's path; their
+    # tables are filled innermost first, not one call inside another
+    n = 400
+    text = "eq(test(" * n + "true" + f") / {step}, eps)" * n
+    assert main(["query", files("e.json", '{"a": {}}'), "--formula-file",
+                 files("f.jnl", text)]) in (0, 1)
+    assert "internal" not in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Interned syntax-tree nodes (``jlogic._node``): equality is identity and
 hashing is O(1), so both are total on nodes of any depth, and so is
 ``repr``, which prints through the iterative printers of ``jlogic.syntax``.
+The walk driver visits each distinct node once, on a stack of its own.
 """
 
+import ast
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,7 +16,10 @@ import jlogic
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.regex as rx
-from jlogic.decision import Bounds, Qbf
+import jlogic.translate as translate
+from jlogic._node import walk
+from jlogic.decision import Bounds, Qbf, sat_bounded
+from jlogic.decision.search import _Program
 from jlogic.errors import BadBounds
 from jlogic.tree import NodeKind, parse_document
 
@@ -126,3 +132,87 @@ def test_import_leaves_dataclasses_out_and_resolves_all_names():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _children(f):
+    return [getattr(f, name) for name in ("lhs", "rhs", "body") if hasattr(f, name)]
+
+
+def test_walk_visits_each_distinct_node_once_and_goes_deep():
+    visits = []
+
+    def size(f):  # nodes of the formula, counted per occurrence
+        visits.append(f)
+        total = 1
+        for c in _children(f):
+            total += yield c
+        return total
+
+    shared = jsl.TOP
+    for _ in range(20):
+        shared = jsl.And(shared, shared)
+    assert walk(size, shared) == 2 ** 21 - 1
+    assert len(visits) == 21
+    visits.clear()
+    assert walk(size, jsl.And(jsl.TOP, jsl.TOP), memo=False) == 3
+    assert len(visits) == 3
+    assert walk(size, _jsl_chain()) == DEPTH + 1
+    memo = {}
+    assert walk(size, jsl.TOP, memo) == 1 and memo == {jsl.TOP: 1}
+
+
+SHARED_JOINS = 18
+
+
+def _shared(leaf, join):
+    phi = leaf
+    for _ in range(SHARED_JOINS):
+        phi = join(phi, phi)
+    return phi
+
+
+@pytest.mark.parametrize("name", ["validate", "specialize", "sat_bounded", "jnl_to_jsl",
+                                  "eval_unary_ids"])
+def test_shared_subformulas_cost_one_visit_each(name):
+    # obj joined with itself 18 times: 19 distinct nodes, 2^19 - 1 occurrences
+    phi = _shared(jsl.Atom(jsl.KindTest(NodeKind.OBJ)), jsl.And)
+    u = _shared(jnl.parse_jnl('[@"a"]'), jnl.And)
+    call = {"validate": lambda: jsl.validate(parse_document("{}"), phi),
+            "specialize": lambda: jsl.specialize(phi, NodeKind.OBJ),
+            "sat_bounded": lambda: sat_bounded(phi, Bounds(2, 2, 3)).satisfiable,
+            "jnl_to_jsl": lambda: translate.jnl_to_jsl(u) is _shared(
+                jsl.DiaKey(rx.word_regex("a"), jsl.TOP), jsl.And),
+            "eval_unary_ids": lambda: jnl.eval_unary_ids(parse_document('{"a": 1}'), u) == {0}}
+    start = time.perf_counter()
+    assert call[name]() is True
+    assert time.perf_counter() - start < 2
+
+
+def test_program_bits_come_after_their_operands():
+    # a reversed pre-order over distinct nodes would put !obj before obj here
+    obj = jsl.Atom(jsl.KindTest(NodeKind.OBJ))
+    for phi in (jsl.And(jsl.Not(obj), obj), jsl.Or(jsl.And(jsl.Not(obj), obj), jsl.Not(obj)),
+                _shared(obj, jsl.And), _shared(obj, lambda f, g: jsl.Or(jsl.Not(f), g))):
+        program = _Program({}).compile_formula(phi)
+        assert len(program.instrs) == len(set(jsl.subformulas(phi)))
+        for bit, deps in enumerate(program.deps):
+            assert all(dep < bit for dep in deps), jsl.to_text(phi)
+
+
+WALKED = ["jsl", "translate", "schema", "recursive", "decision/automata", "jnl"]
+
+
+@pytest.mark.parametrize("module", WALKED)
+def test_walkers_do_not_call_themselves(module):
+    # formula and schema walkers run on the driver's stack; recursive.unfold
+    # is the oracle the tests hold eval_recursive to and keeps its recursion
+    path = os.path.join(os.path.dirname(jlogic.__file__), module + ".py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    oracle = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == "unfold" for n in ast.walk(fn)}
+    found = [fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and id(fn) not in oracle
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == fn.name]
+    assert found == []

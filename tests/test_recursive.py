@@ -5,15 +5,17 @@ from types import SimpleNamespace
 
 import pytest
 
+import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.tree as jt
 from jlogic.cli import main
-from jlogic.decision import (Bounds, automaton_accepts, complement, recursive_to_automaton,
-                             sat_bounded)
+from jlogic.decision import (Bounds, automaton_accepts, complement, jsl_to_automaton,
+                             recursive_to_automaton, sat_bounded)
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
-from helpers import oracle_jsl, random_jsl, random_tree, random_value, random_well_formed
+from helpers import (formula_size, oracle_holds, oracle_jsl, random_jnl_unary, random_jsl,
+                     random_tree, random_value, random_well_formed)
 
 EVEN_PATHS = ("let g1 = box(/.*/) g2; "
               "let g2 = dia(/.*/) true && box(/.*/) g1; in g1")
@@ -499,7 +501,7 @@ def test_specialization_linear_in_definitions(first, per_definition):
                 if isinstance(f, bool):
                     consts[kind][name] = f
                 else:
-                    size += sum(1 for _ in jsl.subformulas(f))
+                    size += formula_size(f)
         assert size == max(0, per_definition * count - 1), (first, count)
 
 
@@ -609,3 +611,25 @@ def test_fill_keeps_to_the_given_nodes():
                 assert not any(table[:n]) and not any(table[last + 1:]), rec.to_text(e)
                 outside += any(full[name][:n]) or any(full[name][last + 1:])
     assert outside > 100  # the full fill sets many ids outside the subtree
+
+
+def test_cut_expressions_agree_with_the_oracles(monkeypatch):
+    # With closures allowed to nest two levels, nearly every formula is cut
+    # into definitions; each evaluator still agrees with the oracles.
+    monkeypatch.setattr(rec, "MAX_CLOSURE_NESTING", 2)
+    rng, cut = random.Random(21), 0
+    for _ in range(200):
+        phi, t = random_jsl(rng, 4), random_tree(rng, 3)
+        expr = rec.cut(rec.RecursiveJslExpr((), phi))
+        cut += bool(expr.definitions)
+        assert all(f._nesting <= 2 for _, f in expr.definitions + (("", expr.base),))
+        expected = oracle_jsl(t, 0, phi)
+        assert jsl.validate(t, phi) == expected, jsl.to_text(phi)
+        assert automaton_accepts(jsl_to_automaton(phi), t) == expected, jsl.to_text(phi)
+        u = random_jnl_unary(rng, 3)
+        assert jnl.eval_unary_ids(t, u) == {n for n in t.nodes() if oracle_holds(t, u, n)}
+    for e in random_well_formed(rng, 100):
+        t = random_tree(rng, 3)
+        assert rec.eval_recursive(e, t) == oracle_jsl(t, 0, rec.unfold(e, height(t))), \
+            rec.to_text(e)
+    assert cut > 150

@@ -1,9 +1,13 @@
 """The concrete syntax of JNL, JSL, recursive JSL and regexes (``jlogic.syntax``
 and each logic's ``SYNTAX`` table): inputs nested thousands of levels deep,
-a seeded mutation fuzz over the four parsers, and parse/print round trips.
+a seeded mutation fuzz over the four parsers and through every subcommand,
+and parse/print round trips.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -11,9 +15,10 @@ import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.regex as rx
+from jlogic.cli import main
 from jlogic.errors import JLogicError, MalformedFormula, MalformedRegex
 from jlogic.syntax import GROUP
-from helpers import random_jnl_unary, random_jsl, random_regex, random_well_formed
+from helpers import random_jnl_unary, random_jsl, random_regex, random_schema, random_well_formed
 
 N = 3000
 LOGICS = {
@@ -137,6 +142,54 @@ def test_fuzzed_text_parses_or_raises_a_jlogic_error(logic):
         printed = to_text(node)
         assert to_text(parse(printed)) == printed, text
     assert parsed > 100  # the well-formed mutants are printed and reparsed too
+
+
+SMALL_SEARCH = ["--max-depth", "2", "--max-width", "2", "--max-atoms", "3", "--budget", "3000"]
+# the subcommands each kind of text goes through; F is the text's file, D a document
+COMMANDS = {
+    "jnl": [["query", "D", "--formula-file", "F"],
+            ["sat", "--logic", "jnl", "--formula-file", "F", *SMALL_SEARCH]]
+    + [["compile", "F", "--from", "jnl", "--to", to] for to in ("jnl", "jsl", "schema")],
+    "jsl": [["validate", "D", "F", "--logic", "jsl"], ["automaton", "D", "--formula-file", "F"],
+            ["sat", "--formula-file", "F", *SMALL_SEARCH]]
+    + [["compile", "F", "--from", "jsl", "--to", to] for to in ("jsl", "jnl", "schema")],
+    "rjsl": [["validate", "D", "F", "--logic", "rjsl"], ["check-wf", "--formula-file", "F"],
+             ["automaton", "D", "--formula-file", "F", "--logic", "rjsl"],
+             ["sat", "--logic", "rjsl", "--formula-file", "F", *SMALL_SEARCH]],
+    "schema": [["validate", "D", "F"]]
+    + [["compile", "F", "--from", "schema", "--to", to] for to in ("schema", "jsl", "jnl")],
+}
+COMMANDS["regex"] = COMMANDS["jsl"]  # as pattern(/e/) || dia(/e/) true
+SCHEMA_TOKENS = sorted({'"type"', '"object"', '"array"', '"string"', '"number"', '"not"',
+                        '"allOf"', '"anyOf"', '"enum"', '"items"', '"properties"', '"required"',
+                        '"$ref"', '"#/definitions/d0"', "{", "}", "[", "]", ",", ":", "1", '"a"'})
+
+
+@pytest.mark.parametrize("logic", sorted(COMMANDS))
+def test_fuzzed_text_through_every_subcommand(logic, tmp_path):
+    # Each seed and mutant runs through every subcommand that reads its kind
+    # of text: a verdict (exit 0 or 1), or exit 2 with a named error.
+    rng = random.Random(f"cli:{logic}")
+    if logic == "schema":
+        seeds, tokens = [json.dumps(random_schema(rng)) for _ in range(10)], SCHEMA_TOKENS
+    else:
+        seeds, tokens = [LOGICS[logic][1](f) for f in _draw(rng, logic, 10, 3)], TOKENS[logic]
+    doc, text = tmp_path / "d.json", tmp_path / "f.txt"
+    doc.write_text('{"a": [1, "x"], "b": {"a": {}}}', encoding="utf-8")
+    verdicts = 0
+    for mutant in seeds + [_mutant(rng, rng.choice(seeds), tokens) for _ in range(40)]:
+        if logic == "regex":
+            mutant = f"pattern(/{mutant}/) || dia(/{mutant}/) true"
+        text.write_text(mutant, encoding="utf-8")
+        for command in COMMANDS[logic]:
+            argv = [str(doc) if a == "D" else str(text) if a == "F" else a for a in command]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1) or code == 2 and "internal" not in err.getvalue(), \
+                (argv[0], mutant, err.getvalue())
+            verdicts += code < 2
+    assert verdicts > 20
 
 
 @pytest.mark.parametrize("logic", sorted(LOGICS))
