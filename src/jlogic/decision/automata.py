@@ -228,12 +228,18 @@ def _to_recursive(auto: JAutomaton) -> rec.RecursiveJslExpr:
 
 def _dual(expr: RuleExpr) -> RuleExpr:
     def visit(expr):
-        if isinstance(expr, (RAnd, ROr)):
-            return (ROr if isinstance(expr, RAnd) else RAnd)(tuple((yield from each(expr.parts))))
-        if isinstance(expr, (TrueAtom, FalseAtom)):
-            return FalseAtom() if isinstance(expr, TrueAtom) else TrueAtom()
-        if isinstance(expr, (TestAtom, SymbolAtom)):  # (test or name, negated)
-            return type(expr)(getattr(expr, expr._fields[0]), not expr.negated)
+        if isinstance(expr, RAnd):
+            return ROr(tuple((yield from each(expr.parts))))
+        if isinstance(expr, ROr):
+            return RAnd(tuple((yield from each(expr.parts))))
+        if isinstance(expr, TrueAtom):
+            return FalseAtom()
+        if isinstance(expr, FalseAtom):
+            return TrueAtom()
+        if isinstance(expr, TestAtom):
+            return TestAtom(expr.test, not expr.negated)
+        if isinstance(expr, SymbolAtom):
+            return SymbolAtom(expr.name, not expr.negated)
         if isinstance(expr, StateAtom):
             return expr
         if isinstance(expr, QuantAtom):
@@ -271,11 +277,22 @@ def complement(auto: JAutomaton) -> JAutomaton:
 
 class _Builder:
     def __init__(self):
-        self.node_rules, self.tree_rules = [], []
+        self.node_rules = []
+        self.tree_rules = []
+        self.counter = 0
 
-    def node(self, body, rules=None) -> int:  # a fresh state owning body
-        q = len(self.node_rules) + len(self.tree_rules)
-        (self.node_rules if rules is None else rules).append((q, body))
+    def fresh(self) -> int:
+        self.counter += 1
+        return self.counter - 1
+
+    def node(self, body) -> int:
+        q = self.fresh()
+        self.node_rules.append((q, body))
+        return q
+
+    def tree(self, body) -> int:
+        q = self.fresh()
+        self.tree_rules.append((q, body))
         return q
 
     def build(self, phi: jsl.JslFormula, positive: bool) -> int:
@@ -307,7 +324,7 @@ class _Builder:
         boxlike = isinstance(phi, (jsl.BoxKey, jsl.BoxIdx))
         sub = yield phi.body, positive
         # a negated box is an existential over the negated body, and dually
-        return self.node(QuantAtom(sub, label, universal=boxlike == positive), self.tree_rules)
+        return self.tree(QuantAtom(sub, label, universal=boxlike == positive))
 
     def finish(self, final: int) -> JAutomaton:
         return make_automaton(self.node_rules, self.tree_rules, {final})

@@ -80,12 +80,11 @@ class SameAsTest(NodeTest):
 class JslFormula(Node):
     # _nesting: how deep compile_formula's closures nest when they run; of
     # a chain of one connective also _chain, its operand count and deepest;
-    # _symbols: the definition symbols it names, anywhere and unshielded
+    # _symbols: symbol_sets' answer, kept once it is asked for
     __slots__ = ("_nesting", "_chain", "_symbols")
 
     def __post_init__(self):
         object.__setattr__(self, "_nesting", _nesting(self))
-        object.__setattr__(self, "_symbols", _symbols(self))
 
     def __repr__(self):
         return f"<jsl {to_text(self)}>"
@@ -142,16 +141,6 @@ def _nesting(f: JslFormula) -> int:
     return 1 + f.body._nesting if hasattr(f, "body") else int(isinstance(f, Atom))
 
 
-def _symbols(f: JslFormula) -> tuple:
-    """The symbols ``f`` names anywhere, and outside every modality."""
-    if isinstance(f, SymbolRef):
-        return (frozenset((f.name,)),) * 2
-    parts = (f.lhs, f.rhs) if isinstance(f, (And, Or)) else (f.body,) if hasattr(f, "body") else ()
-    anywhere = frozenset().union(*(p._symbols[0] for p in parts))
-    shielded = not isinstance(f, (Not, And, Or))
-    return anywhere, frozenset() if shielded else frozenset().union(*(p._symbols[1] for p in parts))
-
-
 TOP = Top()
 BOTTOM = Not(TOP)
 
@@ -182,7 +171,28 @@ def subformulas(phi: JslFormula) -> list:
 
 
 def symbols_used(phi: JslFormula) -> set:
-    return set(phi._symbols[0])
+    return set(symbol_sets(phi)[0])
+
+
+def symbol_sets(phi: JslFormula) -> tuple:
+    """The symbols ``phi`` names anywhere, and outside every modality; one
+    walk over its distinct parts, the first time ``phi`` is asked."""
+    if not hasattr(phi, "_symbols"):
+        anywhere, unshielded = set(), set()
+
+        def visit(item):
+            f, shielded = item
+            if isinstance(f, SymbolRef):
+                (anywhere if shielded else unshielded).add(f.name)
+            elif isinstance(f, (And, Or)):
+                yield f.lhs, shielded
+                yield f.rhs, shielded
+            elif hasattr(f, "body"):
+                yield f.body, shielded or not isinstance(f, Not)
+        walk(visit, (phi, False))
+        object.__setattr__(phi, "_symbols", (frozenset(anywhere | unshielded),
+                                             frozenset(unshielded)))
+    return phi._symbols
 
 
 # -- evaluation ----------------------------------------------------------------

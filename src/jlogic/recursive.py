@@ -101,7 +101,7 @@ def precedence_graph(expr: RecursiveJslExpr) -> PrecedenceGraph:
     defined = set(symbols)
     edges = set()
     for name, body in expr.definitions:
-        for used in body._symbols[1]:  # outside every modality
+        for used in jsl.symbol_sets(body)[1]:  # outside every modality
             if used in defined:
                 edges.add((name, used))
     return PrecedenceGraph(symbols, frozenset(edges))

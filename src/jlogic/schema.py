@@ -21,6 +21,7 @@ keyword never constrains.
 from __future__ import annotations
 
 import json
+import sys
 from functools import cached_property
 from typing import Optional
 
@@ -43,7 +44,6 @@ from .jnl import operands
 from .tree import JsonTree, NodeKind
 
 DEFAULT_SCHEMA_CAP = 100_000
-MAX_NESTING = 500  # the JSON printer recurses once per nested list or object
 
 
 class SchemaAst(Node):
@@ -321,26 +321,31 @@ def schema_to_jsl(doc: SchemaDocument):
     return walk(_to_jsl, doc.root, memo)
 
 
-_KINDS = {StringSchema: NodeKind.STR, NumberSchema: NodeKind.INT, ObjectSchema: NodeKind.OBJ,
-          ArraySchema: NodeKind.ARR}
-_TYPES = dict(zip(_KINDS, _TYPE_KEYWORDS))  # the type keyword of each
-_TESTS = {"pattern": jsl.PatternTest, "minimum": jsl.MinTest, "maximum": jsl.MaxTest,
-          "multiple_of": jsl.MultOfTest, "min_properties": jsl.MinChTest,
-          "max_properties": jsl.MaxChTest}
-
-
 def _to_jsl(ast: SchemaAst):
     if isinstance(ast, EmptySchema):
         return jsl.TOP
     if isinstance(ast, Ref):
         return jsl.SymbolRef(ast.name)
-    if type(ast) in _KINDS:  # its kind, then its keywords' node tests
-        parts = [jsl.Atom(jsl.KindTest(_KINDS[type(ast)]))] + [
-            jsl.Atom(_TESTS[name](getattr(ast, name))) for name in ast._fields
-            if name in _TESTS and getattr(ast, name) is not None]
-    if isinstance(ast, (StringSchema, NumberSchema)):
+    if isinstance(ast, StringSchema):
+        parts = [jsl.Atom(jsl.KindTest(NodeKind.STR))]
+        if ast.pattern is not None:
+            parts.append(jsl.Atom(jsl.PatternTest(ast.pattern)))
+        return jsl.and_all(parts)
+    if isinstance(ast, NumberSchema):
+        parts = [jsl.Atom(jsl.KindTest(NodeKind.INT))]
+        if ast.minimum is not None:
+            parts.append(jsl.Atom(jsl.MinTest(ast.minimum)))
+        if ast.maximum is not None:
+            parts.append(jsl.Atom(jsl.MaxTest(ast.maximum)))
+        if ast.multiple_of is not None:
+            parts.append(jsl.Atom(jsl.MultOfTest(ast.multiple_of)))
         return jsl.and_all(parts)
     if isinstance(ast, ObjectSchema):
+        parts = [jsl.Atom(jsl.KindTest(NodeKind.OBJ))]
+        if ast.min_properties is not None:
+            parts.append(jsl.Atom(jsl.MinChTest(ast.min_properties)))
+        if ast.max_properties is not None:
+            parts.append(jsl.Atom(jsl.MaxChTest(ast.max_properties)))
         for req in ast.required:
             parts.append(jsl.DiaKey(rx.word_regex(req), jsl.TOP))
         named = [(rx.word_regex(key), sub) for key, sub in ast.properties]
@@ -352,6 +357,7 @@ def _to_jsl(ast: SchemaAst):
             parts.append(jsl.BoxKey(klass, (yield ast.additional_properties)))
         return jsl.and_all(parts)
     if isinstance(ast, ArraySchema):
+        parts = [jsl.Atom(jsl.KindTest(NodeKind.ARR))]
         if ast.unique_items:
             parts.append(jsl.Atom(jsl.UniqueTest()))
         n_items = len(ast.items) if ast.items is not None else 0
@@ -362,8 +368,10 @@ def _to_jsl(ast: SchemaAst):
         elif ast.items is not None:
             parts.append(jsl.BoxIdx(n_items + 1, None, jsl.BOTTOM))
         return jsl.and_all(parts)
-    if isinstance(ast, (AllOf, AnyOf)):
-        return (jsl.and_all if isinstance(ast, AllOf) else jsl.or_all)((yield from each(ast.parts)))
+    if isinstance(ast, AllOf):
+        return jsl.and_all((yield from each(ast.parts)))
+    if isinstance(ast, AnyOf):
+        return jsl.or_all((yield from each(ast.parts)))
     if isinstance(ast, NotSchema):
         return jsl.Not((yield ast.body))
     if isinstance(ast, Enum):
@@ -485,48 +493,74 @@ def _test_to_schema(test: jsl.NodeTest, budget) -> SchemaAst:
 
 
 def _python(ast: SchemaAst):
-    """Walker: a schema node's JSON value, keywords its fields camel-cased."""
-    if isinstance(ast, (AllOf, AnyOf)):
-        return {"allOf" if isinstance(ast, AllOf) else "anyOf": (yield from each(ast.parts))}
+    """Walker: a schema node's JSON value."""
+    if isinstance(ast, EmptySchema):
+        return {}
+    if isinstance(ast, Ref):
+        return {"$ref": f"#/definitions/{ast.name}"}
+    if isinstance(ast, StringSchema):
+        out = {"type": "string"}
+        if ast.pattern is not None:
+            out["pattern"] = rx.to_text(ast.pattern)
+        return out
+    if isinstance(ast, NumberSchema):
+        out = {"type": "number"}
+        if ast.minimum is not None:
+            out["minimum"] = ast.minimum
+        if ast.maximum is not None:
+            out["maximum"] = ast.maximum
+        if ast.multiple_of is not None:
+            out["multipleOf"] = ast.multiple_of
+        return out
+    if isinstance(ast, ObjectSchema):
+        out = {"type": "object"}
+        if ast.min_properties is not None:
+            out["minProperties"] = ast.min_properties
+        if ast.max_properties is not None:
+            out["maxProperties"] = ast.max_properties
+        if ast.required:
+            out["required"] = list(ast.required)
+        if ast.properties:
+            values = yield from each(v for _, v in ast.properties)
+            out["properties"] = dict(zip((k for k, _ in ast.properties), values))
+        if ast.pattern_properties:
+            values = yield from each(v for _, v in ast.pattern_properties)
+            out["patternProperties"] = dict(zip((rx.to_text(p) for p, _ in ast.pattern_properties),
+                                                values))
+        if ast.additional_properties is not None:
+            out["additionalProperties"] = yield ast.additional_properties
+        return out
+    if isinstance(ast, ArraySchema):
+        out = {"type": "array"}
+        if ast.items is not None:
+            out["items"] = yield from each(ast.items)
+        if ast.unique_items:
+            out["uniqueItems"] = True
+        if ast.additional_items is not None:
+            out["additionalItems"] = yield ast.additional_items
+        return out
+    if isinstance(ast, AllOf):
+        return {"allOf": (yield from each(ast.parts))}
+    if isinstance(ast, AnyOf):
+        return {"anyOf": (yield from each(ast.parts))}
     if isinstance(ast, NotSchema):
         return {"not": (yield ast.body)}
     if isinstance(ast, Enum):
         return {"enum": [jt.to_python(v) for v in ast.values]}
-    if isinstance(ast, Ref):
-        return {"$ref": f"#/definitions/{ast.name}"}
-    out = {"type": _TYPES[type(ast)]} if type(ast) in _TYPES else {}
-    for name in ast._fields:
-        value = getattr(ast, name)
-        if value is None or value is False or value == () and name != "items":
-            continue
-        if isinstance(value, rx.Regex):
-            value = rx.to_text(value)
-        elif isinstance(value, SchemaAst):
-            value = yield value
-        elif name in ("properties", "pattern_properties"):
-            keys = [k if name == "properties" else rx.to_text(k) for k, _ in value]
-            value = dict(zip(keys, (yield from each(v for _, v in value))))
-        elif name in ("items", "required"):
-            value = (yield from each(value)) if name == "items" else list(value)
-        head, *rest = name.split("_")
-        out[head + "".join(map(str.title, rest))] = value
-    return out
+    raise TypeError(f"not a schema: {ast!r}")
 
 
 def schema_to_text(doc: SchemaDocument, indent: Optional[int] = None) -> str:
-    """The schema as JSON text; it raises ``NestingTooDeep`` rather than
-    print lists and objects nested more than ``MAX_NESTING`` deep."""
+    """The schema as JSON text; ``json.dumps`` recurses once per nested
+    list or object, and nested past Python's recursion limit it raises
+    ``NestingTooDeep``."""
     memo = {}
     out = walk(_python, doc.root, memo)
     if doc.definitions:
         out = {"definitions": {name: walk(_python, ast, memo) for name, ast in doc.definitions},
                **out}
-    todo = [(out, 1)]
-    while todo:
-        value, depth = todo.pop()
-        if depth > MAX_NESTING:
-            raise NestingTooDeep(f"the schema nests lists and objects more than {MAX_NESTING} "
-                                 "deep, past what JSON printing supports")
-        items = value.values() if isinstance(value, dict) else value
-        todo += ((v, depth + 1) for v in items if isinstance(v, (dict, list)))
-    return json.dumps(out, ensure_ascii=False, indent=indent)
+    try:
+        return json.dumps(out, ensure_ascii=False, indent=indent)
+    except RecursionError:
+        raise NestingTooDeep("the schema nests lists and objects past the JSON printer's "
+                             f"recursion limit ({sys.getrecursionlimit()})") from None

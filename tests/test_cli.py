@@ -427,7 +427,7 @@ DEEP_INPUTS = {
     "key-test.jnl": '[@"a" / test(' * DEPTH + "true" + ")]" * DEPTH,
     "parentheses.jnl": "[" + "(" * DEPTH + '@"a"' + ")" * DEPTH + "]",
 }
-NESTING = "error: the schema nests lists and objects more than 500 deep"
+NESTING = "error: the schema nests lists and objects past the JSON printer's recursion limit"
 # The probe of deep inputs through the CLI, one row per path: each prints
 # its verdict or exits 2 with a named error, never an internal one.  Three
 # rows run a 3,000-deep formula down a 3,000-deep document, one per
@@ -481,6 +481,16 @@ def test_deep_input_probe(tmp_path, capsys, row):
     out, err = capsys.readouterr()
     assert "internal" not in err
     assert (out if code < 2 else err).startswith(expected)
+
+
+@pytest.mark.parametrize("text", ['dia("a") ' * 150 + "true", "!" * 900 + "true"],
+                         ids=["dia", "not"])
+def test_deep_schema_still_prints(files, capsys, text):
+    # 150 dia print about 900 nested lists and objects, within the printer's
+    # own recursion: the named limit is raised only where printing fails
+    assert main(["compile", files("f.jsl", text), "--from", "jsl", "--to", "schema"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith('{\n  "not": {') and err == ""
 
 
 @pytest.mark.parametrize("step", ["eps", "@/a|b/"], ids=["functional", "regex"])

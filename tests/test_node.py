@@ -8,17 +8,18 @@ import ast
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
 import jlogic
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
+import jlogic.recursive as recursive
 import jlogic.regex as rx
+import jlogic.schema as schema
 import jlogic.translate as translate
 from jlogic._node import walk
-from jlogic.decision import Bounds, Qbf, sat_bounded
+from jlogic.decision import Bounds, Qbf, automata, sat_bounded
 from jlogic.decision.search import _Program
 from jlogic.errors import BadBounds
 from jlogic.tree import NodeKind, parse_document
@@ -171,10 +172,14 @@ def _shared(leaf, join):
     return phi
 
 
+WALKING = [jsl, jnl, translate, recursive, schema, automata]
+
+
 @pytest.mark.parametrize("name", ["validate", "specialize", "sat_bounded", "jnl_to_jsl",
                                   "eval_unary_ids"])
-def test_shared_subformulas_cost_one_visit_each(name):
-    # obj joined with itself 18 times: 19 distinct nodes, 2^19 - 1 occurrences
+def test_shared_subformulas_cost_one_visit_each(name, monkeypatch):
+    # obj joined with itself 18 times: 19 distinct nodes, 2^19 - 1 occurrences;
+    # the walks those calls make visit fewer than ten nodes per distinct one
     phi = _shared(jsl.Atom(jsl.KindTest(NodeKind.OBJ)), jsl.And)
     u = _shared(jnl.parse_jnl('[@"a"]'), jnl.And)
     call = {"validate": lambda: jsl.validate(parse_document("{}"), phi),
@@ -183,9 +188,14 @@ def test_shared_subformulas_cost_one_visit_each(name):
             "jnl_to_jsl": lambda: translate.jnl_to_jsl(u) is _shared(
                 jsl.DiaKey(rx.word_regex("a"), jsl.TOP), jsl.And),
             "eval_unary_ids": lambda: jnl.eval_unary_ids(parse_document('{"a": 1}'), u) == {0}}
-    start = time.perf_counter()
+    visits = []
+
+    def counted(visit, arg, memo=None):
+        return walk(lambda sub: visits.append(sub) or visit(sub), arg, memo)
+    for module in WALKING:
+        monkeypatch.setattr(module, "walk", counted)
     assert call[name]() is True
-    assert time.perf_counter() - start < 2
+    assert 0 < len(visits) < 10 * (SHARED_JOINS + 1)
 
 
 def test_program_bits_come_after_their_operands():
