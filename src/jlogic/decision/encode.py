@@ -74,20 +74,6 @@ class Qbf(Node):
                 raise ValueError(f"bad quantifier {quant!r}")
 
 
-def qbf_truth(qbf: Qbf) -> bool:
-    """Brute-force truth value (the oracle the encoder is tested against)."""
-
-    def go(i, assignment):
-        if i == len(qbf.prefix):
-            return all(any(assignment[v] == positive for v, positive in clause)
-                       for clause in qbf.clauses)
-        quant, var = qbf.prefix[i]
-        results = (go(i + 1, {**assignment, var: val}) for val in (True, False))
-        return any(results) if quant == "exists" else all(results)
-
-    return go(0, {})
-
-
 def _boxes(count, body):
     for _ in range(count):
         body = jsl.BoxKey(rx.SIGMA_STAR, body)

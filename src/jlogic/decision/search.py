@@ -21,7 +21,9 @@ consults at distance p+1 and through equality against the formula's
 constants, so the search keeps one minimal representative per such class
 and per level (several when array uniqueness makes distinct equal-class
 siblings matter).  Levels fill bottom-up in increasing node count, which
-keeps returned witnesses node-count minimal.  Navigational formulas
+keeps returned witnesses node-count minimal.  The root skips the sizes
+below a bound read off the formula (``_least_size``), which no model can
+have, though ``budget`` still counts their candidates.  Navigational formulas
 translate into the schema logic first; those outside the translatable
 fragment (two-path equality, closure) fall back to enumerating every
 distinct tree, where only the candidate budget keeps things finite.
@@ -51,8 +53,8 @@ from .. import recursive as rec
 from .. import regex as rx
 from .. import translate
 from .. import tree as jt
-from .._node import Node
-from ..errors import BadBounds, BoundsTooLarge, IllFormedRecursion
+from .._node import Node, each, walk
+from ..errors import BadBounds, BoundsTooLarge, FragmentViolation, IllFormedRecursion
 from ..tree import JsonTree, NodeKind
 
 DEFAULT_BUDGET = 200_000
@@ -443,6 +445,18 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
     BoundsTooLarge.
     """
     table = {}  # one subtree intern table for the constants and every candidate
+    if isinstance(formula, jnl.JnlUnary):
+        try:
+            translated = translate.jnl_to_jsl(formula)
+        except FragmentViolation:  # eq(alpha, beta) or closure: enumerate every tree
+            program = _Program(table).compile_formula(jsl.TOP)
+            revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
+            return _class_search(program, _collect_jnl(formula, bounds.max_atoms), bounds,
+                                 budget, revalidate, exhaustive=True)
+        # Without eq(alpha, beta) or closure, eval_membership's own translation,
+        # translate._jnl_to_recursive(formula), is RecursiveJslExpr((), translated):
+        # jsl.validate re-checks the same interned formula on the same evaluator.
+        formula = translated
     if isinstance(formula, rec.RecursiveJslExpr):
         program = _Program(table).compile_recursive(formula)
         inventory = _collect_jsl([body for _, body in formula.definitions] + [formula.base],
@@ -454,17 +468,39 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
         inventory = _collect_jsl([formula], bounds.max_atoms, bounds.max_width)
         revalidate = lambda tree: jsl.validate(tree, formula)
         return _class_search(program, inventory, bounds, budget, revalidate)
-    if isinstance(formula, jnl.JnlUnary):
-        revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
-        if jnl.uses_eqpaths(formula) or jnl.uses_star(formula):
-            program = _Program(table).compile_formula(jsl.TOP)
-            return _class_search(program, _collect_jnl(formula, bounds.max_atoms), bounds,
-                                 budget, revalidate, exhaustive=True)
-        translated = translate.jnl_to_jsl(formula)
-        program = _Program(table).compile_formula(translated)
-        inventory = _collect_jsl([translated], bounds.max_atoms, bounds.max_width)
-        return _class_search(program, inventory, bounds, budget, revalidate)
     raise TypeError(f"not a supported formula: {formula!r}")
+
+
+def _least_size(phi) -> int:
+    """A lower bound on the node count of every document satisfying the
+    compiled root ``phi`` (1 for a constant's class id, a bare ``same(c)``).
+
+    Each walk result also maps the literal keys a model must have to the
+    least size of the child under each; children under distinct keys are
+    distinct nodes.  A chain of one connective is folded in one step."""
+    def visit(f):
+        if isinstance(f, (jsl.And, jsl.Or)):
+            parts = yield from each(jsl.operands(f))
+            if isinstance(f, jsl.Or):
+                common = set.intersection(*(set(keys) for _, keys in parts))
+                return (min(least for least, _ in parts),
+                        {k: min(keys[k] for _, keys in parts) for k in common})
+            need = {}
+            for _, keys in parts:
+                for k, least in keys.items():
+                    need[k] = max(least, need.get(k, 0))
+            return max(1 + sum(need.values()), *(least for least, _ in parts)), need
+        if isinstance(f, jsl.DiaKey):  # some child, under the key if it is literal
+            least, word = (yield f.body)[0], rx.literal_word(f.pattern)
+            return 1 + least, {} if word is None else {word: least}
+        if isinstance(f, jsl.DiaIdx):  # an array of at least lo children
+            return f.lo + (yield f.body)[0], {}
+        if isinstance(f, jsl.Atom) and isinstance(f.test, jsl.MinChTest):
+            return 1 + f.test.count, {}
+        if isinstance(f, jsl.Atom) and isinstance(f.test, jsl.SameAsTest):
+            return f.test.const.size, {}
+        return 1, {}
+    return walk(visit, phi)[0] if isinstance(phi, jsl.JslFormula) else 1
 
 
 def _full_tree_size(depth, width) -> int:
@@ -671,8 +707,7 @@ class _Level:
             self.max_size = cand.size
 
 
-def _leaf_batch(leaves, budget, tables, verdicts) -> list:
-    budget.charge(len(leaves))
+def _leaf_batch(leaves, tables, verdicts) -> list:
     identity = tables.uniq_bit or tables.eq_of
     out = []
     for kind, value, text, bits, cid in leaves:
@@ -683,9 +718,10 @@ def _leaf_batch(leaves, budget, tables, verdicts) -> list:
     return out
 
 
-def _parent_batch(n, child_level, tables, width, budget, level) -> list:
+def _parent_batch(n, child_level, tables, width, budget, level, judge=True) -> list:
     """The kept candidates with exactly n nodes over the stored child reps;
-    each size composition is charged to the budget at once."""
+    each size composition is charged to the budget at once.  Without
+    ``judge`` the compositions are only charged."""
     sizes, by_size = sorted(child_level.by_size), child_level.by_size
     kept, verdicts = [], None
     for k in range(1, min(width, n - 1) + 1):
@@ -697,6 +733,8 @@ def _parent_batch(n, child_level, tables, width, budget, level) -> list:
         for comp in _compositions(sizes, k, n - 1):
             groups = [by_size[size] for size in comp]
             budget.charge(math.prod(map(len, groups)) * len(shapes))
+            if not judge:
+                continue
             if verdicts is None:
                 verdicts = tables.verdicts(level)
             for kind, labels in shapes:
@@ -727,7 +765,7 @@ def _in_order(cands, key_text) -> list:
 
 
 def _staged_search(leaves, bounds, budget_limit, levels, multiplicity,
-                   confirm, table, key_text) -> Optional[_Cand]:
+                   confirm, table, key_text, least=1) -> Optional[_Cand]:
     """Bottom-up over distances from the root: the level at distance p is
     populated from the one at p+1, in batches of one node count.  Below the
     root, ``levels[p]`` drops a candidate whose class is already full (up to
@@ -736,7 +774,8 @@ def _staged_search(leaves, bounds, budget_limit, levels, multiplicity,
     its smallest members.  At the root nothing is stored: of the candidates
     that satisfy the formula, the smallest by ``_Cand.order_key`` that
     ``confirm`` (when given) accepts is returned; None once the bounded
-    space is exhausted.
+    space is exhausted.  No model has fewer than ``least`` nodes: root
+    candidates of those sizes are charged to the budget but never built.
     """
     budget = _Budget(budget_limit)
     depth, width = bounds.max_depth, bounds.max_width
@@ -748,8 +787,12 @@ def _staged_search(leaves, bounds, budget_limit, levels, multiplicity,
         if below is not None and width > 0 and below.by_size:
             ceiling = min(_full_tree_size(depth - p, width), 1 + width * below.max_size)
         for n in range(1, ceiling + 1):
-            batch = _leaf_batch(leaves, budget, tables, tables.verdicts(level)) if n == 1 else \
-                _parent_batch(n, below, tables, width, budget, level)
+            judge = p or n >= least
+            if n == 1:
+                budget.charge(len(leaves))
+                batch = _leaf_batch(leaves, tables, tables.verdicts(level)) if judge else []
+            else:
+                batch = _parent_batch(n, below, tables, width, budget, level, judge)
             for cand in _in_order(batch, key_text):
                 if p:
                     level.store(cand, cand.mask & tables.read)
@@ -780,8 +823,8 @@ def _class_search(program, inventory, bounds, budget, revalidate,
         levels.append(_LevelTables(program, read, closure, keys, arrays, root=not levels))
     confirm = (lambda cand: revalidate(jt.from_python(_to_py(cand)))) if exhaustive else None
     key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
-    found = _staged_search(leaves, bounds, budget, levels, multiplicity,
-                           confirm, program.table, key_text)
+    found = _staged_search(leaves, bounds, budget, levels, multiplicity, confirm,
+                           program.table, key_text, _least_size(program.instrs[program.phi_bit]))
     if found is None:
         return SatVerdict(False, None, bounds)
     tree = jt.from_python(_to_py(found))

@@ -19,7 +19,7 @@ import jlogic.regex as rx
 import jlogic.schema as schema
 import jlogic.translate as translate
 from jlogic._node import walk
-from jlogic.decision import Bounds, Qbf, automata, sat_bounded
+from jlogic.decision import Bounds, Qbf, automata, sat_bounded, search
 from jlogic.decision.search import _Program
 from jlogic.errors import BadBounds
 from jlogic.tree import NodeKind, parse_document
@@ -172,7 +172,7 @@ def _shared(leaf, join):
     return phi
 
 
-WALKING = [jsl, jnl, translate, recursive, schema, automata]
+WALKING = [jsl, jnl, translate, recursive, schema, automata, search]
 
 
 @pytest.mark.parametrize("name", ["validate", "specialize", "sat_bounded", "jnl_to_jsl",

@@ -5,15 +5,18 @@ import pytest
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
+import jlogic.regex as rx
+import jlogic.translate as translate
 import jlogic.tree as jt
+from jlogic._node import walk
 from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
-from jlogic.decision.encode import qbf_truth
-from jlogic.decision.search import _CONNECTIVES, Inventory, _LevelTables, _Program
+from jlogic.decision import search
+from jlogic.decision.search import _CONNECTIVES, Inventory, _LevelTables, _Program, _least_size
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
 from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_node_test, oracle_qbf, random_jsl,
-                     random_node_test, random_well_formed, truth_table_sat)
+                     random_node_test, random_tree, random_well_formed, truth_table_sat)
 
 UNSAT_PAIR = '[@"a" / test([#1])] && [@"a" / test([@"b"])]'
 
@@ -242,14 +245,14 @@ def test_3sat_full_contradiction_three_vars():
 
 def test_qbf_exists_sat():
     q = Qbf((("exists", "x1"),), ((("x1", True),),))
-    assert qbf_truth(q) and oracle_qbf(q.prefix, q.clauses)
+    assert oracle_qbf(q.prefix, q.clauses)
     verdict = sat_bounded(encode_qbf(q), Bounds(2, 2, 4))
     assert verdict.satisfiable
 
 
 def test_qbf_forall_unsat():
     q = Qbf((("forall", "x1"),), ((("x1", True),),))
-    assert not qbf_truth(q)
+    assert not oracle_qbf(q.prefix, q.clauses)
     verdict = sat_bounded(encode_qbf(q), Bounds(2, 2, 4))
     assert not verdict.satisfiable
 
@@ -264,14 +267,13 @@ def test_qbf_random_fidelity():
                               for v in rng.sample(names, min(3, n)))
                         for _ in range(rng.randint(1, 4)))
         q = Qbf(prefix, clauses)
-        assert qbf_truth(q) == oracle_qbf(prefix, clauses)
         verdict = sat_bounded(encode_qbf(q), Bounds(2 * n, 2, 5), budget=500_000)
         assert verdict.satisfiable == oracle_qbf(prefix, clauses), q
 
 
 def test_qbf_tautological_clause_dropped():
     q = Qbf((("forall", "x1"),), ((("x1", True), ("x1", False)),))
-    assert qbf_truth(q)
+    assert oracle_qbf(q.prefix, q.clauses)
     verdict = sat_bounded(encode_qbf(q), Bounds(2, 2, 4))
     assert verdict.satisfiable
 
@@ -353,7 +355,7 @@ PINNED_QBF_FALSE = Qbf((("forall", "x1"), ("exists", "x2")),
 
 # Each case also pins the smallest --budget that answers: the number of
 # candidate trees the search enumerates before it returns.
-@pytest.mark.parametrize("logic,formula,bounds,expected,budget", [
+PINNED = [
     pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CNF)), (2, 5, 8),
                  '{"x1":[{}],"x2":[{}],"x3":[{}],"x4":[{}]}', 273, id="3cnf"),
     pytest.param("jnl", jnl.unary_to_text(encode_3sat(PINNED_CONTRADICTION)), (2, 3, 5), None,
@@ -387,7 +389,10 @@ PINNED_QBF_FALSE = Qbf((("forall", "x1"), ("exists", "x2")),
     pytest.param("jnl", 'eq(@"a", @"b") && [@"a" / #1]', (2, 2, 3), '{"a":["s"],"b":["s"]}',
                  4076, id="eqpaths"),
     pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", 108, id="star"),
-])
+]
+
+
+@pytest.mark.parametrize("logic,formula,bounds,expected,budget", PINNED)
 def test_pinned_witness(capsys, logic, formula, bounds, expected, budget):
     # the exact minimal witness (or bound) the search reports, through the CLI
     argv = ["sat", "--logic", logic, "--formula", formula, "--max-depth", str(bounds[0]),
@@ -401,3 +406,81 @@ def test_pinned_witness(capsys, logic, formula, bounds, expected, budget):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: search exceeded the candidate budget ({budget - 1})\n"
+
+
+@pytest.mark.parametrize("logic,formula,bounds,expected,budget", PINNED)
+def test_pinned_witness_without_the_size_bound(monkeypatch, capsys, logic, formula, bounds,
+                                               expected, budget):
+    # the root sizes the bound skips change no answer and no budget
+    monkeypatch.setattr(search, "_least_size", lambda phi: 1)
+    test_pinned_witness(capsys, logic, formula, bounds, expected, budget)
+
+
+# one case per rule of the bound, each with a model of exactly that size
+LEAST_SIZE_CASES = [
+    ('same({"a": [1, "x"]})', 4, {"a": [1, "x"]}),
+    ("obj && minCh(2)", 3, {"a": 0, "b": 0}),
+    ("arr && dia(2:3) (arr && minCh(1))", 4, [0, [0]]),
+    ('dia("a") dia("b") true && dia("b") true', 4, {"a": {"b": 0}, "b": 0}),
+    ('dia("a") dia("a") true && dia("a") true', 3, {"a": {"a": 0}}),
+    ('dia("b") true && (dia("a") dia("c") true || dia("a") arr)', 3, {"a": [], "b": 0}),
+    ('obj && !dia("a") true && dia("b") true', 2, {"b": 0}),
+    ('dia(/a|b/) int && dia("a") int', 2, {"a": 0}),
+]
+
+
+@pytest.mark.parametrize("text,least,model", LEAST_SIZE_CASES)
+def test_least_size_rules(text, least, model):
+    phi, tree = jsl.parse_jsl(text), jt.from_python(model)
+    assert oracle_jsl(tree, 0, phi) and tree.size == least
+    assert _least_size(phi) == least
+
+
+def test_least_size_is_a_lower_bound_on_every_model():
+    rng = random.Random(22)
+    docs = _tiny_universe() + [random_tree(rng) for _ in range(150)]
+    phis = [jsl.parse_jsl(text) for text, _, _ in LEAST_SIZE_CASES]
+    phis += [jsl.parse_jsl(text) for text in TINY_SPACE_FIXED]
+    phis += [random_jsl(rng, rng.randint(0, 4)) for _ in range(300)]
+    bounded = 0
+    for phi in phis:
+        least = _least_size(phi)
+        sizes = [d.size for d in docs if oracle_jsl(d, 0, phi)]
+        assert least <= min(sizes, default=least), jsl.to_text(phi)
+        bounded += least > 1 and bool(sizes)
+    assert bounded >= 50
+
+
+def test_least_size_of_a_3cnf_encoding_is_its_smallest_model(monkeypatch):
+    # one member per variable, holding an array or an object: 1 + 2v nodes
+    rng = random.Random(3)
+    for v in range(1, 7):
+        names = [f"x{i}" for i in range(1, v + 1)]
+        clauses = [[(x, rng.random() < 0.5) for x in names[i:i + 3]] for i in range(v)]
+        phi = encode_3sat(clauses)
+        assert _least_size(translate.jnl_to_jsl(phi)) == 1 + 2 * v
+    # the search gets that bound, and the root builds no smaller candidate
+    seen, built = [], set()
+    staged, bases = search._staged_search, _LevelTables.bases
+    monkeypatch.setattr(search, "_staged_search",
+                        lambda *args: seen.append(args[-1]) or staged(*args))
+
+    def root_bases(self, kind, labels, sizes, groups):
+        if self.root:
+            built.add(1 + sum(sizes))
+        return bases(self, kind, labels, sizes, groups)
+    monkeypatch.setattr(_LevelTables, "bases", root_bases)
+    verdict = sat_bounded(encode_3sat(PINNED_CNF), Bounds(2, 5, 8))
+    assert seen == [9] and built == {9} and verdict.witness.size == 9
+
+
+def test_least_size_folds_a_long_chain_in_one_visit(monkeypatch):
+    # 3,000 members under distinct keys: per call, one visit for the whole
+    # chain, one per member and one for their shared body
+    members = [jsl.DiaKey(rx.word_regex(f"k{i}"), jsl.TOP) for i in range(3000)]
+    visits = []
+    monkeypatch.setattr(search, "walk", lambda visit, arg: walk(
+        lambda sub: visits.append(sub) or visit(sub), arg))
+    assert _least_size(jsl.and_all(members)) == 3001
+    assert _least_size(jsl.or_all(members)) == 2
+    assert len(visits) == 2 * (1 + 3000 + 1)
