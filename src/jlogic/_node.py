@@ -16,13 +16,15 @@ an equal one be built as another object.  On the benchmark's workloads
 it stops growing after one pass: at seed 29 it holds 140 nodes on
 ``validate``, 253 on ``query`` and 1,820 on ``reason``.
 
-``walk`` drives every walk over formulas, schemas and rules.  A walker
-is a generator function of one argument: it ``yield``s the argument of
-each sub-call, receives that sub-call's result and returns its own.  The
-pending walkers wait on a list, not in Python frames, and a memo maps each
-argument to its result for one top-level call (or several sharing it), so
-each distinct interned node is visited once however often it occurs.
-Walkers over raw JSON, or whose output counts occurrences, keep no memo.
+``walk`` drives every walk over formulas, schemas and rules, and
+``regex.deriv``'s over regexes.  A walker is a generator function of one
+argument: it ``yield``s the argument of each sub-call, receives that
+sub-call's result and returns its own.  The pending walkers wait on a
+list, not in Python frames, and a memo maps each argument to its result
+for one top-level call (or several sharing it), so each distinct interned
+node is visited once however often it occurs.
+Walkers over raw JSON, or whose output counts occurrences, keep no memo;
+nor does ``deriv``, since each regex node memoizes its own derivatives.
 """
 
 _TABLE = {}

@@ -49,7 +49,8 @@ class MalformedRegex(JLogicError):
 
 
 class StateBlowup(JLogicError):
-    """DFA construction exceeded the configured state cap."""
+    """Building a DFA, matching a pattern or printing a complement
+    exceeded its named cap."""
 
 
 # -- formulas ---------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Regular expressions over unicode used as key and string patterns.
 
 Matching is anchored: ``matches(e, w)`` asks whether the whole word is in
-the language.  The engine is derivative-based; determinization works over a
-partition of the alphabet into intervals (the finitely many character
-ranges an expression set actually distinguishes, plus everything else),
-which keeps complement and intersection exact over the full alphabet.
-Complement is also a node of its own (``compl``): its derivative is the
-complement of its body's, so a matcher for it builds only the states the
-matched words reach.  Expressions are interned (``_node``): equal ones
-are one object, so matcher and DFA states compare and hash in O(1).
+the language.  The engine is derivative-based.  Each node caches whether
+it accepts the empty word and memoizes its derivative per character, and
+``matches`` and ``word_filter`` walk these memos from the pattern, one
+character at a time, taking a derivative only where a memo has none: at
+most ``DEFAULT_STATE_CAP`` distinct ones per pattern, past which they raise
+StateBlowup.  DFAs work over a partition of the alphabet into intervals
+(the finitely many character ranges an expression set actually
+distinguishes, plus everything else), which keeps complement and
+intersection exact over the full alphabet.  Complement is also a node of
+its own (``compl``): its derivative is the complement of its body's, so it
+is never determinized up front.  Expressions are interned (``_node``):
+equal ones are one object, so derivatives compare and hash in O(1).
 
 Dialect: literals, ``.`` (any char), ``|``, juxtaposition, ``*``, ``+``,
 ``( )``, ``[a-z]`` and ``[^a-z]`` classes, backslash escapes for
@@ -18,18 +22,18 @@ with slashes.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from ._node import Node
+from ._node import Node, walk
 from . import syntax
 from .errors import MalformedRegex, StateBlowup
 from .syntax import ATOM, CONST, GROUP, INFIX, POSTFIX
 
 MAX_CODEPOINT = 0x10FFFF
+# The most distinct derivatives a DFA has as states, or matching one
+# pattern computes.
 DEFAULT_STATE_CAP = 10_000
 # Printing a complement eliminates the states of its DFA one by one, and
 # the expression can grow exponentially in their number, so the elimination
@@ -46,13 +50,17 @@ _KEY = attrgetter("_key")
 
 class Regex(Node):
     """Base class of the expression AST.  A new node caches the structural
-    key ``alt`` sorts by, built from its children's, and its derivatives."""
+    key ``alt`` sorts by and whether it accepts the empty word, both built
+    from its children's, and its derivatives.  A pattern that is matched
+    keeps the derivatives its matching computed in ``_reached``."""
 
-    __slots__ = ("_key", "_derivs")
+    __slots__ = ("_key", "_nullable", "_derivs", "_reached")
 
     def __post_init__(self):
         object.__setattr__(self, "_key", _sort_key(self))
+        object.__setattr__(self, "_nullable", nullable(self))
         object.__setattr__(self, "_derivs", {})  # character -> derivative
+        object.__setattr__(self, "_reached", None)
 
     def __repr__(self):
         return f"/{to_text(self)}/"
@@ -125,6 +133,21 @@ def _sort_key(r: Regex):
     if isinstance(r, Plus):
         return (8, r.body._key)
     return (9, r.body._key)
+
+
+def nullable(r: Regex) -> bool:
+    """Whether r accepts the empty word, read off its children's flags."""
+    if isinstance(r, (Epsilon, Star)):
+        return True
+    if isinstance(r, Concat):
+        return all(p._nullable for p in r.parts)
+    if isinstance(r, Union):
+        return any(p._nullable for p in r.parts)
+    if isinstance(r, Plus):
+        return r.body._nullable
+    if isinstance(r, Compl):
+        return not r.body._nullable
+    return False
 
 
 EMPTY = Empty()
@@ -328,30 +351,14 @@ def to_text(r: Regex) -> str:
 # -- derivatives --------------------------------------------------------------
 
 
-def nullable(r: Regex) -> bool:
-    if isinstance(r, (Epsilon, Star)):
-        return True
-    if isinstance(r, Concat):
-        return all(nullable(p) for p in r.parts)
-    if isinstance(r, Union):
-        return any(nullable(p) for p in r.parts)
-    if isinstance(r, Plus):
-        return nullable(r.body)
-    if isinstance(r, Compl):
-        return not nullable(r.body)
-    return False
-
-
-def _contains(cls: Cls, cp: int) -> bool:
-    hit = any(lo <= cp <= hi for lo, hi in cls.ranges)
-    return hit != cls.negated
-
-
 def deriv(r: Regex, ch: str) -> Regex:
-    """Brzozowski derivative of r by one character, memoized on the node."""
-    d = r._derivs.get(ch)
-    if d is not None:
-        return d
+    """Brzozowski derivative of r by one character, memoized on the node.
+    It runs on ``walk``'s stack with no memo of its own: the nodes' are,
+    and a node yields only the children whose memo lacks ``ch``."""
+    return r._derivs.get(ch) or walk(lambda node: _deriv(node, ch), r, memo=False)
+
+
+def _deriv(r: Regex, ch: str):
     if isinstance(r, (Empty, Epsilon)):
         d = EMPTY
     elif isinstance(r, Lit):
@@ -359,20 +366,24 @@ def deriv(r: Regex, ch: str) -> Regex:
     elif isinstance(r, AnyChar):
         d = EPSILON
     elif isinstance(r, Cls):
-        d = EPSILON if _contains(r, ord(ch)) else EMPTY
+        cp = ord(ch)
+        d = EPSILON if any(lo <= cp <= hi for lo, hi in r.ranges) != r.negated else EMPTY
     elif isinstance(r, Concat):
         first, rest = r.parts[0], cat(r.parts[1:])
-        d = cat([deriv(first, ch), rest])
-        if nullable(first):
-            d = alt([d, deriv(rest, ch)])
+        d = cat([first._derivs.get(ch) or (yield first), rest])
+        if first._nullable:
+            d = alt([d, rest._derivs.get(ch) or (yield rest)])
     elif isinstance(r, Union):
-        d = alt(deriv(p, ch) for p in r.parts)
+        parts = []
+        for p in r.parts:
+            parts.append(p._derivs.get(ch) or (yield p))
+        d = alt(parts)
     elif isinstance(r, Star):
-        d = cat([deriv(r.body, ch), r])
+        d = cat([r.body._derivs.get(ch) or (yield r.body), r])
     elif isinstance(r, Plus):
-        d = cat([deriv(r.body, ch), star(r.body)])
+        d = cat([r.body._derivs.get(ch) or (yield r.body), star(r.body)])
     elif isinstance(r, Compl):
-        d = compl(deriv(r.body, ch))
+        d = compl(r.body._derivs.get(ch) or (yield r.body))
     else:
         raise TypeError(f"not a regex: {r!r}")
     r._derivs[ch] = d
@@ -405,85 +416,46 @@ def _boundaries(rs: Iterable[Regex]) -> list:
     return sorted(points)
 
 
-class _Matcher:
-    """Lazily determinized matcher for one expression.
-
-    Safe to share between threads: new states are built under a lock, and
-    a transition is published (``row[interval] = nxt``) only after the
-    state it leads to is complete, so the lock-free hit path never reads a
-    half-built state.
-    """
-
-    def __init__(self, r: Regex, state_cap: int = DEFAULT_STATE_CAP):
-        self.starts = _boundaries([r])
-        self.state_cap = state_cap
-        self.states = {r: 0}
-        self.regexes = [r]
-        self.accepting = [nullable(r)]
-        self.trans = [{}]
-        self.lock = threading.Lock()
-
-    def _interval(self, ch: str) -> int:
-        return bisect_right(self.starts, ord(ch)) - 1
-
-    def _step(self, state: int, interval: int) -> int:
-        row = self.trans[state]
-        nxt = row.get(interval)
-        if nxt is None:
-            with self.lock:
-                nxt = row.get(interval)
-                if nxt is None:
-                    nxt = self._build(state, interval)
-                    row[interval] = nxt
-        return nxt
-
-    def _build(self, state: int, interval: int) -> int:
-        d = deriv(self.regexes[state], chr(self.starts[interval]))
-        nxt = self.states.get(d)
-        if nxt is None:
-            nxt = len(self.regexes)
-            if nxt >= self.state_cap:
-                raise StateBlowup(f"matcher exceeded {self.state_cap} states")
-            self.regexes.append(d)
-            self.accepting.append(nullable(d))
-            self.trans.append({})
-            self.states[d] = nxt
-        return nxt
-
-    def matches(self, word: str) -> bool:
-        state = 0
-        for ch in word:
-            state = self._step(state, self._interval(ch))
-        return self.accepting[state]
-
-
-@lru_cache(maxsize=4096)
-def _matcher(r: Regex) -> _Matcher:
-    return _Matcher(r)
-
-
 def matches(r: Regex, word: str) -> bool:
     """Whole-word membership of ``word`` in the language of ``r``."""
-    return _matcher(r).matches(word)
+    return _match(r, word)
+
+
+def _match(r: Regex, word: str) -> bool:
+    """``word``'s way from ``r`` along the derivative memos.  A derivative
+    no memo holds yet is taken and counted against ``r``'s cap (threads
+    racing to create the count may lose a unit of it or two)."""
+    state = r
+    for ch in word:
+        d = state._derivs.get(ch)
+        if d is None:
+            d = deriv(state, ch)
+            if r._reached is None:
+                object.__setattr__(r, "_reached", set())
+            r._reached.add(d)
+            if len(r._reached) > DEFAULT_STATE_CAP:
+                raise StateBlowup(f"matching exceeded {DEFAULT_STATE_CAP} derivatives")
+        state = d
+    return state._nullable
 
 
 class _WordMemo(dict):
-    """word -> bool, filled from the matcher on a miss."""
+    """word -> bool, filled by a walk from the pattern on a miss."""
 
-    __slots__ = ("match",)
+    __slots__ = ("pattern",)
 
     def __missing__(self, word: str) -> bool:
-        hit = self[word] = self.match(word)
+        hit = self[word] = _match(self.pattern, word)
         return hit
 
 
 def word_filter(r: Regex):
-    """``matches(r, ·)`` as a callable over the pattern's matcher, with its
-    own word -> bool memo.  For evaluators that test many words against one
-    pattern within one call; the memo lives as long as the callable.  A
-    word seen before costs one dictionary lookup and no Python frame."""
+    """``matches(r, ·)`` as a callable with its own word -> bool memo.  For
+    evaluators that test many words against one pattern within one call;
+    the memo lives as long as the callable.  A word seen before costs one
+    dictionary lookup and no Python frame."""
     memo = _WordMemo()
-    memo.match = _matcher(r).matches
+    memo.pattern = r
     return memo.__getitem__
 
 
@@ -504,13 +476,10 @@ class KeyDfa(Node):
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def interval_of(self, ch: str) -> int:
-        return bisect_right(self.starts, ord(ch)) - 1
-
     def accepts(self, word: str) -> bool:
         state = self.start
         for ch in word:
-            state = self.transitions[state][self.interval_of(ch)]
+            state = self.transitions[state][bisect_right(self.starts, ord(ch)) - 1]
         return state in self.accepting
 
 
@@ -534,7 +503,7 @@ def dfa_of(r: Regex, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
                 order.append(nxt)
             row.append(idx)
         trans.append(tuple(row))
-    accepting = frozenset(i for i, d in enumerate(order) if nullable(d))
+    accepting = frozenset(i for i, d in enumerate(order) if d._nullable)
     return KeyDfa(tuple(starts), tuple(trans), accepting)
 
 

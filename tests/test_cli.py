@@ -410,8 +410,10 @@ def test_deep_formula_validates(files, capsys, text):
 
 DEPTH = 3000
 DIA = 'dia("a") ' * DEPTH + "true"
+PLUS = "(" * DEPTH + "a" + ")+" * DEPTH
 DEEP_INPUTS = {
     "e.json": "{}",
+    "a.json": '{"a": "a"}',
     "deep.json": '{"a":' * DEPTH + "{}" + "}" * DEPTH,
     "not.jsl": "!" * DEPTH + "true",
     "dia.jsl": DIA,
@@ -426,6 +428,9 @@ DEEP_INPUTS = {
     "test.jnl": "[test(" * DEPTH + "true" + ")]" * DEPTH,
     "key-test.jnl": '[@"a" / test(' * DEPTH + "true" + ")]" * DEPTH,
     "parentheses.jnl": "[" + "(" * DEPTH + '@"a"' + ")" * DEPTH + "]",
+    "plus.jsl": f"dia(/{PLUS}/) pattern(/{PLUS}/)",
+    "star-b.jsl": 'dia("a") pattern(/' + "(" * DEPTH + "a" + ")*b" * DEPTH + "/)",
+    "plus.jnl": f"[@/{PLUS}/]",
 }
 NESTING = "error: the schema nests lists and objects past the JSON printer's recursion limit"
 # The probe of deep inputs through the CLI, one row per path: each prints
@@ -440,6 +445,8 @@ DEEP_PROBE = [
     ("validate", "e.json", "not-and.jsl", "--logic", "jsl", 0, "VALID"),
     ("validate", "e.json", "or.jsl", "--logic", "jsl", 0, "VALID"),
     ("validate", "e.json", "dia.rjsl", "--logic", "rjsl", 1, "INVALID"),
+    ("validate", "a.json", "plus.jsl", "--logic", "jsl", 0, "VALID"),
+    ("validate", "a.json", "star-b.jsl", "--logic", "jsl", 1, "INVALID"),
     ("validate", "e.json", "not.schema.json", 0, "VALID"),
     ("validate", "e.json", "all-of.schema.json", 0, "VALID"),
     ("validate", "e.json", "properties.schema.json", 0, "VALID"),
@@ -451,6 +458,7 @@ DEEP_PROBE = [
     ("query", "e.json", "--formula-file", "test.jnl", 0, "(root)"),
     ("query", "deep.json", "--formula-file", "key-test.jnl", 0, "(root)"),
     ("query", "deep.json", "--formula-file", "parentheses.jnl", 0, "(root)\na\na/a\n"),
+    ("query", "a.json", "--formula-file", "plus.jnl", 0, "(root)"),
     ("sat", "--logic", "jnl", "--formula-file", "not.jnl", 0, "SAT"),
     ("sat", "--logic", "jnl", "--formula-file", "test.jnl", 0, "SAT"),
     ("compile", "not.jnl", "--from", "jnl", "--to", "jsl", 0, "!!"),
@@ -462,8 +470,10 @@ DEEP_PROBE = [
     ("automaton", "deep.json", "--formula-file", "dia.jsl", 0, "ACCEPT"),
     ("automaton", "e.json", "--formula-file", "not-and.jsl", 0, "ACCEPT"),
     ("automaton", "e.json", "--formula-file", "dia.rjsl", "--logic", "rjsl", 1, "REJECT"),
+    ("automaton", "a.json", "--formula-file", "plus.jsl", 0, "ACCEPT"),
     ("sat", "--formula-file", "dia.jsl", 1, "UNSAT"),
     ("sat", "--formula-file", "dia.rjsl", "--logic", "rjsl", 1, "UNSAT"),
+    ("sat", "--formula-file", "plus.jsl", 0, "SAT"),
     ("check-wf", "--formula-file", "dia.rjsl", 0, "symbols: g"),
 ]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -168,6 +169,17 @@ def test_state_cap():
         rx.dfa_of(e, state_cap=50)
 
 
+def test_match_cap(monkeypatch):
+    # the cap counts the distinct derivatives matching a pattern takes, not
+    # memo entries: .* takes one derivative by any number of characters
+    monkeypatch.setattr(rx, "DEFAULT_STATE_CAP", 100)
+    e = rx.parse_regex("(a|b)*a" + "(a|b)" * 14)
+    with pytest.raises(StateBlowup, match="matching exceeded 100 derivatives"):
+        for word in itertools.product("ab", repeat=15):
+            rx.matches(e, "".join(word))
+    assert all(rx.matches(rx.SIGMA_STAR, chr(cp)) for cp in range(0x100, 0x100 + 5000))
+
+
 def test_print_size_cap(monkeypatch):
     # the printed complement grows exponentially in n for (a|b)*a(a|b)^n
     small = rx.compl(rx.parse_regex("(a|b)*a" + "(a|b)" * 3))
@@ -187,25 +199,29 @@ def test_literal_word():
 
 
 def test_shared_matcher_under_threads():
-    # each round shares one fresh matcher, so the threads race to build
-    # its states; every answer must still be re.fullmatch's
+    # the threads share one pattern a round, with a fresh alternative that
+    # no word matches, so it and each of its derivatives are new: they race
+    # to take them and fill the memos; every answer must still be re's
     patterns = ["(a|b)*a(a|b)(a|b)(a|b)(a|b)", "[a-c]*b[a-c][a-c]c*", "(ab|ba|c)+a*"]
     rng = random.Random(48)
     words = ["".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
              for _ in range(300)]
-    expected = {p: [re.fullmatch(p, w) is not None for w in words] for p in patterns}
     deadline = time.monotonic() + 0.6
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        fresh = 0
         while time.monotonic() < deadline:
             for p in patterns:
-                shared = rx._Matcher(rx.parse_regex(p))
+                fresh += 1
+                p = f"{p}|.*z{fresh}"
+                shared = rx.parse_regex(p)
+                expected = [re.fullmatch(p, w) is not None for w in words]
                 answers, errors = {}, []
 
                 def worker(i, shared=shared, answers=answers, errors=errors):
                     try:
-                        answers[i] = [shared.matches(w) for w in words]
+                        answers[i] = [rx.matches(shared, w) for w in words]
                     except Exception as exc:  # reported below
                         errors.append(exc)
 
@@ -216,6 +232,6 @@ def test_shared_matcher_under_threads():
                     th.join(timeout=10)
                 assert not any(th.is_alive() for th in threads)
                 assert not errors, errors
-                assert all(answers[i] == expected[p] for i in range(8)), p
+                assert all(answers[i] == expected for i in range(8)), p
     finally:
         sys.setswitchinterval(previous)
