@@ -1,18 +1,17 @@
 """Regular expressions over unicode used as key and string patterns.
 
 Matching is anchored: ``matches(e, w)`` asks whether the whole word is in
-the language.  The engine is derivative-based.  Each node caches whether
-it accepts the empty word and memoizes its derivative per character, and
-``matches`` and ``word_filter`` walk these memos from the pattern, one
-character at a time, taking a derivative only where a memo has none: at
-most ``DEFAULT_STATE_CAP`` distinct ones per pattern, past which they raise
-StateBlowup.  DFAs work over a partition of the alphabet into intervals
-(the finitely many character ranges an expression set actually
-distinguishes, plus everything else), which keeps complement and
-intersection exact over the full alphabet.  Complement is also a node of
-its own (``compl``): its derivative is the complement of its body's, so it
-is never determinized up front.  Expressions are interned (``_node``):
-equal ones are one object, so derivatives compare and hash in O(1).
+the language.  The engine is derivative-based: each node caches whether
+it accepts the empty word and memoizes its derivative per character.  The
+alphabet splits into intervals (the character ranges an expression set
+distinguishes, plus everything else) whose characters share a derivative,
+which keeps complement and intersection exact and bounds the work.
+``matches`` and ``word_filter`` walk the memos from the pattern and step
+by a character's interval where no memo holds it, raising StateBlowup
+past ``DEFAULT_STATE_CAP`` distinct derivatives per pattern.  Complement
+is a node too (``compl``): its derivative is the complement of its body's,
+so it is never determinized up front.  Expressions are interned
+(``_node``): equal ones are one object, so they compare and hash in O(1).
 
 Dialect: literals, ``.`` (any char), ``|``, juxtaposition, ``*``, ``+``,
 ``( )``, ``[a-z]`` and ``[^a-z]`` classes, backslash escapes for
@@ -51,16 +50,16 @@ _KEY = attrgetter("_key")
 class Regex(Node):
     """Base class of the expression AST.  A new node caches the structural
     key ``alt`` sorts by and whether it accepts the empty word, both built
-    from its children's, and its derivatives.  A pattern that is matched
-    keeps the derivatives its matching computed in ``_reached``."""
+    from its children's, and its derivatives; a matched pattern also keeps
+    its interval starts and the derivatives its matching took."""
 
-    __slots__ = ("_key", "_nullable", "_derivs", "_reached")
+    __slots__ = ("_key", "_nullable", "_derivs", "_matching")
 
     def __post_init__(self):
         object.__setattr__(self, "_key", _sort_key(self))
         object.__setattr__(self, "_nullable", nullable(self))
         object.__setattr__(self, "_derivs", {})  # character -> derivative
-        object.__setattr__(self, "_reached", None)
+        object.__setattr__(self, "_matching", None)  # (starts, derivatives taken)
 
     def __repr__(self):
         return f"/{to_text(self)}/"
@@ -417,26 +416,28 @@ def _boundaries(rs: Iterable[Regex]) -> list:
 
 
 def matches(r: Regex, word: str) -> bool:
-    """Whole-word membership of ``word`` in the language of ``r``."""
-    return _match(r, word)
-
-
-def _match(r: Regex, word: str) -> bool:
-    """``word``'s way from ``r`` along the derivative memos.  A derivative
-    no memo holds yet is taken and counted against ``r``'s cap (threads
-    racing to create the count may lose a unit of it or two)."""
+    """Whole-word membership of ``word`` in the language of ``r``.  A
+    character no memo holds steps by its interval's first; each derivative
+    taken counts against ``r``'s cap (racing threads may lose a unit)."""
     state = r
     for ch in word:
         d = state._derivs.get(ch)
         if d is None:
-            d = deriv(state, ch)
-            if r._reached is None:
-                object.__setattr__(r, "_reached", set())
-            r._reached.add(d)
-            if len(r._reached) > DEFAULT_STATE_CAP:
-                raise StateBlowup(f"matching exceeded {DEFAULT_STATE_CAP} derivatives")
+            if r._matching is None:
+                object.__setattr__(r, "_matching", (_boundaries([r]), set()))
+            starts, reached = r._matching
+            rep = chr(starts[bisect_right(starts, ord(ch)) - 1])
+            d = state._derivs.get(rep)
+            if d is None:
+                d = deriv(state, rep)
+                reached.add(d)
+                if len(reached) > DEFAULT_STATE_CAP:
+                    raise StateBlowup(f"matching exceeded {DEFAULT_STATE_CAP} derivatives")
         state = d
     return state._nullable
+
+
+_match = matches  # for word_filter, which a patched ``matches`` must not reach
 
 
 class _WordMemo(dict):

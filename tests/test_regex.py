@@ -169,15 +169,35 @@ def test_state_cap():
         rx.dfa_of(e, state_cap=50)
 
 
+def _memo_keys(r):
+    """Every character a memo holds in r, its sub-nodes and derivatives."""
+    seen, stack, keys = set(), [r], set()
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            keys.update(n._derivs)
+            stack.extend(n._derivs.values())
+            stack.extend(getattr(n, "parts", ()))
+            stack.extend([n.body] if isinstance(n, (rx.Star, rx.Plus, rx.Compl)) else [])
+    return keys
+
+
 def test_match_cap(monkeypatch):
-    # the cap counts the distinct derivatives matching a pattern takes, not
-    # memo entries: .* takes one derivative by any number of characters
+    # the cap counts the distinct derivatives matching a pattern takes; a
+    # character no memo holds steps by its interval's first, so thousands
+    # of distinct characters take no new derivative and add no memo entry
     monkeypatch.setattr(rx, "DEFAULT_STATE_CAP", 100)
     e = rx.parse_regex("(a|b)*a" + "(a|b)" * 14)
     with pytest.raises(StateBlowup, match="matching exceeded 100 derivatives"):
         for word in itertools.product("ab", repeat=15):
             rx.matches(e, "".join(word))
-    assert all(rx.matches(rx.SIGMA_STAR, chr(cp)) for cp in range(0x100, 0x100 + 5000))
+    new = [chr(cp) for cp in range(0x30000, 0x30000 + 5000)]
+    e = rx.parse_regex("[a-z]*x.*")
+    assert all(rx.matches(e, "x" + c) and not rx.matches(e, c) for c in new)
+    assert all(rx.matches(rx.SIGMA_STAR, c) for c in new)
+    assert all(rx.word_filter(e)("ax" + c) for c in new)
+    assert not (_memo_keys(e) | _memo_keys(rx.SIGMA_STAR)) & set(new)
 
 
 def test_print_size_cap(monkeypatch):
