@@ -10,10 +10,9 @@ automaton accepts a tree when its root derives a final state.
 A run does not interpret rule bodies: it translates the live rules into
 a recursive schema-logic expression, one definition per state that a
 quantified atom or two readers read, every other state inlined into its
-reader, and hands that (``recursive.cut``) to the recursive evaluator.
-So a run fills per-definition tables bottom-up in reverse pre-order id
-with the same compiled node tests and modalities as ``eval_recursive``,
-and the connectives between them short-circuit.
+reader, and evaluates that with ``recursive.eval_recursive``.  So a run
+fills per-definition tables bottom-up in reverse pre-order id, and the
+connectives between them short-circuit.
 
 Formulas compile in negation normal form, so complementation is a pure
 dualization: swap and/or, toggle test negations, swap the quantifiers.
@@ -144,12 +143,11 @@ def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
     """Bottom-up run; True when the root derives a final state.
 
     The live rules translate to a recursive expression (``_to_recursive``)
-    that the recursive evaluator fills node by node, last pre-order id
-    first, and the base is the disjunction of the final states at the root.
+    whose base is the disjunction of the final states at the root, and
+    ``recursive.eval_recursive`` fills it node by node, last pre-order id
+    first.
     """
-    expr = rec.cut(_to_recursive(auto))
-    tables = rec._sat_tables(expr, tree)
-    return bool(jsl.compile_formula(tree, expr.base, tables)(0))
+    return rec.eval_recursive(_to_recursive(auto), tree)
 
 
 def _live_states(auto: JAutomaton) -> set:

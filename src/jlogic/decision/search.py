@@ -23,10 +23,14 @@ and per level (several when array uniqueness makes distinct equal-class
 siblings matter).  Levels fill bottom-up in increasing node count, which
 keeps returned witnesses node-count minimal.  The root skips the sizes
 below a bound read off the formula (``_least_size``), which no model can
-have, though ``budget`` still counts their candidates.  Navigational formulas
-translate into the schema logic first; those outside the translatable
-fragment (two-path equality, closure) fall back to enumerating every
-distinct tree, where only the candidate budget keeps things finite.
+have, though ``budget`` still counts their candidates.  A schema-logic
+formula searches as the recursive expression without definitions, a
+navigational one as its recursive translation (``translate._jnl_to_recursive``,
+a closure becoming a definition); the inventory is read off the definitions
+and the base, so a closure formula's is its translation's.  Only two-path
+equality ``eq(alpha, beta)`` falls back to enumerating every distinct tree,
+over the navigational formula's own inventory, where only the candidate
+budget keeps things finite.
 
 Candidates are judged in batches, one per size composition of their
 children (every tuple of stored children of those sizes, for arrays and
@@ -202,10 +206,6 @@ class _Program:
             else:
                 self.bit_of[ref] = bit
         self.phi_bit = self._bit(expr.base)
-        return self
-
-    def compile_formula(self, phi: jsl.JslFormula):
-        self.phi_bit = self._bit(phi)
         return self
 
     def _eval_sequence(self):
@@ -439,36 +439,32 @@ def sat_bounded(formula, bounds: Bounds, budget: int = DEFAULT_BUDGET) -> SatVer
     """Search for a document satisfying the formula within the bounds.
 
     Accepts a unary navigational formula, a schema-logic formula, or a
-    well-formed recursive expression.  Witnesses are minimal by node
-    count (objects before arrays before leaves on ties) and re-validated
-    before being returned; exceeding ``budget`` candidates raises
-    BoundsTooLarge.
+    well-formed recursive expression; all but two-path equality search as a
+    recursive expression (see the module docstring).  Witnesses are minimal
+    by node count (objects before arrays before leaves on ties) and
+    re-validated before being returned; exceeding ``budget`` candidates
+    raises BoundsTooLarge.
     """
     table = {}  # one subtree intern table for the constants and every candidate
     if isinstance(formula, jnl.JnlUnary):
         try:
-            translated = translate.jnl_to_jsl(formula)
-        except FragmentViolation:  # eq(alpha, beta) or closure: enumerate every tree
-            program = _Program(table).compile_formula(jsl.TOP)
+            expr = translate._jnl_to_recursive(formula, None)
+        except FragmentViolation:  # eq(alpha, beta): enumerate every tree
+            program = _Program(table).compile_recursive(rec.RecursiveJslExpr((), jsl.TOP))
             revalidate = lambda tree: jnl.eval_membership(tree, formula, ())
             return _class_search(program, _collect_jnl(formula, bounds.max_atoms), bounds,
                                  budget, revalidate, exhaustive=True)
-        # Without eq(alpha, beta) or closure, eval_membership's own translation,
-        # translate._jnl_to_recursive(formula), is RecursiveJslExpr((), translated):
-        # jsl.validate re-checks the same interned formula on the same evaluator.
-        formula = translated
-    if isinstance(formula, rec.RecursiveJslExpr):
-        program = _Program(table).compile_recursive(formula)
-        inventory = _collect_jsl([body for _, body in formula.definitions] + [formula.base],
-                                 bounds.max_atoms, bounds.max_width)
-        revalidate = lambda tree: rec.eval_recursive(formula, tree)
-        return _class_search(program, inventory, bounds, budget, revalidate)
-    if isinstance(formula, jsl.JslFormula):
-        program = _Program(table).compile_formula(formula)
-        inventory = _collect_jsl([formula], bounds.max_atoms, bounds.max_width)
-        revalidate = lambda tree: jsl.validate(tree, formula)
-        return _class_search(program, inventory, bounds, budget, revalidate)
-    raise TypeError(f"not a supported formula: {formula!r}")
+    elif isinstance(formula, jsl.JslFormula):
+        expr = rec.RecursiveJslExpr((), formula)
+    elif isinstance(formula, rec.RecursiveJslExpr):
+        expr = formula
+    else:
+        raise TypeError(f"not a supported formula: {formula!r}")
+    program = _Program(table).compile_recursive(expr)
+    inventory = _collect_jsl([body for _, body in expr.definitions] + [expr.base],
+                             bounds.max_atoms, bounds.max_width)
+    return _class_search(program, inventory, bounds, budget,
+                         lambda tree: rec.eval_recursive(expr, tree))
 
 
 def _least_size(phi) -> int:
@@ -806,10 +802,10 @@ def _class_search(program, inventory, bounds, budget, revalidate,
                   exhaustive=False) -> SatVerdict:
     """The staged search, its witness re-checked by ``revalidate``.
 
-    An exhaustive search, for the untranslatable fragment, collapses
-    nothing: its program is just ``true``, so every candidate of a level
-    falls in one class with no bound on its distinct members, and the root
-    candidates go to ``revalidate`` in order until one is accepted."""
+    An exhaustive search, for two-path equality, collapses nothing: its
+    program is just ``true``, so every candidate of a level falls in one
+    class with no bound on its distinct members, and the root candidates
+    go to ``revalidate`` in order until one is accepted."""
     if exhaustive:
         multiplicity, prune = math.inf, False
     else:

@@ -166,14 +166,6 @@ def _walk(u) -> list:
     return out
 
 
-def uses_eqpaths(u: JnlUnary) -> bool:
-    return any(isinstance(f, EqPaths) for f in _walk(u))
-
-
-def uses_star(u: JnlUnary) -> bool:
-    return any(isinstance(f, Star) for f in _walk(u))
-
-
 # -- concrete syntax -------------------------------------------------------------
 
 

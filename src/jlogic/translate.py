@@ -13,7 +13,8 @@ conjunctions carried along, so eq(test([@"b"]) / @"a", A) compiles to
 The JNL evaluator uses the same translation for every formula through an
 internal entry point, ``_jnl_to_recursive``: a closure becomes a shielded
 definition of the recursive schema logic and a two-path equality a symbol
-whose table the evaluator fills.
+whose table the evaluator fills.  The bounded search uses it too, without
+an equality symbol, for every formula free of two-path equality.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def jnl_to_jsl(phi: jnl.JnlUnary) -> jsl.JslFormula:
 def _jnl_to_recursive(phi: jnl.JnlUnary, eq_symbol) -> rec.RecursiveJslExpr:
     """Any unary navigational formula as a recursive schema-logic
     expression; each eq(alpha, beta) becomes the symbol name that
-    ``eq_symbol`` returns for it, left undefined.
+    ``eq_symbol`` returns for it, left undefined (with None for
+    ``eq_symbol``, it raises FragmentViolation).
 
     ``alpha*`` followed by K becomes ``g = K || <alpha> g``, where
     ``<alpha>`` keeps only the alpha-successors strictly below the node
@@ -54,9 +56,10 @@ def _jnl_to_recursive(phi: jnl.JnlUnary, eq_symbol) -> rec.RecursiveJslExpr:
 
 def _translate(phi: jnl.JnlUnary, eq_symbol, definitions):
     """The translation of ``phi``, appending a definition per closure to
-    ``definitions``; with None for it only the admissible fragment
-    translates.  The walk's items are unary formulas and pairs ``(alpha,
-    K)``: some alpha-successor exists at which K holds."""
+    ``definitions``; with None for it no closure translates, and with
+    None for ``eq_symbol`` no two-path equality.  The walk's items are
+    unary formulas and pairs ``(alpha, K)``: some alpha-successor exists
+    at which K holds."""
     fresh = count(1)
 
     def visit(item):
@@ -100,7 +103,7 @@ def _translate(phi: jnl.JnlUnary, eq_symbol, definitions):
         if isinstance(item, jnl.EqConst):
             return (yield item.path, jsl.Atom(jsl.SameAsTest(item.const)))
         if isinstance(item, jnl.EqPaths):
-            if definitions is None:
+            if eq_symbol is None:
                 raise FragmentViolation("eq(alpha, beta)",
                                         "two-path equality has no schema-logic counterpart")
             return jsl.SymbolRef(eq_symbol(item))

@@ -27,7 +27,7 @@ from jlogic.decision import (
     recursive_to_automaton,
     sat_bounded,
 )
-from jlogic.errors import UnfoldSizeExceeded
+from jlogic.errors import FragmentViolation, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document, serialize, verify_invariants
 
 from helpers import (
@@ -195,8 +195,11 @@ def test_c08_logic_translation_equivalence():
     def admissible_jnl():
         while True:
             phi = random_jnl_unary(rng, rng.randint(0, 3))
-            if not jnl.uses_eqpaths(phi) and not jnl.uses_star(phi):
-                return phi
+            try:
+                tr.jnl_to_jsl(phi)
+            except FragmentViolation:
+                continue
+            return phi
 
     def admissible_jsl():
         while True:

@@ -203,7 +203,7 @@ def test_program_bits_come_after_their_operands():
     obj = jsl.Atom(jsl.KindTest(NodeKind.OBJ))
     for phi in (jsl.And(jsl.Not(obj), obj), jsl.Or(jsl.And(jsl.Not(obj), obj), jsl.Not(obj)),
                 _shared(obj, jsl.And), _shared(obj, lambda f, g: jsl.Or(jsl.Not(f), g))):
-        program = _Program({}).compile_formula(phi)
+        program = _Program({}).compile_recursive(recursive.RecursiveJslExpr((), phi))
         assert len(program.instrs) == len(set(jsl.subformulas(phi)))
         for bit, deps in enumerate(program.deps):
             assert all(dep < bit for dep in deps), jsl.to_text(phi)

@@ -12,11 +12,13 @@ from jlogic._node import walk
 from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision import search
-from jlogic.decision.search import _CONNECTIVES, Inventory, _LevelTables, _Program, _least_size
+from jlogic.decision.search import (_CONNECTIVES, Inventory, _LevelTables, _Program, _class_search,
+                                    _collect_jsl, _least_size)
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
-from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_node_test, oracle_qbf, random_jsl,
-                     random_node_test, random_tree, random_well_formed, truth_table_sat)
+from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_node_test, oracle_qbf, oracle_sat,
+                     random_jnl_unary, random_jsl, random_node_test, random_tree, random_well_formed,
+                     truth_table_sat)
 
 UNSAT_PAIR = '[@"a" / test([#1])] && [@"a" / test([@"b"])]'
 
@@ -168,8 +170,12 @@ def test_recursive_ill_formed_rejected():
         sat_bounded(rec.parse_recursive("let g = !g; in g"), Bounds(2, 2, 2))
 
 
+def _compiled(phi):
+    return _Program({}).compile_recursive(rec.RecursiveJslExpr((), phi))
+
+
 def test_eval_sequence_puts_operands_first():
-    program = _Program({}).compile_formula(jsl.parse_jsl("!(int && dia(/a/) str) || !int"))
+    program = _compiled(jsl.parse_jsl("!(int && dia(/a/) str) || !int"))
     sequence = program._eval_sequence()
     assert sorted(sequence) == list(range(len(program.instrs)))
     position = {b: i for i, b in enumerate(sequence)}
@@ -193,11 +199,56 @@ def test_eqpaths_goes_through_plain_enumeration():
     assert jnl.eval_membership(t, jnl.parse_jnl('eq(@"a", @"b")'), ())
 
 
-def test_star_goes_through_plain_enumeration():
+def test_star_goes_through_the_staged_search():
     phi = jnl.parse_jnl('[(@"a")* / test(eq(eps, 7))]')
     verdict = sat_bounded(phi, Bounds(2, 2, 3))
     assert verdict.satisfiable
     assert jnl.eval_membership(verdict.witness, phi, ())
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('[(@"a")* / @"b"]', '{"b":{}}'),
+    ('!([(@"a")*])', None),
+    ('[(#1)* / @"x"] && [#2]', '[{"x":{}},{}]'),
+    ('[(@/k.*/)* / test(eq(eps, 3))]', "3"),
+])
+def test_closure_formulas_answer_at_the_default_bounds(text, expected):
+    # a closure is a definition of the recursive translation, so these
+    # answer well within a small budget at the CLI's default bounds
+    phi = jnl.parse_jnl(text)
+    verdict = sat_bounded(phi, Bounds(3, 3, 6), budget=2_000)
+    if expected is None:
+        assert verdict.describe() == "UNSAT up to (3,3,6)"
+    else:
+        assert serialize(verdict.witness) == expected
+        assert jnl.eval_membership(verdict.witness, phi, ())
+
+
+def test_closure_verdicts_match_exhaustive_enumeration_on_tiny_spaces():
+    # each staged witness satisfies the oracle and is as small as the
+    # smallest tree over the same inventory; each staged UNSAT finds no
+    # tree there either
+    rng = random.Random(24)
+    checked = sat = 0
+    while checked < 300:
+        phi = random_jnl_unary(rng, 3)
+        parts = set(map(type, jnl._walk(phi)))
+        if jnl.Star not in parts or jnl.EqPaths in parts:
+            continue
+        checked += 1
+        expr = translate._jnl_to_recursive(phi, None)
+        for bounds in (Bounds(2, 1, 3), Bounds(1, 2, 3)):
+            verdict = sat_bounded(phi, bounds, budget=2_000)
+            inventory = _collect_jsl([body for _, body in expr.definitions] + [expr.base],
+                                     bounds.max_atoms, bounds.max_width)
+            every = _class_search(_compiled(jsl.TOP), inventory, bounds, 2_000,
+                                  lambda tree: () in oracle_sat(tree, phi), exhaustive=True)
+            assert every.satisfiable == verdict.satisfiable, jnl.unary_to_text(phi)
+            if verdict.satisfiable:
+                sat += 1
+                assert () in oracle_sat(verdict.witness, phi), jnl.unary_to_text(phi)
+                assert verdict.witness.size == every.witness.size, jnl.unary_to_text(phi)
+    assert 0 < sat < 2 * checked
 
 
 def test_unsat_rejecting_formula():
@@ -293,7 +344,7 @@ def test_root_reads_formula_bit_like_the_full_mask():
     rng = random.Random(11)
     phis = [random_jsl(rng, rng.randint(1, 4)) for _ in range(150)]
     phis += [jsl.And(jsl.Or(p, q), jsl.And(q, jsl.Not(p))) for p, q in zip(phis, phis[1:60])]
-    programs = [_Program({}).compile_formula(phi) for phi in phis]
+    programs = [_compiled(phi) for phi in phis]
     programs += [_Program({}).compile_recursive(e) for e in random_well_formed(rng, 60)]
     for program in programs:
         program.compile_atoms(Inventory((), (), ()), 0)
@@ -312,7 +363,7 @@ def test_repeated_subformulas_share_one_instruction():
     def part():
         return jsl.parse_jsl('(dia("a") int || box(1:2) !str) && obj')
     phi = jsl.And(jsl.Or(part(), jsl.Not(part())), jsl.And(part(), jsl.TOP))
-    program = _Program({}).compile_formula(phi)
+    program = _compiled(phi)
     assert len(program.instrs) == len(set(jsl.subformulas(phi)))
     assert program.phi_bit == len(program.instrs) - 1
 
@@ -327,7 +378,7 @@ def test_node_test_bits_agree_with_the_oracle_on_every_leaf_and_shape():
         test = random_node_test(rng)
         if not isinstance(test, (jsl.UniqueTest, jsl.SameAsTest)):
             tests.append(test)
-    program = _Program({}).compile_formula(jsl.or_all(jsl.Atom(t) for t in tests))
+    program = _compiled(jsl.or_all(jsl.Atom(t) for t in tests))
     strings, ints = ("", "a", "b", "0", "ab", "ba", "a1", "bb0"), (0, 1, 2, 3, 4, 5, 6, 12)
     leaves = program.compile_atoms(Inventory(("k",), strings, ints), 3)
     assert [value for _, value, _, _, _ in leaves] == [None, None, *strings, *ints]
@@ -388,7 +439,7 @@ PINNED = [
                  id="box-dia-keys"),
     pytest.param("jnl", 'eq(@"a", @"b") && [@"a" / #1]', (2, 2, 3), '{"a":["s"],"b":["s"]}',
                  4076, id="eqpaths"),
-    pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", 108, id="star"),
+    pytest.param("jnl", '[(@"a")* / test(eq(eps, 7))]', (2, 2, 3), "7", 32, id="star"),
 ]
 
 

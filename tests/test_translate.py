@@ -39,8 +39,11 @@ def test_same_as_becomes_eq_on_eps():
 def _admissible_jnl(rng, depth):
     while True:
         phi = random_jnl_unary(rng, depth)
-        if not jnl.uses_eqpaths(phi) and not jnl.uses_star(phi):
-            return phi
+        try:
+            tr.jnl_to_jsl(phi)
+        except FragmentViolation:
+            continue
+        return phi
 
 
 def _admissible_jsl(rng, depth):
