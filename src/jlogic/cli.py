@@ -5,6 +5,10 @@ codes are stable for scripting: 0 for success/VALID/SAT/ACCEPT, 1 for the
 negative verdicts, 2 for usage and parse errors and for internal errors
 (``error: internal: …``).  Results go to stdout, diagnostics to stderr.
 File arguments accept ``-`` for standard input.
+
+The parser is built afresh for each ``main`` call.  It registers every
+subcommand by name and help line only; a subcommand's arguments are added
+when it is chosen, the first time its parser is handed the rest of argv.
 """
 
 from __future__ import annotations
@@ -214,20 +218,15 @@ def _add_formula_args(parser, required=True):
     group.add_argument("--formula-file", help="file with the formula ('-' for stdin)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jlogic",
-        description="Query, validate and reason about JSON documents.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("query", help="evaluate a navigational formula over a document")
+def _query_args(q):
     q.add_argument("document")
     _add_formula_args(q)
     q.add_argument("--node", help="path like name/first or hobbies/2; membership check")
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_query)
 
-    v = sub.add_parser("validate", help="validate a document against a schema or formula")
+
+def _validate_args(v):
     v.add_argument("document")
     v.add_argument("schema", help="schema or formula file ('-' for stdin)")
     v.add_argument("--logic", choices=("schema", "jsl", "rjsl"), default="schema")
@@ -237,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_validate)
 
-    c = sub.add_parser("compile", help="compile between schema, jsl and jnl")
+
+def _compile_args(c):
     c.add_argument("input", help="input file ('-' for stdin)")
     c.add_argument("--from", dest="source", required=True,
                    choices=("schema", "jsl", "jnl"))
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("schema", "jsl", "jnl"))
     c.set_defaults(func=cmd_compile)
 
-    s = sub.add_parser("sat", help="bounded satisfiability search")
+
+def _sat_args(s):
     _add_formula_args(s)
     s.add_argument("--logic", choices=("jnl", "jsl", "rjsl"), default="jsl")
     s.add_argument("--max-depth", type=int, default=3)
@@ -257,16 +258,54 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_sat)
 
-    w = sub.add_parser("check-wf", help="precedence graph and well-formedness")
+
+def _check_wf_args(w):
     _add_formula_args(w)
     w.set_defaults(func=cmd_check_wf)
 
-    a = sub.add_parser("automaton", help="compile a formula and run it over a document")
+
+def _automaton_args(a):
     a.add_argument("document")
     _add_formula_args(a)
     a.add_argument("--logic", choices=("jsl", "rjsl"), default="jsl")
     a.set_defaults(func=cmd_automaton)
 
+
+# name, help line, and the function that adds the subcommand's arguments
+_SUBCOMMANDS = (
+    ("query", "evaluate a navigational formula over a document", _query_args),
+    ("validate", "validate a document against a schema or formula", _validate_args),
+    ("compile", "compile between schema, jsl and jnl", _compile_args),
+    ("sat", "bounded satisfiability search", _sat_args),
+    ("check-wf", "precedence graph and well-formedness", _check_wf_args),
+    ("automaton", "compile a formula and run it over a document", _automaton_args),
+)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that gets its arguments from ``fill`` the first
+    time it parses, so a request builds only the arguments of the
+    subcommand it names."""
+
+    def __init__(self, *, fill, **kwargs):
+        super().__init__(**kwargs)
+        self.fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.fill is not None:
+            fill, self.fill = self.fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jlogic",
+        description="Query, validate and reason about JSON documents.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
+    for name, line, fill in _SUBCOMMANDS:
+        sub.add_parser(name, help=line, fill=fill)
     return parser
 
 

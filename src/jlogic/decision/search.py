@@ -714,11 +714,12 @@ def _leaf_batch(leaves, tables, verdicts) -> list:
     return out
 
 
-def _parent_batch(n, child_level, tables, width, budget, level, judge=True) -> list:
+def _parent_batch(n, child_level, compositions, tables, width, budget, level,
+                  judge=True) -> list:
     """The kept candidates with exactly n nodes over the stored child reps;
     each size composition is charged to the budget at once.  Without
     ``judge`` the compositions are only charged."""
-    sizes, by_size = sorted(child_level.by_size), child_level.by_size
+    by_size = child_level.by_size
     kept, verdicts = [], None
     for k in range(1, min(width, n - 1) + 1):
         shapes = [("obj", keyset) for keyset in combinations(tables.obj_keys, k)]
@@ -726,7 +727,7 @@ def _parent_batch(n, child_level, tables, width, budget, level, judge=True) -> l
             shapes.append(("arr", range(k)))
         if not shapes:
             continue
-        for comp in _compositions(sizes, k, n - 1):
+        for comp in compositions[k, n - 1]:
             groups = [by_size[size] for size in comp]
             budget.charge(math.prod(map(len, groups)) * len(shapes))
             if not judge:
@@ -743,13 +744,19 @@ def _parent_batch(n, child_level, tables, width, budget, level, judge=True) -> l
     return kept
 
 
-def _compositions(sizes, slots, total) -> list:
-    """Every tuple of ``slots`` entries of ``sizes`` (all at least 1) that
-    sums to ``total``, in lexicographic order."""
-    if slots == 1:
-        return [(total,)] if total in sizes else []
-    return [(size,) + rest for size in sizes if size <= total - slots + 1
-            for rest in _compositions(sizes, slots - 1, total - size)]
+def _compositions(sizes) -> _Memo:
+    """Keyed by ``(slots, total)``: every tuple of ``slots`` entries of the
+    sorted ``sizes`` (all at least 1) that sums to ``total``, in
+    lexicographic order.  Each list is built once."""
+    def compute(key):
+        slots, total = key
+        if slots == 1:
+            return [(total,)] if total in sizes else []
+        return [(size,) + rest for size in sizes if size <= total - slots + 1
+                for rest in table[slots - 1, total - size]]
+
+    table = _Memo(compute)
+    return table
 
 
 def _in_order(cands, key_text) -> list:
@@ -782,13 +789,15 @@ def _staged_search(leaves, bounds, budget_limit, levels, multiplicity,
         ceiling = 1
         if below is not None and width > 0 and below.by_size:
             ceiling = min(_full_tree_size(depth - p, width), 1 + width * below.max_size)
+            compositions = _compositions(sorted(below.by_size))
         for n in range(1, ceiling + 1):
             judge = p or n >= least
             if n == 1:
                 budget.charge(len(leaves))
                 batch = _leaf_batch(leaves, tables, tables.verdicts(level)) if judge else []
             else:
-                batch = _parent_batch(n, below, tables, width, budget, level, judge)
+                batch = _parent_batch(n, below, compositions, tables, width, budget,
+                                      level, judge)
             for cand in _in_order(batch, key_text):
                 if p:
                     level.store(cand, cand.mask & tables.read)

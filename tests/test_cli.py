@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.regex as rx
-from jlogic.cli import main
+from jlogic.cli import build_parser, main
 from jlogic.tree import from_python, parse_document, serialize
 from helpers import random_tree
 
@@ -512,3 +513,101 @@ def test_nested_equalities_answer(files, capsys, step):
     assert main(["query", files("e.json", '{"a": {}}'), "--formula-file",
                  files("f.jnl", text)]) in (0, 1)
     assert "internal" not in capsys.readouterr().err
+
+
+SUBCOMMAND_HELP = {
+    "query": "evaluate a navigational formula over a document",
+    "validate": "validate a document against a schema or formula",
+    "compile": "compile between schema, jsl and jnl",
+    "sat": "bounded satisfiability search",
+    "check-wf": "precedence graph and well-formedness",
+    "automaton": "compile a formula and run it over a document",
+}
+SUBCOMMAND_OPTIONS = {
+    "query": ["document", "--formula", "--formula-file", "--node", "--format"],
+    "validate": ["document", "schema", "--logic", "--via", "--format"],
+    "compile": ["input", "--from", "--to"],
+    "sat": ["--formula", "--formula-file", "--logic", "--max-depth", "--max-width",
+            "--max-atoms", "--budget", "--format"],
+    "check-wf": ["--formula", "--formula-file"],
+    "automaton": ["document", "--formula", "--formula-file", "--logic"],
+}
+
+
+def _subparsers(parser):
+    action, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: jlogic ")
+    for name, line in SUBCOMMAND_HELP.items():
+        assert f"    {name} " in out and line in out, name
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, command):
+    assert main([command, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: jlogic {command} ") and err == ""
+    for option in SUBCOMMAND_OPTIONS[command]:
+        assert f" {option}" in out, option
+
+
+# stable substrings of argparse's messages: the wording around them differs
+# between Python versions
+@pytest.mark.parametrize("argv, usage, message", [
+    (["query", "--formula", "true"], "usage: jlogic query ",
+     "the following arguments are required: document"),
+    (["sat", "--formula", "obj", "--formula-file", "f.jsl"], "usage: jlogic sat ",
+     "argument --formula-file: not allowed with argument --formula"),
+    (["sat", "--formula", "obj", "--format", "xml"], "usage: jlogic sat ",
+     "argument --format: invalid choice: 'xml'"),
+    (["sat", "--formula", "obj", "--max-depth", "two"], "usage: jlogic sat ",
+     "argument --max-depth: invalid int value: 'two'"),
+    (["bogus"], "usage: jlogic [-h] ", "invalid choice: 'bogus'"),
+], ids=["missing-positional", "exclusive-formula", "bad-format", "non-integer-depth",
+        "unknown-subcommand"])
+def test_usage_errors_print_argparse_message(capsys, argv, usage, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(usage) and message in err and "internal" not in err, err
+
+
+def test_a_fresh_parser_adds_no_subcommand_arguments():
+    parser = build_parser()
+    subparsers = _subparsers(parser)
+    assert sorted(subparsers) == sorted(SUBCOMMAND_HELP)
+    for sub in subparsers.values():
+        assert [action.dest for action in sub._actions] == ["help"]
+    parser.parse_args(["sat", "--formula", "obj"])
+    for name, sub in subparsers.items():
+        dests = {action.dest for action in sub._actions}
+        assert dests == ({"help", "formula", "formula_file", "logic", "max_depth", "max_width",
+                          "max_atoms", "budget", "format"} if name == "sat" else {"help"}), name
+
+
+def test_main_calls_share_no_parsed_state(files, capsys):
+    assert main(["sat", "--formula", "obj", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sat"] == 1
+    assert main(["sat", "--formula", "obj"]) == 0
+    assert capsys.readouterr().out == "SAT\n{}\n"
+
+    formula = files("f.rjsl", "let g = obj; in g")
+    for first, second in ((["--formula-file", formula], ["--formula", "obj"]),
+                          (["--formula", "obj"], ["--formula-file", formula])):
+        assert main(["check-wf"] + first) == 0
+        assert main(["check-wf"] + second) == 0
+        assert "not allowed" not in capsys.readouterr().err
+
+    tight = ["--max-depth", "1", "--max-width", "1", "--max-atoms", "1", "--budget", "0"]
+    assert main(["sat", "--formula", "obj && !obj"] + tight) == 2
+    assert "budget (0)" in capsys.readouterr().err
+    assert main(["sat", "--formula", "obj && !obj"]) == 1
+    assert capsys.readouterr().out == "UNSAT up to (3,3,6)\n"
+    defaults = build_parser().parse_args(["sat", "--formula", "obj"])
+    assert (defaults.max_depth, defaults.max_width, defaults.max_atoms, defaults.budget,
+            defaults.format, defaults.formula_file) == (3, 3, 6, 200_000, "text", None)

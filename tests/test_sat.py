@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -13,7 +14,7 @@ from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision import search
 from jlogic.decision.search import (_CONNECTIVES, Inventory, _LevelTables, _Program, _class_search,
-                                    _collect_jsl, _least_size)
+                                    _collect_jsl, _compositions, _least_size)
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
 from helpers import (JSL_FEATURES, jsl_features, oracle_jsl, oracle_node_test, oracle_qbf, oracle_sat,
@@ -523,6 +524,16 @@ def test_least_size_of_a_3cnf_encoding_is_its_smallest_model(monkeypatch):
     monkeypatch.setattr(_LevelTables, "bases", root_bases)
     verdict = sat_bounded(encode_3sat(PINNED_CNF), Bounds(2, 5, 8))
     assert seen == [9] and built == {9} and verdict.witness.size == 9
+
+
+def test_compositions_are_every_sum_in_lexicographic_order():
+    for count in range(1, 5):
+        for sizes in combinations(range(1, 7), count):
+            table = _compositions(list(sizes))
+            for slots in range(1, 4):
+                for total in range(1, 14):
+                    expected = [c for c in product(sizes, repeat=slots) if sum(c) == total]
+                    assert table[slots, total] == expected, (sizes, slots, total)
 
 
 def test_least_size_folds_a_long_chain_in_one_visit(monkeypatch):
