@@ -23,11 +23,12 @@ pre-order and paths only move down, so a node's successors are settled
 before it.  All but eq(alpha, beta) is translated into the recursive schema
 logic, a closure ``alpha*`` followed by K becoming the shielded definition
 ``g = K || <alpha> g`` (``translate._jnl_to_recursive``), and run by
-``jsl.compile_formula`` and ``recursive._sat_tables``.  An eq(alpha, beta)
-walks each node once when both paths are functional and otherwise fills
-sets of reachable subtree class ids.  Membership evaluates only the node's
-subtree.  Only ``eval_binary`` materializes the relation of a path
-formula: up to n² pairs under a closure.
+``jsl.compile_formula`` and ``recursive._sat_tables``.  Every path runs on
+one evaluator, ``_reach``, which fills its closures' tables node by node;
+an eq(alpha, beta) is a table filled innermost first from the subtree
+classes its two paths reach, so nested equalities never call each other.
+Membership evaluates only the node's subtree.  Only ``eval_binary``
+materializes a path's relation: up to n² pairs under a closure.
 """
 
 from __future__ import annotations
@@ -338,10 +339,7 @@ def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False, eqs=None)
     or a closure, one per distinct specialized form."""
     from . import jsl, recursive, translate  # they import this module
     if eqs is None:
-        eqs = {}
-        for f in _walk(u):
-            if isinstance(f, EqPaths):
-                eqs[f] = _eq_paths(tree, f, nodes, eqs)
+        eqs = _eq_tables(tree, u, nodes)
     tables, consts = {}, {}
 
     def eq_symbol(f):  # the translation's memo asks once per distinct eq(alpha, beta)
@@ -360,86 +358,54 @@ def _compile(tree: JsonTree, u: JnlUnary, nodes: range, by_kind=False, eqs=None)
     return {kind: compiled.get(f, f) for kind, f in forms.items()}
 
 
-def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict):
-    """eq(alpha, beta) as a closure over node ids, or as a table filled on
-    ``nodes`` when a path has more than one successor."""
-    if _functional(f.left) and _functional(f.right):
-        return _eq_walk(tree, f, nodes, eqs)
+def _eq_tables(tree: JsonTree, f, nodes: range) -> dict:
+    """The table of every eq(alpha, beta) in ``f``, innermost first, so
+    that one's tests read the tables of those nested in it."""
+    eqs = {}
+    for g in _walk(f):
+        if isinstance(g, EqPaths):
+            eqs[g] = _eq_paths(tree, g, nodes, eqs)
+    return eqs
+
+
+def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict) -> bytearray:
+    """eq(alpha, beta) as a table filled on ``nodes``, at each node after
+    the steps of its paths' closures."""
     # A subtree strictly below n never equals n's: so either both paths
     # stay at n, or their strict successors share a class.
     stay = walk(_stays, f.left), walk(_stays, f.right)
-    if stay[0] is TOP and stay[1] is TOP:
-        return lambda n: True
     both = None if None in stay else _compile(tree, And(*stay), nodes, eqs=eqs)
-    ids = tree.subtree_ids()
-    cont = lambda n: frozenset((ids[n],))
+    cont = lambda n: frozenset((tree.subtree_id(n),))  # labels the tree on first use
     steps, table, memo = [], bytearray(tree.size), {}
-    left, right = ([walk(_reach(tree, steps, nodes, eqs), (p, cont), memo) for p in strict_paths(b)]
-                   for b in (f.left, f.right))
+    left, right = (_union([walk(_reach(tree, steps, nodes, eqs), (p, cont), memo)
+                           for p in strict_paths(b)]) for b in (f.left, f.right))
+    children = tree.columns()[2]
     for n in nodes:
         for step in steps:
             step(n)
         if both is not None and both(n):
             table[n] = 1
-        elif left and right:
-            table[n] = not _EMPTY.union(*(r(n) for r in left)).isdisjoint(
-                _EMPTY.union(*(r(n) for r in right)))
+        elif left and right and children[n]:
+            reached = left(n)
+            table[n] = bool(reached) and not reached.isdisjoint(right(n))
     return table
 
 
-def _functional(b: JnlBinary) -> bool:
-    """At most one successor per node."""
-    def visit(b):
-        if isinstance(b, Compose):
-            return (yield b.lhs) and (yield b.rhs)
-        return isinstance(b, (Eps, Test, KeyAxis, IdxAxis))
-    return walk(visit, b)
-
-
-def _eq_walk(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict):
-    """eq(alpha, beta) for functional paths as one loop per node over the
-    steps of alpha, then of beta from the node again."""
-    kinds, _, children, keys = tree.columns()
-    program, todo = [], [f.right, None, f.left]
-    while todo:
-        s = todo.pop()
-        if s is None:
-            program.append((3, None))  # alpha's target is found; restart for beta
-        elif isinstance(s, Compose):
-            todo += (s.rhs, s.lhs)
-        elif isinstance(s, KeyAxis):
-            program.append((0, s.key))
-        elif isinstance(s, IdxAxis):
-            program.append((1, s.pos - 1))
-        elif isinstance(s, Test):
-            program.append((2, _compile(tree, s.body, nodes, eqs=eqs)))
-
-    def eq(n):
-        m = n
-        for op, arg in program:
-            if op == 0:
-                m = tree.obj_child(m, arg) if keys[m] else None
-                if m is None:
-                    return False
-            elif op == 1:
-                ch = children[m]
-                if kinds[m] is not NodeKind.ARR or len(ch) <= arg:
-                    return False
-                m = ch[arg]
-            elif op == 2:
-                if not arg(m):
-                    return False
-            else:
-                a, m = m, n
-        return tree.equal_subtrees(a, m)
-    return eq
+def _union(parts: list):
+    """One closure for the union of the closures' sets, None for none."""
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return lambda n: _EMPTY.union(*(part(n) for part in parts))
 
 
 def _axis(tree: JsonTree, b: JnlBinary):
     """An axis as a closure: the matching children of a node."""
     kinds, _, children, keys = tree.columns()
-    if isinstance(b, (KeyAxis, KeyRegexAxis)):
-        accept = b.key.__eq__ if isinstance(b, KeyAxis) else rx.word_filter(b.pattern)
+    if isinstance(b, KeyAxis):
+        key, child = b.key, tree.obj_child
+        return lambda n: () if (c := child(n, key)) is None else (c,)
+    if isinstance(b, KeyRegexAxis):
+        accept = rx.word_filter(b.pattern)
         return lambda n: [c for k, c in zip(keys[n], children[n]) if accept(k)] if keys[n] else ()
     if isinstance(b, (IdxAxis, IdxRangeAxis)):
         lo, hi = (b.pos, b.pos) if isinstance(b, IdxAxis) else (b.lo, b.hi)
@@ -449,9 +415,10 @@ def _axis(tree: JsonTree, b: JnlBinary):
 
 def _reach(tree, steps: list, nodes: range, eqs: dict):
     """Walker: ``(b, cont)`` to a closure, the union of ``cont`` (node ->
-    frozenset of class ids) over a node's b-successors.  A closure's table
-    is filled by a step appended to ``steps`` after the steps it reads at
-    the same node; a shared memo gives it one table per continuation."""
+    frozenset) over a node's b-successors.  A closure's table is filled by
+    a step in ``steps``, run at each node in list order: after the steps of
+    ``cont`` and before those of its parts, which read it at the same node.
+    A shared memo gives it one table per continuation."""
     def visit(item):
         b, cont = item
         if isinstance(b, Eps):
@@ -464,13 +431,14 @@ def _reach(tree, steps: list, nodes: range, eqs: dict):
         if isinstance(b, Star):
             table = [_EMPTY] * tree.size
             out = table.__getitem__
+            at = len(steps)
             parts = yield from each((p, out) for p in strict_paths(b.body))
             if not parts:
                 return cont
 
             def step(n):
                 table[n] = cont(n).union(*(part(n) for part in parts))
-            steps.append(step)
+            steps.insert(at, step)
             return out
         succ = _axis(tree, b)
         return lambda n: _EMPTY.union(*map(cont, succ(n)))
@@ -478,36 +446,18 @@ def _reach(tree, steps: list, nodes: range, eqs: dict):
 
 
 def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
-    """All (source path, target path) pairs the path formula selects.  The
-    relation is materialized, up to n² pairs under a closure."""
-    pairs = _pairs(tree, b)
+    """All (source path, target path) pairs the path formula selects: the
+    successor sets of ``_reach``, up to n² pairs under a closure."""
+    nodes, steps, pairs = range(tree.size - 1, -1, -1), [], {}
+    succ = walk(_reach(tree, steps, nodes, _eq_tables(tree, b, nodes)), (b, lambda n: frozenset((n,))))
+    for n in nodes:
+        for step in steps:
+            step(n)
+        if ts := succ(n):
+            pairs[n] = ts
     ids = sorted(set(pairs).union(*pairs.values()))
     path = dict(zip(ids, tree.paths_of(ids)))
     return frozenset((path[n], path[t]) for n, ts in pairs.items() for t in ts)
-
-
-def _pairs(tree: JsonTree, b: JnlBinary) -> dict:
-    """The successor set of every node id that has one."""
-    def visit(b):
-        if isinstance(b, Eps):
-            return {n: {n} for n in tree.nodes()}
-        if isinstance(b, Test):
-            return {n: {n} for n in eval_unary_ids(tree, b.body)}
-        if isinstance(b, Compose):
-            right, out = (yield b.rhs), {}
-            for n, mids in (yield b.lhs).items():
-                ts = set().union(*(right.get(m, ()) for m in mids))
-                if ts:
-                    out[n] = ts
-            return out
-        if isinstance(b, Star):
-            step, out = (yield b.body), {}
-            for n in range(tree.size - 1, -1, -1):  # other successors lie below n
-                out[n] = {n}.union(*(out[m] for m in step.get(n, ()) if m != n))
-            return out
-        succ = _axis(tree, b)
-        return {n: set(ts) for n in tree.nodes() for ts in (succ(n),) if ts}
-    return walk(visit, b)
 
 
 # -- find-filter compilation -----------------------------------------------------

@@ -303,9 +303,9 @@ def compile_modal(tree: JsonTree, label, universal: bool,
 def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[int], bool]:
     """Closure: whether ``phi`` holds at a node id, compiled once per
     distinct subformula.  A symbol reads ``tables[name]`` (indexed by node
-    id, as the recursive evaluator fills it, or a closure over node ids)
-    and never calls its definition; other closures nest as ``_nesting``
-    counts, a chain of one connective as a balanced tree."""
+    id, as the recursive evaluator and the JNL equalities fill it) and
+    never calls its definition; other closures nest as ``_nesting`` counts,
+    a chain of one connective as a balanced tree."""
     def visit(phi):
         if isinstance(phi, Top):
             return (-1).__lt__  # true at every node id, and no Python frame per call
@@ -329,8 +329,7 @@ def compile_formula(tree: JsonTree, phi: JslFormula, tables: dict) -> Callable[[
         if isinstance(phi, SymbolRef):
             if phi.name not in tables:
                 raise MalformedFormula(f"free definition symbol {phi.name!r}")
-            table = tables[phi.name]
-            return table if callable(table) else table.__getitem__
+            return tables[phi.name].__getitem__
         raise TypeError(f"not a formula: {phi!r}")
     return walk(visit, phi)
 

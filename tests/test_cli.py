@@ -326,6 +326,13 @@ def test_query_pinned_outputs(files, capsys, formula, extra, stdout, code):
     assert capsys.readouterr().out == stdout
 
 
+def test_query_closure_in_a_closure(files, capsys):
+    # the inner closure's table reads the outer one's at the same node
+    doc = files("b.json", '{"b": {"b": 1}}')
+    assert main(["query", doc, "--formula", 'eq(((@"b")*)*, @"b")']) == 0
+    assert capsys.readouterr().out == "(root)\nb\n"
+
+
 def test_query_rendering_matches_reference(files, capsys):
     rng = random.Random(53)
     formulas = ["true", "[#1]", '[@"a"] || [@/b|c/]', "!eq(eps, 0)"]
@@ -432,6 +439,7 @@ DEEP_INPUTS = {
     "plus.jsl": f"dia(/{PLUS}/) pattern(/{PLUS}/)",
     "star-b.jsl": 'dia("a") pattern(/' + "(" * DEPTH + "a" + ")*b" * DEPTH + "/)",
     "plus.jnl": f"[@/{PLUS}/]",
+    "eq.jnl": "eq(test(" * DEPTH + "true" + "), eps)" * DEPTH,
 }
 NESTING = "error: the schema nests lists and objects past the JSON printer's recursion limit"
 # The probe of deep inputs through the CLI, one row per path: each prints
@@ -460,6 +468,7 @@ DEEP_PROBE = [
     ("query", "deep.json", "--formula-file", "key-test.jnl", 0, "(root)"),
     ("query", "deep.json", "--formula-file", "parentheses.jnl", 0, "(root)\na\na/a\n"),
     ("query", "a.json", "--formula-file", "plus.jnl", 0, "(root)"),
+    ("query", "e.json", "--formula-file", "eq.jnl", 0, "(root)"),
     ("sat", "--logic", "jnl", "--formula-file", "not.jnl", 0, "SAT"),
     ("sat", "--logic", "jnl", "--formula-file", "test.jnl", 0, "SAT"),
     ("compile", "not.jnl", "--from", "jnl", "--to", "jsl", 0, "!!"),
@@ -508,7 +517,7 @@ def test_deep_schema_still_prints(files, capsys, text):
 def test_nested_equalities_answer(files, capsys, step):
     # each eq(alpha, beta) sits in a test of the next one's path; their
     # tables are filled innermost first, not one call inside another
-    n = 400
+    n = DEPTH
     text = "eq(test(" * n + "true" + f") / {step}, eps)" * n
     assert main(["query", files("e.json", '{"a": {}}'), "--formula-file",
                  files("f.jnl", text)]) in (0, 1)

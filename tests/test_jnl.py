@@ -158,6 +158,26 @@ def test_oracle_equivalence_unary():
         assert eval_unary(t, f) == oracle_sat(t, f), unary_to_text(f)
 
 
+def nested_closure(rng, depth) -> jnl.JnlBinary:
+    """A closure whose body holds a closure directly, ``depth`` levels."""
+    inner = random_jnl_binary(rng, 0) if depth == 0 else nested_closure(rng, depth - 1)
+    other = random_jnl_binary(rng, rng.randint(0, 1))
+    return Star(rng.choice([inner, Compose(inner, other), Compose(other, inner)]))
+
+
+def test_nested_closures_match_the_oracles():
+    # an inner closure's table reads the outer one's at the same node
+    rng = random.Random(1)
+    for _ in range(400):
+        t = random_tree(rng, 3, 3)
+        alpha = nested_closure(rng, rng.randint(1, 2))
+        beta = random_jnl_binary(rng, rng.randint(0, 2))
+        f = EqPaths(alpha, beta) if rng.random() < 0.5 else EqPaths(beta, alpha)
+        assert eval_unary(t, f) == oracle_sat(t, f), unary_to_text(f)
+        want = frozenset((t.path_of(a), t.path_of(b)) for a, b in oracle_pairs(t, alpha))
+        assert eval_binary(t, alpha) == want, jnl.binary_to_text(alpha)
+
+
 JNL_CONSTRUCTORS = {jnl.Top, jnl.Not, And, jnl.Or, Exists, EqConst, EqPaths, jnl.Test,
                     KeyAxis, jnl.KeyRegexAxis, IdxAxis, IdxRangeAxis, Compose, Eps, Star}
 
