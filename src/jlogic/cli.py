@@ -7,8 +7,11 @@ negative verdicts, 2 for usage and parse errors and for internal errors
 File arguments accept ``-`` for standard input.
 
 The parser is built afresh for each ``main`` call.  It registers every
-subcommand by name and help line only; a subcommand's arguments are added
-when it is chosen, the first time its parser is handed the rest of argv.
+subcommand by name, help line and prog only: a subcommand's parser is
+initialised, and its arguments added, when it is chosen, the first time it
+is handed the rest of argv.  So one call initialises two parsers, the top
+level and the chosen subcommand's, and one only when no subcommand is
+chosen (``-h``, an unknown name, no arguments).
 """
 
 from __future__ import annotations
@@ -283,17 +286,20 @@ _SUBCOMMANDS = (
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that gets its arguments from ``fill`` the first
-    time it parses, so a request builds only the arguments of the
-    subcommand it names."""
+    """A subcommand's parser that defers all its set-up to its first parse.
+    Until then it holds only what ``add_parser`` handed it: the keyword
+    arguments of ``ArgumentParser.__init__`` (prog) and ``fill``, which adds
+    the subcommand's arguments.  The top level reads only the names and
+    help lines it registered, so the subcommands a request does not name
+    are never initialised."""
 
-    def __init__(self, *, fill, **kwargs):
-        super().__init__(**kwargs)
-        self.fill = fill
+    def __init__(self, *, fill, **kwargs):  # the base __init__ runs in the first parse
+        self.pending = fill, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self.fill is not None:
-            fill, self.fill = self.fill, None
+        if self.pending is not None:
+            (fill, kwargs), self.pending = self.pending, None
+            super().__init__(**kwargs)
             fill(self)
         return super().parse_known_args(args, namespace)
 

@@ -370,12 +370,17 @@ def _eq_tables(tree: JsonTree, f, nodes: range) -> dict:
 
 def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict) -> bytearray:
     """eq(alpha, beta) as a table filled on ``nodes``, at each node after
-    the steps of its paths' closures."""
+    the steps of its paths' closures.  Paths without a closure reach node
+    ids, and the tree is labelled only where both reach a node; a closure's
+    table holds the subtree classes it reaches."""
     # A subtree strictly below n never equals n's: so either both paths
     # stay at n, or their strict successors share a class.
     stay = walk(_stays, f.left), walk(_stays, f.right)
     both = None if None in stay else _compile(tree, And(*stay), nodes, eqs=eqs)
-    cont = lambda n: frozenset((tree.subtree_id(n),))  # labels the tree on first use
+    if walk(_closes, f.left) or walk(_closes, f.right):
+        cont, label = (lambda n: frozenset((tree.subtree_id(n),))), (lambda classes: classes)
+    else:
+        cont, label = _single, lambda reached: {tree.subtree_id(n) for n in reached}
     steps, table, memo = [], bytearray(tree.size), {}
     left, right = (_union([walk(_reach(tree, steps, nodes, eqs), (p, cont), memo)
                            for p in strict_paths(b)]) for b in (f.left, f.right))
@@ -385,10 +390,22 @@ def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict) -> bytearray:
             step(n)
         if both is not None and both(n):
             table[n] = 1
-        elif left and right and children[n]:
-            reached = left(n)
-            table[n] = bool(reached) and not reached.isdisjoint(right(n))
+        elif left and right and children[n] and (reached := left(n)) and (other := right(n)):
+            table[n] = not label(reached).isdisjoint(label(other))
     return table
+
+
+def _closes(b: JnlBinary):
+    """Walker: whether the path formula takes a closure outside its tests."""
+    if isinstance(b, Star):
+        return True
+    if isinstance(b, Compose):
+        return (yield b.lhs) or (yield b.rhs)
+    return False
+
+
+def _single(n) -> frozenset:
+    return frozenset((n,))
 
 
 def _union(parts: list):
@@ -398,19 +415,22 @@ def _union(parts: list):
     return lambda n: _EMPTY.union(*(part(n) for part in parts))
 
 
-def _axis(tree: JsonTree, b: JnlBinary):
-    """An axis as a closure: the matching children of a node."""
+def _axis(tree: JsonTree, b: JnlBinary, cont):
+    """An axis followed by ``cont`` as a closure: the union of ``cont``
+    over the matching children of a node."""
     kinds, _, children, keys = tree.columns()
-    if isinstance(b, KeyAxis):
+    if isinstance(b, KeyAxis):  # at most one child: no union
         key, child = b.key, tree.obj_child
-        return lambda n: () if (c := child(n, key)) is None else (c,)
+        return lambda n: _EMPTY if (c := child(n, key)) is None else cont(c)
     if isinstance(b, KeyRegexAxis):
         accept = rx.word_filter(b.pattern)
-        return lambda n: [c for k, c in zip(keys[n], children[n]) if accept(k)] if keys[n] else ()
-    if isinstance(b, (IdxAxis, IdxRangeAxis)):
+        succ = lambda n: [c for k, c in zip(keys[n], children[n]) if accept(k)] if keys[n] else ()
+    elif isinstance(b, (IdxAxis, IdxRangeAxis)):
         lo, hi = (b.pos, b.pos) if isinstance(b, IdxAxis) else (b.lo, b.hi)
-        return lambda n: children[n][lo - 1:hi] if kinds[n] is NodeKind.ARR else ()
-    raise TypeError(f"not a path formula: {b!r}")
+        succ = lambda n: children[n][lo - 1:hi] if kinds[n] is NodeKind.ARR else ()
+    else:
+        raise TypeError(f"not a path formula: {b!r}")
+    return lambda n: _EMPTY.union(*map(cont, succ(n)))
 
 
 def _reach(tree, steps: list, nodes: range, eqs: dict):
@@ -440,8 +460,7 @@ def _reach(tree, steps: list, nodes: range, eqs: dict):
                 table[n] = cont(n).union(*(part(n) for part in parts))
             steps.insert(at, step)
             return out
-        succ = _axis(tree, b)
-        return lambda n: _EMPTY.union(*map(cont, succ(n)))
+        return _axis(tree, b, cont)
     return visit
 
 
@@ -449,7 +468,7 @@ def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
     """All (source path, target path) pairs the path formula selects: the
     successor sets of ``_reach``, up to n² pairs under a closure."""
     nodes, steps, pairs = range(tree.size - 1, -1, -1), [], {}
-    succ = walk(_reach(tree, steps, nodes, _eq_tables(tree, b, nodes)), (b, lambda n: frozenset((n,))))
+    succ = walk(_reach(tree, steps, nodes, _eq_tables(tree, b, nodes)), (b, _single))
     for n in nodes:
         for step in steps:
             step(n)

@@ -587,16 +587,40 @@ def test_usage_errors_print_argparse_message(capsys, argv, usage, message):
 
 
 def test_a_fresh_parser_adds_no_subcommand_arguments():
+    # nor initialises any subcommand's parser: that waits until it is chosen
     parser = build_parser()
     subparsers = _subparsers(parser)
     assert sorted(subparsers) == sorted(SUBCOMMAND_HELP)
     for sub in subparsers.values():
-        assert [action.dest for action in sub._actions] == ["help"]
+        assert sub.pending is not None and not hasattr(sub, "_actions")
     parser.parse_args(["sat", "--formula", "obj"])
     for name, sub in subparsers.items():
-        dests = {action.dest for action in sub._actions}
-        assert dests == ({"help", "formula", "formula_file", "logic", "max_depth", "max_width",
-                          "max_atoms", "budget", "format"} if name == "sat" else {"help"}), name
+        if name != "sat":
+            assert sub.pending is not None and not hasattr(sub, "_actions"), name
+    sat = subparsers["sat"]
+    assert sat.pending is None
+    assert {action.dest for action in sat._actions} == {
+        "help", "formula", "formula_file", "logic", "max_depth", "max_width", "max_atoms",
+        "budget", "format"}
+
+
+@pytest.mark.parametrize("argv, inits", [
+    (["-h"], 1), (["bogus"], 1), ([], 1),
+    *(([command, "-h"], 2) for command in sorted(SUBCOMMAND_OPTIONS)),
+    (["validate"], 2), (["sat", "--formula", "obj"], 2), (["check-wf", "--formula", "obj"], 2),
+    (["compile", "-", "--from", "jsl"], 2),
+], ids=lambda value: " ".join(value) or "no-arguments" if isinstance(value, list) else None)
+def test_a_call_initialises_only_the_chosen_parser(monkeypatch, capsys, argv, inits):
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    main(argv)
+    capsys.readouterr()
+    assert calls == ["jlogic", *(f"jlogic {name}" for name in argv[:1])][:inits], calls
 
 
 def test_main_calls_share_no_parsed_state(files, capsys):
