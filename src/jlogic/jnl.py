@@ -370,17 +370,12 @@ def _eq_tables(tree: JsonTree, f, nodes: range) -> dict:
 
 def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict) -> bytearray:
     """eq(alpha, beta) as a table filled on ``nodes``, at each node after
-    the steps of its paths' closures.  Paths without a closure reach node
-    ids, and the tree is labelled only where both reach a node; a closure's
-    table holds the subtree classes it reaches."""
+    the steps of its paths' closures."""
     # A subtree strictly below n never equals n's: so either both paths
     # stay at n, or their strict successors share a class.
     stay = walk(_stays, f.left), walk(_stays, f.right)
     both = None if None in stay else _compile(tree, And(*stay), nodes, eqs=eqs)
-    if walk(_closes, f.left) or walk(_closes, f.right):
-        cont, label = (lambda n: frozenset((tree.subtree_id(n),))), (lambda classes: classes)
-    else:
-        cont, label = _single, lambda reached: {tree.subtree_id(n) for n in reached}
+    cont = lambda n: frozenset((tree.subtree_id(n),))  # labels the tree on first use
     steps, table, memo = [], bytearray(tree.size), {}
     left, right = (_union([walk(_reach(tree, steps, nodes, eqs), (p, cont), memo)
                            for p in strict_paths(b)]) for b in (f.left, f.right))
@@ -390,22 +385,10 @@ def _eq_paths(tree: JsonTree, f: EqPaths, nodes: range, eqs: dict) -> bytearray:
             step(n)
         if both is not None and both(n):
             table[n] = 1
-        elif left and right and children[n] and (reached := left(n)) and (other := right(n)):
-            table[n] = not label(reached).isdisjoint(label(other))
+        elif left and right and children[n]:
+            reached = left(n)
+            table[n] = bool(reached) and not reached.isdisjoint(right(n))
     return table
-
-
-def _closes(b: JnlBinary):
-    """Walker: whether the path formula takes a closure outside its tests."""
-    if isinstance(b, Star):
-        return True
-    if isinstance(b, Compose):
-        return (yield b.lhs) or (yield b.rhs)
-    return False
-
-
-def _single(n) -> frozenset:
-    return frozenset((n,))
 
 
 def _union(parts: list):
@@ -468,7 +451,7 @@ def eval_binary(tree: JsonTree, b: JnlBinary) -> frozenset:
     """All (source path, target path) pairs the path formula selects: the
     successor sets of ``_reach``, up to n² pairs under a closure."""
     nodes, steps, pairs = range(tree.size - 1, -1, -1), [], {}
-    succ = walk(_reach(tree, steps, nodes, _eq_tables(tree, b, nodes)), (b, _single))
+    succ = walk(_reach(tree, steps, nodes, _eq_tables(tree, b, nodes)), (b, lambda n: frozenset((n,))))
     for n in nodes:
         for step in steps:
             step(n)

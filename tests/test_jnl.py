@@ -178,15 +178,6 @@ def test_nested_closures_match_the_oracles():
         assert eval_binary(t, alpha) == want, jnl.binary_to_text(alpha)
 
 
-def test_an_equality_labels_only_where_both_paths_reach_a_node():
-    # no object has both keys: nothing to compare, so no subtree classes
-    t = jt.from_python({"a": {"a": 1, "c": [1]}, "c": [{"b": 2}, {"a": 2}, {"b": {"c": 1}}]})
-    f = parse_jnl('eq(@"a", @"b")')
-    assert eval_unary_ids(t, f) == frozenset()
-    assert t._classes is None
-    assert eval_unary_ids(jt.from_python({"x": {"a": [1], "b": [1]}}), f) == {1}
-
-
 JNL_CONSTRUCTORS = {jnl.Top, jnl.Not, And, jnl.Or, Exists, EqConst, EqPaths, jnl.Test,
                     KeyAxis, jnl.KeyRegexAxis, IdxAxis, IdxRangeAxis, Compose, Eps, Star}
 
