@@ -6,12 +6,12 @@ negative verdicts, 2 for usage and parse errors and for internal errors
 (``error: internal: …``).  Results go to stdout, diagnostics to stderr.
 File arguments accept ``-`` for standard input.
 
-The parser is built afresh for each ``main`` call.  It registers every
-subcommand by name, help line and prog only: a subcommand's parser is
-initialised, and its arguments added, when it is chosen, the first time it
-is handed the rest of argv.  So one call initialises two parsers, the top
-level and the chosen subcommand's, and one only when no subcommand is
-chosen (``-h``, an unknown name, no arguments).
+Each ``main`` call builds its parsers afresh.  An argv that starts with a
+subcommand's name is parsed by that subcommand's parser alone, the one
+parser the call initialises.  Any other argv (``-h``, no arguments, an
+unknown name, a leading option or ``--``) goes to the whole parser,
+``build_parser``, which also reports arguments a subcommand leaves over.
+Its messages are argparse's own either way.
 """
 
 from __future__ import annotations
@@ -274,45 +274,39 @@ def _automaton_args(a):
     a.set_defaults(func=cmd_automaton)
 
 
-# name, help line, and the function that adds the subcommand's arguments
-_SUBCOMMANDS = (
-    ("query", "evaluate a navigational formula over a document", _query_args),
-    ("validate", "validate a document against a schema or formula", _validate_args),
-    ("compile", "compile between schema, jsl and jnl", _compile_args),
-    ("sat", "bounded satisfiability search", _sat_args),
-    ("check-wf", "precedence graph and well-formedness", _check_wf_args),
-    ("automaton", "compile a formula and run it over a document", _automaton_args),
-)
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that defers all its set-up to its first parse.
-    Until then it holds only what ``add_parser`` handed it: the keyword
-    arguments of ``ArgumentParser.__init__`` (prog) and ``fill``, which adds
-    the subcommand's arguments.  The top level reads only the names and
-    help lines it registered, so the subcommands a request does not name
-    are never initialised."""
-
-    def __init__(self, *, fill, **kwargs):  # the base __init__ runs in the first parse
-        self.pending = fill, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.pending is not None:
-            (fill, kwargs), self.pending = self.pending, None
-            super().__init__(**kwargs)
-            fill(self)
-        return super().parse_known_args(args, namespace)
+# name: help line, and the function that adds the subcommand's arguments
+_SUBCOMMANDS = {
+    "query": ("evaluate a navigational formula over a document", _query_args),
+    "validate": ("validate a document against a schema or formula", _validate_args),
+    "compile": ("compile between schema, jsl and jnl", _compile_args),
+    "sat": ("bounded satisfiability search", _sat_args),
+    "check-wf": ("precedence graph and well-formedness", _check_wf_args),
+    "automaton": ("compile a formula and run it over a document", _automaton_args),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jlogic",
         description="Query, validate and reason about JSON documents.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_SubcommandParser)
-    for name, line, fill in _SUBCOMMANDS:
-        sub.add_parser(name, help=line, fill=fill)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (line, fill) in _SUBCOMMANDS.items():
+        fill(sub.add_parser(name, help=line))
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of one call, as the whole parser would read them: a
+    subcommand's arguments go to its parser untouched, and what that
+    parser leaves over is the top level's error."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"jlogic {argv[0]}")
+    _SUBCOMMANDS[argv[0]][1](parser)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -320,9 +314,8 @@ def main(argv=None) -> int:
     input files among them, print ``error: …``; any other exception is
     reported as ``error: internal: …``.  Both exit 2, never a negative
     verdict."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -132,15 +132,6 @@ def _class_id(table, kind, value, children) -> int:
     return jt.intern_class(table, value)
 
 
-def _to_py(cand):
-    """The candidate as python values; only a witness needs them."""
-    if cand.kind == "obj":
-        return {k: _to_py(r) for k, r in cand.children}
-    if cand.kind == "arr":
-        return [_to_py(r) for _, r in cand.children]
-    return cand.value
-
-
 # -- the compiled formula program ----------------------------------------------------
 
 _CONNECTIVES = (jsl.Top, jsl.Not, jsl.And, jsl.Or, jsl.SymbolRef)
@@ -826,13 +817,13 @@ def _class_search(program, inventory, bounds, budget, revalidate,
         arrays = (not prune) or any(isinstance(program.instrs[b], _IDX_MODALS) for b in closure)
         keys = program.visible_keys(regs, inventory.keys) if prune else inventory.keys
         levels.append(_LevelTables(program, read, closure, keys, arrays, root=not levels))
-    confirm = (lambda cand: revalidate(jt.from_python(_to_py(cand)))) if exhaustive else None
+    confirm = (lambda cand: revalidate(jt.parse_document(cand.serial))) if exhaustive else None
     key_text = {k: json.dumps(k, ensure_ascii=False) + ":" for k in inventory.keys}
     found = _staged_search(leaves, bounds, budget, levels, multiplicity, confirm,
                            program.table, key_text, _least_size(program.instrs[program.phi_bit]))
     if found is None:
         return SatVerdict(False, None, bounds)
-    tree = jt.from_python(_to_py(found))
+    tree = jt.parse_document(found.serial)
     if not revalidate(tree):
         raise RuntimeError(f"search/evaluator disagreement on {found.serial}")
     return SatVerdict(True, tree, bounds)

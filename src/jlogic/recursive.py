@@ -181,31 +181,27 @@ def unfold(expr: RecursiveJslExpr, h: int, size_cap: int = DEFAULT_UNFOLD_CAP) -
     bodies = dict(expr.definitions)
     budget = [size_cap]
 
-    def expand(phi: JslFormula, depth: int) -> JslFormula:
+    def expand(arg):
+        phi, depth = arg
         budget[0] -= 1
         if budget[0] < 0:
             raise UnfoldSizeExceeded(f"unfolding exceeded {size_cap} nodes")
         if isinstance(phi, SymbolRef):
             if depth > h:
                 return BOTTOM
-            return expand(bodies[phi.name], depth)
+            return (yield bodies[phi.name], depth)
         if isinstance(phi, jsl.Not):
-            return jsl.Not(expand(phi.body, depth))
-        if isinstance(phi, jsl.And):
-            return jsl.And(expand(phi.lhs, depth), expand(phi.rhs, depth))
-        if isinstance(phi, jsl.Or):
-            return jsl.Or(expand(phi.lhs, depth), expand(phi.rhs, depth))
-        if isinstance(phi, BoxKey):
-            return BoxKey(phi.pattern, expand(phi.body, depth + 1))
-        if isinstance(phi, DiaKey):
-            return DiaKey(phi.pattern, expand(phi.body, depth + 1))
-        if isinstance(phi, BoxIdx):
-            return BoxIdx(phi.lo, phi.hi, expand(phi.body, depth + 1))
-        if isinstance(phi, DiaIdx):
-            return DiaIdx(phi.lo, phi.hi, expand(phi.body, depth + 1))
+            return jsl.Not((yield phi.body, depth))
+        if isinstance(phi, (jsl.And, jsl.Or)):
+            return type(phi)((yield phi.lhs, depth), (yield phi.rhs, depth))
+        if isinstance(phi, (BoxKey, DiaKey)):
+            return type(phi)(phi.pattern, (yield phi.body, depth + 1))
+        if isinstance(phi, (BoxIdx, DiaIdx)):
+            return type(phi)(phi.lo, phi.hi, (yield phi.body, depth + 1))
         return phi
 
-    return expand(expr.base, 0)
+    # no memo: the budget counts every occurrence the unfolding writes out
+    return walk(expand, (expr.base, 0), memo=False)
 
 
 # -- bottom-up evaluation ----------------------------------------------------------

@@ -209,20 +209,16 @@ def test_program_bits_come_after_their_operands():
             assert all(dep < bit for dep in deps), jsl.to_text(phi)
 
 
-WALKED = ["jsl", "translate", "schema", "recursive", "decision/automata", "jnl"]
+WALKED = ["jsl", "translate", "schema", "recursive", "decision/automata", "decision/search", "jnl"]
 
 
 @pytest.mark.parametrize("module", WALKED)
 def test_walkers_do_not_call_themselves(module):
-    # formula and schema walkers run on the driver's stack; recursive.unfold
-    # is the oracle the tests hold eval_recursive to and keeps its recursion
+    # formula and schema walkers run on `_node.walk`'s own stack
     path = os.path.join(os.path.dirname(jlogic.__file__), module + ".py")
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
-    oracle = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-              and fn.name == "unfold" for n in ast.walk(fn)}
-    found = [fn.name for fn in ast.walk(tree)
-             if isinstance(fn, ast.FunctionDef) and id(fn) not in oracle
+    found = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for call in ast.walk(fn) if isinstance(call, ast.Call)
              and isinstance(call.func, ast.Name) and call.func.id == fn.name]
     assert found == []

@@ -219,6 +219,14 @@ def test_unfold_size_cap():
         rec.unfold(e, 30, size_cap=5_000)
 
 
+def test_unfold_a_deep_formula():
+    # the unfolding runs on `_node.walk`'s own stack, not Python's
+    phi = jsl.parse_jsl('dia("a") ' * 3000 + "true")
+    assert rec.unfold(rec.RecursiveJslExpr((), phi), 5) == phi
+    with pytest.raises(UnfoldSizeExceeded):
+        rec.unfold(rec.RecursiveJslExpr((), phi), 5, size_cap=100)
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 

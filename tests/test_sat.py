@@ -460,6 +460,16 @@ def test_pinned_witness(capsys, logic, formula, bounds, expected, budget):
     assert captured.err == f"error: search exceeded the candidate budget ({budget - 1})\n"
 
 
+def test_a_deep_witness_is_reported(capsys):
+    # the witness is read back from its canonical text, so its depth is not
+    # bounded by Python's recursion limit
+    depth = 600
+    assert main(["sat", "--formula", 'dia("a") ' * depth + "true", "--max-depth", str(depth),
+                 "--max-width", "1", "--max-atoms", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "SAT\n" + '{"a":' * depth + "{}" + "}" * depth + "\n" and err == ""
+
+
 @pytest.mark.parametrize("logic,formula,bounds,expected,budget", PINNED)
 def test_pinned_witness_without_the_size_bound(monkeypatch, capsys, logic, formula, bounds,
                                                expected, budget):
