@@ -283,13 +283,13 @@ class _Program:
     def allow_key_pruning(self) -> bool:
         return not (self.has_counts or self.has_unique or self.has_equality)
 
-    def _same_node_closure(self, bits, seen=()) -> set:
-        """The bits ``bits`` read at the same node, not entering ``seen``."""
+    def _same_node_closure(self, bits) -> set:
+        """The bits ``bits`` read at the same node."""
         out = set()
         work = list(bits)
         while work:
             b = work.pop()
-            if b in out or b in seen:
+            if b in out:
                 continue
             out.add(b)
             work.extend(self.deps[b])
@@ -351,17 +351,13 @@ def _const_atoms(const: JsonTree, keys, strings, ints):
             ints.add(const.value(n))
 
 
-def _is_universal(pattern) -> bool:
-    return rx.is_empty(rx.complement_intersection([pattern]))
-
-
 def _pattern_words(pattern, extras, max_atoms):
     """Words witnessing the pattern; universal patterns need none (any
     fresh atom matches them already)."""
     word = rx.literal_word(pattern)
     if word is not None:
         return [word]
-    if _is_universal(pattern):
+    if rx.is_empty(rx.compl(pattern)):  # universal
         return []
     extras.update(rx.enumerate_words(pattern, max_atoms, max_atoms))
     return []
@@ -536,9 +532,9 @@ class _LevelTables:
     (OR of its children's entries)``; an entry is the dia bits one child
     sets under its label plus the box bits it violates.  Only ``unique``
     and ``same(c)`` read the children's class ids.  The connectives depend
-    on the base alone: below the root ``full`` memoizes the full mask per
-    base; at the root only the formula's bit is read (``_holds``).  Each
-    memo is built on first use.
+    on the base alone: ``full`` memoizes the full mask per base below the
+    root, and ``hits`` the formula's bit in it at the root.  Each memo is
+    built on first use.
     """
 
     def __init__(self, program, read, closure, obj_keys, arrays, root):
@@ -562,7 +558,7 @@ class _LevelTables:
                 self.modals["arr"].append((bit, isinstance(phi, jsl.BoxIdx),
                                            _interval(phi.lo, phi.hi), 1 << program.bit_of[phi.body]))
             elif isinstance(phi, _CONNECTIVES):
-                self.steps.append((b, bit, _connective_step(phi, program.deps[b])))
+                self.steps.append((bit, _connective_step(phi, program.deps[b])))
             elif isinstance(phi, int):  # a constant subtree's class id
                 self.eq_of[phi] = bit
             elif isinstance(phi.test, jsl.UniqueTest):
@@ -583,8 +579,8 @@ class _LevelTables:
     @cached_property
     def hits(self) -> _Memo:
         """At the root: base mask -> itself if it satisfies the formula, else None."""
-        holds = _holds(self.program, self.steps)
-        return _Memo(lambda base: base if holds(base) else None)
+        phi = 1 << self.program.phi_bit
+        return _Memo(lambda base: base if _run(self.steps, base) & phi else None)
 
     def identity_bits(self, kind, value, children) -> int:
         """The ``unique`` and ``same(c)`` bits, read off the children's ids."""
@@ -632,35 +628,9 @@ class _LevelTables:
         return _Memo(kept)
 
 
-def _holds(program, steps):
-    """``holds(base)``: the formula's bit on a base mask, read one conjunct
-    of its top-level ``&&`` chain at a time, left to right, up to the first
-    false one.  A conjunct runs only the connectives no earlier one ran."""
-    plan, owner, chain, work = [], {}, set(), [program.phi_bit]
-    while work:
-        b = work.pop()
-        if not isinstance(program.instrs[b], jsl.And):
-            owner.update(dict.fromkeys(program._same_node_closure([b], owner), len(plan)))
-            plan.append((1 << b, []))
-        elif b not in chain:
-            chain.add(b)
-            work += reversed(program.deps[b])
-    for step in steps:
-        if step[0] in owner:
-            plan[owner[step[0]]][1].append(step)
-
-    def holds(base):
-        for bit, run in plan:
-            base = _run(run, base)
-            if not base & bit:
-                return False
-        return True
-    return holds
-
-
 def _run(steps, base) -> int:
     """The base mask with the given connectives' bits added, in order."""
-    for _, bit, step in steps:
+    for bit, step in steps:
         if step(base):
             base |= bit
     return base

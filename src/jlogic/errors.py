@@ -49,8 +49,8 @@ class MalformedRegex(JLogicError):
 
 
 class StateBlowup(JLogicError):
-    """Building a DFA, matching a pattern or printing a complement
-    exceeded its named cap."""
+    """Matching a pattern, or reading its automaton (emptiness, word
+    enumeration, printing a complement), exceeded a named cap."""
 
 
 # -- formulas ---------------------------------------------------------------

@@ -10,8 +10,10 @@ which keeps complement and intersection exact and bounds the work.
 by a character's interval where no memo holds it, raising StateBlowup
 past ``DEFAULT_STATE_CAP`` distinct derivatives per pattern.  Complement
 is a node too (``compl``): its derivative is the complement of its body's,
-so it is never determinized up front.  Expressions are interned
-(``_node``): equal ones are one object, so they compare and hash in O(1).
+so it is never determinized up front.  Emptiness, word enumeration and
+printing read a pattern's automaton off the same memos, under the same
+cap.  Expressions are interned (``_node``): equal ones are one object, so
+they compare and hash in O(1).
 
 Dialect: literals, ``.`` (any char), ``|``, juxtaposition, ``*``, ``+``,
 ``( )``, ``[a-z]`` and ``[^a-z]`` classes, backslash escapes for
@@ -31,10 +33,11 @@ from .errors import MalformedRegex, StateBlowup
 from .syntax import ATOM, CONST, GROUP, INFIX, POSTFIX
 
 MAX_CODEPOINT = 0x10FFFF
-# The most distinct derivatives a DFA has as states, or matching one
-# pattern computes.
+# The most distinct derivatives matching one pattern takes, or a pattern's
+# automaton (emptiness, word enumeration, printing a complement) has as
+# states; read at each call.
 DEFAULT_STATE_CAP = 10_000
-# Printing a complement eliminates the states of its DFA one by one, and
+# Printing a complement eliminates the states of its automaton one by one, and
 # the expression can grow exponentially in their number, so the elimination
 # stops past this many regex nodes built, about 0.2 s of work.  A key class
 # of ordinary property names builds about 75 nodes a name (100 names: 277
@@ -335,15 +338,16 @@ SYNTAX = {"regex": {
     "()": (CONST, EPSILON),  # printing only: an empty group reads as cat([])
     "[": (ATOM, (Cls, Empty, AnyChar), (_read_class, _write_class), None),
     "\\": (ATOM, (Lit,), (_read_escape, lambda tok, i, args: _escape(args[0])), None),
-    # no token: the dialect has no complement, which prints as its DFA's expression
-    None: (ATOM, (Compl,), (None, lambda tok, i, args: dfa_to_regex(dfa_of(Compl(*args)))), None),
+    # no token: the dialect has no complement, which prints as its automaton's expression
+    None: (ATOM, (Compl,), (None, lambda tok, i, args: dfa_to_regex(Compl(*args))), None),
 }}
 
 
 def to_text(r: Regex) -> str:
     """Concrete syntax for ``r``; ``parse_regex`` inverts it.  The dialect
     has no complement: a ``Compl`` prints as the plain expression of its
-    DFA, which raises StateBlowup past ``PRINT_SIZE_CAP`` regex nodes."""
+    automaton, which raises StateBlowup past ``DEFAULT_STATE_CAP`` states
+    or ``PRINT_SIZE_CAP`` regex nodes."""
     return syntax.to_text(SYNTAX, r)
 
 
@@ -460,136 +464,101 @@ def word_filter(r: Regex):
     return memo.__getitem__
 
 
-# -- explicit DFAs -------------------------------------------------------------
+# -- automata read off the derivatives -----------------------------------------
 
 
-class KeyDfa(Node):
-    """Complete DFA over the interval partition of the alphabet.
-
-    ``starts[i]`` is the smallest codepoint of interval i; interval i ends
-    where interval i+1 begins (the last one at the top of the unicode range).
-    ``transitions[state][interval]`` is the next state.
-    """
-    __slots__ = ("starts", "transitions", "accepting", "start")
-    _defaults = {"start": 0}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.transitions)
-
-    def accepts(self, word: str) -> bool:
-        state = self.start
-        for ch in word:
-            state = self.transitions[state][bisect_right(self.starts, ord(ch)) - 1]
-        return state in self.accepting
-
-
-def dfa_of(r: Regex, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
-    """Subset-free determinization: states are the derivatives of r."""
+def _automaton(r: Regex):
+    """``(starts, states, rows)``, the complete DFA of ``r``: interval j
+    of the alphabet runs from ``starts[j]`` up to the next start; the
+    states are the derivatives reached from ``r`` (state 0) by each
+    interval's first character, breadth first; ``rows[i][j]`` indexes
+    state i's derivative by interval j.  A state accepts if nullable."""
     starts = _boundaries([r])
     reps = [chr(cp) for cp in starts]
-    states = {r: 0}
-    order = [r]
-    trans = []
-    for d in order:  # grows as new derivatives turn up
+    index = {r: 0}
+    states = [r]
+    rows = []
+    for d in states:  # grows as new derivatives turn up
         row = []
         for ch in reps:
             nxt = deriv(d, ch)
-            idx = states.get(nxt)
+            idx = index.get(nxt)
             if idx is None:
-                idx = len(order)
-                if idx >= state_cap:
-                    raise StateBlowup(f"DFA construction exceeded {state_cap} states")
-                states[nxt] = idx
-                order.append(nxt)
+                idx = len(states)
+                if idx >= DEFAULT_STATE_CAP:
+                    raise StateBlowup(f"DFA construction exceeded {DEFAULT_STATE_CAP} states")
+                index[nxt] = idx
+                states.append(nxt)
             row.append(idx)
-        trans.append(tuple(row))
-    accepting = frozenset(i for i, d in enumerate(order) if d._nullable)
-    return KeyDfa(tuple(starts), tuple(trans), accepting)
+        rows.append(row)
+    return starts, states, rows
 
 
-def complement_intersection(rs, state_cap: int = DEFAULT_STATE_CAP) -> KeyDfa:
-    """DFA for the words matching none of the given expressions."""
-    return dfa_of(compl(alt(rs)), state_cap)
+def is_empty(r: Regex) -> bool:
+    """Whether L(r) is empty: no derivative of ``r`` accepts the empty word."""
+    return not any(d._nullable for d in _automaton(r)[1])
 
 
-def is_empty(dfa: KeyDfa) -> bool:
-    seen = {dfa.start}
-    frontier = [dfa.start]
-    while frontier:
-        s = frontier.pop()
-        if s in dfa.accepting:
-            return False
-        for nxt in dfa.transitions[s]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return True
-
-
-def enumerate_words(r: Regex, max_len: int, max_count: int,
-                    state_cap: int = DEFAULT_STATE_CAP) -> list:
+def enumerate_words(r: Regex, max_len: int, max_count: int) -> list:
     """Up to ``max_count`` distinct words of L(r) with length <= max_len,
     shortest first.  Words use the smallest character of each interval."""
     if max_count <= 0 or max_len < 0:
         return []
-    dfa = dfa_of(r, state_cap)
-    dist = _distance_to_accepting(dfa)
-    if dist[dfa.start] > max_len:
+    starts, states, rows = _automaton(r)
+    dist = _distance_to_accepting(states, rows)
+    if dist[0] > max_len:
         return []
-    reps = [chr(cp) for cp in dfa.starts]
+    reps = [chr(cp) for cp in starts]
     out = []
-    frontier = [("", dfa.start)]
-    if dfa.start in dfa.accepting:
+    frontier = [("", 0)]
+    if r._nullable:
         out.append("")
     for _ in range(max_len):
         if len(out) >= max_count or not frontier:
             break
         nxt_frontier = []
         for word, state in frontier:
-            for interval, target in enumerate(dfa.transitions[state]):
+            for interval, target in enumerate(rows[state]):
                 if dist[target] > max_len - len(word) - 1:
                     continue
                 grown = word + reps[interval]
                 nxt_frontier.append((grown, target))
-                if target in dfa.accepting:
+                if states[target]._nullable:
                     out.append(grown)
         frontier = nxt_frontier
     return out[:max_count]
 
 
-def _distance_to_accepting(dfa: KeyDfa) -> list:
+def _distance_to_accepting(states, rows) -> list:
+    """Per state, the fewest characters that lead it to an accepting one."""
     inf = float("inf")
-    dist = [inf] * dfa.n_states
-    frontier = list(dfa.accepting)
-    for s in frontier:
-        dist[s] = 0
-    back = [[] for _ in range(dfa.n_states)]
-    for s, row in enumerate(dfa.transitions):
-        for t in set(row):
-            back[t].append(s)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in back[t]:
-                if dist[s] > dist[t] + 1:
-                    dist[s] = dist[t] + 1
-                    nxt.append(s)
-        frontier = nxt
+    dist = [0 if d._nullable else inf for d in states]
+    back = [set() for _ in states]
+    for s, row in enumerate(rows):
+        for t in row:
+            back[t].add(s)
+    frontier = [s for s, d in enumerate(dist) if d == 0]
+    for t in frontier:  # breadth first, growing as states are reached
+        for s in back[t]:
+            if dist[s] == inf:
+                dist[s] = dist[t] + 1
+                frontier.append(s)
     return dist
 
 
-# -- DFA back to an expression ---------------------------------------------------
+# -- an automaton back to an expression ----------------------------------------
 
 
-def dfa_to_regex(dfa: KeyDfa) -> Regex:
-    """State elimination; used to print a complement in the plain dialect.
+def dfa_to_regex(r: Regex) -> Regex:
+    """An expression without complement for L(r), by eliminating the states
+    of ``r``'s automaton; used to print a complement in the plain dialect.
 
     An edge keeps its alternatives in a list, with the node count of each,
     and joins them only when its source or target is eliminated.  Raises
     StateBlowup once the alternatives built count more than
     ``PRINT_SIZE_CAP`` nodes in all, which bounds the time it takes."""
-    n = dfa.n_states
+    starts, states, rows = _automaton(r)
+    n = len(states)
     init, fin = n, n + 1
     out = [{} for _ in range(n + 2)]  # out[p][q]: [(alternative, nodes)]
     into = [set() for _ in range(n + 2)]
@@ -607,15 +576,16 @@ def dfa_to_regex(dfa: KeyDfa) -> Regex:
         return (alt(r for r, _ in alternatives),
                 sum(nodes for _, nodes in alternatives))
 
-    for s, row in enumerate(dfa.transitions):
+    for s, row in enumerate(rows):
         by_target = {}
         for interval, t in enumerate(row):
             by_target.setdefault(t, []).append(interval)
         for t, intervals in by_target.items():
-            connect(s, t, _intervals_to_regex(intervals, dfa.starts), 1)
-    connect(init, dfa.start, EPSILON, 1)
-    for s in dfa.accepting:
-        connect(s, fin, EPSILON, 1)
+            connect(s, t, _intervals_to_regex(intervals, starts), 1)
+    connect(init, 0, EPSILON, 1)
+    for s, d in enumerate(states):
+        if d._nullable:
+            connect(s, fin, EPSILON, 1)
 
     for s in range(n):
         into[s].discard(s)

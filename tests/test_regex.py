@@ -85,25 +85,25 @@ def test_print_parse_round_trip():
 
 
 def test_complement_intersection_of_sigma_star_is_empty():
-    assert rx.is_empty(rx.complement_intersection([rx.SIGMA_STAR]))
+    assert rx.is_empty(rx.compl(rx.alt([rx.SIGMA_STAR])))
 
 
 def test_complement_intersection_example():
-    dfa = rx.complement_intersection([rx.word_regex("name"), rx.parse_regex("a(b|c)a")])
-    assert dfa.accepts("age")
-    assert not dfa.accepts("name")
-    assert not dfa.accepts("aba")
-    assert dfa.accepts("")
+    none = rx.compl(rx.alt([rx.word_regex("name"), rx.parse_regex("a(b|c)a")]))
+    assert rx.matches(none, "age")
+    assert not rx.matches(none, "name")
+    assert not rx.matches(none, "aba")
+    assert rx.matches(none, "")
 
 
 def test_complement_single_negates_membership():
     rng = random.Random(77)
     for _ in range(100):
         e = random_regex(rng, 2)
-        dfa = rx.complement_intersection([e])
+        none = rx.compl(rx.alt([e]))
         for _ in range(10):
             w = random_word(rng)
-            assert dfa.accepts(w) == (not rx.matches(e, w))
+            assert rx.matches(none, w) == (not rx.matches(e, w))
 
 
 def test_complement_intersection_brute_force_words():
@@ -115,15 +115,15 @@ def test_complement_intersection_brute_force_words():
     words = sorted(set(words))
     for _ in range(25):
         es = [random_regex(rng, 2) for _ in range(rng.randint(1, 3))]
-        dfa = rx.complement_intersection(es)
+        none = rx.compl(rx.alt(es))
         for w in words:
             expected = not any(oracle_matches(e, w) for e in es)
-            assert dfa.accepts(w) == expected
+            assert rx.matches(none, w) == expected
 
 
 def test_is_empty():
-    assert rx.is_empty(rx.dfa_of(rx.EMPTY))
-    assert not rx.is_empty(rx.dfa_of(rx.Lit("a")))
+    assert rx.is_empty(rx.EMPTY)
+    assert not rx.is_empty(rx.Lit("a"))
 
 
 def test_is_empty_agrees_with_word_search():
@@ -131,7 +131,7 @@ def test_is_empty_agrees_with_word_search():
     for _ in range(80):
         e = random_regex(rng, 2)
         found = bool(rx.enumerate_words(e, 8, 1))
-        assert rx.is_empty(rx.dfa_of(e)) == (not found)
+        assert rx.is_empty(e) == (not found)
 
 
 def test_enumerate_words_example():
@@ -154,19 +154,24 @@ def test_dfa_to_regex_round_trip():
     rng = random.Random(6)
     for _ in range(40):
         es = [random_regex(rng, 2) for _ in range(rng.randint(1, 2))]
-        dfa = rx.complement_intersection(es)
-        back = rx.dfa_to_regex(dfa)
+        none = rx.compl(rx.alt(es))
+        back = rx.dfa_to_regex(none)
         reparsed = rx.parse_regex(rx.to_text(back))
         for _ in range(25):
             w = random_word(rng)
-            assert rx.matches(reparsed, w) == dfa.accepts(w)
+            assert rx.matches(reparsed, w) == rx.matches(none, w)
 
 
-def test_state_cap():
-    # forcing many distinct residuals: (a|b)*a(a|b)^n needs ~2^n states
+def test_state_cap(monkeypatch):
+    # forcing many distinct residuals: (a|b)*a(a|b)^n needs ~2^n states;
+    # emptiness, word enumeration and printing a complement read the cap
+    # when they run
+    monkeypatch.setattr(rx, "DEFAULT_STATE_CAP", 50)
     e = rx.parse_regex("(a|b)*a" + "(a|b)" * 14)
-    with pytest.raises(StateBlowup):
-        rx.dfa_of(e, state_cap=50)
+    for run in (lambda: rx.is_empty(e), lambda: rx.enumerate_words(e, 3, 3),
+                lambda: rx.to_text(rx.compl(e))):
+        with pytest.raises(StateBlowup, match="exceeded 50 states"):
+            run()
 
 
 def _memo_keys(r):

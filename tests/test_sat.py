@@ -13,7 +13,7 @@ from jlogic._node import walk
 from jlogic.cli import main
 from jlogic.decision import Bounds, Qbf, encode_3sat, encode_qbf, sat_bounded
 from jlogic.decision import search
-from jlogic.decision.search import (_CONNECTIVES, Inventory, _LevelTables, _Program, _class_search,
+from jlogic.decision.search import (Inventory, _LevelTables, _Program, _class_search,
                                     _collect_jsl, _compositions, _least_size)
 from jlogic.errors import BoundsTooLarge, IllFormedRecursion
 from jlogic.tree import parse_document, serialize
@@ -337,25 +337,6 @@ def test_qbf_validation():
         Qbf((("exists", "x1"),), ((("x2", True),),))
     with pytest.raises(ValueError):
         Qbf((("some", "x1"),), ())
-
-
-def test_root_reads_formula_bit_like_the_full_mask():
-    # the root evaluates only the formula's bit, conjunct by conjunct; below
-    # the root every connective runs: both agree on every base mask
-    rng = random.Random(11)
-    phis = [random_jsl(rng, rng.randint(1, 4)) for _ in range(150)]
-    phis += [jsl.And(jsl.Or(p, q), jsl.And(q, jsl.Not(p))) for p, q in zip(phis, phis[1:60])]
-    programs = [_compiled(phi) for phi in phis]
-    programs += [_Program({}).compile_recursive(e) for e in random_well_formed(rng, 60)]
-    for program in programs:
-        program.compile_atoms(Inventory((), (), ()), 0)
-        (read, closure, _), = program.depth_profiles(0)
-        root = _LevelTables(program, read, closure, (), False, root=True)
-        below = _LevelTables(program, read, closure, (), False, root=False)
-        plain = sum(1 << b for b in closure if not isinstance(program.instrs[b], _CONNECTIVES))
-        for _ in range(40):
-            base = rng.getrandbits(len(program.instrs)) & plain
-            assert (root.hits[base] is not None) == bool(below.full[base] & read)
 
 
 def test_repeated_subformulas_share_one_instruction():
