@@ -16,6 +16,16 @@ an equal one be built as another object.  On the benchmark's workloads
 it stops growing after one pass: at seed 29 it holds 143 nodes on
 ``validate``, 264 on ``query`` and 1,838 on ``reason``.
 
+So do the caches kept on nodes, each computed from its node alone and
+once per process: a regex's derivatives and matching memo, a formula's
+closure nesting and symbol sets (slots), and in an instance dict a
+schema document's translation (``SchemaDocument.formula``), a recursive
+expression's evaluation plan and automaton (``RecursiveJslExpr.plan``
+and ``.automaton``) and an automaton's recursive translation
+(``JAutomaton.recursive``).  Nothing bounds them yet; a bounded table
+(weak interning plus a small cache of recent roots) would bound them
+with it.
+
 ``walk`` drives every walk over formulas, schemas and rules, and
 ``regex.deriv``'s over regexes.  A walker is a generator function of one
 argument: it ``yield``s the argument of each sub-call, receives that

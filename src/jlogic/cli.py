@@ -6,12 +6,13 @@ negative verdicts, 2 for usage and parse errors and for internal errors
 (``error: internal: …``).  Results go to stdout, diagnostics to stderr.
 File arguments accept ``-`` for standard input.
 
-Each ``main`` call builds its parsers afresh.  An argv that starts with a
-subcommand's name is parsed by that subcommand's parser alone, the one
-parser the call initialises.  Any other argv (``-h``, no arguments, an
-unknown name, a leading option or ``--``) goes to the whole parser,
-``build_parser``, which also reports arguments a subcommand leaves over.
-Its messages are argparse's own either way.
+An argv that starts with a subcommand's name is parsed by that
+subcommand's parser alone, built on the first such call and kept for the
+rest of the process: six parsers at most, none of which keeps anything
+of a call.  Any other argv (``-h``, no arguments, an unknown name, a
+leading option or ``--``) goes to the whole parser, ``build_parser``,
+built afresh each time, which also reports arguments a subcommand leaves
+over.  Its messages are argparse's own either way.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from . import jnl
 from . import jsl
@@ -72,11 +74,15 @@ def _labels(tree: jt.JsonTree, ids, render, sep: str) -> list:
     """The path label of each ascending node id: its steps (object keys,
     1-based array positions) rendered and joined by ``sep``; None for the
     root."""
-    keys = tree.columns()[3]
+    keys, rendered = tree.columns()[3], {}
 
-    def step(m, i):
+    def step(m, i):  # each distinct key or position is rendered once
         ks = keys[m]
-        return render(ks[i] if ks is not None else i + 1)
+        label = ks[i] if ks is not None else i + 1
+        text = rendered.get(label)
+        if text is None:
+            text = rendered[label] = render(label)
+        return text
 
     return jt.walk_paths(tree, ids, step, lambda steps: sep.join(steps) if steps else None)
 
@@ -295,15 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, filled once per process."""
+    parser = argparse.ArgumentParser(prog=f"jlogic {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
+
+
 def _parse(argv: list) -> argparse.Namespace:
     """The arguments of one call, as the whole parser would read them: a
     subcommand's arguments go to its parser untouched, and what that
     parser leaves over is the top level's error."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog=f"jlogic {argv[0]}")
-    _SUBCOMMANDS[argv[0]][1](parser)
-    args, extra = parser.parse_known_args(argv[1:])
+    args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
     if extra:
         build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     return args

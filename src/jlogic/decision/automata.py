@@ -12,7 +12,9 @@ a recursive schema-logic expression, one definition per state that a
 quantified atom or two readers read, every other state inlined into its
 reader, and evaluates that with ``recursive.eval_recursive``.  So a run
 fills per-definition tables bottom-up in reverse pre-order id, and the
-connectives between them short-circuit.
+connectives between them short-circuit.  The translation is kept on the
+interned automaton, and a recursive expression's automaton on the
+expression, so neither is built twice in a process.
 
 Formulas compile in negation normal form, so complementation is a pure
 dualization: swap and/or, toggle test negations, swap the quantifiers.
@@ -23,6 +25,7 @@ is what makes double complementation the identity.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from .. import jsl
 from .. import recursive as rec
@@ -81,8 +84,9 @@ class ROr(RuleExpr):
 
 
 class JAutomaton(Node):
-    # node_rules: ((state, RuleExpr), ...)
-    __slots__ = ("node_states", "tree_states", "final", "node_rules", "tree_rules")
+    """``node_rules``: ``((state, RuleExpr), ...)``.  The instance dict
+    holds the recursive expression its runs evaluate, built once."""
+    __slots__ = ("node_states", "tree_states", "final", "node_rules", "tree_rules", "__dict__")
 
     def node_rule_map(self) -> dict:
         return dict(self.node_rules)
@@ -93,6 +97,11 @@ class JAutomaton(Node):
     @property
     def size(self) -> int:
         return len(self.node_states) + len(self.tree_states)
+
+    @cached_property
+    def recursive(self) -> rec.RecursiveJslExpr:
+        """``_to_recursive(self)``, translated once."""
+        return _to_recursive(self)
 
 
 def _atoms(expr: RuleExpr):
@@ -142,12 +151,12 @@ def node_rule_order(auto: JAutomaton) -> list:
 def automaton_accepts(auto: JAutomaton, tree: JsonTree) -> bool:
     """Bottom-up run; True when the root derives a final state.
 
-    The live rules translate to a recursive expression (``_to_recursive``)
-    whose base is the disjunction of the final states at the root, and
-    ``recursive.eval_recursive`` fills it node by node, last pre-order id
-    first.
+    The live rules translate to a recursive expression (``_to_recursive``,
+    kept as ``auto.recursive``) whose base is the disjunction of the final
+    states at the root, and ``recursive.eval_recursive`` fills it node by
+    node, last pre-order id first.
     """
-    return rec.eval_recursive(_to_recursive(auto), tree)
+    return rec.eval_recursive(auto.recursive, tree)
 
 
 def _live_states(auto: JAutomaton) -> set:
@@ -335,11 +344,14 @@ def jsl_to_automaton(phi: jsl.JslFormula) -> JAutomaton:
 
 
 def recursive_to_automaton(expr: rec.RecursiveJslExpr) -> JAutomaton:
-    """Automaton for a well-formed recursive expression.
+    """Automaton for a well-formed recursive expression, built once per
+    expression and kept on it (``RecursiveJslExpr.automaton``)."""
+    return expr.automaton
 
-    Each definition compiles twice (positive and negated); symbol atoms
-    then resolve to the matching copy's final state.
-    """
+
+def _build_recursive_automaton(expr: rec.RecursiveJslExpr) -> JAutomaton:
+    """Each definition compiles twice (positive and negated); symbol atoms
+    then resolve to the matching copy's final state."""
     rec._topo_order(expr)  # rejects a cyclic expression
     b = _Builder()
     pos_final, neg_final = {}, {}

@@ -205,11 +205,6 @@ def symbol_sets(phi: JslFormula) -> tuple:
 _ARR, _STR, _INT = NodeKind.ARR, NodeKind.STR, NodeKind.INT
 
 
-def eval_jsl(tree: JsonTree, node: jt.NodeId, phi: JslFormula) -> bool:
-    """Satisfaction at a node given by path: at the root of its subtree."""
-    return validate(jt.subtree(tree, node), phi)
-
-
 def validate(tree: JsonTree, phi: JslFormula) -> bool:
     """Whole-document validation: satisfaction at the root."""
     from .recursive import RecursiveJslExpr, eval_recursive  # they import this module

@@ -19,11 +19,18 @@ of any part nested too deep, so evaluation recurses a bounded depth,
 whatever the formula or the document.  The second is the production
 path; the first is the reference the tests compare against.
 
+What no document changes is kept on the interned expression: its
+evaluation plan (``RecursiveJslExpr.plan``: the cut, the live definitions
+in dependency order and their forms per node kind) and its automaton
+(``decision.recursive_to_automaton``).  A run only compiles closures over
+its tree and fills the tables.
+
 Concrete syntax: ``let g1 = <jsl>; let g2 = <jsl>; in <jsl>``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from . import jsl
@@ -39,11 +46,35 @@ MAX_CLOSURE_NESTING = 100  # levels of compiled closures a run may nest (see cut
 
 
 class RecursiveJslExpr(Node):
-    # definitions: tuple[(name, JslFormula), ...]
-    __slots__ = ("definitions", "base")
+    """``definitions``: ``((name, JslFormula), ...)``.  The instance dict
+    holds what is derived from the expression alone, once per process."""
+    __slots__ = ("definitions", "base", "__dict__")
 
     def __repr__(self):
         return f"<rjsl {to_text(self)[:80]}>"
+
+    @cached_property
+    def plan(self):
+        """``(base, names, forms)``: the base of ``cut(self)``, the live
+        definitions (those the base reaches) in dependency order, and
+        their ``specialize_definitions``.  A cycle, among unused
+        definitions too, raises IllFormedRecursion."""
+        expr = cut(self)
+        order, bodies = _topo_order(expr), dict(expr.definitions)
+        live, todo = set(), list(jsl.symbols_used(expr.base))
+        while todo:
+            name = todo.pop()
+            if name not in live:
+                live.add(name)
+                todo.extend(jsl.symbols_used(bodies[name]))
+        names = [name for name in order if name in live]
+        return expr.base, names, specialize_definitions([(name, bodies[name]) for name in names])
+
+    @cached_property
+    def automaton(self):
+        """``decision.recursive_to_automaton(self)``, built once."""
+        from .decision.automata import _build_recursive_automaton  # it imports this module
+        return _build_recursive_automaton(self)
 
 
 class PrecedenceGraph(Node):
@@ -154,10 +185,6 @@ def find_cycle(expr: RecursiveJslExpr) -> Optional[list]:
     return dependency_order(_successors(expr))[1]
 
 
-def is_well_formed(expr: RecursiveJslExpr) -> bool:
-    return find_cycle(expr) is None
-
-
 def _topo_order(expr: RecursiveJslExpr) -> list:
     """Definition names with every dependency before its user; raises
     IllFormedRecursion on a cycle, so it is also the well-formedness check."""
@@ -256,17 +283,20 @@ def _sat_tables(expr: RecursiveJslExpr, tree: JsonTree, tables=None, nodes=None,
 def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
     """Fill ``tables[name]`` for each ``(name, body)`` of ``definitions``
     (every dependency before its user) at the ids of ``nodes``, decreasing
-    pre-order ids, so every child is settled before its parent.
+    pre-order ids, so every child is settled before its parent; each body
+    is specialized per node kind (``specialize_definitions``, which also
+    fills ``consts`` when the caller passes it)."""
+    if definitions:
+        _fill(tree, specialize_definitions(definitions, consts), tables, nodes)
 
-    ``jsl.specialize(body, kind, consts[kind])`` gives a body at one node
-    kind: True, False or a formula that ``jsl.compile_formula`` turns
-    into a closure over node ids, reading the symbols from ``tables``.
-    ``consts[kind]`` holds the definitions already constant at that kind
-    (and stays in ``consts`` when the caller passes it).  A node runs only
-    its kind's closures, in dependency order; a constant true writes 1.
-    """
-    if not definitions:
-        return
+
+def specialize_definitions(definitions, consts=None) -> dict:
+    """Per node kind value, ``(name, form)`` for each ``(name, body)`` of
+    ``definitions`` (every dependency before its user) but those false at
+    that kind: ``form`` is ``jsl.specialize(body, kind, consts[kind])``,
+    True or a formula.  ``consts[kind]`` holds the definitions already
+    constant at that kind (and stays in ``consts`` when the caller passes
+    it)."""
     consts = {} if consts is None else consts
     plan = {kind.value: [] for kind in NodeKind}
     for name, body in definitions:
@@ -275,8 +305,17 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
             if isinstance(f, bool):
                 consts[kind][name] = f
             if f is not False:
-                plan[kind.value].append(
-                    (tables[name], None if f is True else jsl.compile_formula(tree, f, tables)))
+                plan[kind.value].append((name, f))
+    return plan
+
+
+def _fill(tree: JsonTree, plan: dict, tables: dict, nodes):
+    """Run ``specialize_definitions``' ``plan`` over ``nodes``: each form
+    compiled once by ``jsl.compile_formula``, reading the symbols from
+    ``tables``.  A node runs only its kind's closures, in dependency
+    order; a constant true writes 1."""
+    plan = {kind: [(tables[name], None if f is True else jsl.compile_formula(tree, f, tables))
+                   for name, f in forms] for kind, forms in plan.items()}
     kinds = tree.columns()[0]
     for n in nodes:
         # by value: an Enum member hashes through a Python-level __hash__
@@ -284,27 +323,12 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
             table[n] = body(n) if body else 1
 
 
-def recursive_sat_sets(expr: RecursiveJslExpr, tree: JsonTree) -> dict:
-    """Satisfied internal node ids per definition symbol."""
-    tables = _sat_tables(cut(expr), tree)
-    return {name: {n for n, hit in enumerate(tables[name]) if hit} for name, _ in expr.definitions}
-
-
 def eval_recursive(expr: RecursiveJslExpr, tree: JsonTree) -> bool:
     """Whole-document satisfaction, equal to unfold-then-validate.  Only
-    the definitions the base reaches get a table and a closure; the
-    dependency order still covers them all, so a cycle among unused
-    definitions makes the expression ill-formed all the same."""
-    expr, tables = cut(expr), {}
-    if expr.definitions:
-        order, bodies = _topo_order(expr), dict(expr.definitions)
-        live, todo = set(), list(jsl.symbols_used(expr.base))
-        while todo:
-            name = todo.pop()
-            if name not in live:
-                live.add(name)
-                todo.extend(jsl.symbols_used(bodies[name]))
-        tables = {name: bytearray(tree.size) for name in live}
-        fill_tables(tree, [(name, bodies[name]) for name in order if name in live], tables,
-                    range(tree.size - 1, -1, -1))
-    return bool(jsl.compile_formula(tree, expr.base, tables)(0))
+    the definitions the base reaches get a table and a closure
+    (``RecursiveJslExpr.plan``, made once per expression)."""
+    base, names, forms = expr.plan
+    tables = {name: bytearray(tree.size) for name in names}
+    if names:
+        _fill(tree, forms, tables, range(tree.size - 1, -1, -1))
+    return bool(jsl.compile_formula(tree, base, tables)(0))

@@ -25,6 +25,24 @@ STRINGS = ["x", "fish", ""]
 INTS = [0, 1, 2, 7]
 
 
+# -- small entry points over the engine's own ----------------------------------------
+
+
+def eval_jsl(tree: JsonTree, node, phi) -> bool:
+    """Satisfaction at a node given by path: at the root of its subtree."""
+    return jsl.validate(jt.subtree(tree, node), phi)
+
+
+def is_well_formed(expr) -> bool:
+    return rec.find_cycle(expr) is None
+
+
+def recursive_sat_sets(expr, tree: JsonTree) -> dict:
+    """Satisfied internal node ids per definition symbol."""
+    tables = rec._sat_tables(rec.cut(expr), tree)
+    return {name: {n for n, hit in enumerate(tables[name]) if hit} for name, _ in expr.definitions}
+
+
 # -- random documents -------------------------------------------------------------
 
 
@@ -590,7 +608,7 @@ def random_well_formed(rng, count) -> list:
             e = rec.make_recursive(defs, base)
         except MalformedFormula:
             continue
-        if rec.is_well_formed(e):
+        if is_well_formed(e):
             out.append(e)
     return out
 

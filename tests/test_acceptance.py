@@ -31,6 +31,7 @@ from jlogic.errors import FragmentViolation, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document, serialize, verify_invariants
 
 from helpers import (
+    is_well_formed,
     oracle_jsl,
     oracle_qbf,
     oracle_sat,
@@ -242,7 +243,7 @@ def test_c09_recursive_semantics():
                 random_jsl(rng, rng.randint(0, 2), symbols=tuple(names)))
         except Exception:
             continue
-        if not rec.is_well_formed(expr):
+        if not is_well_formed(expr):
             continue
         tree = random_tree(rng, rng.randint(0, 5), 3)
         try:
@@ -340,7 +341,7 @@ def test_c11_automata_differentials():
                 random_jsl(rng, 1, symbols=names))
         except Exception:
             continue
-        if not rec.is_well_formed(expr):
+        if not is_well_formed(expr):
             continue
         t = random_tree(rng, 3, 3)
         assert automaton_accepts(recursive_to_automaton(expr), t) == \

@@ -6,6 +6,7 @@ import pytest
 import jlogic.jsl as jsl
 import jlogic.recursive as rec
 import jlogic.tree as jt
+from jlogic.cli import main
 from jlogic.decision import automata as am
 from jlogic.decision import (
     automaton_accepts,
@@ -19,6 +20,7 @@ from helpers import (
     AUTOMATON_FEATURES,
     JSL_FEATURES,
     automaton_features,
+    is_well_formed,
     jsl_features,
     oracle_automaton,
     oracle_jsl,
@@ -146,7 +148,7 @@ def test_recursive_automaton_differential_random():
                 random_jsl(rng, 1, symbols=names))
         except Exception:
             continue
-        if not rec.is_well_formed(expr):
+        if not is_well_formed(expr):
             continue
         built += 1
         for _, body in expr.definitions + (("", expr.base),):
@@ -238,6 +240,27 @@ def test_translation_shares_states_and_resolves_aliases():
     dag = rec.parse_recursive("let g0 = int; " + " ".join(
         f"let g{i} = g{i - 1} || g{i - 1};" for i in range(1, 30)) + " in g29")
     assert len(am._to_recursive(recursive_to_automaton(dag)).definitions) == 29
+
+
+def test_an_expression_builds_its_automaton_once(monkeypatch, tmp_path, capsys):
+    builds = []
+    build = am._build_recursive_automaton
+    monkeypatch.setattr(am, "_build_recursive_automaton",
+                        lambda expr: builds.append(expr) or build(expr))
+    text = ("let once1 = box(/.*/) once2; "
+            "let once2 = dia(/.*/) true && box(/.*/) once1; in once1")
+    expr = rec.parse_recursive(text)
+    assert not vars(expr)  # no other test builds this expression
+    auto = recursive_to_automaton(expr)
+    assert recursive_to_automaton(expr) is auto and builds == [expr]
+    assert build(expr) is auto  # a fresh build is the same interned automaton
+    assert auto.recursive is auto.recursive is am._to_recursive(auto)
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"a": {"b": 1}}')
+    for _ in range(2):  # 15 states, as when every call built its own
+        assert main(["automaton", str(doc), "--logic", "rjsl", "--formula", text]) == 0
+        assert capsys.readouterr() == ("ACCEPT\n", "states: 15\n")
+    assert builds == [expr]
 
 
 def test_long_node_state_chain():

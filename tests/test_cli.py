@@ -1,11 +1,14 @@
 import argparse
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import jlogic.cli as cli
 import jlogic.jnl as jnl
 import jlogic.jsl as jsl
 import jlogic.regex as rx
@@ -621,10 +624,13 @@ def _initialised(monkeypatch):
 
 
 def test_a_subcommand_parser_holds_only_its_arguments(monkeypatch, capsys):
+    cli._subcommand_parser.cache_clear()
     parsers = _initialised(monkeypatch)
-    assert main(["sat", "--formula", "obj"]) == 0
-    assert capsys.readouterr().out == "SAT\n{}\n"
+    for _ in range(2):  # the second call reuses the first one's parser
+        assert main(["sat", "--formula", "obj"]) == 0
+        assert capsys.readouterr().out == "SAT\n{}\n"
     sat, = parsers
+    assert sat is cli._subcommand_parser("sat")
     assert {action.dest for action in sat._actions} == {
         "help", "formula", "formula_file", "logic", "max_depth", "max_width", "max_atoms",
         "budget", "format"}
@@ -633,8 +639,9 @@ def test_a_subcommand_parser_holds_only_its_arguments(monkeypatch, capsys):
         3, 3, 6, 200_000, "text", None]
 
 
-# level 2: argv names a subcommand, whose parser alone reads it; level 1:
-# it names none, and the whole parser reads it
+# level 2: argv names a subcommand, whose parser alone reads it, built by
+# the first such call of the process; level 1: it names none, and the whole
+# parser, built afresh by every call, reads it
 @pytest.mark.parametrize("argv, level", [
     (["-h"], 1), (["bogus"], 1), ([], 1),
     *(([command, "-h"], 2) for command in sorted(SUBCOMMAND_OPTIONS)),
@@ -642,14 +649,43 @@ def test_a_subcommand_parser_holds_only_its_arguments(monkeypatch, capsys):
     (["compile", "-", "--from", "jsl"], 2),
 ], ids=lambda value: " ".join(value) or "no-arguments" if isinstance(value, list) else None)
 def test_a_call_initialises_only_the_chosen_parser(monkeypatch, capsys, argv, level):
+    cli._subcommand_parser.cache_clear()
     parsers = _initialised(monkeypatch)
-    main(argv)
-    capsys.readouterr()
-    progs = [parser.prog for parser in parsers]
-    if level == 2:
-        assert progs == [f"jlogic {argv[0]}"], progs
-    else:
-        assert progs == ["jlogic", *(f"jlogic {name}" for name in SUBCOMMAND_HELP)], progs
+    replies = []
+    for _ in range(2):
+        parsers.clear()
+        replies.append((main(argv), *capsys.readouterr()))
+        progs = [parser.prog for parser in parsers]
+        if level == 2:
+            assert progs == ([f"jlogic {argv[0]}"] if len(replies) == 1 else []), progs
+        else:
+            assert progs == ["jlogic", *(f"jlogic {name}" for name in SUBCOMMAND_HELP)], progs
+    assert replies[0] == replies[1]
+
+
+EDGE_ARGVS = [
+    ["-h"], [], ["bogus"], ["--", "sat", "--formula", "obj"],
+    *([name, "-h"] for name in SUBCOMMAND_HELP),
+    ["sat", "--formula", "obj", "extra"], ["validate"],
+    ["sat", "--formula", "obj", "--format", "xml"],
+    ["sat", "--formula", "obj", "--max-depth", "two"],
+    ["sat", "--formula", "obj", "--formula-file", "f.jsl"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_edge_argvs_reply_alike_twice_and_fresh(monkeypatch, capsys, argv):
+    # a kept subcommand parser carries nothing from one call to the next:
+    # two calls in one process reply as a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+    replies = []
+    for _ in range(2):
+        replies.append((main(argv), *capsys.readouterr()))
+    assert replies[0] == replies[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "jlogic.cli", *argv], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src})
+    assert replies[0] == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_main_calls_share_no_parsed_state(files, capsys):

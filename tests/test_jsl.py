@@ -7,9 +7,9 @@ import jlogic.jsl as jsl
 import jlogic.regex as rx
 import jlogic.tree as jt
 from jlogic.errors import MalformedFormula
-from jlogic.jsl import check_unique, eval_jsl, parse_jsl, to_text, validate
+from jlogic.jsl import check_unique, parse_jsl, to_text, validate
 from jlogic.tree import NodeKind, parse_document
-from helpers import oracle_jsl, random_jsl, random_tree
+from helpers import eval_jsl, oracle_jsl, random_jsl, random_tree
 
 NUMBER_FORMULA = "int && max(12) && multOf(4)"
 

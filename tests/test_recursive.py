@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -14,8 +15,9 @@ from jlogic.decision import (Bounds, automaton_accepts, complement, jsl_to_autom
                              recursive_to_automaton, sat_bounded)
 from jlogic.errors import IllFormedRecursion, MalformedFormula, UnfoldSizeExceeded
 from jlogic.tree import height, parse_document
-from helpers import (formula_size, oracle_holds, oracle_jsl, random_jnl_unary, random_jsl,
-                     random_tree, random_value, random_well_formed)
+from helpers import (formula_size, is_well_formed, oracle_holds, oracle_jsl, random_jnl_unary,
+                     random_jsl, random_tree, random_value, random_well_formed,
+                     recursive_sat_sets)
 
 EVEN_PATHS = ("let g1 = box(/.*/) g2; "
               "let g2 = dia(/.*/) true && box(/.*/) g1; in g1")
@@ -61,29 +63,29 @@ def test_duplicate_definition_rejected():
 def test_self_negation_has_self_loop():
     e = rec.parse_recursive("let g1 = !g1; in g1")
     assert rec.precedence_graph(e).edges == frozenset({("g1", "g1")})
-    assert not rec.is_well_formed(e)
+    assert not is_well_formed(e)
     assert rec.find_cycle(e) == ["g1", "g1"]
 
 
 def test_even_paths_graph_has_no_edges():
     e = even()
     assert rec.precedence_graph(e).edges == frozenset()
-    assert rec.is_well_formed(e)
+    assert is_well_formed(e)
 
 
 def test_empty_definitions_well_formed():
     e = rec.parse_recursive("in true")
     assert rec.precedence_graph(e).edges == frozenset()
-    assert rec.is_well_formed(e)
+    assert is_well_formed(e)
 
 
 def test_boolean_connectives_do_not_shield():
     e = rec.parse_recursive("let a = b && true; let b = box(/.*/) a; in a")
     assert rec.precedence_graph(e).edges == frozenset({("a", "b")})
-    assert rec.is_well_formed(e)
+    assert is_well_formed(e)
     bad = rec.parse_recursive("let a = !(b || true); let b = a && int; in a")
     assert rec.precedence_graph(bad).edges == frozenset({("a", "b"), ("b", "a")})
-    assert not rec.is_well_formed(bad)
+    assert not is_well_formed(bad)
 
 
 # -- dependency order ----------------------------------------------------------------
@@ -130,26 +132,61 @@ def test_dependency_order_long_chain_written_last_first():
     assert rec.dependency_order(succ) == (None, list(range(size)) + [0])
 
 
+def fresh(text, tag):
+    """``text`` with every symbol ``g…`` renamed ``tag…``: an expression no
+    other test builds, so nothing is kept on it yet."""
+    expr = rec.parse_recursive(re.sub(r"\bg(\d*)\b", rf"{tag}\1", text))
+    assert not vars(expr), tag
+    return expr
+
+
 def test_one_graph_build_per_call(monkeypatch):
+    # the first call on an expression builds its graph once; what it
+    # derives is kept on the expression, so a repeat builds none, unless
+    # it depends on more than the expression (unfold's height, the search)
     builds = []
     successors = rec._successors
     monkeypatch.setattr(rec, "_successors", lambda expr: builds.append(expr) or successors(expr))
-    unsat = rec.parse_recursive("let g = box(/.*/) g && int; in g && str")
     doc = parse_document('{"a": [1, {"b": []}]}')
     calls = {
-        "eval_recursive": lambda: rec.eval_recursive(even(), doc),
-        "unfold": lambda: rec.unfold(even(), 3),
-        "recursive_to_automaton": lambda: recursive_to_automaton(even()),
+        "eval_recursive": (lambda e: rec.eval_recursive(e, doc), 0),
+        "unfold": (lambda e: rec.unfold(e, 3), 1),
+        "recursive_to_automaton": (recursive_to_automaton, 0),
     }
-    for name, call in calls.items():
+    for name, (call, again) in calls.items():
+        expr = fresh(EVEN_PATHS, f"graph_{name}_")
         builds.clear()
-        call()
+        first = call(expr)
         assert len(builds) == 1, name
-    for expr, satisfiable in ((unsat, False), (even(), True)):
+        builds.clear()
+        assert call(expr) == first, name
+        assert len(builds) == again, name
+    unsat = fresh("let g = box(/.*/) g && int; in g && str", "graph_unsat")
+    for expr, satisfiable in ((unsat, False), (fresh(EVEN_PATHS, "graph_sat"), True)):
         builds.clear()
         assert sat_bounded(expr, Bounds(2, 2, 2)).satisfiable is satisfiable
-        # a witness is re-validated through eval_recursive, which builds its own
+        # a witness is re-validated through eval_recursive, whose first
+        # call on the expression builds its own
         assert len(builds) == 1 + satisfiable
+        builds.clear()
+        assert sat_bounded(expr, Bounds(2, 2, 2)).satisfiable is satisfiable
+        assert len(builds) == 1
+
+
+def test_a_second_evaluation_specializes_nothing(monkeypatch):
+    calls = []
+    specialize = jsl.specialize
+    monkeypatch.setattr(jsl, "specialize",
+                        lambda *args: calls.append(args) or specialize(*args))
+    expr = fresh(EVEN_PATHS, "again")
+    docs = [parse_document(text) for text in ('{"a": {"b": 1}}', '{"a": {}}', "[1, {}]")]
+    assert [rec.eval_recursive(expr, doc) for doc in docs] == [
+        oracle_jsl(doc, 0, rec.unfold(expr, height(doc))) for doc in docs]
+    assert len(calls) == 2 * len(jt.NodeKind), calls  # two live definitions, once per kind
+    calls.clear()
+    for doc in docs + [parse_document('{"c": [[], {"d": {}}]}')]:
+        rec.eval_recursive(expr, doc)
+    assert calls == []
 
 
 def test_eval_recursive_compiles_only_reached_definitions(monkeypatch):
@@ -257,7 +294,7 @@ def test_eval_equals_unfold_oracle_on_random_instances():
             t = random_tree(rng, rng.randint(0, 4), 3)
             expected = oracle_jsl(t, 0, rec.unfold(e, height(t)))
             assert rec.eval_recursive(e, t) == expected, rec.to_text(e)
-            sets = rec.recursive_sat_sets(e, t)
+            sets = recursive_sat_sets(e, t)
             for name, _ in e.definitions:
                 unfolded = rec.unfold(rec.make_recursive(e.definitions, jsl.SymbolRef(name)),
                                       height(t))
@@ -383,14 +420,14 @@ def test_circuit_encoding_agrees_with_direct_evaluation():
         doc = jt.from_python({f"IN{i+1}": ("T" if v else "F")
                               for i, v in enumerate(inputs)})
         expr = encode(gates)
-        assert rec.is_well_formed(expr)
+        assert is_well_formed(expr)
         assert rec.eval_recursive(expr, doc) == eval_circuit(gates, inputs)
 
 
 def test_strata_restricted_to_exact_heights():
     e = even()
     t = parse_document('{"a":{"b":{"c":0}},"d":0}')
-    sets = rec.recursive_sat_sets(e, t)
+    sets = recursive_sat_sets(e, t)
     heights = [0] * t.size  # children have larger ids than their parent
     for n in reversed(t.nodes()):
         heights[n] = 1 + max((heights[c] for c in t.children(n)), default=-1)
@@ -410,7 +447,7 @@ def test_deep_document_bottom_up_paths(depth, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(text)
     auto = recursive_to_automaton(expr)
-    sets = rec.recursive_sat_sets(expr, doc)
+    sets = recursive_sat_sets(expr, doc)
     verdicts = {
         "eval_recursive": rec.eval_recursive(expr, doc),
         "recursive_sat_sets": 0 in sets["g1"],
