@@ -57,7 +57,7 @@ class RecursiveJslExpr(Node):
     def plan(self):
         """``(base, names, forms)``: the base of ``cut(self)``, the live
         definitions (those the base reaches) in dependency order, and
-        their ``specialize_definitions``.  A cycle, among unused
+        their ``_specialize_definitions``.  A cycle, among unused
         definitions too, raises IllFormedRecursion."""
         expr = cut(self)
         order, bodies = _topo_order(expr), dict(expr.definitions)
@@ -68,7 +68,8 @@ class RecursiveJslExpr(Node):
                 live.add(name)
                 todo.extend(jsl.symbols_used(bodies[name]))
         names = [name for name in order if name in live]
-        return expr.base, names, specialize_definitions([(name, bodies[name]) for name in names])
+        forms = _specialize_definitions([(name, bodies[name]) for name in names])
+        return expr.base, names, forms
 
     @cached_property
     def automaton(self):
@@ -284,13 +285,13 @@ def fill_tables(tree: JsonTree, definitions, tables: dict, nodes, consts=None):
     """Fill ``tables[name]`` for each ``(name, body)`` of ``definitions``
     (every dependency before its user) at the ids of ``nodes``, decreasing
     pre-order ids, so every child is settled before its parent; each body
-    is specialized per node kind (``specialize_definitions``, which also
+    is specialized per node kind (``_specialize_definitions``, which also
     fills ``consts`` when the caller passes it)."""
     if definitions:
-        _fill(tree, specialize_definitions(definitions, consts), tables, nodes)
+        _fill(tree, _specialize_definitions(definitions, consts), tables, nodes)
 
 
-def specialize_definitions(definitions, consts=None) -> dict:
+def _specialize_definitions(definitions, consts=None) -> dict:
     """Per node kind value, ``(name, form)`` for each ``(name, body)`` of
     ``definitions`` (every dependency before its user) but those false at
     that kind: ``form`` is ``jsl.specialize(body, kind, consts[kind])``,
@@ -310,7 +311,7 @@ def specialize_definitions(definitions, consts=None) -> dict:
 
 
 def _fill(tree: JsonTree, plan: dict, tables: dict, nodes):
-    """Run ``specialize_definitions``' ``plan`` over ``nodes``: each form
+    """Run ``_specialize_definitions``' ``plan`` over ``nodes``: each form
     compiled once by ``jsl.compile_formula``, reading the symbols from
     ``tables``.  A node runs only its kind's closures, in dependency
     order; a constant true writes 1."""

@@ -23,7 +23,8 @@ import tempfile
 from jlogic.cli import main
 
 INPUTS = {
-    "doc.json": '{"name": {"first": "John", "last": "Doe"}, "hobbies": ["fish", "golf"], "age": 42}',
+    "doc.json": '{"name": {"first": "John", "last": "Doe"}, "hobbies": ["fish", "golf"],'
+                ' "age": 42}',
     "deep.json": '{"a":' * 200 + "0" + "}" * 200,
     "g.schema.json": '{"definitions": {"g": {"anyOf": [{"type": "number"}, {"type": "object",'
                      ' "additionalProperties": {"$ref": "#/definitions/g"}}]}},'
